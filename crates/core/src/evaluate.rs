@@ -16,14 +16,13 @@ use std::sync::Arc;
 
 use sepra_ast::{Query, Term};
 use sepra_eval::{
-    filter_by_query, ConjPlan, EvalError, IndexCache, PlanAtom, PlanLiteral, Planner, PlannerStats,
-    RelKey,
+    filter_by_query, ConjPlan, EvalError, IndexCache, PlanLiteral, Planner, PlannerStats, RelKey,
 };
 use sepra_storage::{Database, EvalStats, FxHashMap, Relation, Tuple, Value};
 
 use crate::cache::PlanCache;
 use crate::detect::{EquivClass, SeparableRecursion};
-use crate::exec::{execute_plan, execute_plan_tracked, ExecOptions, ExtraRelations};
+use crate::exec::{execute_plan, ExecOptions, ExtraRelations};
 use crate::justify::{Justification, JustificationTracker};
 use crate::plan::{
     build_plan, build_plan_with, classify_selection, PlanSelection, SelectionKind, SeparablePlan,
@@ -202,7 +201,7 @@ impl SeparableEvaluator {
         let mut stats = EvalStats::new();
         let mut tracker = JustificationTracker::new();
         let raw =
-            execute_plan_tracked(&plan, db, extra, init1, &self.opts, &mut stats, &mut tracker)?;
+            execute_plan(&plan, db, extra, init1, &self.opts, &mut stats, Some(&mut tracker))?;
         let mut full = Relation::new(sep.arity);
         let mut justifications: FxHashMap<Tuple, Justification> = FxHashMap::default();
         for row in raw.seen2.iter() {
@@ -321,7 +320,7 @@ fn evaluate_full_class(
     let mut init = Relation::new(cols.len());
     init.insert(Tuple::from(fixed.iter().map(|&(_, v)| v).collect::<Vec<_>>()));
     let mut stats = EvalStats::new();
-    let raw = execute_plan(&plan, db, extra, Some(init), opts, &mut stats)?;
+    let raw = execute_plan(&plan, db, extra, Some(init), opts, &mut stats, None)?;
     let mut full = Relation::new(sep.arity);
     for row in raw.seen2.iter() {
         full.insert(assemble(sep.arity, &fixed, &plan.phase2.columns, row));
@@ -347,7 +346,7 @@ fn evaluate_persistent(
     let plan = build_plan_with(sep, &PlanSelection::Persistent(fixed.clone()), planner)?;
     let mut stats = EvalStats::new();
     stats.record_size("seen_1", 1); // the paper's `seen_1(x0)` fact
-    let raw = execute_plan(&plan, db, extra, None, opts, &mut stats)?;
+    let raw = execute_plan(&plan, db, extra, None, opts, &mut stats, None)?;
     let mut full = Relation::new(sep.arity);
     for row in raw.seen2.iter() {
         full.insert(assemble(sep.arity, &fixed, &plan.phase2.columns, row));
@@ -457,7 +456,7 @@ fn evaluate_partial(
                 distinct_seeds += 1;
                 let mut init = Relation::new(cols.len());
                 init.insert(body_vals.clone());
-                let raw = execute_plan(&full_plan, db, extra, Some(init), opts, &mut stats)?;
+                let raw = execute_plan(&full_plan, db, extra, Some(init), opts, &mut stats, None)?;
                 seed_cache.insert(body_vals.clone(), raw.seen2);
             }
             let seen2 = &seed_cache[&body_vals];
@@ -498,23 +497,12 @@ fn binding_plan(
         };
         body.push(PlanLiteral::Eq(rule.head.terms[c], Term::Const(konst)));
     }
-    for lit in &rule.body {
-        match lit {
-            sepra_ast::Literal::Atom(a) if a.pred == sep.pred => continue,
-            sepra_ast::Literal::Atom(a) => body.push(PlanLiteral::Atom(PlanAtom {
-                rel: RelKey::Pred(a.pred),
-                terms: a.terms.clone(),
-            })),
-            sepra_ast::Literal::Eq(l, r) => body.push(PlanLiteral::Eq(*l, *r)),
-            // Unreachable: separable recursions are pure positive
-            // (`RecursiveDef::extract`); arms preserve meaning regardless.
-            sepra_ast::Literal::Neg(a) => body.push(PlanLiteral::Neg(PlanAtom {
-                rel: RelKey::Pred(a.pred),
-                terms: a.terms.clone(),
-            })),
-            sepra_ast::Literal::Sum(d, x, y) => body.push(PlanLiteral::Sum(*d, *x, *y)),
-        }
-    }
+    body.extend(
+        rule.body
+            .iter()
+            .filter(|lit| !matches!(lit, sepra_ast::Literal::Atom(a) if a.pred == sep.pred))
+            .map(|lit| PlanLiteral::from_literal(lit, &RelKey::Pred)),
+    );
     let mut output: Vec<Term> = cols.iter().map(|&c| rule.head.terms[c]).collect();
     output.extend(cols.iter().map(|&c| rec.terms[c]));
     ConjPlan::compile(&[], &planner.order(&[], &body, 0), &output)

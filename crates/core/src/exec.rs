@@ -23,10 +23,9 @@
 
 use sepra_ast::Sym;
 use sepra_eval::{
-    sharded_delta_round, Budget, ConjPlan, EvalError, IndexCache, PlanMode, RelKey, RelStore,
-    MIN_SHARD_TUPLES,
+    delta_round, Budget, ConjPlan, EvalError, IndexCache, PlanMode, RelKey, RelStore, RoundPlan,
 };
-use sepra_storage::{Database, EvalStats, FxHashMap, Relation, Tuple};
+use sepra_storage::{Database, EvalStats, FxHashMap, Relation, Tuple, Value};
 
 use crate::justify::{JustificationTracker, Origin};
 use crate::plan::{SeparablePlan, AUX_CARRY1, AUX_CARRY2, AUX_SEEN1};
@@ -96,6 +95,11 @@ pub type ExtraRelations = FxHashMap<Sym, Relation>;
 /// `init1` supplies the initial `carry_1` contents (the selection-constant
 /// vector, or a seed set from the Lemma 2.1 decomposition) and must be
 /// `Some` exactly when the plan has a phase 1.
+///
+/// With a `tracker`, the plan's tracked variants run instead — same joins,
+/// each row prefixed by the tuple it was produced from — and the origin of
+/// every tuple is recorded, so answers can be justified (the paper's `J(a)`
+/// construction from Lemma 3.1). The relations computed are the same.
 pub fn execute_plan(
     plan: &SeparablePlan,
     db: &Database,
@@ -103,6 +107,7 @@ pub fn execute_plan(
     init1: Option<Relation>,
     opts: &ExecOptions,
     stats: &mut EvalStats,
+    mut tracker: Option<&mut JustificationTracker>,
 ) -> Result<RawOutcome, EvalError> {
     let mut indexes = IndexCache::new();
 
@@ -116,9 +121,23 @@ pub fn execute_plan(
                     p1.columns.len()
                 )));
             }
-            let plans: Vec<&ConjPlan> = p1.steps.iter().map(|(_, p)| p).collect();
+            let mut tracker = tracker.as_deref_mut();
+            if let Some(tracker) = tracker.as_deref_mut() {
+                for t in init.iter() {
+                    tracker.record_phase1(t.to_tuple(), Origin::Root);
+                }
+            }
+            let steps = if tracker.is_some() { &p1.tracked_steps } else { &p1.steps };
+            let mut record = tracker.map(|tracker| {
+                move |parent: &[Value], child: &[Value], rule| {
+                    tracker.record_phase1(
+                        Tuple::new(child.to_vec()),
+                        Origin::Phase1 { parent: Tuple::new(parent.to_vec()), rule },
+                    );
+                }
+            });
             let seen = run_closure(
-                &plans,
+                steps,
                 AUX_CARRY1,
                 init,
                 db,
@@ -127,6 +146,7 @@ pub fn execute_plan(
                 opts,
                 ("carry_1", "seen_1"),
                 stats,
+                record.as_mut().map(|r| r as &mut Recorder<'_>),
             )?;
             Some(seen)
         }
@@ -141,7 +161,8 @@ pub fn execute_plan(
         }
     };
 
-    let seen2 = run_seed_and_phase2(plan, db, extra, seen1.as_ref(), &mut indexes, opts, stats)?;
+    let seen2 =
+        seed_and_phase2(plan, db, extra, seen1.as_ref(), &mut indexes, opts, stats, tracker)?;
     Ok(RawOutcome { seen1, seen2 })
 }
 
@@ -162,69 +183,73 @@ pub fn run_seed_and_phase2(
     opts: &ExecOptions,
     stats: &mut EvalStats,
 ) -> Result<Relation, EvalError> {
-    // Seed: carry_2 := g_2(seen_1) over the exit rules.
+    seed_and_phase2(plan, db, extra, seen1, indexes, opts, stats, None)
+}
+
+#[allow(clippy::too_many_arguments)] // run_seed_and_phase2 plus the optional tracker
+fn seed_and_phase2(
+    plan: &SeparablePlan,
+    db: &Database,
+    extra: &ExtraRelations,
+    seen1: Option<&Relation>,
+    indexes: &mut IndexCache,
+    opts: &ExecOptions,
+    stats: &mut EvalStats,
+    mut tracker: Option<&mut JustificationTracker>,
+) -> Result<Relation, EvalError> {
+    // Seed: carry_2 := g_2(seen_1) over the exit rules, one round whose
+    // frontier is seen_1. Tracked seed rows carry the contributing seen_1
+    // tuple in front (nothing, for a persistent selection).
+    let (seed_plans, steps) = match tracker {
+        None => (&plan.seed, &plan.phase2.steps),
+        Some(_) => (&plan.tracked_seed, &plan.phase2.tracked_steps),
+    };
+    let prefix = match (&tracker, seen1) {
+        (Some(_), Some(seen1)) => seen1.arity(),
+        _ => 0,
+    };
+    let frontier = seen1.map(|_| RelKey::Aux(AUX_SEEN1));
     let mut carry2_init = Relation::new(plan.phase2.columns.len());
     {
         let mut store = base_store(db, extra);
         if let Some(seen1) = seen1 {
             store.bind(RelKey::Aux(AUX_SEEN1), seen1);
         }
-        let mut scanned = 0u64;
-        if opts.threads > 1 && opts.use_indexes && seen1.is_some() {
-            // Shard the seed join over seen_1, exactly as the closure
-            // loops shard over the carry.
-            let seen1_key = RelKey::Aux(AUX_SEEN1);
-            for seed_plan in &plan.seed {
-                indexes.prepare_where(seed_plan, &store, |k| k != seen1_key);
-            }
-            let seed_refs: Vec<&ConjPlan> = plan.seed.iter().collect();
-            let merged = sharded_delta_round(
-                &seed_refs,
-                seen1_key,
-                &store,
-                indexes,
-                opts.threads,
-                MIN_SHARD_TUPLES,
-                &[],
-                &opts.budget,
-                &mut scanned,
-            );
-            // Workers skip plans once the budget is exhausted; a truncated
-            // seed must not be mistaken for the full exit-rule join.
-            opts.budget.check("seed join", stats.iterations, stats.tuples_inserted)?;
-            for worker_bufs in merged {
-                for buf in worker_bufs {
-                    for t in buf {
-                        let was_new = carry2_init.insert(t);
-                        stats.record_insert(was_new);
-                    }
+        let plans: Vec<RoundPlan<'_>> =
+            seed_plans.iter().map(|plan| RoundPlan { plan, sharded: None, frontier }).collect();
+        let scanned = delta_round(
+            &plans,
+            &store,
+            opts.use_indexes.then_some(&mut *indexes),
+            opts.threads,
+            &opts.budget,
+            "seed join",
+            &mut |exit_rule, row| {
+                let (seen1_tuple, child) = row.split_at(prefix);
+                stats.record_insert(carry2_init.insert_row(child));
+                if let Some(tracker) = tracker.as_deref_mut() {
+                    let seen1 = (prefix > 0).then(|| Tuple::new(seen1_tuple.to_vec()));
+                    tracker.record_phase2(
+                        Tuple::new(child.to_vec()),
+                        Origin::Seed { seen1, exit_rule },
+                    );
                 }
-            }
-        } else {
-            for seed_plan in &plan.seed {
-                if opts.use_indexes {
-                    indexes.prepare(seed_plan, &store);
-                }
-                seed_plan.execute_counted(
-                    &store,
-                    indexes,
-                    &[],
-                    &mut |row| {
-                        let was_new = carry2_init.insert(Tuple::new(row.to_vec()));
-                        stats.record_insert(was_new);
-                    },
-                    &mut scanned,
-                );
-            }
-        }
+            },
+        )?;
         stats.record_scanned(scanned as usize);
     }
-    indexes.invalidate(RelKey::Aux(AUX_SEEN1));
 
     // Phase 2: upward closure over the remaining classes.
-    let plans: Vec<&ConjPlan> = plan.phase2.steps.iter().map(|(_, p)| p).collect();
+    let mut record = tracker.map(|tracker| {
+        move |parent: &[Value], child: &[Value], rule| {
+            tracker.record_phase2(
+                Tuple::new(child.to_vec()),
+                Origin::Phase2 { parent: Tuple::new(parent.to_vec()), rule },
+            );
+        }
+    });
     run_closure(
-        &plans,
+        steps,
         AUX_CARRY2,
         carry2_init,
         db,
@@ -233,182 +258,8 @@ pub fn run_seed_and_phase2(
         opts,
         ("carry_2", "seen_2"),
         stats,
+        record.as_mut().map(|r| r as &mut Recorder<'_>),
     )
-}
-
-/// Executes a compiled plan while recording tuple origins, so answers can
-/// be justified (the paper's `J(a)` construction from Lemma 3.1). Behaves
-/// exactly like [`execute_plan`] otherwise.
-pub fn execute_plan_tracked(
-    plan: &SeparablePlan,
-    db: &Database,
-    extra: &ExtraRelations,
-    init1: Option<Relation>,
-    opts: &ExecOptions,
-    stats: &mut EvalStats,
-    tracker: &mut JustificationTracker,
-) -> Result<RawOutcome, EvalError> {
-    let mut indexes = IndexCache::new();
-
-    let seen1 = match (&plan.phase1, init1) {
-        (Some(p1), Some(init)) => {
-            if init.arity() != p1.columns.len() {
-                return Err(EvalError::Planning(format!(
-                    "carry_1 seed arity {} does not match class width {}",
-                    init.arity(),
-                    p1.columns.len()
-                )));
-            }
-            for t in init.iter() {
-                tracker.record_phase1(t.to_tuple(), Origin::Root);
-            }
-            let seen = run_closure_tracked(
-                &p1.tracked_steps,
-                AUX_CARRY1,
-                init,
-                db,
-                extra,
-                &mut indexes,
-                opts,
-                ("carry_1", "seen_1"),
-                stats,
-                &mut |child, parent, rule, tr: &mut JustificationTracker| {
-                    tr.record_phase1(child, Origin::Phase1 { parent, rule });
-                },
-                tracker,
-            )?;
-            Some(seen)
-        }
-        (None, None) => None,
-        (Some(_), None) => {
-            return Err(EvalError::Planning("phase 1 requires initial carry_1 contents".into()))
-        }
-        (None, Some(_)) => {
-            return Err(EvalError::Planning(
-                "persistent-selection plan takes no carry_1 seeds".into(),
-            ))
-        }
-    };
-
-    // Tracked seed: rows are (seen_1 tuple ++ carry_2 tuple), or just the
-    // carry_2 tuple for persistent selections.
-    let seen1_width = plan.phase1.as_ref().map_or(0, |p1| p1.columns.len());
-    let mut carry2_init = Relation::new(plan.phase2.columns.len());
-    {
-        let mut store = base_store(db, extra);
-        if let Some(seen1) = &seen1 {
-            store.bind(RelKey::Aux(AUX_SEEN1), seen1);
-        }
-        for (exit_idx, seed_plan) in plan.tracked_seed.iter().enumerate() {
-            if opts.use_indexes {
-                indexes.prepare(seed_plan, &store);
-            }
-            seed_plan.execute(&store, &indexes, &[], &mut |row| {
-                let seen1_tuple =
-                    (seen1_width > 0).then(|| Tuple::new(row[..seen1_width].to_vec()));
-                let child = Tuple::new(row[seen1_width..].to_vec());
-                let was_new = carry2_init.insert(child.clone());
-                stats.record_insert(was_new);
-                tracker
-                    .record_phase2(child, Origin::Seed { seen1: seen1_tuple, exit_rule: exit_idx });
-            });
-        }
-    }
-    indexes.invalidate(RelKey::Aux(AUX_SEEN1));
-
-    let seen2 = run_closure_tracked(
-        &plan.phase2.tracked_steps,
-        AUX_CARRY2,
-        carry2_init,
-        db,
-        extra,
-        &mut indexes,
-        opts,
-        ("carry_2", "seen_2"),
-        stats,
-        &mut |child, parent, rule, tr: &mut JustificationTracker| {
-            tr.record_phase2(child, Origin::Phase2 { parent, rule });
-        },
-        tracker,
-    )?;
-
-    Ok(RawOutcome { seen1, seen2 })
-}
-
-/// The tracked twin of [`run_closure`]: step plans emit
-/// `(parent ++ child)` rows; `record` is invoked for every produced
-/// child with its parent and the rule index.
-#[allow(clippy::too_many_arguments)]
-fn run_closure_tracked(
-    tracked_steps: &[(usize, ConjPlan)],
-    carry_key_id: u32,
-    init: Relation,
-    db: &Database,
-    extra: &ExtraRelations,
-    indexes: &mut IndexCache,
-    opts: &ExecOptions,
-    names: (&str, &str),
-    stats: &mut EvalStats,
-    record: &mut dyn FnMut(Tuple, Tuple, usize, &mut JustificationTracker),
-    tracker: &mut JustificationTracker,
-) -> Result<Relation, EvalError> {
-    let arity = init.arity();
-    let (carry_name, seen_name) = names;
-    let mut seen = init.clone();
-    let mut carry = init;
-    stats.record_size(carry_name, carry.len());
-    stats.record_size(seen_name, seen.len());
-
-    let mut iterations = 0usize;
-    while !carry.is_empty() {
-        iterations += 1;
-        stats.record_iteration();
-        if iterations > opts.max_iterations {
-            return Err(EvalError::Diverged {
-                what: format!("{carry_name} loop"),
-                bound: opts.max_iterations,
-            });
-        }
-        opts.budget.check(
-            &format!("{carry_name} loop"),
-            stats.iterations,
-            stats.tuples_inserted,
-        )?;
-        let mut produced = Relation::new(arity);
-        {
-            let mut store = base_store(db, extra);
-            store.bind(RelKey::Aux(carry_key_id), &carry);
-            for (rule, plan) in tracked_steps {
-                if opts.use_indexes {
-                    indexes.prepare(plan, &store);
-                }
-                plan.execute(&store, indexes, &[], &mut |row| {
-                    let parent = Tuple::new(row[..arity].to_vec());
-                    let child = Tuple::new(row[arity..].to_vec());
-                    let was_new = produced.insert(child.clone());
-                    stats.record_insert(was_new);
-                    if !seen.contains(&child) {
-                        record(child, parent, *rule, tracker);
-                    }
-                });
-            }
-        }
-        indexes.invalidate(RelKey::Aux(carry_key_id));
-        let mut next_carry = Relation::new(arity);
-        for t in produced.iter() {
-            let is_new = !seen.contains_row(t);
-            if is_new {
-                seen.insert_from(t);
-            }
-            if is_new || !opts.dedup {
-                next_carry.insert_from(t);
-            }
-        }
-        stats.record_size(carry_name, next_carry.len());
-        stats.record_size(seen_name, seen.len());
-        carry = next_carry;
-    }
-    Ok(seen)
 }
 
 fn base_store<'a>(db: &'a Database, extra: &'a ExtraRelations) -> RelStore<'a> {
@@ -422,11 +273,20 @@ fn base_store<'a>(db: &'a Database, extra: &'a ExtraRelations) -> RelStore<'a> {
     store
 }
 
+/// Receives `(parent, child, rule)` for every tuple a closure produces that
+/// is not yet in `seen`.
+type Recorder<'a> = dyn FnMut(&[Value], &[Value], usize) + 'a;
+
 /// Runs one carry/seen closure (lines 1–7 or 10–14 of Figure 2) and returns
-/// the final `seen` relation.
+/// the final `seen` relation. Each iteration is one [`delta_round`] whose
+/// frontier is the carry; what is Figure 2's own is the merge — `produced`
+/// collects `f(carry)`, then `carry − seen` at the barrier.
+///
+/// With a `record`er, `steps` must be the tracked variants, whose rows are
+/// the parent carry tuple followed by the produced one.
 #[allow(clippy::too_many_arguments)]
-pub fn run_closure(
-    step_plans: &[&ConjPlan],
+fn run_closure(
+    steps: &[(usize, ConjPlan)],
     carry_key_id: u32,
     init: Relation,
     db: &Database,
@@ -435,9 +295,17 @@ pub fn run_closure(
     opts: &ExecOptions,
     names: (&str, &str),
     stats: &mut EvalStats,
+    mut record: Option<&mut Recorder<'_>>,
 ) -> Result<Relation, EvalError> {
     let arity = init.arity();
+    let prefix = if record.is_some() { arity } else { 0 };
     let (carry_name, seen_name) = names;
+    let what = format!("{carry_name} loop");
+    let carry_key = RelKey::Aux(carry_key_id);
+    let plans: Vec<RoundPlan<'_>> = steps
+        .iter()
+        .map(|(_, plan)| RoundPlan { plan, sharded: None, frontier: Some(carry_key) })
+        .collect();
     let mut seen = init.clone();
     let mut carry = init;
     stats.record_size(carry_name, carry.len());
@@ -448,78 +316,33 @@ pub fn run_closure(
         iterations += 1;
         stats.record_iteration();
         if iterations > opts.max_iterations {
-            return Err(EvalError::Diverged {
-                what: format!("{carry_name} loop"),
-                bound: opts.max_iterations,
-            });
+            return Err(EvalError::Diverged { what, bound: opts.max_iterations });
         }
-        opts.budget.check(
-            &format!("{carry_name} loop"),
-            stats.iterations,
-            stats.tuples_inserted,
-        )?;
+        opts.budget.check(&what, stats.iterations, stats.tuples_inserted)?;
         // carry := f(carry) — the union of the per-rule join plans.
         let mut produced = Relation::new(arity);
         {
             let mut store = base_store(db, extra);
-            let carry_key = RelKey::Aux(carry_key_id);
             store.bind(carry_key, &carry);
-            let mut scanned = 0u64;
-            if opts.threads > 1 && opts.use_indexes {
-                // Shared cache: every keyed scan except the carry, which
-                // each worker indexes over its own shard.
-                for plan in step_plans {
-                    indexes.prepare_where(plan, &store, |k| k != carry_key);
-                }
-                let merged = sharded_delta_round(
-                    step_plans,
-                    carry_key,
-                    &store,
-                    indexes,
-                    opts.threads,
-                    MIN_SHARD_TUPLES,
-                    &[],
-                    &opts.budget,
-                    &mut scanned,
-                );
-                // Workers stop expanding once the budget is exhausted; a
-                // truncated carry would otherwise masquerade as convergence,
-                // so re-check before treating the round's output as f(carry).
-                opts.budget.check(
-                    &format!("{carry_name} loop"),
-                    stats.iterations,
-                    stats.tuples_inserted,
-                )?;
-                // Plan-major, worker-minor: a fixed interleaving of the
-                // serial production order, deterministic per thread count.
-                for worker_bufs in merged {
-                    for buf in worker_bufs {
-                        for t in buf {
-                            let was_new = produced.insert(t);
-                            stats.record_insert(was_new);
+            let scanned = delta_round(
+                &plans,
+                &store,
+                opts.use_indexes.then_some(&mut *indexes),
+                opts.threads,
+                &opts.budget,
+                &what,
+                &mut |step, row| {
+                    let (parent, child) = row.split_at(prefix);
+                    stats.record_insert(produced.insert_row(child));
+                    if let Some(record) = record.as_deref_mut() {
+                        if !seen.contains_values(child) {
+                            record(parent, child, steps[step].0);
                         }
                     }
-                }
-            } else {
-                for plan in step_plans {
-                    if opts.use_indexes {
-                        indexes.prepare(plan, &store);
-                    }
-                    plan.execute_counted(
-                        &store,
-                        indexes,
-                        &[],
-                        &mut |row| {
-                            let was_new = produced.insert(Tuple::new(row.to_vec()));
-                            stats.record_insert(was_new);
-                        },
-                        &mut scanned,
-                    );
-                }
-            }
+                },
+            )?;
             stats.record_scanned(scanned as usize);
         }
-        indexes.invalidate(RelKey::Aux(carry_key_id));
         // carry := carry - seen (line 5); seen := seen u carry (line 6).
         let mut next_carry = Relation::new(arity);
         for t in produced.iter() {
@@ -577,6 +400,7 @@ mod tests {
             Some(init),
             &ExecOptions::default(),
             &mut stats,
+            None,
         )
         .unwrap();
         // seen_1 = {n0..n5} reachable along e (n5 has no outgoing edge but
@@ -609,6 +433,7 @@ mod tests {
             Some(init),
             &ExecOptions::default(),
             &mut stats,
+            None,
         )
         .unwrap();
         assert_eq!(out.seen1.as_ref().unwrap().len(), 3);
@@ -630,9 +455,16 @@ mod tests {
         init.insert(Tuple::from([Value::sym(a)]));
         let opts = ExecOptions { dedup: false, max_iterations: 50, ..ExecOptions::default() };
         let mut stats = EvalStats::new();
-        let err =
-            execute_plan(&plan, &db, &ExtraRelations::default(), Some(init), &opts, &mut stats)
-                .unwrap_err();
+        let err = execute_plan(
+            &plan,
+            &db,
+            &ExtraRelations::default(),
+            Some(init),
+            &opts,
+            &mut stats,
+            None,
+        )
+        .unwrap_err();
         assert!(matches!(err, EvalError::Diverged { .. }), "{err}");
     }
 
@@ -653,8 +485,16 @@ mod tests {
             init.insert(Tuple::from([Value::sym(n0)]));
             let opts = ExecOptions { threads, ..ExecOptions::default() };
             let mut stats = EvalStats::new();
-            execute_plan(&plan, &db, &ExtraRelations::default(), Some(init), &opts, &mut stats)
-                .unwrap()
+            execute_plan(
+                &plan,
+                &db,
+                &ExtraRelations::default(),
+                Some(init),
+                &opts,
+                &mut stats,
+                None,
+            )
+            .unwrap()
         };
         let serial = run(1);
         for threads in [2, 4, 8] {
@@ -667,6 +507,103 @@ mod tests {
         let a = run(4);
         let b = run(4);
         assert!(a.seen2.iter().eq(b.seen2.iter()), "insertion order diverged");
+    }
+
+    fn assert_cancelled<T: std::fmt::Debug>(result: Result<T, EvalError>, what: &str) {
+        use sepra_eval::BudgetResource::Cancelled;
+        match result {
+            Err(EvalError::BudgetExceeded { what: w, resource: Cancelled }) => assert_eq!(w, what),
+            other => panic!("{what}: expected a cancelled round, got {other:?}"),
+        }
+    }
+
+    /// A cancellation that lands inside a round — after the loop's own
+    /// barrier check — must come back as the round's error, not as a carry
+    /// that happens to be short.
+    #[test]
+    fn a_closure_round_cancelled_midway_is_an_error() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+
+        let mut db = Database::new();
+        db.load_fact_text("friend(tom, sue). idol(tom, joe). perfectFor(joe, widget).").unwrap();
+        let program = parse_program(
+            "buys(X, Y) :- friend(X, W), buys(W, Y).\n\
+             buys(X, Y) :- idol(X, W), buys(W, Y).\n\
+             buys(X, Y) :- perfectFor(X, Y).\n",
+            db.interner_mut(),
+        )
+        .unwrap();
+        let buys = db.intern("buys");
+        let sep = detect_in_program(&program, buys, db.interner_mut()).unwrap();
+        let plan = build_plan(&sep, &PlanSelection::Class(0)).unwrap();
+        let p1 = plan.phase1.as_ref().unwrap();
+        assert_eq!(p1.tracked_steps.len(), 2);
+
+        // The recorder is the one piece of caller code a round runs: the
+        // friend step records sue and cancels, so the idol step must not
+        // run — one insert attempt, not two.
+        let flag = Arc::new(AtomicBool::new(false));
+        let opts = ExecOptions {
+            threads: 3,
+            budget: Budget::unlimited().cancellable(flag.clone()),
+            ..ExecOptions::default()
+        };
+        let mut init = Relation::new(1);
+        init.insert(Tuple::from([Value::sym(db.intern("tom"))]));
+        let mut stats = EvalStats::new();
+        let result = run_closure(
+            &p1.tracked_steps,
+            AUX_CARRY1,
+            init,
+            &db,
+            &ExtraRelations::default(),
+            &mut IndexCache::new(),
+            &opts,
+            ("carry_1", "seen_1"),
+            &mut stats,
+            Some(&mut |_, _, _| flag.store(true, Ordering::Relaxed)),
+        );
+        assert_cancelled(result, "carry_1 loop");
+        assert_eq!(stats.insert_attempts, 1);
+    }
+
+    /// No barrier check precedes the seed join, so with the budget already
+    /// cancelled its shard workers are the first to notice. A seed they all
+    /// skipped is empty, and an empty carry_2 would end phase 2 at once: the
+    /// truncated join would pass for an empty answer.
+    #[test]
+    fn a_cancelled_sharded_seed_join_is_an_error_not_an_empty_answer() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+
+        let mut db = chain_db(4);
+        let program =
+            parse_program("t(X, Y) :- e(X, W), t(W, Y).\nt(X, Y) :- e(X, Y).\n", db.interner_mut())
+                .unwrap();
+        let t = db.intern("t");
+        let sep = detect_in_program(&program, t, db.interner_mut()).unwrap();
+        let plan = build_plan(&sep, &PlanSelection::Class(0)).unwrap();
+        // Three shards' worth of seen_1.
+        let seen1 = Relation::from_tuples(
+            1,
+            (0..1536).map(|i| Tuple::from([Value::sym(db.intern(&format!("n{i}")))])),
+        );
+        let opts = ExecOptions {
+            threads: 3,
+            budget: Budget::unlimited().cancellable(Arc::new(AtomicBool::new(true))),
+            ..ExecOptions::default()
+        };
+        let result = run_seed_and_phase2(
+            &plan,
+            &db,
+            &ExtraRelations::default(),
+            Some(&seen1),
+            &mut IndexCache::new(),
+            &opts,
+            &mut EvalStats::new(),
+        );
+        assert_cancelled(result, "seed join");
     }
 
     #[test]
@@ -686,6 +623,7 @@ mod tests {
             None,
             &ExecOptions::default(),
             &mut stats,
+            None,
         )
         .unwrap_err();
         assert!(matches!(err, EvalError::Planning(_)));

@@ -169,9 +169,7 @@ pub fn build_plan(
 
 /// Instantiates the Figure 2 schema, letting `planner` order each
 /// nonrecursive conjunction before compilation. The carry/seen scan of
-/// every step stays pinned first — phase execution shards over it — and
-/// the tracked variants (used only for justification recording) always
-/// keep source order, since their cost is dominated by tracking anyway.
+/// every step stays pinned first — phase execution shards over it.
 pub fn build_plan_with(
     sep: &SeparableRecursion,
     selection: &PlanSelection,
@@ -206,65 +204,44 @@ fn body_terms_at(
 fn nonrecursive_literals(sep: &SeparableRecursion, rule: &sepra_ast::Rule) -> Vec<PlanLiteral> {
     rule.body
         .iter()
-        .filter_map(|lit| match lit {
-            Literal::Atom(a) if a.pred == sep.pred => None,
-            Literal::Atom(a) => Some(PlanLiteral::Atom(PlanAtom {
-                rel: RelKey::Pred(a.pred),
-                terms: a.terms.clone(),
-            })),
-            Literal::Eq(l, r) => Some(PlanLiteral::Eq(*l, *r)),
-            // Unreachable in practice: `RecursiveDef::extract` rejects
-            // negation/aggregation before separability detection runs, and
-            // sums keep their plan-level meaning if they ever pass through.
-            Literal::Neg(a) => Some(PlanLiteral::Neg(PlanAtom {
-                rel: RelKey::Pred(a.pred),
-                terms: a.terms.clone(),
-            })),
-            Literal::Sum(d, x, y) => Some(PlanLiteral::Sum(*d, *x, *y)),
-        })
+        .filter(|lit| !matches!(lit, Literal::Atom(a) if a.pred == sep.pred))
+        .map(|lit| PlanLiteral::from_literal(lit, &RelKey::Pred))
         .collect()
 }
 
-/// Compiles the carry-extension plan for one phase-1 rule: scan `carry_1`
-/// bound to the head-side class variables, join the nonrecursive
-/// conjunction, project the body-side class variables.
-fn phase1_step(
+/// Compiles the carry-extension plan for one rule of a closure: scan the
+/// carry, join the rule's nonrecursive conjunction, project the produced
+/// tuple. Phase 1 (`AUX_CARRY1`) walks *down* from the selection: the
+/// carry binds the head-side class variables and the body side is
+/// produced. Phase 2 (`AUX_CARRY2`) walks *up* from the exit relation: the
+/// carry binds the body-side variables at the phase-2 columns and the head
+/// side is produced.
+///
+/// With `parent_prefix` the output row is the scanned carry tuple followed
+/// by the produced one — the form justification recording needs.
+fn carry_step(
     sep: &SeparableRecursion,
+    carry: u32,
     rule_idx: usize,
     cols: &[usize],
     planner: &Planner<'_>,
+    parent_prefix: bool,
 ) -> Result<ConjPlan, EvalError> {
     let rule = &sep.recursive_rules[rule_idx];
-    let mut body = vec![PlanLiteral::Atom(PlanAtom {
-        rel: RelKey::Aux(AUX_CARRY1),
-        terms: head_terms_at(sep, rule, cols),
-    })];
+    let (head_side, body_side) = (head_terms_at(sep, rule, cols), body_terms_at(sep, rule, cols)?);
+    let (scanned, produced) =
+        if carry == AUX_CARRY1 { (head_side, body_side) } else { (body_side, head_side) };
+    let mut output = if parent_prefix { scanned.clone() } else { Vec::new() };
+    output.extend(produced);
+    let mut body = vec![PlanLiteral::Atom(PlanAtom { rel: RelKey::Aux(carry), terms: scanned })];
     body.extend(nonrecursive_literals(sep, rule));
-    let output = body_terms_at(sep, rule, cols)?;
-    ConjPlan::compile(&[], &planner.order(&[], &body, 1), &output)
-}
-
-/// Compiles the carry-extension plan for one phase-2 rule: scan `carry_2`
-/// bound to the body-side variables at the phase-2 columns, join the
-/// nonrecursive conjunction, project the head-side variables.
-fn phase2_step(
-    sep: &SeparableRecursion,
-    rule_idx: usize,
-    cols: &[usize],
-    planner: &Planner<'_>,
-) -> Result<ConjPlan, EvalError> {
-    let rule = &sep.recursive_rules[rule_idx];
-    let carry_terms = body_terms_at(sep, rule, cols)?;
-    let mut body =
-        vec![PlanLiteral::Atom(PlanAtom { rel: RelKey::Aux(AUX_CARRY2), terms: carry_terms })];
-    body.extend(nonrecursive_literals(sep, rule));
-    let output = head_terms_at(sep, rule, cols);
     ConjPlan::compile(&[], &planner.order(&[], &body, 1), &output)
 }
 
 /// Compiles one seed plan (one exit rule): `seen_1` join (or baked-in
 /// persistent constants), then the exit body, projecting the phase-2
-/// columns.
+/// columns — behind the contributing `seen_1` tuple with `parent_prefix`
+/// (class-selection plans only; a persistent selection has none).
 fn seed_step(
     sep: &SeparableRecursion,
     exit_idx: usize,
@@ -272,77 +249,7 @@ fn seed_step(
     rest_cols: &[usize],
     persistent_consts: Option<&[(usize, Value)]>,
     planner: &Planner<'_>,
-) -> Result<ConjPlan, EvalError> {
-    let rule = &sep.exit_rules[exit_idx];
-    let mut body: Vec<PlanLiteral> = Vec::new();
-    match persistent_consts {
-        None => {
-            body.push(PlanLiteral::Atom(PlanAtom {
-                rel: RelKey::Aux(AUX_SEEN1),
-                terms: head_terms_at(sep, rule, fixed_cols),
-            }));
-        }
-        Some(consts) => {
-            for &(pos, value) in consts {
-                let var = rule.head.terms[pos];
-                let const_term = value_to_term(value);
-                body.push(PlanLiteral::Eq(var, const_term));
-            }
-        }
-    }
-    // Pin the prefix: the seed join is sharded over `seen_1`, and the
-    // selection equalities of a persistent plan bind before anything else.
-    let pinned = body.len();
-    body.extend(rule.body.iter().map(exit_literal));
-    let output = head_terms_at(sep, rule, rest_cols);
-    ConjPlan::compile(&[], &planner.order(&[], &body, pinned), &output)
-}
-
-/// Tracked variant of [`phase1_step`]: output = parent carry tuple ++
-/// produced tuple.
-fn phase1_step_tracked(
-    sep: &SeparableRecursion,
-    rule_idx: usize,
-    cols: &[usize],
-) -> Result<ConjPlan, EvalError> {
-    let rule = &sep.recursive_rules[rule_idx];
-    let carry_terms = head_terms_at(sep, rule, cols);
-    let mut body = vec![PlanLiteral::Atom(PlanAtom {
-        rel: RelKey::Aux(AUX_CARRY1),
-        terms: carry_terms.clone(),
-    })];
-    body.extend(nonrecursive_literals(sep, rule));
-    let mut output = carry_terms;
-    output.extend(body_terms_at(sep, rule, cols)?);
-    ConjPlan::compile(&[], &body, &output)
-}
-
-/// Tracked variant of [`phase2_step`].
-fn phase2_step_tracked(
-    sep: &SeparableRecursion,
-    rule_idx: usize,
-    cols: &[usize],
-) -> Result<ConjPlan, EvalError> {
-    let rule = &sep.recursive_rules[rule_idx];
-    let carry_terms = body_terms_at(sep, rule, cols)?;
-    let mut body = vec![PlanLiteral::Atom(PlanAtom {
-        rel: RelKey::Aux(AUX_CARRY2),
-        terms: carry_terms.clone(),
-    })];
-    body.extend(nonrecursive_literals(sep, rule));
-    let mut output = carry_terms;
-    output.extend(head_terms_at(sep, rule, cols));
-    ConjPlan::compile(&[], &body, &output)
-}
-
-/// Tracked variant of [`seed_step`]: output = seen_1 tuple (class-selection
-/// plans only) ++ produced carry_2 tuple.
-fn seed_step_tracked(
-    sep: &SeparableRecursion,
-    exit_idx: usize,
-    fixed_cols: &[usize],
-    rest_cols: &[usize],
-    persistent_consts: Option<&[(usize, Value)]>,
+    parent_prefix: bool,
 ) -> Result<ConjPlan, EvalError> {
     let rule = &sep.exit_rules[exit_idx];
     let mut body: Vec<PlanLiteral> = Vec::new();
@@ -350,11 +257,13 @@ fn seed_step_tracked(
     match persistent_consts {
         None => {
             let seen_terms = head_terms_at(sep, rule, fixed_cols);
+            if parent_prefix {
+                output.extend(seen_terms.iter().copied());
+            }
             body.push(PlanLiteral::Atom(PlanAtom {
                 rel: RelKey::Aux(AUX_SEEN1),
-                terms: seen_terms.clone(),
+                terms: seen_terms,
             }));
-            output.extend(seen_terms);
         }
         Some(consts) => {
             for &(pos, value) in consts {
@@ -362,26 +271,14 @@ fn seed_step_tracked(
             }
         }
     }
-    body.extend(rule.body.iter().map(exit_literal));
+    // Pin the prefix: the seed join is sharded over `seen_1`, and the
+    // selection equalities of a persistent plan bind before anything else.
+    let pinned = body.len();
+    // Exit rules of a separable recursion are pure positive conjunctions
+    // (guaranteed by `RecursiveDef::extract`).
+    body.extend(rule.body.iter().map(|lit| PlanLiteral::from_literal(lit, &RelKey::Pred)));
     output.extend(head_terms_at(sep, rule, rest_cols));
-    ConjPlan::compile(&[], &body, &output)
-}
-
-/// Maps one exit-rule body literal to its plan form. Exit rules of a
-/// separable recursion are pure positive conjunctions (guaranteed by
-/// `RecursiveDef::extract`); the negation/sum arms only preserve meaning
-/// for completeness.
-fn exit_literal(lit: &Literal) -> PlanLiteral {
-    match lit {
-        Literal::Atom(a) => {
-            PlanLiteral::Atom(PlanAtom { rel: RelKey::Pred(a.pred), terms: a.terms.clone() })
-        }
-        Literal::Eq(l, r) => PlanLiteral::Eq(*l, *r),
-        Literal::Neg(a) => {
-            PlanLiteral::Neg(PlanAtom { rel: RelKey::Pred(a.pred), terms: a.terms.clone() })
-        }
-        Literal::Sum(d, x, y) => PlanLiteral::Sum(*d, *x, *y),
-    }
+    ConjPlan::compile(&[], &planner.order(&[], &body, pinned), &output)
 }
 
 fn value_to_term(value: Value) -> Term {
@@ -409,17 +306,20 @@ fn build_class_plan(
     let fixed_cols = class.columns.clone();
     let rest_cols: Vec<usize> = (0..sep.arity).filter(|c| !fixed_cols.contains(c)).collect();
 
+    // The tracked variants (used only for justification recording) always
+    // keep source order: their cost is dominated by tracking anyway.
+    let source = Planner::source_order();
     let mut p1_steps = Vec::new();
     let mut p1_tracked = Vec::new();
     for &ri in &class.rules {
-        p1_steps.push((ri, phase1_step(sep, ri, &fixed_cols, planner)?));
-        p1_tracked.push((ri, phase1_step_tracked(sep, ri, &fixed_cols)?));
+        p1_steps.push((ri, carry_step(sep, AUX_CARRY1, ri, &fixed_cols, planner, false)?));
+        p1_tracked.push((ri, carry_step(sep, AUX_CARRY1, ri, &fixed_cols, &source, true)?));
     }
     let mut seed = Vec::new();
     let mut tracked_seed = Vec::new();
     for ei in 0..sep.exit_rules.len() {
-        seed.push(seed_step(sep, ei, &fixed_cols, &rest_cols, None, planner)?);
-        tracked_seed.push(seed_step_tracked(sep, ei, &fixed_cols, &rest_cols, None)?);
+        seed.push(seed_step(sep, ei, &fixed_cols, &rest_cols, None, planner, false)?);
+        tracked_seed.push(seed_step(sep, ei, &fixed_cols, &rest_cols, None, &source, true)?);
     }
     let mut p2_steps = Vec::new();
     let mut p2_tracked = Vec::new();
@@ -428,8 +328,8 @@ fn build_class_plan(
             continue;
         }
         for &ri in &other.rules {
-            p2_steps.push((ri, phase2_step(sep, ri, &rest_cols, planner)?));
-            p2_tracked.push((ri, phase2_step_tracked(sep, ri, &rest_cols)?));
+            p2_steps.push((ri, carry_step(sep, AUX_CARRY2, ri, &rest_cols, planner, false)?));
+            p2_tracked.push((ri, carry_step(sep, AUX_CARRY2, ri, &rest_cols, &source, true)?));
         }
     }
     p2_steps.sort_by_key(|(ri, _)| *ri);
@@ -465,18 +365,19 @@ fn build_persistent_plan(
     }
     let fixed_cols: Vec<usize> = bound.iter().map(|&(p, _)| p).collect();
     let rest_cols: Vec<usize> = (0..sep.arity).filter(|c| !fixed_cols.contains(c)).collect();
+    let source = Planner::source_order();
     let mut seed = Vec::new();
     let mut tracked_seed = Vec::new();
     for ei in 0..sep.exit_rules.len() {
-        seed.push(seed_step(sep, ei, &fixed_cols, &rest_cols, Some(bound), planner)?);
-        tracked_seed.push(seed_step_tracked(sep, ei, &fixed_cols, &rest_cols, Some(bound))?);
+        seed.push(seed_step(sep, ei, &fixed_cols, &rest_cols, Some(bound), planner, false)?);
+        tracked_seed.push(seed_step(sep, ei, &fixed_cols, &rest_cols, Some(bound), &source, true)?);
     }
     let mut p2_steps = Vec::new();
     let mut p2_tracked = Vec::new();
     for class in &sep.classes {
         for &ri in &class.rules {
-            p2_steps.push((ri, phase2_step(sep, ri, &rest_cols, planner)?));
-            p2_tracked.push((ri, phase2_step_tracked(sep, ri, &rest_cols)?));
+            p2_steps.push((ri, carry_step(sep, AUX_CARRY2, ri, &rest_cols, planner, false)?));
+            p2_tracked.push((ri, carry_step(sep, AUX_CARRY2, ri, &rest_cols, &source, true)?));
         }
     }
     p2_steps.sort_by_key(|(ri, _)| *ri);

@@ -9,11 +9,11 @@
 //! per-request deadlines and cancel in-flight queries on shutdown.
 //!
 //! Checks happen at iteration *barriers*, so a budget bounds how many
-//! iterations run, not the wall-clock cost of a single iteration. The
-//! parallel sharded rounds additionally probe [`Budget::is_exhausted`]
-//! between plans so workers stop expanding early; their caller must
-//! re-check afterwards (a cancelled round yields a truncated carry that
-//! would otherwise look like convergence).
+//! iterations run, not the wall-clock cost of a single iteration. Inside
+//! an iteration, [`crate::round::delta_round`] additionally probes
+//! [`Budget::interrupted`] between plans so a cancelled or overdue round
+//! stops expanding early — and reports that as an error itself, since a
+//! truncated round would otherwise look like convergence.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -106,21 +106,18 @@ impl Budget {
             && self.cancel.is_none()
     }
 
-    /// Cheap probe for worker threads: deadline passed or cancelled?
-    /// (Tuple/iteration counts live with the caller, so workers cannot
-    /// check those — the caller re-checks at the barrier.)
-    pub fn is_exhausted(&self) -> bool {
-        if let Some(cancel) = &self.cancel {
-            if cancel.load(Ordering::Relaxed) {
-                return true;
-            }
+    /// The interrupt that has fired, if any: cancellation or the deadline.
+    /// Cheap enough to probe between the plans of one round, from any
+    /// thread. (Tuple/iteration counts live with the fixpoint loop, which
+    /// checks those at its barrier through [`Budget::check`].)
+    pub fn interrupted(&self) -> Option<BudgetResource> {
+        if self.cancel.as_ref().is_some_and(|cancel| cancel.load(Ordering::Relaxed)) {
+            return Some(BudgetResource::Cancelled);
         }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                return true;
-            }
+        if self.deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+            return Some(BudgetResource::Deadline);
         }
-        false
+        None
     }
 
     /// Checks every limit against the evaluation's running totals.
@@ -128,31 +125,16 @@ impl Budget {
     /// fixpoint"`); `iterations` and `tuples` are cumulative counts, most
     /// naturally the `EvalStats` fields.
     pub fn check(&self, what: &str, iterations: usize, tuples: usize) -> Result<(), EvalError> {
-        if let Some(cancel) = &self.cancel {
-            if cancel.load(Ordering::Relaxed) {
-                return Err(self.exceeded(what, BudgetResource::Cancelled));
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                return Err(self.exceeded(what, BudgetResource::Deadline));
-            }
-        }
-        if let Some(max) = self.max_tuples {
-            if tuples > max {
-                return Err(self.exceeded(what, BudgetResource::Tuples));
-            }
-        }
-        if let Some(max) = self.max_iterations {
-            if iterations > max {
-                return Err(self.exceeded(what, BudgetResource::Iterations));
-            }
-        }
-        Ok(())
-    }
-
-    fn exceeded(&self, what: &str, resource: BudgetResource) -> EvalError {
-        EvalError::BudgetExceeded { what: what.to_string(), resource }
+        let resource = if let Some(interrupt) = self.interrupted() {
+            interrupt
+        } else if self.max_tuples.is_some_and(|max| tuples > max) {
+            BudgetResource::Tuples
+        } else if self.max_iterations.is_some_and(|max| iterations > max) {
+            BudgetResource::Iterations
+        } else {
+            return Ok(());
+        };
+        Err(EvalError::BudgetExceeded { what: what.to_string(), resource })
     }
 }
 
@@ -180,7 +162,7 @@ mod tests {
     fn unlimited_budget_always_passes() {
         let b = Budget::unlimited();
         assert!(b.is_unlimited());
-        assert!(!b.is_exhausted());
+        assert_eq!(b.interrupted(), None);
         b.check("loop", usize::MAX, usize::MAX).unwrap();
     }
 
@@ -190,7 +172,7 @@ mod tests {
             deadline: Some(Instant::now() - Duration::from_millis(1)),
             ..Budget::default()
         };
-        assert!(b.is_exhausted());
+        assert_eq!(b.interrupted(), Some(BudgetResource::Deadline));
         let err = b.check("test loop", 0, 0).unwrap_err();
         match err {
             EvalError::BudgetExceeded { what, resource } => {
@@ -220,9 +202,9 @@ mod tests {
         let flag = Arc::new(AtomicBool::new(false));
         let b = Budget::unlimited().cancellable(flag.clone());
         b.check("l", 0, 0).unwrap();
-        assert!(!b.is_exhausted());
+        assert_eq!(b.interrupted(), None);
         flag.store(true, Ordering::Relaxed);
-        assert!(b.is_exhausted());
+        assert_eq!(b.interrupted(), Some(BudgetResource::Cancelled));
         assert!(matches!(
             b.check("l", 0, 0),
             Err(EvalError::BudgetExceeded { resource: BudgetResource::Cancelled, .. })

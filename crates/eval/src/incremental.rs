@@ -23,9 +23,13 @@
 //!   derivation; put-backs then propagate semi-naively. Net removals feed
 //!   the deletion deltas of later strata.
 //!
-//! Both phases check the caller's [`Budget`](crate::budget::Budget) at
-//! every round barrier and shard large deltas across threads with
-//! [`sharded_delta_round`], exactly like the from-scratch engines. The
+//! Every round of both phases is a [`delta_round`] — the same step the
+//! from-scratch engines take, with the same index handling, sharding of
+//! large deltas and budget probes — and only the merge is maintenance's
+//! own: insertion and put-back rounds merge like semi-naive
+//! ([`Rounds::step`]), over-deletion rounds *mark* instead of inserting,
+//! and the rederivation round keeps only marked tuples. The loops check the
+//! caller's [`Budget`](crate::budget::Budget) at every barrier. The
 //! result is *identical* to re-running semi-naive on the mutated database —
 //! `tests` and `tests/incremental_parity.rs` at the workspace root assert
 //! this for every interleaving of inserts and retracts they generate.
@@ -40,12 +44,10 @@ use sepra_ast::{DependencyGraph, Literal, Program, Rule, Sym};
 use sepra_storage::{Database, EdbDelta, EvalStats, FxHashMap, FxHashSet, Relation, Tuple};
 
 use crate::error::EvalError;
-use crate::parallel::{sharded_delta_round, MIN_SHARD_TUPLES};
-use crate::plan::{ConjPlan, RelKey};
 use crate::planner::{Planner, PlannerStats};
+use crate::round::{delta_round, RoundPlan};
 use crate::seminaive::{
-    agg_specs, build_store, compile_variant, eval_stratum, merge_buffers, Derived, EvalOptions,
-    Variant,
+    agg_specs, build_store, compile_variant, eval_stratum, Derived, EvalOptions, Rounds, Variant,
 };
 use crate::store::IndexCache;
 
@@ -233,6 +235,23 @@ struct StratumVariants {
     ext: Vec<usize>,
 }
 
+impl StratumVariants {
+    /// The variants to fire over `delta`: every `rec` variant, in a
+    /// stratum's `first` round preceded by the `ext` ones, less those whose
+    /// delta is unbound or empty this round.
+    fn live(&self, first: bool, delta: &FxHashMap<Sym, Relation>) -> Vec<&Variant> {
+        let ext: &[usize] = if first { &self.ext } else { &[] };
+        ext.iter()
+            .chain(&self.rec)
+            .map(|&i| &self.variants[i])
+            .filter(|v| {
+                let pred = v.delta.expect("maintenance variants always read a delta");
+                delta.get(&pred).is_some_and(|r| !r.is_empty())
+            })
+            .collect()
+    }
+}
+
 fn delta_variants(
     rules: &[&Rule],
     stratum_idb: &[Sym],
@@ -257,87 +276,6 @@ fn delta_variants(
         }
     }
     Ok(sv)
-}
-
-/// Runs the variants in `fire` for one round over `store` (which must bind
-/// every delta), returning the produced head tuples per predicate.
-/// Variants whose delta is unbound or empty this round are skipped. The
-/// caller invalidates the delta index keys between rounds.
-fn expand_round(
-    variants: &[Variant],
-    fire: &[usize],
-    store: &crate::store::RelStore<'_>,
-    indexes: &mut IndexCache,
-    options: &EvalOptions,
-    scanned: &mut u64,
-) -> FxHashMap<Sym, Vec<Tuple>> {
-    let threads = options.threads.max(1);
-    let mut buffers: FxHashMap<Sym, Vec<Tuple>> = FxHashMap::default();
-    let fire: Vec<usize> = fire
-        .iter()
-        .copied()
-        .filter(|&i| {
-            let pred = variants[i].delta.expect("maintenance variants always read a delta");
-            store.get(RelKey::Delta(pred)).is_some_and(|r| !r.is_empty())
-        })
-        .collect();
-    if threads == 1 {
-        for &i in &fire {
-            let variant = &variants[i];
-            indexes.prepare(&variant.plan, store);
-            let buf = buffers.entry(variant.head).or_default();
-            variant.plan.execute_counted(
-                store,
-                indexes,
-                &[],
-                &mut |row| {
-                    buf.push(Tuple::new(row.to_vec()));
-                },
-                scanned,
-            );
-        }
-    } else {
-        for &i in &fire {
-            let variant = &variants[i];
-            let plan = variant.par_plan.as_ref().unwrap_or(&variant.plan);
-            indexes.prepare_where(plan, store, |k| !matches!(k, RelKey::Delta(_)));
-        }
-        // Delta predicates in first-appearance order over `fire`: fixed by
-        // the rule order, so the merged row order is deterministic.
-        let mut delta_preds: Vec<Sym> = Vec::new();
-        for &i in &fire {
-            let pred = variants[i].delta.expect("maintenance variants always read a delta");
-            if !delta_preds.contains(&pred) {
-                delta_preds.push(pred);
-            }
-        }
-        for pred in delta_preds {
-            let group: Vec<usize> =
-                fire.iter().copied().filter(|&i| variants[i].delta == Some(pred)).collect();
-            let plans: Vec<&ConjPlan> = group
-                .iter()
-                .map(|&i| variants[i].par_plan.as_ref().unwrap_or(&variants[i].plan))
-                .collect();
-            let merged = sharded_delta_round(
-                &plans,
-                RelKey::Delta(pred),
-                store,
-                indexes,
-                threads,
-                MIN_SHARD_TUPLES,
-                &[],
-                &options.budget,
-                scanned,
-            );
-            for (gi, worker_bufs) in merged.into_iter().enumerate() {
-                let buf = buffers.entry(variants[group[gi]].head).or_default();
-                for wb in worker_bufs {
-                    buf.extend(wb);
-                }
-            }
-        }
-    }
-    buffers
 }
 
 /// Semi-naive insertion propagation. `db` is the post-insertion EDB;
@@ -413,41 +351,15 @@ fn insert_phase(
             continue;
         }
 
-        let mut indexes = IndexCache::new();
+        let mut rounds = Rounds::new(db, options, "incremental insert maintenance");
         let mut first = true;
         loop {
             stats.record_iteration();
-            options.budget.check(
-                "incremental insert maintenance",
-                stats.iterations,
-                stats.tuples_inserted,
-            )?;
-            let fire: Vec<usize> = if first {
-                sv.ext.iter().chain(sv.rec.iter()).copied().collect()
-            } else {
-                sv.rec.clone()
-            };
+            options.budget.check(rounds.what, stats.iterations, stats.tuples_inserted)?;
+            let fire = sv.live(first, &delta);
             first = false;
-            let buffers = {
-                let store = build_store(db, derived, &delta);
-                let mut scanned = 0u64;
-                let buffers =
-                    expand_round(&sv.variants, &fire, &store, &mut indexes, options, &mut scanned);
-                stats.record_scanned(scanned as usize);
-                buffers
-            };
-            // A worker that observed an exhausted budget truncated its
-            // round; re-check so truncation cannot look like convergence.
-            options.budget.check(
-                "incremental insert maintenance",
-                stats.iterations,
-                stats.tuples_inserted,
-            )?;
-            for &pred in delta.keys() {
-                indexes.invalidate(RelKey::Delta(pred));
-            }
             let mut new_delta: FxHashMap<Sym, Relation> = FxHashMap::default();
-            merge_buffers(derived, buffers, stats, Some(&mut new_delta));
+            rounds.step(&fire, derived, &delta, stats, Some(&mut new_delta))?;
             for (&pred, r) in &new_delta {
                 if !r.is_empty() {
                     changed
@@ -554,50 +466,40 @@ fn retract_phase(
         let mut indexes = IndexCache::new();
         let mut first = true;
         while !delta.is_empty() {
+            let what = "incremental over-deletion";
             stats.record_iteration();
-            options.budget.check(
-                "incremental over-deletion",
-                stats.iterations,
-                stats.tuples_inserted,
-            )?;
-            let fire: Vec<usize> = if first {
-                sv.ext.iter().chain(sv.rec.iter()).copied().collect()
-            } else {
-                sv.rec.clone()
-            };
+            options.budget.check(what, stats.iterations, stats.tuples_inserted)?;
+            let fire = sv.live(first, &delta);
             first = false;
-            let buffers = {
-                let store = build_store(db_before, old, &delta);
-                let mut scanned = 0u64;
-                let buffers =
-                    expand_round(&sv.variants, &fire, &store, &mut indexes, options, &mut scanned);
-                stats.record_scanned(scanned as usize);
-                buffers
-            };
-            options.budget.check(
-                "incremental over-deletion",
-                stats.iterations,
-                stats.tuples_inserted,
-            )?;
-            for &pred in delta.keys() {
-                indexes.invalidate(RelKey::Delta(pred));
-            }
+            let plans: Vec<RoundPlan<'_>> = fire.iter().map(|v| v.fire()).collect();
+            let believed: Vec<&Relation> = fire.iter().map(|v| &derived[&v.head]).collect();
             let mut new_delta: FxHashMap<Sym, Relation> = FxHashMap::default();
-            for (head, tuples) in buffers {
-                let believed = &derived[&head];
-                for t in tuples {
-                    if !believed.contains(&t) {
-                        continue;
+            // The merge of an over-deletion round: a produced tuple the
+            // materialization believes is marked, once.
+            let scanned = delta_round(
+                &plans,
+                &build_store(db_before, old, &delta),
+                Some(&mut indexes),
+                options.threads,
+                &options.budget,
+                what,
+                &mut |i, row| {
+                    let head = fire[i].head;
+                    if !believed[i].contains_values(row) {
+                        return;
                     }
-                    let arity = t.arity();
                     let marked =
-                        del.entry(head).or_insert_with(|| Relation::new(arity)).insert(t.clone());
+                        del.entry(head).or_insert_with(|| Relation::new(row.len())).insert_row(row);
                     stats.record_insert(marked);
                     if marked {
-                        new_delta.entry(head).or_insert_with(|| Relation::new(arity)).insert(t);
+                        new_delta
+                            .entry(head)
+                            .or_insert_with(|| Relation::new(row.len()))
+                            .insert_row(row);
                     }
-                }
-            }
+                },
+            )?;
+            stats.record_scanned(scanned as usize);
             delta = new_delta;
         }
         drop(indexes);
@@ -629,32 +531,30 @@ fn retract_phase(
             }
         }
         {
-            let empty_delta = FxHashMap::default();
-            let store = build_store(db_after, derived, &empty_delta);
-            let mut rindexes = IndexCache::new();
-            let mut scanned = 0u64;
+            let mut rederive: Vec<(Variant, &Relation)> = Vec::new();
             for rule in &rules {
-                let Some(marked) = del.get(&rule.head.pred) else { continue };
-                if marked.is_empty() {
-                    continue;
+                if let Some(marked) = del.get(&rule.head.pred).filter(|m| !m.is_empty()) {
+                    rederive.push((compile_variant(rule, None, planner)?, marked));
                 }
-                let variant = compile_variant(rule, None, planner)?;
-                rindexes.prepare(&variant.plan, &store);
-                let entry =
-                    putbacks.entry(variant.head).or_insert_with(|| Relation::new(marked.arity()));
-                variant.plan.execute_counted(
-                    &store,
-                    &rindexes,
-                    &[],
-                    &mut |row| {
-                        let t = Tuple::new(row.to_vec());
-                        if marked.contains(&t) {
-                            entry.insert(t);
-                        }
-                    },
-                    &mut scanned,
-                );
             }
+            let plans: Vec<RoundPlan<'_>> = rederive.iter().map(|(v, _)| v.fire()).collect();
+            let scanned = delta_round(
+                &plans,
+                &build_store(db_after, derived, &FxHashMap::default()),
+                Some(&mut IndexCache::new()),
+                options.threads,
+                &options.budget,
+                "incremental rederivation",
+                &mut |i, row| {
+                    let (variant, marked) = &rederive[i];
+                    if marked.contains_values(row) {
+                        putbacks
+                            .entry(variant.head)
+                            .or_insert_with(|| Relation::new(row.len()))
+                            .insert_row(row);
+                    }
+                },
+            )?;
             stats.record_scanned(scanned as usize);
         }
         options.budget.check(
@@ -679,38 +579,12 @@ fn retract_phase(
                 delta.insert(pred, fresh);
             }
         }
-        let mut pindexes = IndexCache::new();
+        let mut rounds = Rounds::new(db_after, options, "incremental rederivation");
         while !delta.is_empty() && !sv.rec.is_empty() {
             stats.record_iteration();
-            options.budget.check(
-                "incremental rederivation",
-                stats.iterations,
-                stats.tuples_inserted,
-            )?;
-            let buffers = {
-                let store = build_store(db_after, derived, &delta);
-                let mut scanned = 0u64;
-                let buffers = expand_round(
-                    &sv.variants,
-                    &sv.rec,
-                    &store,
-                    &mut pindexes,
-                    options,
-                    &mut scanned,
-                );
-                stats.record_scanned(scanned as usize);
-                buffers
-            };
-            options.budget.check(
-                "incremental rederivation",
-                stats.iterations,
-                stats.tuples_inserted,
-            )?;
-            for &pred in delta.keys() {
-                pindexes.invalidate(RelKey::Delta(pred));
-            }
+            options.budget.check(rounds.what, stats.iterations, stats.tuples_inserted)?;
             let mut new_delta: FxHashMap<Sym, Relation> = FxHashMap::default();
-            merge_buffers(derived, buffers, stats, Some(&mut new_delta));
+            rounds.step(&sv.live(false, &delta), derived, &delta, stats, Some(&mut new_delta))?;
             delta = new_delta;
         }
 

@@ -15,15 +15,24 @@
 //!   extended hash indexes;
 //! * [`mod budget`](mod@crate::budget) — resource budgets (deadlines, tuple/iteration caps,
 //!   cancellation) checked by every fixpoint loop in the workspace;
-//! * [`mod naive`](mod@crate::naive) — naive fixpoint iteration (kept as a baseline and for the
-//!   dedup ablation);
-//! * [`parallel`] — work-sharded parallel expansion of one iteration's
-//!   deltas across OS threads, used by the semi-naive loop below and by the
-//!   Separable closure loops in `sepra-core`;
-//! * [`mod seminaive`](mod@crate::seminaive) — stratified semi-naive evaluation with delta rules;
+//! * [`round`] — **the one delta round**, [`delta_round`]: fire compiled
+//!   plans over a frontier (a semi-naive delta, a Figure 2 `carry`, a DRed
+//!   deletion delta) and hand the rows to the caller's sink. The round owns
+//!   index preparation, the serial-or-sharded decision, which ordering of a
+//!   conjunction runs, budget probes between plans, `rows_scanned`
+//!   accounting and the emission order; callers own only the merge. Every
+//!   engine below except the oracle, and the Separable closures in
+//!   `sepra-core`, advance by calling it;
+//! * [`mod seminaive`](mod@crate::seminaive) — stratified semi-naive evaluation with delta rules:
+//!   rounds merged by set insert, or by an aggregate fold for `min`/`max`/
+//!   `count`/`sum` heads;
 //! * [`incremental`] — incremental maintenance of a semi-naive
-//!   materialization under EDB mutation (semi-naive delta propagation for
-//!   insertions, delete-and-rederive for retractions);
+//!   materialization under EDB mutation: the same rounds, merged by set
+//!   insert (insertions, put-backs), by marking (DRed over-deletion) or by
+//!   keeping marked tuples (rederivation);
+//! * [`mod naive`](mod@crate::naive) — naive fixpoint iteration, deliberately *not* built on
+//!   the round: it is the oracle the parity suites and the benchmark compare
+//!   every other engine against, so it shares no round logic with them;
 //! * [`answers`] — extraction of query answers from an evaluated database.
 
 pub mod answers;
@@ -31,9 +40,9 @@ pub mod budget;
 pub mod error;
 pub mod incremental;
 pub mod naive;
-pub mod parallel;
 pub mod plan;
 pub mod planner;
+pub mod round;
 pub mod seminaive;
 pub mod store;
 
@@ -42,8 +51,8 @@ pub use budget::{Budget, BudgetResource};
 pub use error::EvalError;
 pub use incremental::maintain;
 pub use naive::{naive, naive_with_options};
-pub use parallel::{sharded_delta_round, MIN_SHARD_TUPLES};
 pub use plan::{ConjPlan, PlanAtom, PlanLiteral, RelKey, Step, TermSpec};
 pub use planner::{PlanMode, Planner, PlannerStats, RelEstimate, ScanEstimate};
+pub use round::{delta_round, RoundPlan};
 pub use seminaive::{seminaive, seminaive_with_options, Derived, EvalOptions};
 pub use store::{IndexCache, IndexSource, LayeredIndexes, RelStore};

@@ -9,9 +9,9 @@ use sepra_ast::{DependencyGraph, Literal, Program, Sym};
 use sepra_storage::{Database, EvalStats, FxHashMap, Relation, Tuple};
 
 use crate::error::EvalError;
-use crate::plan::{ConjPlan, PlanAtom, PlanLiteral, RelKey};
+use crate::plan::{ConjPlan, PlanLiteral, RelKey};
 use crate::planner::{Planner, PlannerStats};
-use crate::seminaive::{agg_specs, AggState, Derived, EvalOptions};
+use crate::seminaive::{agg_specs, AggState, Derived, EvalOptions, VALUE_ITERATION_CAP};
 use crate::store::{IndexCache, RelStore};
 
 /// Evaluates `program` over `db` naively.
@@ -64,22 +64,8 @@ pub fn naive_with_options(
         {
             let planner = Planner::new(options.plan_mode, Some(&planner_stats));
             for rule in program.rules.iter().filter(|r| stratum_idb.contains(&r.head.pred)) {
-                let body: Vec<PlanLiteral> = rule
-                    .body
-                    .iter()
-                    .map(|lit| match lit {
-                        Literal::Atom(a) => PlanLiteral::Atom(PlanAtom {
-                            rel: RelKey::Pred(a.pred),
-                            terms: a.terms.clone(),
-                        }),
-                        Literal::Eq(l, r) => PlanLiteral::Eq(*l, *r),
-                        Literal::Neg(a) => PlanLiteral::Neg(PlanAtom {
-                            rel: RelKey::Pred(a.pred),
-                            terms: a.terms.clone(),
-                        }),
-                        Literal::Sum(d, x, y) => PlanLiteral::Sum(*d, *x, *y),
-                    })
-                    .collect();
+                let body: Vec<PlanLiteral> =
+                    rule.body.iter().map(|l| PlanLiteral::from_literal(l, &RelKey::Pred)).collect();
                 plans.push((
                     rule.head.pred,
                     ConjPlan::compile(&[], &planner.order(&[], &body, 0), &rule.head.terms)?,
@@ -99,10 +85,10 @@ pub fn naive_with_options(
         loop {
             stats.record_iteration();
             rounds += 1;
-            if capped && rounds > 100_000 {
+            if capped && rounds > VALUE_ITERATION_CAP {
                 return Err(EvalError::Diverged {
                     what: "fixpoint over sums/aggregates".into(),
-                    bound: 100_000,
+                    bound: VALUE_ITERATION_CAP,
                 });
             }
             options.budget.check("naive fixpoint", stats.iterations, stats.tuples_inserted)?;

@@ -1,0 +1,657 @@
+//! The one delta round.
+//!
+//! Every fixpoint in the workspace advances by the same step: fire compiled
+//! conjunctions over a *frontier* — a semi-naive delta, a `carry` of the
+//! paper's Figure 2, the `seen_1` of its seed join, a deletion delta of
+//! DRed — against relations that do not change while the step runs, then
+//! merge what was produced at a barrier. [`delta_round`] is that step, for
+//! all of them. It owns everything the step's callers used to copy:
+//!
+//! * **index preparation** — the persistent [`IndexCache`] for everything
+//!   that runs on the calling thread, shard-local caches layered over it
+//!   ([`LayeredIndexes`]) for workers, and dropping the frontiers' indexes
+//!   when the round ends (next round a frontier is a different relation);
+//! * **serial or sharded** — decided per plan from what the round can
+//!   observe: the thread count, the frontier's length, and whether the
+//!   plan scans its frontier exactly once;
+//! * **which ordering of a conjunction runs** — the cost-ordered plan on
+//!   the calling thread, the frontier-first one on shards;
+//! * **the budget** — probed between plans, and an interrupted round is an
+//!   error *of the round*, so its truncated output can never be read as
+//!   convergence;
+//! * **`scanned` accounting and emission order** — rows reach the caller's
+//!   sink plan-major and shard-minor, which for a given thread count is a
+//!   fixed interleaving of the serial production order.
+//!
+//! Callers keep what genuinely differs, the merge: set insertion or an
+//! aggregate fold (semi-naive), over-deletion marks and put-backs
+//! (incremental maintenance), `carry − seen` (Figure 2), justification
+//! recording (`why`).
+//!
+//! Sharding is sound only for plans that scan the frontier exactly once:
+//! partitioning the single occurrence partitions the result rows. A plan
+//! scanning it twice (the delta self-join of a non-linear rule) would lose
+//! the cross-shard pairs, so such plans run on the calling thread over the
+//! whole frontier, like plans with no frontier at all.
+
+use sepra_storage::{Relation, Value};
+
+use crate::budget::{Budget, BudgetResource};
+use crate::error::EvalError;
+use crate::plan::{ConjPlan, RelKey};
+use crate::store::{IndexCache, LayeredIndexes, RelStore};
+
+/// Minimum shard size, in frontier tuples per worker.
+///
+/// Spawning a thread, cloning the store, and re-hashing a shard into its
+/// own [`Relation`] cost on the order of an index probe over a few hundred
+/// tuples, so a frontier runs on at most `len / MIN_SHARD_TUPLES` workers —
+/// below two shards' worth, on the calling thread.
+const MIN_SHARD_TUPLES: usize = 512;
+
+// A sharded round shares plans, the relation store, and the prepared index
+// cache across worker threads by reference; none of them may grow interior
+// mutability without revisiting this module.
+const _: () = {
+    const fn assert_sync<T: Sync>() {}
+    assert_sync::<Relation>();
+    assert_sync::<ConjPlan>();
+    assert_sync::<IndexCache>();
+    assert_sync::<RelStore<'static>>();
+};
+
+/// One conjunction to fire in a round.
+#[derive(Debug, Clone, Copy)]
+pub struct RoundPlan<'a> {
+    /// The plan as its compiler ordered it; runs whenever the conjunction
+    /// runs on the calling thread.
+    pub plan: &'a ConjPlan,
+    /// The same conjunction with the frontier scan outermost, when `plan`
+    /// is not already that; runs on shards. Sharding the frontier only
+    /// partitions the join's work if the frontier is the outermost scan —
+    /// sharding an inner scan would leave every worker repeating the full
+    /// outer one.
+    pub sharded: Option<&'a ConjPlan>,
+    /// The relation this plan expands, which a sharded round partitions
+    /// across workers. `None` for conjunctions over completed relations
+    /// only (base rules, rederivation).
+    pub frontier: Option<RelKey>,
+}
+
+/// Rows buffered between production and merge — by a shard worker until
+/// the barrier, or by a caller whose merge target the round's store still
+/// borrows. Flat values; the explicit count keeps zero-arity rows
+/// countable.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RowBuf {
+    values: Vec<Value>,
+    rows: usize,
+}
+
+impl RowBuf {
+    pub(crate) fn push(&mut self, row: &[Value]) {
+        self.values.extend_from_slice(row);
+        self.rows += 1;
+    }
+
+    /// The buffered rows, in production order.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = &[Value]> {
+        let arity = self.values.len().checked_div(self.rows).unwrap_or(0);
+        (0..self.rows).map(move |r| &self.values[r * arity..(r + 1) * arity])
+    }
+}
+
+/// One frontier cut into shards, and the plans that expand it.
+struct ShardGroup<'a> {
+    key: RelKey,
+    shards: Vec<Relation>,
+    /// `(slot, frontier-first plan)`; slots number the round's sharded
+    /// plans in plan order.
+    plans: Vec<(usize, &'a ConjPlan)>,
+}
+
+/// What one shard worker hands back at the barrier: a buffer per slot, the
+/// tuples its joins considered, and the interrupt that stopped it, if any.
+type WorkerOutput = (Vec<RowBuf>, u64, Option<BudgetResource>);
+
+/// Runs `plans` once over `store`, handing every produced row to `sink` as
+/// `(index into plans, row)`, and returns how many tuples the joins
+/// considered (the `rows_scanned` metric).
+///
+/// `store` must bind every frontier. `indexes` is the caller's persistent
+/// cache: the round prepares it, and on return has dropped the indexes
+/// over this round's frontiers, so the caller is free to rebind them.
+/// `None` runs every keyed scan as a filtered full scan on the calling
+/// thread — the storage-layer ablation, which shard-local indexing would
+/// confound.
+///
+/// With `threads > 1`, a plan whose frontier holds at least two shards'
+/// worth of tuples and which scans it exactly once runs sharded: the
+/// frontier is cut into contiguous ranges, each expanded on its own OS
+/// thread (`std::thread::scope`) into a private buffer. Everything else
+/// runs on the calling thread and streams straight into `sink`. Rows are
+/// emitted plan by plan, shards in range order — concatenated, a sharded
+/// plan's rows are exactly what it would have produced serially. They are
+/// *not* deduplicated; the caller's merge does that.
+///
+/// `budget` is probed before every plan, on every thread. Once it reports
+/// an interrupt the round stops and returns [`EvalError::BudgetExceeded`]
+/// for `what`; rows already emitted are the caller's to discard.
+pub fn delta_round(
+    plans: &[RoundPlan<'_>],
+    store: &RelStore<'_>,
+    mut indexes: Option<&mut IndexCache>,
+    threads: usize,
+    budget: &Budget,
+    what: &str,
+    sink: &mut dyn FnMut(usize, &[Value]),
+) -> Result<u64, EvalError> {
+    #[cfg(test)]
+    tests::at_round_start();
+    let interrupt = |resource| EvalError::BudgetExceeded { what: what.to_string(), resource };
+
+    let (slots, groups) = match indexes {
+        Some(_) if threads > 1 => shard_groups(plans, store, threads),
+        _ => (Vec::new(), Vec::new()),
+    };
+    // The shared cache serves the calling thread in full; for a sharded
+    // plan it holds every keyed scan but the frontier's, which each worker
+    // indexes over its own shard.
+    if let Some(indexes) = indexes.as_deref_mut() {
+        for (i, p) in plans.iter().enumerate() {
+            if !slots.contains(&i) {
+                indexes.prepare(p.plan, store);
+            }
+        }
+        for group in &groups {
+            for (_, plan) in &group.plans {
+                indexes.prepare_where(plan, store, |k| k != group.key);
+            }
+        }
+    }
+    let unindexed = IndexCache::new();
+    let shared = indexes.as_deref().unwrap_or(&unindexed);
+
+    let mut scanned = 0u64;
+    let workers = groups.iter().map(|g| g.shards.len()).max().unwrap_or(0);
+    let outputs: Vec<WorkerOutput> = if workers == 0 {
+        Vec::new()
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let (groups, n_slots) = (&groups, slots.len());
+                    scope.spawn(move || expand_shards(w, groups, n_slots, store, shared, budget))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("delta expansion worker panicked"))
+                .collect()
+        })
+    };
+    for (_, worker_scanned, stopped) in &outputs {
+        scanned += worker_scanned;
+        if let Some(resource) = *stopped {
+            return Err(interrupt(resource));
+        }
+    }
+
+    let mut next_slot = 0;
+    for (i, p) in plans.iter().enumerate() {
+        if slots.get(next_slot) == Some(&i) {
+            for (bufs, ..) in &outputs {
+                bufs[next_slot].rows().for_each(|row| sink(i, row));
+            }
+            next_slot += 1;
+            continue;
+        }
+        if let Some(resource) = budget.interrupted() {
+            return Err(interrupt(resource));
+        }
+        p.plan.execute_counted(store, shared, &[], &mut |row| sink(i, row), &mut scanned);
+    }
+
+    if let Some(indexes) = indexes {
+        plans.iter().filter_map(|p| p.frontier).for_each(|key| indexes.invalidate(key));
+    }
+    Ok(scanned)
+}
+
+/// Decides which plans run sharded and cuts their frontiers. Returns the
+/// indices of the sharded plans in plan order (their *slots*) and one
+/// group per distinct sharded frontier.
+fn shard_groups<'a>(
+    plans: &[RoundPlan<'a>],
+    store: &RelStore<'_>,
+    threads: usize,
+) -> (Vec<usize>, Vec<ShardGroup<'a>>) {
+    let mut slots = Vec::new();
+    let mut groups: Vec<ShardGroup<'a>> = Vec::new();
+    for (i, p) in plans.iter().enumerate() {
+        let Some((key, frontier)) = p.frontier.and_then(|key| Some((key, store.get(key)?))) else {
+            continue;
+        };
+        let plan = p.sharded.unwrap_or(p.plan);
+        // Grain guard: never hand a worker fewer than MIN_SHARD_TUPLES.
+        let workers = threads.min(frontier.len() / MIN_SHARD_TUPLES);
+        if workers < 2 || plan.scans_of(key) != 1 {
+            continue;
+        }
+        let group = match groups.iter().position(|g| g.key == key) {
+            Some(g) => &mut groups[g],
+            None => {
+                // Contiguous ranges preserve within-shard insertion order,
+                // so shard-order concatenation is the serial row order.
+                let chunk = frontier.len().div_ceil(workers);
+                let shards = (0..frontier.len())
+                    .step_by(chunk)
+                    .map(|start| frontier.slice_range(start..(start + chunk).min(frontier.len())))
+                    .collect();
+                groups.push(ShardGroup { key, shards, plans: Vec::new() });
+                groups.last_mut().expect("just pushed")
+            }
+        };
+        group.plans.push((slots.len(), plan));
+        slots.push(i);
+    }
+    (slots, groups)
+}
+
+/// Worker `w` of a sharded round: expands shard `w` of every frontier that
+/// has one, through indexes over the shard layered onto the shared cache.
+fn expand_shards(
+    w: usize,
+    groups: &[ShardGroup<'_>],
+    n_slots: usize,
+    store: &RelStore<'_>,
+    shared: &IndexCache,
+    budget: &Budget,
+) -> WorkerOutput {
+    let mut bufs = vec![RowBuf::default(); n_slots];
+    let mut scanned = 0u64;
+    for group in groups {
+        let Some(shard) = group.shards.get(w) else { continue };
+        let mut wstore = store.clone();
+        wstore.bind(group.key, shard);
+        let mut local = IndexCache::new();
+        for (_, plan) in &group.plans {
+            local.prepare_where(plan, &wstore, |k| k == group.key);
+        }
+        let layered = LayeredIndexes::new(&local, shared);
+        for &(slot, plan) in &group.plans {
+            if let Some(resource) = budget.interrupted() {
+                return (bufs, scanned, Some(resource));
+            }
+            let buf = &mut bufs[slot];
+            plan.execute_counted(&wstore, &layered, &[], &mut |row| buf.push(row), &mut scanned);
+        }
+    }
+    (bufs, scanned, None)
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use std::cell::RefCell;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    use super::*;
+    use crate::incremental::maintain;
+    use crate::plan::{PlanAtom, PlanLiteral};
+    use crate::planner::PlanMode;
+    use crate::seminaive::{seminaive, seminaive_with_options, EvalOptions};
+    use sepra_ast::{parse_program, Interner, Sym, Term};
+    use sepra_storage::{Database, EdbDelta, Tuple};
+
+    thread_local! {
+        /// Test seam: runs on the calling thread as each of its rounds
+        /// starts — after the caller's loop-top budget check, before any
+        /// probe of the round. No public API can force that interleaving.
+        static ROUND_START: RefCell<Option<Box<dyn FnMut()>>> = const { RefCell::new(None) };
+    }
+
+    pub(super) fn at_round_start() {
+        ROUND_START.with(|hook| {
+            if let Some(hook) = hook.borrow_mut().as_mut() {
+                hook();
+            }
+        });
+    }
+
+    /// Runs `body` with `flag` raised as this thread's `nth` round (from
+    /// one) starts.
+    fn cancelling_at_round<T>(nth: usize, flag: &Arc<AtomicBool>, body: impl FnOnce() -> T) -> T {
+        let (mut seen, flag) = (0, flag.clone());
+        ROUND_START.with(|hook| {
+            *hook.borrow_mut() = Some(Box::new(move || {
+                seen += 1;
+                if seen == nth {
+                    flag.store(true, Ordering::Relaxed);
+                }
+            }));
+        });
+        let out = body();
+        ROUND_START.with(|hook| *hook.borrow_mut() = None);
+        out
+    }
+
+    fn t2(a: u32, b: u32) -> Tuple {
+        Tuple::from([Value::sym(Sym(a)), Value::sym(Sym(b))])
+    }
+
+    const FRONTIER: RelKey = RelKey::Aux(0);
+    const EDGES: RelKey = RelKey::Aux(1);
+
+    /// The conjunction of two binary atoms over `X`, `Y`, `Z`, projecting
+    /// `(X, Z)`.
+    fn conj(i: &mut Interner, body: [(RelKey, [&str; 2]); 2]) -> ConjPlan {
+        let body: Vec<PlanLiteral> = body
+            .iter()
+            .map(|(rel, vars)| {
+                let terms = vars.iter().map(|v| Term::Var(i.intern(v))).collect();
+                PlanLiteral::Atom(PlanAtom { rel: *rel, terms })
+            })
+            .collect();
+        let output = [Term::Var(i.intern("X")), Term::Var(i.intern("Z"))];
+        ConjPlan::compile(&[], &body, &output).unwrap()
+    }
+
+    /// `t(X, Z) :- frontier(X, Y), e(Y, Z).`
+    fn linear_plan(i: &mut Interner) -> ConjPlan {
+        conj(i, [(FRONTIER, ["X", "Y"]), (EDGES, ["Y", "Z"])])
+    }
+
+    /// `t(X, Z) :- frontier(X, Y), frontier(Y, Z).` — a frontier self-join.
+    fn self_join_plan(i: &mut Interner) -> ConjPlan {
+        conj(i, [(FRONTIER, ["X", "Y"]), (FRONTIER, ["Y", "Z"])])
+    }
+
+    fn chain(n: u32) -> Relation {
+        Relation::from_tuples(2, (0..n).map(|i| t2(i, i + 1)))
+    }
+
+    fn expanding(plan: &ConjPlan) -> RoundPlan<'_> {
+        RoundPlan { plan, sharded: None, frontier: Some(FRONTIER) }
+    }
+
+    type Emitted = Vec<(usize, Vec<Value>)>;
+
+    /// One round of `plans` over `frontier` and `e`, with a fresh cache.
+    fn round(
+        plans: &[RoundPlan<'_>],
+        frontier: &Relation,
+        e: &Relation,
+        threads: usize,
+        budget: &Budget,
+    ) -> Result<(Emitted, u64), EvalError> {
+        let mut store = RelStore::new();
+        store.bind(FRONTIER, frontier);
+        store.bind(EDGES, e);
+        let mut rows = Vec::new();
+        let mut indexes = IndexCache::new();
+        let scanned = delta_round(
+            plans,
+            &store,
+            Some(&mut indexes),
+            threads,
+            budget,
+            "test",
+            &mut |i, row| rows.push((i, row.to_vec())),
+        )?;
+        assert!(
+            plans
+                .iter()
+                .flat_map(|p| p.plan.keyed_scans())
+                .all(|(rel, cols)| { (rel == FRONTIER) == indexes.get(rel, cols).is_none() }),
+            "the round leaves every index but the frontier's behind"
+        );
+        Ok((rows, scanned))
+    }
+
+    fn rows_at(
+        plans: &[RoundPlan<'_>],
+        frontier: &Relation,
+        e: &Relation,
+        threads: usize,
+    ) -> Emitted {
+        round(plans, frontier, e, threads, &Budget::default()).unwrap().0
+    }
+
+    #[test]
+    fn sharded_rounds_emit_the_serial_row_sequence() {
+        let mut i = Interner::new();
+        let plan = linear_plan(&mut i);
+        // Eight shards' worth: 2, 3 and 8 threads all really shard.
+        let frontier = chain(8 * MIN_SHARD_TUPLES as u32);
+        let e = chain(frontier.len() as u32 + 1);
+        let serial = rows_at(&[expanding(&plan)], &frontier, &e, 1);
+        assert_eq!(serial.len(), frontier.len());
+        for threads in [2, 3, 8] {
+            // Concatenating contiguous shards in order reproduces the
+            // serial row stream exactly, duplicates included — run twice,
+            // it is also the same stream both times.
+            for _ in 0..2 {
+                let sharded = rows_at(&[expanding(&plan)], &frontier, &e, threads);
+                assert_eq!(sharded, serial, "threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn self_joins_stay_whole_and_emission_is_plan_major() {
+        let mut i = Interner::new();
+        let (self_join, linear) = (self_join_plan(&mut i), linear_plan(&mut i));
+        assert_eq!(self_join.scans_of(FRONTIER), 2);
+        let frontier = chain(4 * MIN_SHARD_TUPLES as u32);
+        let e = chain(frontier.len() as u32 + 1);
+        // Sharded naively, the composed pairs that straddle a shard
+        // boundary would be lost; and the sharded plan between the two
+        // whole ones must still emit in its place.
+        let plans = [expanding(&self_join), expanding(&linear), expanding(&self_join)];
+        let serial = rows_at(&plans, &frontier, &e, 1);
+        assert_eq!(serial.len(), 3 * frontier.len() - 2);
+        assert!(serial.windows(2).all(|w| w[0].0 <= w[1].0), "plan-major");
+        assert_eq!(rows_at(&plans, &frontier, &e, 4), serial);
+    }
+
+    #[test]
+    fn below_the_grain_the_cost_ordered_plan_runs_on_the_calling_thread() {
+        let mut i = Interner::new();
+        // `plan` scans all of e and probes the frontier; `rotated` is the
+        // same join frontier-first. They produce the same rows in different
+        // orders and scan different numbers of tuples.
+        let plan = conj(&mut i, [(EDGES, ["X", "Y"]), (FRONTIER, ["Y", "Z"])]);
+        let rotated = conj(&mut i, [(FRONTIER, ["Y", "Z"]), (EDGES, ["X", "Y"])]);
+        let fire = [RoundPlan { plan: &plan, sharded: Some(&rotated), frontier: Some(FRONTIER) }];
+        let small = chain(40);
+        let e = Relation::from_tuples(2, (0..400).map(|i| t2(1000 + i, i % 41)));
+        let serial = round(&fire, &small, &e, 1, &Budget::default()).unwrap();
+        for threads in [4, 64] {
+            assert_eq!(round(&fire, &small, &e, threads, &Budget::default()).unwrap(), serial);
+        }
+        // Above it, the rotation runs: same rows as a set, other work.
+        let big = chain(2 * MIN_SHARD_TUPLES as u32);
+        let (serial_rows, serial_scanned) = round(&fire, &big, &e, 1, &Budget::default()).unwrap();
+        let (sharded_rows, sharded_scanned) =
+            round(&fire, &big, &e, 2, &Budget::default()).unwrap();
+        assert_ne!(sharded_scanned, serial_scanned);
+        let sorted = |mut rows: Emitted| {
+            rows.sort();
+            rows
+        };
+        assert_eq!(sorted(sharded_rows), sorted(serial_rows));
+    }
+
+    #[test]
+    fn an_empty_frontier_produces_no_rows() {
+        let mut i = Interner::new();
+        let plan = linear_plan(&mut i);
+        assert!(rows_at(&[expanding(&plan)], &Relation::new(2), &chain(3), 4).is_empty());
+    }
+
+    #[test]
+    fn without_a_cache_keyed_scans_filter_full_scans() {
+        let mut i = Interner::new();
+        let plan = linear_plan(&mut i);
+        let (frontier, e) =
+            (chain(2 * MIN_SHARD_TUPLES as u32), chain(2 * MIN_SHARD_TUPLES as u32));
+        let mut store = RelStore::new();
+        store.bind(FRONTIER, &frontier);
+        store.bind(EDGES, &e);
+        let mut rows = Vec::new();
+        delta_round(
+            &[expanding(&plan)],
+            &store,
+            None,
+            4,
+            &Budget::default(),
+            "test",
+            &mut |i, row| rows.push((i, row.to_vec())),
+        )
+        .unwrap();
+        assert_eq!(rows, rows_at(&[expanding(&plan)], &frontier, &e, 1));
+    }
+
+    fn assert_cancelled<T: std::fmt::Debug>(result: Result<T, EvalError>, what: &str) {
+        match result {
+            Err(EvalError::BudgetExceeded { what: w, resource: BudgetResource::Cancelled }) => {
+                assert_eq!(w, what)
+            }
+            other => panic!("{what}: expected a cancelled round, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_interrupted_round_is_an_error_on_shards_and_on_the_calling_thread() {
+        let mut i = Interner::new();
+        let plan = linear_plan(&mut i);
+        let frontier = chain(3 * MIN_SHARD_TUPLES as u32);
+        let e = chain(frontier.len() as u32 + 1);
+        let plans = [expanding(&plan), expanding(&plan)];
+        // Workers probe before their first plan: nothing is produced, and
+        // "nothing produced" must not come back as a successful round.
+        let flag = Arc::new(AtomicBool::new(true));
+        let budget = Budget::unlimited().cancellable(flag.clone());
+        assert_cancelled(round(&plans, &frontier, &e, 3, &budget), "test");
+        // On the calling thread the first plan's rows reach the sink, and
+        // the sink cancels: the second plan must not run.
+        flag.store(false, Ordering::Relaxed);
+        let mut store = RelStore::new();
+        store.bind(FRONTIER, &frontier);
+        store.bind(EDGES, &e);
+        let mut last_plan = 0;
+        let result = delta_round(
+            &plans,
+            &store,
+            Some(&mut IndexCache::new()),
+            1,
+            &budget,
+            "test",
+            &mut |i, _| {
+                flag.store(true, Ordering::Relaxed);
+                last_plan = i;
+            },
+        );
+        assert_cancelled(result, "test");
+        assert_eq!(last_plan, 0);
+    }
+
+    /// A digraph dense enough that `e`, and so the first delta of its
+    /// closure, is two shards' worth of tuples.
+    fn dense_edges() -> Vec<[String; 2]> {
+        let n = 48;
+        (0..n)
+            .flat_map(|a| (1..=(2 * MIN_SHARD_TUPLES).div_ceil(n)).map(move |d| (a, (a + d) % n)))
+            .map(|(a, b)| [format!("n{a}"), format!("n{b}")])
+            .collect()
+    }
+
+    const TC: &str = "t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).\n";
+
+    /// `maintain` across one batch that inserts (or retracts) every dense
+    /// edge, with `flag` raised as its first round starts.
+    fn maintain_cancelled_mid_round(
+        retract: bool,
+        flag: &Arc<AtomicBool>,
+    ) -> Result<(), EvalError> {
+        let mut db = Database::new();
+        db.load_fact_text("e(a, b).").unwrap();
+        let program = parse_program(TC, db.interner_mut()).unwrap();
+        let e = db.intern("e");
+        let edges: Vec<Tuple> = dense_edges()
+            .iter()
+            .map(|edge| Tuple::from(edge.each_ref().map(|n| Value::sym(db.intern(n)))))
+            .collect();
+        let mut load = EdbDelta::default();
+        load.insert.insert(e, edges.clone());
+        let (before, delta) = if retract {
+            db.apply_delta(&load).unwrap();
+            let mut unload = EdbDelta::default();
+            unload.remove.insert(e, edges);
+            (db.clone(), unload)
+        } else {
+            (db.clone(), load)
+        };
+        let old = seminaive(&program, &before).unwrap();
+        let effective = db.apply_delta(&delta).unwrap();
+        let mid = if retract { &db } else { &before };
+        let options = EvalOptions {
+            threads: 3,
+            budget: Budget::unlimited().cancellable(flag.clone()),
+            ..Default::default()
+        };
+        cancelling_at_round(1, flag, || {
+            maintain(&program, &before, mid, &db, &old.relations, &effective, &options).map(|_| ())
+        })
+    }
+
+    #[test]
+    fn a_round_cancelled_midway_never_reads_as_convergence_through_any_caller() {
+        // Every worker of the cancelled round skips every plan, so the
+        // round produces nothing — which each of these loops would take
+        // for its fixpoint if the round did not report the interrupt.
+        let flag = Arc::new(AtomicBool::new(false));
+        let mut db = Database::new();
+        for [a, b] in dense_edges() {
+            db.insert_named("e", &[&a, &b]).unwrap();
+        }
+        let program = parse_program(TC, db.interner_mut()).unwrap();
+        let options = EvalOptions {
+            threads: 3,
+            budget: Budget::unlimited().cancellable(flag.clone()),
+            ..Default::default()
+        };
+        // Round 1 fires the base rule; round 2 is the first over a delta.
+        let derived =
+            cancelling_at_round(2, &flag, || seminaive_with_options(&program, &db, &options));
+        assert_cancelled(derived, "semi-naive fixpoint");
+
+        flag.store(false, Ordering::Relaxed);
+        assert_cancelled(
+            maintain_cancelled_mid_round(false, &flag),
+            "incremental insert maintenance",
+        );
+        flag.store(false, Ordering::Relaxed);
+        assert_cancelled(maintain_cancelled_mid_round(true, &flag), "incremental over-deletion");
+    }
+
+    #[test]
+    fn small_frontiers_scan_the_same_rows_at_any_thread_count() {
+        // In source order the recursive rule scans e outermost, its delta
+        // innermost; the delta-first rotation scans differently. Frontiers
+        // this small never shard, so four threads must do exactly the
+        // single-threaded work.
+        let mut db = Database::new();
+        db.load_fact_text("e(a, b). e(b, c). e(c, d). e(d, a). e(b, e5). e(x, y).").unwrap();
+        let program = parse_program(TC, db.interner_mut()).unwrap();
+        let run = |threads| {
+            let options =
+                EvalOptions { threads, plan_mode: PlanMode::SourceOrder, ..Default::default() };
+            seminaive_with_options(&program, &db, &options).unwrap()
+        };
+        let (one, four) = (run(1), run(4));
+        assert_eq!(four.relations, one.relations);
+        assert_eq!(four.stats, one.stats);
+    }
+}

@@ -23,9 +23,9 @@ use sepra_storage::{Database, EvalStats, FxHashMap, FxHashSet, Relation, Tuple, 
 
 use crate::budget::Budget;
 use crate::error::EvalError;
-use crate::parallel::{sharded_delta_round, MIN_SHARD_TUPLES};
-use crate::plan::{ConjPlan, PlanAtom, PlanLiteral, RelKey};
+use crate::plan::{ConjPlan, PlanLiteral, RelKey};
 use crate::planner::{PlanMode, Planner, PlannerStats};
+use crate::round::{delta_round, RoundPlan, RowBuf};
 use crate::store::{IndexCache, RelStore};
 
 /// Tuning knobs for the semi-naive engine.
@@ -33,8 +33,9 @@ use crate::store::{IndexCache, RelStore};
 pub struct EvalOptions {
     /// Number of worker threads used to expand each iteration's deltas.
     /// `1` (the default) runs the exact serial algorithm; higher values
-    /// shard every delta across that many workers at each iteration
-    /// barrier. Answer sets are identical either way.
+    /// let [`delta_round`] shard large deltas across up to that many
+    /// workers at each iteration barrier. Answer sets are identical either
+    /// way.
     pub threads: usize,
     /// Resource budget checked at every iteration barrier (unlimited by
     /// default).
@@ -111,19 +112,29 @@ pub(crate) struct Variant {
     /// The predicate whose delta this variant reads (`None` for base rules).
     pub(crate) delta: Option<Sym>,
     pub(crate) plan: ConjPlan,
-    /// Delta-first reordering of `plan`, used by the parallel path: with
-    /// the delta atom as the outermost scan, sharding the delta partitions
-    /// the whole join's work, whereas sharding an inner delta scan would
-    /// leave every worker repeating the full outer scan. `None` for base
-    /// rules.
+    /// Delta-first reordering of `plan`, for rounds that shard the delta
+    /// (see [`RoundPlan::sharded`]). `None` for base rules.
     pub(crate) par_plan: Option<ConjPlan>,
+}
+
+impl Variant {
+    /// This variant as [`delta_round`] fires it.
+    pub(crate) fn fire(&self) -> RoundPlan<'_> {
+        RoundPlan {
+            plan: &self.plan,
+            sharded: self.par_plan.as_ref(),
+            frontier: self.delta.map(RelKey::Delta),
+        }
+    }
 }
 
 /// Iteration cap for fixpoints that can generate fresh values (sums and
 /// aggregates): a `min` over a negative-weight cycle, or a sum feeding its
 /// own input, would otherwise improve forever. Pure positive programs
-/// cannot diverge (finite Herbrand base) and are not capped.
-const VALUE_ITERATION_CAP: usize = 100_000;
+/// cannot diverge (finite Herbrand base) and are not capped. The naive
+/// oracle shares the constant, so the two engines agree on when a program
+/// is [`EvalError::Diverged`].
+pub(crate) const VALUE_ITERATION_CAP: usize = 100_000;
 
 fn run(
     program: &Program,
@@ -226,7 +237,6 @@ pub(crate) fn eval_stratum(
     stats: &mut EvalStats,
     planner_stats: &PlannerStats,
 ) -> Result<(), EvalError> {
-    let threads = options.threads.max(1);
     let mut base_plans: Vec<Variant> = Vec::new();
     let mut rec_plans: Vec<Variant> = Vec::new();
     {
@@ -257,7 +267,7 @@ pub(crate) fn eval_stratum(
 
     // Aggregate merge state for this stratum's aggregate heads, seeded by
     // folding the predicate's own EDB facts as contributions.
-    let mut agg_states: FxHashMap<Sym, AggState> = FxHashMap::default();
+    let mut rounds = Rounds::new(db, options, "semi-naive fixpoint");
     for &p in stratum_idb {
         let Some(spec) = aggs.get(&p) else { continue };
         let mut state = AggState::new(spec);
@@ -267,38 +277,16 @@ pub(crate) fn eval_stratum(
                 state.absorb_into(&row.to_vec(), rel, stats, None);
             }
         }
-        agg_states.insert(p, state);
+        rounds.aggs.insert(p, state);
     }
     // Sums and aggregates can mint fresh values; cap those fixpoints.
-    let capped = !agg_states.is_empty()
+    let capped = !rounds.aggs.is_empty()
         || rules.iter().any(|r| r.body.iter().any(|l| matches!(l, Literal::Sum(..))));
 
-    let mut indexes = IndexCache::new();
-
     // Evaluate base rules once.
-    let empty_delta = FxHashMap::default();
-    {
-        let store = build_store(db, derived, &empty_delta);
-        let mut buffers: FxHashMap<Sym, Vec<Tuple>> = FxHashMap::default();
-        let mut scanned = 0u64;
-        for variant in &base_plans {
-            indexes.prepare(&variant.plan, &store);
-            let buf = buffers.entry(variant.head).or_default();
-            variant.plan.execute_counted(
-                &store,
-                &indexes,
-                &[],
-                &mut |row| {
-                    buf.push(Tuple::new(row.to_vec()));
-                },
-                &mut scanned,
-            );
-        }
-        stats.record_scanned(scanned as usize);
-        drop(store);
-        merge_buffers_agg(derived, buffers, stats, None, &mut agg_states);
-    }
-    options.budget.check("semi-naive fixpoint", stats.iterations, stats.tuples_inserted)?;
+    let base: Vec<&Variant> = base_plans.iter().collect();
+    rounds.step(&base, derived, &FxHashMap::default(), stats, None)?;
+    options.budget.check(rounds.what, stats.iterations, stats.tuples_inserted)?;
 
     // Initial deltas = everything known so far for the stratum.
     let mut delta: FxHashMap<Sym, Relation> =
@@ -308,96 +296,20 @@ pub(crate) fn eval_stratum(
         return Ok(());
     }
 
-    let mut rounds = 0usize;
+    let rec: Vec<&Variant> = rec_plans.iter().collect();
+    let mut iterations = 0usize;
     loop {
         stats.record_iteration();
-        rounds += 1;
-        if capped && rounds > VALUE_ITERATION_CAP {
+        iterations += 1;
+        if capped && iterations > VALUE_ITERATION_CAP {
             return Err(EvalError::Diverged {
                 what: "fixpoint over sums/aggregates".into(),
                 bound: VALUE_ITERATION_CAP,
             });
         }
-        options.budget.check("semi-naive fixpoint", stats.iterations, stats.tuples_inserted)?;
-        let mut buffers: FxHashMap<Sym, Vec<Tuple>> = FxHashMap::default();
-        {
-            let store = build_store(db, derived, &delta);
-            let mut scanned = 0u64;
-            if threads == 1 {
-                for variant in &rec_plans {
-                    indexes.prepare(&variant.plan, &store);
-                    let buf = buffers.entry(variant.head).or_default();
-                    variant.plan.execute_counted(
-                        &store,
-                        &indexes,
-                        &[],
-                        &mut |row| {
-                            buf.push(Tuple::new(row.to_vec()));
-                        },
-                        &mut scanned,
-                    );
-                }
-            } else {
-                // Shared cache: every keyed scan of the delta-first
-                // plans except deltas themselves, which each worker
-                // indexes over its own shard (usually not even that —
-                // the rotated plans full-scan the delta keylessly).
-                for variant in &rec_plans {
-                    let plan = variant.par_plan.as_ref().unwrap_or(&variant.plan);
-                    indexes.prepare_where(plan, &store, |k| !matches!(k, RelKey::Delta(_)));
-                }
-                // One sharded round per delta predicate, in stable
-                // stratum order; variant and worker order fix the merge
-                // order, so results are deterministic for a given
-                // thread count.
-                for &p in stratum_idb {
-                    let group: Vec<usize> = rec_plans
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, v)| v.delta == Some(p))
-                        .map(|(i, _)| i)
-                        .collect();
-                    if group.is_empty() {
-                        continue;
-                    }
-                    let plans: Vec<&ConjPlan> = group
-                        .iter()
-                        .map(|&i| rec_plans[i].par_plan.as_ref().unwrap_or(&rec_plans[i].plan))
-                        .collect();
-                    let merged = sharded_delta_round(
-                        &plans,
-                        RelKey::Delta(p),
-                        &store,
-                        &indexes,
-                        threads,
-                        MIN_SHARD_TUPLES,
-                        &[],
-                        &options.budget,
-                        &mut scanned,
-                    );
-                    for (gi, worker_bufs) in merged.into_iter().enumerate() {
-                        let buf = buffers.entry(rec_plans[group[gi]].head).or_default();
-                        for wb in worker_bufs {
-                            buf.extend(wb);
-                        }
-                    }
-                }
-                // A worker that observed an exhausted budget stopped
-                // expanding early; re-check here so a truncated delta
-                // cannot masquerade as convergence.
-                options.budget.check(
-                    "semi-naive fixpoint",
-                    stats.iterations,
-                    stats.tuples_inserted,
-                )?;
-            }
-            stats.record_scanned(scanned as usize);
-        }
+        options.budget.check(rounds.what, stats.iterations, stats.tuples_inserted)?;
         let mut new_delta: FxHashMap<Sym, Relation> = FxHashMap::default();
-        merge_buffers_agg(derived, buffers, stats, Some(&mut new_delta), &mut agg_states);
-        for &p in stratum_idb {
-            indexes.invalidate(RelKey::Delta(p));
-        }
+        rounds.step(&rec, derived, &delta, stats, Some(&mut new_delta))?;
         if new_delta.values().all(Relation::is_empty) {
             break;
         }
@@ -406,42 +318,115 @@ pub(crate) fn eval_stratum(
     Ok(())
 }
 
-/// Compiles one rule with body-atom occurrence `delta_occ` (a body index)
-/// reading the delta relation instead of the full one. The `planner`
-/// orders each body before compilation (a no-op in source-order mode).
+/// What every round of one fixpoint shares: the EDB it runs over, the
+/// caller's options, the persistent index cache, and the merge state of
+/// the stratum's aggregate heads (empty for plain strata).
+pub(crate) struct Rounds<'a> {
+    db: &'a Database,
+    options: &'a EvalOptions,
+    /// Names the loop in budget errors.
+    pub(crate) what: &'static str,
+    indexes: IndexCache,
+    pub(crate) aggs: FxHashMap<Sym, AggState>,
+}
+
+impl<'a> Rounds<'a> {
+    pub(crate) fn new(db: &'a Database, options: &'a EvalOptions, what: &'static str) -> Self {
+        Rounds { db, options, what, indexes: IndexCache::new(), aggs: FxHashMap::default() }
+    }
+
+    /// One semi-naive step: fires `variants` over `(db, derived, delta)`
+    /// through [`delta_round`], then merges what each produced into its
+    /// head's relation — a set insert, or a fold through the head's
+    /// [`AggState`]. The merge waits for the barrier because the round's
+    /// store borrows `derived`; tuples that changed a relation also join
+    /// `new_delta` when one is given.
+    pub(crate) fn step(
+        &mut self,
+        variants: &[&Variant],
+        derived: &mut FxHashMap<Sym, Relation>,
+        delta: &FxHashMap<Sym, Relation>,
+        stats: &mut EvalStats,
+        mut new_delta: Option<&mut FxHashMap<Sym, Relation>>,
+    ) -> Result<(), EvalError> {
+        let plans: Vec<RoundPlan<'_>> = variants.iter().map(|v| v.fire()).collect();
+        let mut produced = vec![RowBuf::default(); plans.len()];
+        let scanned = delta_round(
+            &plans,
+            &build_store(self.db, derived, delta),
+            Some(&mut self.indexes),
+            self.options.threads,
+            &self.options.budget,
+            self.what,
+            &mut |i, row| produced[i].push(row),
+        )?;
+        stats.record_scanned(scanned as usize);
+        for (variant, rows) in variants.iter().zip(&produced) {
+            let head = variant.head;
+            let rel = derived.get_mut(&head).expect("derived relation exists");
+            let arity = rel.arity();
+            let mut agg = self.aggs.get_mut(&head);
+            for row in rows.rows() {
+                if let Some(state) = agg.as_deref_mut() {
+                    let changed = delta_entry(&mut new_delta, head, arity);
+                    state.absorb_into(row, rel, stats, changed);
+                } else {
+                    let was_new = rel.insert_row(row);
+                    stats.record_insert(was_new);
+                    if was_new {
+                        if let Some(changed) = delta_entry(&mut new_delta, head, arity) {
+                            changed.insert_row(row);
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The relation collecting `head`'s changed tuples this round, when the
+/// caller tracks them.
+fn delta_entry<'d>(
+    new_delta: &'d mut Option<&mut FxHashMap<Sym, Relation>>,
+    head: Sym,
+    arity: usize,
+) -> Option<&'d mut Relation> {
+    let new_delta = new_delta.as_deref_mut()?;
+    Some(new_delta.entry(head).or_insert_with(|| Relation::new(arity)))
+}
+
+/// Compiles one rule with body-atom occurrence `delta_occ` (the body index
+/// of a positive atom) reading the delta relation instead of the full one.
+/// The `planner` orders each body before compilation (a no-op in
+/// source-order mode).
 pub(crate) fn compile_variant(
     rule: &Rule,
     delta_occ: Option<usize>,
     planner: &Planner<'_>,
 ) -> Result<Variant, EvalError> {
-    let mut delta = None;
     let body: Vec<PlanLiteral> = rule
         .body
         .iter()
         .enumerate()
-        .map(|(i, lit)| match lit {
-            Literal::Atom(a) => {
-                let key = if Some(i) == delta_occ {
-                    delta = Some(a.pred);
-                    RelKey::Delta(a.pred)
+        .map(|(i, lit)| {
+            let delta_here = Some(i) == delta_occ;
+            PlanLiteral::from_literal(lit, &|p| {
+                if delta_here {
+                    RelKey::Delta(p)
                 } else {
-                    RelKey::Pred(a.pred)
-                };
-                PlanLiteral::Atom(PlanAtom { rel: key, terms: a.terms.clone() })
-            }
-            Literal::Eq(l, r) => PlanLiteral::Eq(*l, *r),
-            // Negation always reads the full (completed, lower-stratum)
-            // relation — never a delta.
-            Literal::Neg(a) => {
-                PlanLiteral::Neg(PlanAtom { rel: RelKey::Pred(a.pred), terms: a.terms.clone() })
-            }
-            Literal::Sum(d, x, y) => PlanLiteral::Sum(*d, *x, *y),
+                    RelKey::Pred(p)
+                }
+            })
         })
         .collect();
+    let delta = delta_occ.map(|occ| match &rule.body[occ] {
+        Literal::Atom(atom) => atom.pred,
+        other => unreachable!("delta occurrence {occ} is not a positive atom: {other:?}"),
+    });
     let plan = ConjPlan::compile(&[], &planner.order(&[], &body, 0), &rule.head.terms)?;
-    // Parallel variant: rotate the delta occurrence to the front and pin it
-    // there — sharding the delta only partitions the join's work when the
-    // delta is the outermost scan. The planner orders the rest.
+    // Delta-first variant: rotate the delta occurrence to the front and pin
+    // it there; the planner orders the rest.
     let par_plan = delta_occ
         .map(|occ| {
             let mut rotated = Vec::with_capacity(body.len());
@@ -471,27 +456,6 @@ pub(crate) fn build_store<'a>(
         store.bind(RelKey::Delta(p), r);
     }
     store
-}
-
-pub(crate) fn merge_buffers(
-    derived: &mut FxHashMap<Sym, Relation>,
-    buffers: FxHashMap<Sym, Vec<Tuple>>,
-    stats: &mut EvalStats,
-    mut new_delta: Option<&mut FxHashMap<Sym, Relation>>,
-) {
-    for (pred, tuples) in buffers {
-        let rel = derived.get_mut(&pred).expect("derived relation exists");
-        for t in tuples {
-            let arity = t.arity();
-            let was_new = rel.insert(t.clone());
-            stats.record_insert(was_new);
-            if was_new {
-                if let Some(nd) = new_delta.as_deref_mut() {
-                    nd.entry(pred).or_insert_with(|| Relation::new(arity)).insert(t);
-                }
-            }
-        }
-    }
 }
 
 /// Merge state for one aggregate head: keeps the current aggregate value
@@ -618,34 +582,6 @@ impl AggState {
                 }
                 true
             }
-        }
-    }
-}
-
-/// [`merge_buffers`] for strata that may contain aggregate heads: plain
-/// predicates merge as usual; rows for an aggregate head are folded through
-/// its [`AggState`].
-pub(crate) fn merge_buffers_agg(
-    derived: &mut FxHashMap<Sym, Relation>,
-    buffers: FxHashMap<Sym, Vec<Tuple>>,
-    stats: &mut EvalStats,
-    mut new_delta: Option<&mut FxHashMap<Sym, Relation>>,
-    agg_states: &mut FxHashMap<Sym, AggState>,
-) {
-    for (pred, tuples) in buffers {
-        let Some(state) = agg_states.get_mut(&pred) else {
-            let mut single = FxHashMap::default();
-            single.insert(pred, tuples);
-            merge_buffers(derived, single, stats, new_delta.as_deref_mut());
-            continue;
-        };
-        let rel = derived.get_mut(&pred).expect("derived relation exists");
-        let arity = rel.arity();
-        for t in tuples {
-            let delta_rel = new_delta
-                .as_deref_mut()
-                .map(|nd| nd.entry(pred).or_insert_with(|| Relation::new(arity)));
-            state.absorb_into(t.values(), rel, stats, delta_rel);
         }
     }
 }

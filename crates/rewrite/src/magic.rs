@@ -22,7 +22,7 @@ use sepra_ast::{Atom, Interner, Literal, Program, Query, Rule, Sym, Term};
 use sepra_eval::{query_answers, seminaive_with_options, Derived, EvalError, EvalOptions};
 use sepra_storage::{Database, EvalStats, Relation};
 
-use crate::adorn::{adorn_program, adorned_name, Adornment};
+use crate::adorn::{adorn_program, adorned_name, AdornedProgram, Adornment};
 
 /// The result of a Magic Sets evaluation.
 #[derive(Debug)]
@@ -41,11 +41,96 @@ pub struct MagicOutcome {
     pub db: Database,
 }
 
-/// The magic name for an adorned predicate, e.g. `magic@buys@bf`.
-fn magic_name(pred: Sym, adornment: &Adornment, interner: &mut Interner) -> Sym {
+/// The preprocessing every magic rewrite starts from, on a private copy
+/// of `db` so nothing leaks into the caller's EDB: program facts are
+/// hoisted into the copy, and an IDB predicate that also has EDB facts is
+/// split — its facts move to `pred@base` behind a fresh exit rule
+/// `pred(vars) :- pred@base(vars)`. Returns the copy, the fact-free
+/// program, and its IDB predicates.
+pub(crate) fn split_facts(
+    program: &Program,
+    db: &Database,
+) -> Result<(Database, Program, Vec<Sym>), EvalError> {
+    let mut db = db.clone();
+    let mut rules: Vec<Rule> = Vec::new();
+    let mut idb: Vec<Sym> = Vec::new();
+    for rule in &program.rules {
+        if rule.is_fact() {
+            db.insert_atom(&rule.head)
+                .map_err(|e| EvalError::Unsupported(format!("bad program fact: {e}")))?;
+        } else {
+            if !idb.contains(&rule.head.pred) {
+                idb.push(rule.head.pred);
+            }
+            rules.push(rule.clone());
+        }
+    }
+    for &pred in &idb {
+        let Some(facts) = db.relation(pred).filter(|r| !r.is_empty()).cloned() else { continue };
+        let arity = facts.arity();
+        let interner = db.interner_mut();
+        let base_name = format!("{}@base", interner.resolve(pred));
+        let base = interner.intern(&base_name);
+        let vars: Vec<Term> =
+            (0..arity).map(|i| Term::Var(interner.intern(&format!("B{i}")))).collect();
+        db.relation_mut(base, arity).union_in_place(&facts);
+        *db.relation_mut(pred, arity) = Relation::new(arity);
+        rules.push(Rule::new(
+            Atom::new(pred, vars.clone()),
+            vec![Literal::Atom(Atom::new(base, vars))],
+        ));
+    }
+    Ok((db, Program::new(rules), idb))
+}
+
+/// Maps an adorned atom like `buys@bf(..)` back to `(buys, [true, false])`.
+/// Validated strictly (the suffix must be all b/f of the right length) so
+/// helper predicates like `t@base` are never mistaken for adorned ones.
+pub(crate) fn parse_adorned(atom: &Atom, interner: &Interner) -> Option<(Sym, Adornment)> {
+    let name = interner.resolve(atom.pred);
+    let (base, suffix) = name.rsplit_once('@')?;
+    if suffix.len() != atom.arity() || !suffix.chars().all(|c| c == 'b' || c == 'f') {
+        return None;
+    }
+    let orig = interner.get(base)?;
+    Some((orig, suffix.chars().map(|c| c == 'b').collect()))
+}
+
+/// The magic atom demanding `atom` under `adornment`: predicate
+/// `magic@pred@ad` (e.g. `magic@buys@bf`) over the atom's bound arguments.
+pub(crate) fn magic_atom(
+    atom: &Atom,
+    pred: Sym,
+    adornment: &Adornment,
+    interner: &mut Interner,
+) -> Atom {
     let base = adorned_name(pred, adornment, interner);
     let name = format!("magic@{}", interner.resolve(base));
-    interner.intern(&name)
+    let bound_terms: Vec<Term> =
+        atom.terms.iter().zip(adornment).filter_map(|(t, &b)| b.then_some(*t)).collect();
+    Atom::new(interner.intern(&name), bound_terms)
+}
+
+/// Seeds `rules` with the magic fact holding the query's constants and
+/// evaluates the rewritten program semi-naively over `db`.
+pub(crate) fn evaluate_rewritten(
+    mut rules: Vec<Rule>,
+    query: &Query,
+    adorned: &AdornedProgram,
+    mut db: Database,
+    eval: &EvalOptions,
+) -> Result<MagicOutcome, EvalError> {
+    let interner = db.interner_mut();
+    let seed = magic_atom(&adorned.query.atom, query.atom.pred, &adorned.query_adornment, interner);
+    let constants = query.atom.terms.iter().filter(|t| t.is_const()).cloned().collect();
+    rules.push(Rule::fact(Atom::new(seed.pred, constants)));
+
+    let rewritten = Program::new(rules);
+    let derived = seminaive_with_options(&rewritten, &db, eval)?;
+    let answers = query_answers(&adorned.query, &db, Some(&derived))?;
+    let mut stats = derived.stats.clone();
+    stats.record_size("ans", answers.len());
+    Ok(MagicOutcome { answers, stats, rewritten, derived, db })
 }
 
 /// Rewrites and evaluates `query` over `program` and `db` with Generalized
@@ -87,106 +172,33 @@ pub fn magic_evaluate_with_options(
             "magic sets needs at least one bound argument; evaluate bottom-up instead".into(),
         ));
     }
-    // Work on a private copy of the database so program facts and
-    // base-splits do not leak into the caller's EDB.
-    let mut db = db.clone();
+    let (mut db, program, idb) = split_facts(program, db)?;
+    let adorned = adorn_program(&program, query, db.interner_mut(), &|p| idb.contains(&p));
 
-    // Hoist program facts into the EDB; split IDB predicates that also have
-    // EDB facts through a fresh `@base` exit rule.
-    let mut rules: Vec<Rule> = Vec::new();
-    let mut idb: Vec<Sym> = Vec::new();
-    for rule in &program.rules {
-        if rule.is_fact() {
-            db.insert_atom(&rule.head)
-                .map_err(|e| EvalError::Unsupported(format!("bad program fact: {e}")))?;
-        } else {
-            if !idb.contains(&rule.head.pred) {
-                idb.push(rule.head.pred);
-            }
-            rules.push(rule.clone());
-        }
-    }
-    for &pred in &idb {
-        if db.relation(pred).is_some_and(|r| !r.is_empty()) {
-            // Rename the predicate's facts to `pred@base` and add the exit
-            // rule `pred(vars) :- pred@base(vars)`.
-            let interner = db.interner_mut();
-            let base_name = format!("{}@base", interner.resolve(pred));
-            let base = interner.intern(&base_name);
-            let facts = db.relation(pred).cloned().expect("checked non-empty");
-            let arity = facts.arity();
-            db.relation_mut(base, arity).union_in_place(&facts);
-            // Remove original facts by replacing the relation with empty.
-            *db.relation_mut(pred, arity) = Relation::new(arity);
-            let vars: Vec<Term> =
-                (0..arity).map(|i| Term::Var(db.interner_mut().intern(&format!("B{i}")))).collect();
-            rules.push(Rule::new(
-                Atom::new(pred, vars.clone()),
-                vec![Literal::Atom(Atom::new(base, vars))],
-            ));
-        }
-    }
-    let program = Program::new(rules);
-
-    // Adorn.
-    let idb_check = idb.clone();
-    let adorned = adorn_program(&program, query, db.interner_mut(), &|p| idb_check.contains(&p));
-
-    // Magic rewrite.
     let mut out_rules: Vec<Rule> = Vec::new();
-    // Maps an adorned name like `buys@bf` back to `(buys, [true, false])`.
-    // Validated strictly (suffix must be all b/f of the right length) so
-    // helper predicates like `t@base` are never mistaken for adorned ones.
-    let parse_adorned = |atom: &Atom, interner: &Interner| -> Option<(Sym, Adornment)> {
-        let name = interner.resolve(atom.pred);
-        let (base, suffix) = name.rsplit_once('@')?;
-        if suffix.len() != atom.arity() || !suffix.chars().all(|c| c == 'b' || c == 'f') {
-            return None;
-        }
-        let orig = interner.get(base)?;
-        Some((orig, suffix.chars().map(|c| c == 'b').collect()))
-    };
-    let magic_of =
-        |atom: &Atom, original_pred: Sym, adornment: &Adornment, interner: &mut Interner| -> Atom {
-            let magic_pred = magic_name(original_pred, adornment, interner);
-            let bound_terms: Vec<Term> =
-                atom.terms.iter().zip(adornment).filter_map(|(t, &b)| b.then_some(*t)).collect();
-            Atom::new(magic_pred, bound_terms)
-        };
-
     for rule in &adorned.program.rules {
         let (head_orig, head_ad) = parse_adorned(&rule.head, db.interner())
             .ok_or_else(|| EvalError::Planning("unmappable adorned head".into()))?;
-        let magic_head = magic_of(&rule.head, head_orig, &head_ad, db.interner_mut());
+        let magic_head = magic_atom(&rule.head, head_orig, &head_ad, db.interner_mut());
         // Guarded rule.
         let mut guarded_body = vec![Literal::Atom(magic_head.clone())];
         guarded_body.extend(rule.body.iter().cloned());
         out_rules.push(Rule::new(rule.head.clone(), guarded_body));
         // Magic rules for each adorned IDB body occurrence.
-        let mut prefix: Vec<Literal> = vec![Literal::Atom(magic_head.clone())];
+        let mut prefix: Vec<Literal> = vec![Literal::Atom(magic_head)];
         for lit in &rule.body {
             if let Literal::Atom(atom) = lit {
                 if let Some((orig, ad)) = parse_adorned(atom, db.interner()) {
                     if idb.contains(&orig) {
-                        let magic_atom = magic_of(atom, orig, &ad, db.interner_mut());
-                        out_rules.push(Rule::new(magic_atom, prefix.clone()));
+                        let demand = magic_atom(atom, orig, &ad, db.interner_mut());
+                        out_rules.push(Rule::new(demand, prefix.clone()));
                     }
                 }
             }
             prefix.push(lit.clone());
         }
     }
-    // Seed fact.
-    let seed_pred = magic_name(query.atom.pred, &adorned.query_adornment, db.interner_mut());
-    let seed_terms: Vec<Term> = query.atom.terms.iter().filter(|t| t.is_const()).cloned().collect();
-    out_rules.push(Rule::fact(Atom::new(seed_pred, seed_terms)));
-
-    let rewritten = Program::new(out_rules);
-    let derived = seminaive_with_options(&rewritten, &db, eval)?;
-    let answers = query_answers(&adorned.query, &db, Some(&derived))?;
-    let mut stats = derived.stats.clone();
-    stats.record_size("ans", answers.len());
-    Ok(MagicOutcome { answers, stats, rewritten, derived, db })
+    evaluate_rewritten(out_rules, query, &adorned, db, eval)
 }
 
 #[cfg(test)]

@@ -19,11 +19,11 @@
 use std::collections::BTreeSet;
 
 use sepra_ast::{Atom, Interner, Literal, Program, Query, Rule, Sym, Term};
-use sepra_eval::{query_answers, seminaive_with_options, EvalError, EvalOptions};
-use sepra_storage::{Database, Relation};
+use sepra_eval::{EvalError, EvalOptions};
+use sepra_storage::Database;
 
-use crate::adorn::{adorn_program, adorn_program_subsumptive, adorned_name, Adornment};
-use crate::magic::MagicOutcome;
+use crate::adorn::{adorn_program, adorn_program_subsumptive};
+use crate::magic::{evaluate_rewritten, magic_atom, parse_adorned, split_facts, MagicOutcome};
 
 /// Rewrites and evaluates `query` with supplementary magic sets.
 ///
@@ -82,65 +82,9 @@ fn supplementary_impl(
     if !query.has_selection() {
         return Err(EvalError::Unsupported("magic sets needs at least one bound argument".into()));
     }
-    let mut db = db.clone();
-
-    // Same preprocessing as the basic rewrite: hoist facts, split IDB
-    // predicates that also have EDB facts.
-    let mut rules: Vec<Rule> = Vec::new();
-    let mut idb: Vec<Sym> = Vec::new();
-    for rule in &program.rules {
-        if rule.is_fact() {
-            db.insert_atom(&rule.head)
-                .map_err(|e| EvalError::Unsupported(format!("bad program fact: {e}")))?;
-        } else {
-            if !idb.contains(&rule.head.pred) {
-                idb.push(rule.head.pred);
-            }
-            rules.push(rule.clone());
-        }
-    }
-    for &pred in &idb {
-        if db.relation(pred).is_some_and(|r| !r.is_empty()) {
-            let interner = db.interner_mut();
-            let base_name = format!("{}@base", interner.resolve(pred));
-            let base = interner.intern(&base_name);
-            let facts = db.relation(pred).cloned().expect("non-empty");
-            let arity = facts.arity();
-            db.relation_mut(base, arity).union_in_place(&facts);
-            *db.relation_mut(pred, arity) = Relation::new(arity);
-            let vars: Vec<Term> =
-                (0..arity).map(|i| Term::Var(db.interner_mut().intern(&format!("B{i}")))).collect();
-            rules.push(Rule::new(
-                Atom::new(pred, vars.clone()),
-                vec![Literal::Atom(Atom::new(base, vars))],
-            ));
-        }
-    }
-    let program = Program::new(rules);
-    let idb_check = idb.clone();
-    let adorned = if subsumptive {
-        adorn_program_subsumptive(&program, query, db.interner_mut(), &|p| idb_check.contains(&p))
-    } else {
-        adorn_program(&program, query, db.interner_mut(), &|p| idb_check.contains(&p))
-    };
-
-    let parse_adorned = |atom: &Atom, interner: &Interner| -> Option<(Sym, Adornment)> {
-        let name = interner.resolve(atom.pred);
-        let (base, suffix) = name.rsplit_once('@')?;
-        if suffix.len() != atom.arity() || !suffix.chars().all(|c| c == 'b' || c == 'f') {
-            return None;
-        }
-        let orig = interner.get(base)?;
-        Some((orig, suffix.chars().map(|c| c == 'b').collect()))
-    };
-    let magic_atom = |atom: &Atom, orig: Sym, ad: &Adornment, interner: &mut Interner| -> Atom {
-        let base = adorned_name(orig, ad, interner);
-        let name = format!("magic@{}", interner.resolve(base));
-        let magic_pred = interner.intern(&name);
-        let bound_terms: Vec<Term> =
-            atom.terms.iter().zip(ad).filter_map(|(t, &b)| b.then_some(*t)).collect();
-        Atom::new(magic_pred, bound_terms)
-    };
+    let (mut db, program, idb) = split_facts(program, db)?;
+    let adorn = if subsumptive { adorn_program_subsumptive } else { adorn_program };
+    let adorned = adorn(&program, query, db.interner_mut(), &|p| idb.contains(&p));
 
     let mut out_rules: Vec<Rule> = Vec::new();
     for (ri, rule) in adorned.program.rules.iter().enumerate() {
@@ -205,22 +149,7 @@ fn supplementary_impl(
             out_rules.push(Rule::new(rule.head.clone(), vec![Literal::Atom(prev_sup)]));
         }
     }
-    // Seed fact.
-    let seed = magic_atom(
-        &adorned.query.atom,
-        query.atom.pred,
-        &adorned.query_adornment,
-        db.interner_mut(),
-    );
-    let seed_terms: Vec<Term> = query.atom.terms.iter().filter(|t| t.is_const()).cloned().collect();
-    out_rules.push(Rule::fact(Atom::new(seed.pred, seed_terms)));
-
-    let rewritten = Program::new(out_rules);
-    let derived = seminaive_with_options(&rewritten, &db, eval)?;
-    let answers = query_answers(&adorned.query, &db, Some(&derived))?;
-    let mut stats = derived.stats.clone();
-    stats.record_size("ans", answers.len());
-    Ok(MagicOutcome { answers, stats, rewritten, derived, db })
+    evaluate_rewritten(out_rules, query, &adorned, db, eval)
 }
 
 #[cfg(test)]
@@ -228,6 +157,7 @@ mod tests {
     use super::*;
     use crate::magic::{magic_evaluate, magic_evaluate_with_options};
     use sepra_ast::{parse_program, parse_query};
+    use sepra_storage::Relation;
 
     fn both(program_src: &str, facts: &str, query_src: &str) -> (MagicOutcome, MagicOutcome) {
         let mut db = Database::new();
