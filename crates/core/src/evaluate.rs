@@ -87,20 +87,22 @@ pub struct SeparableOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SeparableEvaluator {
-    sep: SeparableRecursion,
+    /// Shared, not owned: a query server builds one evaluator per query
+    /// from the recursion it detected once.
+    sep: Arc<SeparableRecursion>,
     opts: ExecOptions,
     plan_cache: Option<Arc<PlanCache>>,
 }
 
 impl SeparableEvaluator {
     /// Creates an evaluator with default options.
-    pub fn new(sep: SeparableRecursion) -> Self {
-        SeparableEvaluator { sep, opts: ExecOptions::default(), plan_cache: None }
+    pub fn new(sep: impl Into<Arc<SeparableRecursion>>) -> Self {
+        Self::with_options(sep, ExecOptions::default())
     }
 
     /// Creates an evaluator with explicit options.
-    pub fn with_options(sep: SeparableRecursion, opts: ExecOptions) -> Self {
-        SeparableEvaluator { sep, opts, plan_cache: None }
+    pub fn with_options(sep: impl Into<Arc<SeparableRecursion>>, opts: ExecOptions) -> Self {
+        SeparableEvaluator { sep: sep.into(), opts, plan_cache: None }
     }
 
     /// Attaches a shared [`PlanCache`], so repeated class selections reuse

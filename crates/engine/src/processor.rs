@@ -1,109 +1,20 @@
-//! Strategy selection and query execution.
+//! Processor state: loading, preparation, accessors and the query entry
+//! points. Routing and execution live in `route.rs`, plan rendering in
+//! `explain.rs`, live mutations in `mutate.rs`.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use sepra_ast::{
-    parse_program, parse_query, AstError, DependencyGraph, Program, Query, RecursiveDef, Sym,
-};
-use sepra_core::bounded::{analyze as analyze_bounded, BoundedRecursion};
+use sepra_ast::{parse_program, parse_query, AstError, DependencyGraph, Program, Query, Sym};
 use sepra_core::cache::PlanCache;
-use sepra_core::detect::{detect, SeparableRecursion};
-use sepra_core::evaluate::SeparableEvaluator;
 use sepra_core::exec::{ExecOptions, ExtraRelations};
-use sepra_core::plan::{
-    build_plan_with, classify_selection, PlanSelection, SelectionKind, AUX_CARRY1, AUX_CARRY2,
-    AUX_SEEN1,
-};
-use sepra_eval::{
-    maintain, naive::naive_with_options, query_answers, seminaive_with_options, ConjPlan,
-    EvalError, EvalOptions, PlanLiteral, PlanMode, Planner, PlannerStats, RelKey,
-};
-use sepra_rewrite::{
-    bounded_evaluate_with_options, counting_evaluate, hn_evaluate,
-    magic_evaluate_subsumptive_with_options, magic_evaluate_supplementary_with_options,
-    magic_evaluate_with_options, CountingOptions, HnOptions,
-};
-use sepra_storage::{Database, EdbDelta, EvalStats, FxHashMap, Relation, Tuple};
+use sepra_eval::{seminaive_with_options, EvalError, EvalOptions};
+use sepra_storage::{Database, EvalStats, FxHashMap, Relation};
 
-/// The evaluation strategies the processor can run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
-    /// Bounded-recursion elimination: the recursion is provably equivalent
-    /// to a k-fold unfolding, evaluated with zero fixpoint iterations
-    /// (requires a detected-bounded recursion).
-    Bounded,
-    /// The paper's specialized algorithm (requires a separable recursion
-    /// and a selection).
-    Separable,
-    /// Generalized Magic Sets.
-    MagicSets,
-    /// Magic Sets with supplementary predicates (shares rule-body prefixes).
-    MagicSupplementary,
-    /// Subsumptive Magic Sets: supplementary magic where on-demand
-    /// adornment collapses each demand onto the most general already-seen
-    /// adornment that subsumes it, pruning redundant adorned copies.
-    MagicSubsumptive,
-    /// The Generalized Counting Method (requires a full class selection and
-    /// acyclic data).
-    Counting,
-    /// The Henschen-Naqvi iterative algorithm (string-at-a-time; requires
-    /// a full class selection and acyclic data).
-    HenschenNaqvi,
-    /// Stratified semi-naive bottom-up evaluation.
-    SemiNaive,
-    /// Naive bottom-up evaluation (for comparisons only).
-    Naive,
-}
-
-impl std::fmt::Display for Strategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            Strategy::Bounded => "bounded",
-            Strategy::Separable => "separable",
-            Strategy::MagicSets => "magic",
-            Strategy::MagicSupplementary => "magic-sup",
-            Strategy::MagicSubsumptive => "magic-subsumptive",
-            Strategy::Counting => "counting",
-            Strategy::HenschenNaqvi => "hn",
-            Strategy::SemiNaive => "seminaive",
-            Strategy::Naive => "naive",
-        };
-        f.write_str(s)
-    }
-}
-
-impl std::str::FromStr for Strategy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "bounded" => Ok(Strategy::Bounded),
-            "separable" | "sep" => Ok(Strategy::Separable),
-            "magic" | "magic-sets" | "magicsets" => Ok(Strategy::MagicSets),
-            "magic-sup" | "supplementary" => Ok(Strategy::MagicSupplementary),
-            "magic-subsumptive" | "subsumptive" => Ok(Strategy::MagicSubsumptive),
-            "counting" | "count" => Ok(Strategy::Counting),
-            "hn" | "henschen-naqvi" => Ok(Strategy::HenschenNaqvi),
-            "seminaive" | "semi-naive" => Ok(Strategy::SemiNaive),
-            "naive" => Ok(Strategy::Naive),
-            other => Err(format!(
-                "unknown strategy `{other}` (expected bounded|separable|magic|magic-sup|magic-subsumptive|counting|hn|seminaive|naive)"
-            )),
-        }
-    }
-}
-
-/// Either a caller-forced strategy or automatic selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StrategyChoice {
-    /// Let the processor pick (Separable when it applies, else Magic Sets,
-    /// else semi-naive).
-    #[default]
-    Auto,
-    /// Force a specific strategy (fails if it does not apply).
-    Force(Strategy),
-}
+pub use crate::explain::{PlanConj, PlanReport, PlanScan};
+pub use crate::mutate::MutationOutcome;
+use crate::route::Recursion;
+pub use crate::route::{Strategy, StrategyChoice};
 
 /// The result of running one query.
 #[derive(Debug)]
@@ -157,22 +68,25 @@ impl From<EvalError> for ProcessorError {
     }
 }
 
-/// Everything [`QueryProcessor::prepare`] computes up front: recursion
-/// detection outcomes and materialized supporting strata, per recursive
-/// predicate. Shared read-only across processor clones, so a query server
-/// pays for detection and support evaluation once, not per worker.
-#[derive(Debug, Default)]
-struct Prepared {
-    /// Detection outcome per recursive predicate: the separable recursion,
-    /// or the reason it is not separable.
-    recursions: FxHashMap<Sym, Result<SeparableRecursion, String>>,
-    /// Materialized supporting strata for each separable predicate.
-    support: FxHashMap<Sym, Arc<ExtraRelations>>,
-    /// Recursive predicates proven bounded, with their nonrecursive
-    /// replacement chains. A program-only verdict (the analysis never
-    /// looks at the EDB), so EDB mutations preserve it.
-    bounded: FxHashMap<Sym, Arc<BoundedRecursion>>,
+/// The supporting strata of one separable predicate: every rule that
+/// does not define it, and those rules' fixpoint over the current EDB —
+/// the relations the specialized evaluators read as if they were base
+/// relations.
+#[derive(Debug, Clone)]
+pub(crate) struct Support {
+    /// The rules, built once per [`QueryProcessor::prepare`]; live
+    /// mutations maintain `relations` against it.
+    pub(crate) program: Arc<Program>,
+    /// The materialized IDB relations of `program`.
+    pub(crate) relations: Arc<ExtraRelations>,
 }
+
+/// Everything [`QueryProcessor::prepare`] computes up front: per recursive
+/// predicate, the detection outcome and — when separable — the
+/// materialized supporting strata. Shared read-only across processor
+/// clones, so a query server pays for detection and support evaluation
+/// once, not per worker.
+pub(crate) type Prepared = FxHashMap<Sym, Recursion>;
 
 /// A program + database pair that answers queries.
 ///
@@ -182,9 +96,13 @@ struct Prepared {
 /// thread its own processor.
 #[derive(Debug, Default, Clone)]
 pub struct QueryProcessor {
-    db: Database,
-    program: Program,
-    exec_options: ExecOptions,
+    pub(crate) db: Database,
+    pub(crate) program: Program,
+    /// Whether `program` uses negation or aggregates, which only the
+    /// stratum-aware engines (semi-naive, naive) evaluate. Kept by
+    /// [`QueryProcessor::load`], the one place the program grows.
+    pub(crate) stratified: bool,
+    pub(crate) exec_options: ExecOptions,
     /// Everything loaded through [`QueryProcessor::load`], concatenated.
     /// The lint driver re-parses this text so its diagnostics carry spans
     /// into what the user actually wrote (facts inserted programmatically
@@ -192,40 +110,18 @@ pub struct QueryProcessor {
     source: String,
     /// Set by [`QueryProcessor::prepare`]; invalidated whenever the
     /// program or database changes.
-    prepared: Option<Arc<Prepared>>,
+    pub(crate) prepared: Option<Arc<Prepared>>,
     /// Compiled Figure 2 plans, shared across clones. Only consulted once
     /// the processor is prepared: preparation interns every symbol a
     /// cached plan can mention *before* the processor is cloned, so shared
     /// plans stay meaningful in every clone's symbol space.
-    plan_cache: Arc<PlanCache>,
+    pub(crate) plan_cache: Arc<PlanCache>,
     /// Bumped whenever the program or the EDB changes ([`QueryProcessor::load`],
     /// [`QueryProcessor::db_mut`], effective [`QueryProcessor::apply_mutation`]).
     /// [`QueryProcessor::prepare`] and `apply_mutation` revalidate the shared
     /// plan cache against it, so a post-mutation query can never be served
     /// by a pre-mutation compiled plan.
-    generation: u64,
-}
-
-/// The result of one [`QueryProcessor::apply_mutation`] call.
-#[derive(Debug)]
-pub struct MutationOutcome {
-    /// Tuples genuinely added to the EDB (duplicates don't count).
-    pub inserted: usize,
-    /// Tuples genuinely removed from the EDB (absent tuples don't count).
-    pub retracted: usize,
-    /// The processor generation after the mutation.
-    pub generation: u64,
-    /// Statistics of the incremental maintenance work (empty when the
-    /// processor was not prepared or the mutation was ineffective).
-    pub stats: EvalStats,
-    /// Wall-clock time of the whole call: parsing (when entered through
-    /// [`QueryProcessor::apply_mutation`]; delta entry points have no
-    /// parse step), applying, and maintenance.
-    pub elapsed: Duration,
-    /// The *effective* delta: exactly the tuples added and removed, with
-    /// no-op inserts/retracts filtered out. This is what a write-ahead
-    /// log records — replaying it reproduces the commit bit for bit.
-    pub delta: EdbDelta,
+    pub(crate) generation: u64,
 }
 
 impl QueryProcessor {
@@ -249,6 +145,7 @@ impl QueryProcessor {
             }
         }
         self.program.rules.extend(rules);
+        self.stratified = self.program.uses_stratified_constructs();
         self.source.push_str(src);
         if !src.ends_with('\n') {
             self.source.push('\n');
@@ -276,19 +173,11 @@ impl QueryProcessor {
             if !graph.is_recursive(pred) {
                 continue;
             }
-            let outcome = match RecursiveDef::extract(&self.program, pred, self.db.interner()) {
-                Ok(def) => {
-                    if let Some(bounded) = analyze_bounded(&def, self.db.interner_mut()) {
-                        prepared.bounded.insert(pred, Arc::new(bounded));
-                    }
-                    detect(&def, self.db.interner_mut()).map_err(|ns| ns.to_string())
-                }
-                Err(e) => Err(e.to_string()),
-            };
-            if outcome.is_ok() {
-                prepared.support.insert(pred, Arc::new(self.materialize_support(pred)?));
+            let mut recursion = self.analyze(pred, true);
+            if recursion.separable.is_ok() {
+                recursion.support = Some(self.support(pred, &recursion)?);
             }
-            prepared.recursions.insert(pred, outcome);
+            prepared.insert(pred, recursion);
         }
         self.prepared = Some(Arc::new(prepared));
         // Cached plans from an earlier generation must not survive into
@@ -354,162 +243,6 @@ impl QueryProcessor {
         self.generation
     }
 
-    /// Applies a batch of live EDB mutations — `retracts` first, then
-    /// `inserts`, each a list of ground-fact texts like `"e(a, b)."` — and
-    /// incrementally maintains the prepared materializations (semi-naive
-    /// delta propagation for insertions, delete-and-rederive for
-    /// retractions; see [`sepra_eval::incremental`]).
-    ///
-    /// All-or-none: changes are staged on copy-on-write snapshots and
-    /// committed only after parsing, application, and maintenance all
-    /// succeed, so an arity error or an exhausted budget leaves the
-    /// processor exactly as it was. On commit the generation advances and
-    /// the shared plan cache is revalidated, so no query — on this
-    /// processor or any clone sharing the cache — can hit a pre-mutation
-    /// plan. Detection outcomes survive (they depend only on the program);
-    /// supporting strata are maintained incrementally, not recomputed.
-    pub fn apply_mutation(
-        &mut self,
-        inserts: &[&str],
-        retracts: &[&str],
-    ) -> Result<MutationOutcome, ProcessorError> {
-        let start = Instant::now();
-        let mut delta = EdbDelta::default();
-        for (sources, bucket, verb) in
-            [(retracts, &mut delta.remove, "retract"), (inserts, &mut delta.insert, "insert")]
-        {
-            for src in sources {
-                let parsed = parse_program(src, self.db.interner_mut())?;
-                if parsed.rules.is_empty() {
-                    return Err(ProcessorError::Facts(format!("{verb} expects facts: `{src}`")));
-                }
-                for rule in parsed.rules {
-                    if !rule.is_fact() {
-                        return Err(ProcessorError::Facts(format!(
-                            "{verb} expects ground facts, not rules: `{src}`"
-                        )));
-                    }
-                    let tuple = self
-                        .db
-                        .ground_tuple(&rule.head)
-                        .map_err(|e| ProcessorError::Facts(e.to_string()))?;
-                    bucket.entry(rule.head.pred).or_default().push(tuple);
-                }
-            }
-        }
-        self.apply_delta_from(start, delta)
-    }
-
-    /// [`apply_mutation`](Self::apply_mutation) minus the parsing: applies
-    /// an already-built [`EdbDelta`] whose tuples reference *this*
-    /// processor's interner. WAL replay enters here — recovered deltas are
-    /// decoded frames, not fact text — and gets the identical all-or-none
-    /// staging, incremental maintenance, and plan-cache revalidation.
-    pub fn apply_delta_mutation(
-        &mut self,
-        delta: EdbDelta,
-    ) -> Result<MutationOutcome, ProcessorError> {
-        self.apply_delta_from(Instant::now(), delta)
-    }
-
-    /// The shared tail of both mutation entry points. `start` is when the
-    /// caller began its part of the work — [`apply_mutation`](Self::apply_mutation)
-    /// passes its pre-parse timestamp so `elapsed` covers parsing too.
-    fn apply_delta_from(
-        &mut self,
-        start: Instant,
-        delta: EdbDelta,
-    ) -> Result<MutationOutcome, ProcessorError> {
-        // Stage on snapshots: `db_before` → retractions → `db_mid` →
-        // insertions → `db`. The clones are cheap (copy-on-write) and give
-        // the DRed over-deletion its pre-mutation state.
-        let db_before = self.db.clone();
-        let mut db = self.db.clone();
-        let mut effective = EdbDelta::default();
-        let remove_only = EdbDelta { remove: delta.remove, ..Default::default() };
-        effective.remove =
-            db.apply_delta(&remove_only).map_err(|e| ProcessorError::Facts(e.to_string()))?.remove;
-        let db_mid = db.clone();
-        let insert_only = EdbDelta { insert: delta.insert, ..Default::default() };
-        effective.insert =
-            db.apply_delta(&insert_only).map_err(|e| ProcessorError::Facts(e.to_string()))?.insert;
-
-        let retracted = effective.remove.values().map(Vec::len).sum::<usize>();
-        let inserted = effective.insert.values().map(Vec::len).sum::<usize>();
-        if retracted + inserted == 0 {
-            // Nothing actually changed: keep the prepared state and the
-            // current generation.
-            return Ok(MutationOutcome {
-                inserted,
-                retracted,
-                generation: self.generation,
-                stats: EvalStats::new(),
-                elapsed: start.elapsed(),
-                delta: effective,
-            });
-        }
-
-        // Incrementally maintain each prepared supporting-strata
-        // materialization across the effective delta.
-        let mut stats = EvalStats::new();
-        let new_prepared = match &self.prepared {
-            None => None,
-            Some(prepared) => {
-                let mut next = Prepared {
-                    recursions: prepared.recursions.clone(),
-                    support: FxHashMap::default(),
-                    bounded: prepared.bounded.clone(),
-                };
-                for (&pred, old_support) in &prepared.support {
-                    let rules: Vec<_> = self
-                        .program
-                        .rules
-                        .iter()
-                        .filter(|r| r.head.pred != pred)
-                        .cloned()
-                        .collect();
-                    if rules.is_empty() {
-                        next.support.insert(pred, Arc::clone(old_support));
-                        continue;
-                    }
-                    let sub = Program::new(rules);
-                    let derived = maintain(
-                        &sub,
-                        &db_before,
-                        &db_mid,
-                        &db,
-                        old_support,
-                        &effective,
-                        &self.eval_options(),
-                    )?;
-                    stats.merge(&derived.stats);
-                    next.support.insert(pred, Arc::new(derived.relations));
-                }
-                Some(Arc::new(next))
-            }
-        };
-
-        // Commit.
-        self.db = db;
-        self.prepared = new_prepared;
-        self.generation += 1;
-        // The program is unchanged here — only the EDB moved — so cached
-        // plans stay valid as long as the relations they scan have not
-        // drifted past the replanning threshold. Passing the database lets
-        // the cache keep structurally sound plans and drop only those
-        // whose cost assumptions no longer hold, for every clone sharing
-        // the cache.
-        self.plan_cache.validate_generation(self.generation, Some(&self.db));
-        Ok(MutationOutcome {
-            inserted,
-            retracted,
-            generation: self.generation,
-            stats,
-            elapsed: start.elapsed(),
-            delta: effective,
-        })
-    }
-
     /// The loaded rules.
     pub fn program(&self) -> &Program {
         &self.program
@@ -522,7 +255,7 @@ impl QueryProcessor {
 
     /// The [`EvalOptions`] mirroring this processor's executor options, for
     /// the strategies that run on the semi-naive engine.
-    fn eval_options(&self) -> EvalOptions {
+    pub(crate) fn eval_options(&self) -> EvalOptions {
         EvalOptions {
             threads: self.exec_options.threads,
             budget: self.exec_options.budget.clone(),
@@ -550,240 +283,22 @@ impl QueryProcessor {
         self.run_query(&query, choice)
     }
 
-    /// Runs an already-parsed query.
-    pub fn run_query(
-        &mut self,
-        query: &Query,
-        choice: StrategyChoice,
-    ) -> Result<QueryResult, ProcessorError> {
-        match choice {
-            StrategyChoice::Force(s) => self.run_forced(query, s),
-            StrategyChoice::Auto => self.run_auto(query),
+    /// The supporting strata of a separable `pred` — every IDB predicate
+    /// other than `pred`, materialized so the specialized evaluators can
+    /// treat them as base relations: what `prepare` stored (and mutations
+    /// have maintained since), or the same materialization on the spot.
+    pub(crate) fn support(&self, pred: Sym, found: &Recursion) -> Result<Support, ProcessorError> {
+        if let Some(support) = &found.support {
+            return Ok(support.clone());
         }
-    }
-
-    /// Materializes every IDB predicate other than `pred` (the supporting
-    /// strata), so the specialized evaluators can treat them as base
-    /// relations.
-    fn materialize_support(&self, pred: Sym) -> Result<ExtraRelations, ProcessorError> {
-        let mut rules = Vec::new();
-        for rule in &self.program.rules {
-            if rule.head.pred != pred {
-                rules.push(rule.clone());
-            }
-        }
-        if rules.is_empty() {
-            return Ok(ExtraRelations::default());
-        }
-        let sub = Program::new(rules);
-        let derived = seminaive_with_options(&sub, &self.db, &self.eval_options())?;
-        Ok(derived.relations)
-    }
-
-    /// Answers `query` by bounded-recursion elimination when the query
-    /// predicate is provably bounded; `Err(reason)` otherwise. The
-    /// rewritten program is nonrecursive in the predicate, so the run
-    /// reports zero fixpoint iterations for its stratum.
-    fn try_bounded(
-        &mut self,
-        query: &Query,
-    ) -> Result<Result<QueryResult, String>, ProcessorError> {
-        let pred = query.atom.pred;
-        let bounded = if let Some(prepared) = self.prepared.clone() {
-            match prepared.bounded.get(&pred) {
-                Some(bounded) => Arc::clone(bounded),
-                None => return Ok(Err("query predicate is not provably bounded".into())),
-            }
+        let rules = self.program.rules.iter().filter(|r| r.head.pred != pred).cloned().collect();
+        let program = Program::new(rules);
+        let relations = if program.rules.is_empty() {
+            ExtraRelations::default()
         } else {
-            let graph = DependencyGraph::build(&self.program);
-            if !graph.is_recursive(pred) {
-                return Ok(Err("query predicate is not recursive".into()));
-            }
-            let def = match RecursiveDef::extract(&self.program, pred, self.db.interner()) {
-                Ok(def) => def,
-                Err(e) => return Ok(Err(e.to_string())),
-            };
-            match analyze_bounded(&def, self.db.interner_mut()) {
-                Some(bounded) => Arc::new(bounded),
-                None => return Ok(Err("query predicate is not provably bounded".into())),
-            }
+            seminaive_with_options(&program, &self.db, &self.eval_options())?.relations
         };
-        let start = Instant::now();
-        let out = bounded_evaluate_with_options(
-            &self.program,
-            query,
-            &self.db,
-            &bounded,
-            &self.eval_options(),
-        )?;
-        Ok(Ok(finish(out.answers, Strategy::Bounded, out.stats, start)))
-    }
-
-    fn try_separable(
-        &mut self,
-        query: &Query,
-    ) -> Result<Result<QueryResult, String>, ProcessorError> {
-        let pred = query.atom.pred;
-        let (sep, extra) = if let Some(prepared) = self.prepared.clone() {
-            match prepared.recursions.get(&pred) {
-                Some(Ok(sep)) => {
-                    let extra = prepared.support.get(&pred).cloned().unwrap_or_default();
-                    (sep.clone(), extra)
-                }
-                Some(Err(reason)) => return Ok(Err(reason.clone())),
-                None => return Ok(Err("query predicate is not recursive".into())),
-            }
-        } else {
-            let graph = DependencyGraph::build(&self.program);
-            if !graph.is_recursive(pred) {
-                return Ok(Err("query predicate is not recursive".into()));
-            }
-            let def = match RecursiveDef::extract(&self.program, pred, self.db.interner()) {
-                Ok(def) => def,
-                Err(e) => return Ok(Err(e.to_string())),
-            };
-            let sep = match detect(&def, self.db.interner_mut()) {
-                Ok(sep) => sep,
-                Err(ns) => return Ok(Err(ns.to_string())),
-            };
-            (sep, Arc::new(self.materialize_support(pred)?))
-        };
-        if matches!(classify_selection(&sep, query), SelectionKind::NoSelection) {
-            return Ok(Err("query has no selection constants".into()));
-        }
-        let mut evaluator = SeparableEvaluator::with_options(sep, self.exec_options.clone());
-        if self.prepared.is_some() {
-            // The cache is only sound once `prepare` has interned every
-            // plan symbol into the pre-clone symbol space.
-            evaluator = evaluator.with_plan_cache(Arc::clone(&self.plan_cache));
-        }
-        let start = Instant::now();
-        let outcome = evaluator.evaluate(query, &self.db, &extra)?;
-        Ok(Ok(finish(outcome.answers, Strategy::Separable, outcome.stats, start)))
-    }
-
-    fn run_auto(&mut self, query: &Query) -> Result<QueryResult, ProcessorError> {
-        // Negation and aggregates are evaluated stratum by stratum on the
-        // general engine only — the specialized strategies (and the magic
-        // rewrites) assume pure positive programs.
-        if self.program.uses_stratified_constructs() {
-            return self.run_forced(query, Strategy::SemiNaive);
-        }
-        let pred = query.atom.pred;
-        let is_idb = self.program.rules.iter().any(|r| r.head.pred == pred);
-        if is_idb {
-            // Bounded elimination wins over everything: no fixpoint at all.
-            if let Ok(result) = self.try_bounded(query)? {
-                return Ok(result);
-            }
-            match self.try_separable(query)? {
-                Ok(result) => return Ok(result),
-                Err(_reason) => {}
-            }
-            if query.has_selection() {
-                return self.run_forced(query, Strategy::MagicSets);
-            }
-        }
-        self.run_forced(query, Strategy::SemiNaive)
-    }
-
-    fn run_forced(
-        &mut self,
-        query: &Query,
-        strategy: Strategy,
-    ) -> Result<QueryResult, ProcessorError> {
-        // Refuse, never silently mis-evaluate: only the stratum-aware
-        // engines may run a program with negation or aggregates.
-        if self.program.uses_stratified_constructs()
-            && !matches!(strategy, Strategy::SemiNaive | Strategy::Naive)
-        {
-            return Err(ProcessorError::StrategyUnavailable(format!(
-                "strategy `{strategy}` does not support negation or aggregates; \
-                 use `seminaive` or `naive`"
-            )));
-        }
-        match strategy {
-            Strategy::Bounded => match self.try_bounded(query)? {
-                Ok(r) => Ok(r),
-                Err(reason) => Err(ProcessorError::StrategyUnavailable(format!(
-                    "bounded elimination unavailable: {reason}"
-                ))),
-            },
-            Strategy::Separable => match self.try_separable(query)? {
-                Ok(r) => Ok(r),
-                Err(reason) => Err(ProcessorError::StrategyUnavailable(format!(
-                    "separable algorithm unavailable: {reason}"
-                ))),
-            },
-            Strategy::MagicSets => {
-                let start = Instant::now();
-                let out = magic_evaluate_with_options(
-                    &self.program,
-                    query,
-                    &self.db,
-                    &self.eval_options(),
-                )?;
-                Ok(finish(out.answers, Strategy::MagicSets, out.stats, start))
-            }
-            Strategy::MagicSupplementary => {
-                let start = Instant::now();
-                let out = magic_evaluate_supplementary_with_options(
-                    &self.program,
-                    query,
-                    &self.db,
-                    &self.eval_options(),
-                )?;
-                Ok(finish(out.answers, Strategy::MagicSupplementary, out.stats, start))
-            }
-            Strategy::MagicSubsumptive => {
-                let start = Instant::now();
-                let out = magic_evaluate_subsumptive_with_options(
-                    &self.program,
-                    query,
-                    &self.db,
-                    &self.eval_options(),
-                )?;
-                Ok(finish(out.answers, Strategy::MagicSubsumptive, out.stats, start))
-            }
-            Strategy::Counting => {
-                let pred = query.atom.pred;
-                let def = RecursiveDef::extract(&self.program, pred, self.db.interner())
-                    .map_err(|e| ProcessorError::StrategyUnavailable(e.to_string()))?;
-                let sep = detect(&def, self.db.interner_mut())
-                    .map_err(|e| ProcessorError::StrategyUnavailable(e.to_string()))?;
-                let start = Instant::now();
-                let opts = CountingOptions {
-                    exec: self.exec_options.clone(),
-                    ..CountingOptions::default()
-                };
-                let out = counting_evaluate(&sep, query, &self.db, &opts)?;
-                Ok(finish(out.answers, Strategy::Counting, out.stats, start))
-            }
-            Strategy::HenschenNaqvi => {
-                let pred = query.atom.pred;
-                let def = RecursiveDef::extract(&self.program, pred, self.db.interner())
-                    .map_err(|e| ProcessorError::StrategyUnavailable(e.to_string()))?;
-                let sep = detect(&def, self.db.interner_mut())
-                    .map_err(|e| ProcessorError::StrategyUnavailable(e.to_string()))?;
-                let start = Instant::now();
-                let opts = HnOptions { exec: self.exec_options.clone(), ..HnOptions::default() };
-                let out = hn_evaluate(&sep, query, &self.db, &opts)?;
-                Ok(finish(out.answers, Strategy::HenschenNaqvi, out.stats, start))
-            }
-            Strategy::SemiNaive => {
-                let start = Instant::now();
-                let derived =
-                    seminaive_with_options(&self.program, &self.db, &self.eval_options())?;
-                let answers = query_answers(query, &self.db, Some(&derived))?;
-                Ok(finish(answers, Strategy::SemiNaive, derived.stats, start))
-            }
-            Strategy::Naive => {
-                let start = Instant::now();
-                let derived = naive_with_options(&self.program, &self.db, &self.eval_options())?;
-                let answers = query_answers(query, &self.db, Some(&derived))?;
-                Ok(finish(answers, Strategy::Naive, derived.stats, start))
-            }
-        }
+        Ok(Support { program: Arc::new(program), relations: Arc::new(relations) })
     }
 
     /// Produces a diagnostic report over everything loaded so far: the
@@ -798,472 +313,36 @@ impl QueryProcessor {
         }
         self.lint("<program>", None).render_text()
     }
-
-    /// Answers `query` with the Separable algorithm and renders, for every
-    /// answer, one justification — the derivation `J(a)` of Lemma 3.1
-    /// (why-provenance). Requires a separable recursion and a full
-    /// selection.
-    pub fn why(&mut self, src: &str) -> Result<String, ProcessorError> {
-        use std::fmt::Write as _;
-        let query = self.parse_query(src)?;
-        let pred = query.atom.pred;
-        let def = RecursiveDef::extract(&self.program, pred, self.db.interner())
-            .map_err(|e| ProcessorError::StrategyUnavailable(e.to_string()))?;
-        let sep = detect(&def, self.db.interner_mut())
-            .map_err(|e| ProcessorError::StrategyUnavailable(e.to_string()))?;
-        let extra = self.materialize_support(pred)?;
-        let evaluator = SeparableEvaluator::with_options(sep, self.exec_options.clone());
-        let (outcome, justifications) =
-            evaluator.evaluate_with_justifications(&query, &self.db, &extra)?;
-        let mut lines: Vec<(String, String)> = justifications
-            .iter()
-            .map(|(t, j)| {
-                (
-                    t.display(self.db.interner()).to_string(),
-                    j.render(evaluator.recursion(), self.db.interner()),
-                )
-            })
-            .collect();
-        lines.sort();
-        let mut out = String::new();
-        let _ = writeln!(out, "{} answers:", outcome.answers.len());
-        for (tuple, derivation) in lines {
-            let _ = writeln!(out, "  {tuple}  because  {derivation}");
-        }
-        Ok(out)
-    }
-
-    /// Explains how a query would be evaluated, without evaluating it. For
-    /// separable recursions this includes the detected classes and the
-    /// instantiated Figure 2 schema (compare the paper's Figures 3 and 4);
-    /// every compiled conjunction is shown in its chosen join order with
-    /// the planner's per-scan cost estimates.
-    pub fn explain(&mut self, src: &str) -> Result<String, ProcessorError> {
-        use std::fmt::Write as _;
-        let report = self.plan_report(src)?;
-        let mut out = report.text;
-        if !report.conjunctions.is_empty() {
-            let _ = writeln!(out, "join order ({} estimates):", report.plan_mode);
-            for conj in &report.conjunctions {
-                let _ = writeln!(out, "  {}:", conj.label);
-                for s in &conj.scans {
-                    let _ = writeln!(
-                        out,
-                        "    {}  rows {:.0}, keyed {}, est {:.2}",
-                        s.rel, s.rows, s.keyed_cols, s.estimate
-                    );
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// The structured form of [`QueryProcessor::explain`]: which strategy
-    /// would run, in which plan mode, and — for every conjunction the
-    /// strategy would compile — the chosen join order with per-scan cost
-    /// estimates from the current relation statistics.
-    pub fn plan_report(&mut self, src: &str) -> Result<PlanReport, ProcessorError> {
-        use std::fmt::Write as _;
-        let query = self.parse_query(src)?;
-        let pred = query.atom.pred;
-        let plan_mode = match self.exec_options.plan_mode {
-            PlanMode::CostBased => "cost-based",
-            PlanMode::SourceOrder => "source-order",
-        };
-        let mut pstats = PlannerStats::from_database(&self.db);
-        if let Some(prepared) = &self.prepared {
-            if let Some(support) = prepared.support.get(&pred) {
-                for (&p, r) in support.iter() {
-                    pstats.add_relation(p, r);
-                }
-            }
-        }
-        let mut report = PlanReport {
-            query: sepra_ast::pretty::query_to_string(&query, self.db.interner()),
-            strategy: String::new(),
-            plan_mode,
-            text: String::new(),
-            conjunctions: Vec::new(),
-        };
-        let out = &mut report.text;
-        let _ = writeln!(out, "query: {}", report.query);
-        let is_idb = self.program.rules.iter().any(|r| r.head.pred == pred);
-        if !is_idb {
-            let _ = writeln!(out, "strategy: direct EDB scan (predicate has no rules)");
-            report.strategy = "edb-scan".into();
-            return Ok(report);
-        }
-        // Stratified programs get their own report: one plan section per
-        // stratum, lowest first — the order evaluation runs them in.
-        if self.program.uses_stratified_constructs() {
-            match sepra_strata::stratify(&self.program) {
-                Err(e) => {
-                    let _ =
-                        writeln!(out, "unstratifiable program: {}", e.describe(self.db.interner()));
-                    let _ = writeln!(out, "strategy: refused (every engine rejects this program)");
-                    report.strategy = "unstratifiable".into();
-                    return Ok(report);
-                }
-                Ok(strat) if strat.len() > 1 => {
-                    let _ = writeln!(
-                        out,
-                        "stratified program: {} strata (negation/aggregation read only \
-                         completed lower strata)",
-                        strat.len()
-                    );
-                    for (level, preds) in strat.strata.iter().enumerate() {
-                        let idb: Vec<String> = preds
-                            .iter()
-                            .filter(|p| self.program.rules.iter().any(|r| r.head.pred == **p))
-                            .map(|&p| self.db.interner().resolve(p).to_string())
-                            .collect();
-                        if idb.is_empty() {
-                            continue;
-                        }
-                        let _ = writeln!(out, "  stratum {level}: {}", idb.join(", "));
-                    }
-                    let _ = writeln!(out, "strategy: semi-naive, stratum by stratum");
-                    report.strategy = "seminaive".into();
-                    report.conjunctions = self.stratified_conjunctions(&pstats, &strat);
-                    return Ok(report);
-                }
-                // A single stratum means the constructs are trivially
-                // satisfied; the ordinary report reads fine.
-                Ok(_) => {}
-            }
-        }
-        let fallback = if query.has_selection() { "magic sets" } else { "semi-naive" };
-        if let Ok(def) = RecursiveDef::extract(&self.program, pred, self.db.interner()) {
-            if let Some(bounded) = analyze_bounded(&def, self.db.interner_mut()) {
-                let _ = writeln!(
-                    out,
-                    "bounded recursion detected: every derivation needs at most {} recursive \
-                     step(s); recursion replaced by {} nonrecursive rule(s)",
-                    bounded.depth,
-                    bounded.rules.len()
-                );
-                let _ = writeln!(
-                    out,
-                    "strategy: bounded({}) — zero fixpoint iterations",
-                    bounded.depth
-                );
-                report.strategy = "bounded".into();
-                report.conjunctions = self.rule_body_conjunctions(&pstats);
-                return Ok(report);
-            }
-        }
-        let def = match RecursiveDef::extract(&self.program, pred, self.db.interner()) {
-            Ok(def) => def,
-            Err(e) => {
-                let _ = writeln!(out, "not in the paper's shape: {e}");
-                let _ = writeln!(out, "strategy: {fallback}");
-                report.strategy = if query.has_selection() { "magic" } else { "seminaive" }.into();
-                report.conjunctions = self.rule_body_conjunctions(&pstats);
-                return Ok(report);
-            }
-        };
-        match detect(&def, self.db.interner_mut()) {
-            Err(ns) => {
-                let _ = writeln!(out, "{ns}");
-                let _ = writeln!(out, "strategy: {fallback}");
-                report.strategy = if query.has_selection() { "magic" } else { "seminaive" }.into();
-                report.conjunctions = self.rule_body_conjunctions(&pstats);
-            }
-            Ok(sep) => {
-                let _ = writeln!(out, "separable recursion detected:");
-                for (i, class) in sep.classes.iter().enumerate() {
-                    let _ = writeln!(
-                        out,
-                        "  class e{}: columns {:?}, rules {:?}",
-                        i + 1,
-                        class.columns,
-                        class.rules
-                    );
-                }
-                let _ = writeln!(out, "  persistent columns: {:?}", sep.persistent);
-                match classify_selection(&sep, &query) {
-                    SelectionKind::NoSelection => {
-                        let _ = writeln!(out, "no selection constants; strategy: semi-naive");
-                        report.strategy = "seminaive".into();
-                        report.conjunctions = self.rule_body_conjunctions(&pstats);
-                    }
-                    SelectionKind::Partial { class } => {
-                        let _ = writeln!(
-                            out,
-                            "partial selection on class e{} -> Lemma 2.1 decomposition \
-                             (t_part u t_full)",
-                            class + 1
-                        );
-                        let _ = writeln!(out, "strategy: separable");
-                        report.strategy = "separable".into();
-                    }
-                    kind => {
-                        let selection = match &kind {
-                            SelectionKind::FullClass { class } => {
-                                let _ = writeln!(out, "full selection on class e{}", class + 1);
-                                PlanSelection::Class(*class)
-                            }
-                            SelectionKind::Persistent { bound } => {
-                                let _ =
-                                    writeln!(out, "full selection on persistent columns {bound:?}");
-                                let consts = bound
-                                    .iter()
-                                    .map(|&c| match query.atom.terms[c] {
-                                        sepra_ast::Term::Const(k) => Ok((
-                                            c,
-                                            sepra_storage::Value::from_const(k)
-                                                .map_err(EvalError::from)?,
-                                        )),
-                                        _ => Err(EvalError::Planning("not const".into())),
-                                    })
-                                    .collect::<Result<Vec<_>, _>>()?;
-                                PlanSelection::Persistent(consts)
-                            }
-                            kind => {
-                                return Err(ProcessorError::StrategyUnavailable(format!(
-                                    "internal: unexpected selection kind {kind:?} while \
-                                     explaining a full selection"
-                                )))
-                            }
-                        };
-                        let planner = Planner::new(self.exec_options.plan_mode, Some(&pstats));
-                        let plan = build_plan_with(&sep, &selection, &planner)?;
-                        let _ = writeln!(out, "strategy: separable; compiled schema:");
-                        for line in plan.render(&sep, self.db.interner()).lines() {
-                            let _ = writeln!(out, "  {line}");
-                        }
-                        report.strategy = "separable".into();
-                        if let Some(p1) = &plan.phase1 {
-                            for (ri, step) in &p1.steps {
-                                report.conjunctions.push(self.conjunction(
-                                    format!("phase 1, rule {ri}"),
-                                    step,
-                                    &pstats,
-                                ));
-                            }
-                        }
-                        for (i, step) in plan.seed.iter().enumerate() {
-                            report.conjunctions.push(self.conjunction(
-                                format!("seed {i}"),
-                                step,
-                                &pstats,
-                            ));
-                        }
-                        for (ri, step) in &plan.phase2.steps {
-                            report.conjunctions.push(self.conjunction(
-                                format!("phase 2, rule {ri}"),
-                                step,
-                                &pstats,
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(report)
-    }
-
-    /// The join orders the semi-naive engine would compile: one labelled
-    /// conjunction per non-fact rule, ordered by a planner over `pstats`.
-    fn rule_body_conjunctions(&self, pstats: &PlannerStats) -> Vec<PlanConj> {
-        let planner = Planner::new(self.exec_options.plan_mode, Some(pstats));
-        let mut out = Vec::new();
-        for (i, rule) in self.program.rules.iter().enumerate() {
-            if rule.is_fact() {
-                continue;
-            }
-            let body: Vec<PlanLiteral> =
-                rule.body.iter().map(|l| PlanLiteral::from_literal(l, &RelKey::Pred)).collect();
-            let Ok(plan) = ConjPlan::compile(&[], &planner.order(&[], &body, 0), &rule.head.terms)
-            else {
-                continue;
-            };
-            let label = format!("rule {i} ({})", self.db.interner().resolve(rule.head.pred));
-            out.push(self.conjunction(label, &plan, pstats));
-        }
-        out
-    }
-
-    /// [`rule_body_conjunctions`](Self::rule_body_conjunctions) grouped by
-    /// stratum: sections appear lowest stratum first, each labelled with
-    /// the stratum evaluation computes it in.
-    fn stratified_conjunctions(
-        &self,
-        pstats: &PlannerStats,
-        strat: &sepra_strata::Stratification,
-    ) -> Vec<PlanConj> {
-        let planner = Planner::new(self.exec_options.plan_mode, Some(pstats));
-        let mut out = Vec::new();
-        for (level, preds) in strat.strata.iter().enumerate() {
-            for (i, rule) in self.program.rules.iter().enumerate() {
-                if rule.is_fact() || !preds.contains(&rule.head.pred) {
-                    continue;
-                }
-                let body: Vec<PlanLiteral> =
-                    rule.body.iter().map(|l| PlanLiteral::from_literal(l, &RelKey::Pred)).collect();
-                let Ok(plan) =
-                    ConjPlan::compile(&[], &planner.order(&[], &body, 0), &rule.head.terms)
-                else {
-                    continue;
-                };
-                let label = format!(
-                    "stratum {level}, rule {i} ({})",
-                    self.db.interner().resolve(rule.head.pred)
-                );
-                out.push(self.conjunction(label, &plan, pstats));
-            }
-        }
-        out
-    }
-
-    fn conjunction(&self, label: String, plan: &ConjPlan, pstats: &PlannerStats) -> PlanConj {
-        let interner = self.db.interner();
-        let scans = pstats
-            .estimate_scans(plan)
-            .into_iter()
-            .map(|s| PlanScan {
-                rel: match s.rel {
-                    RelKey::Pred(p) => interner.resolve(p).to_string(),
-                    RelKey::Delta(p) => format!("\u{394}{}", interner.resolve(p)),
-                    RelKey::Aux(AUX_CARRY1) => "carry_1".into(),
-                    RelKey::Aux(AUX_SEEN1) => "seen_1".into(),
-                    RelKey::Aux(AUX_CARRY2) => "carry_2".into(),
-                    RelKey::Aux(n) => format!("aux_{n}"),
-                },
-                rows: s.rows,
-                estimate: s.estimate,
-                keyed_cols: s.keyed_cols,
-            })
-            .collect();
-        PlanConj { label, scans }
-    }
 }
-
-/// One scanned relation of a compiled conjunction, with the planner's
-/// estimates — the numbers `:plan` / `--explain` print.
-#[derive(Debug, Clone)]
-pub struct PlanScan {
-    /// Display name of the scanned relation (`Δname` for semi-naive
-    /// deltas, `carry_1`/`seen_1`/`carry_2` for the executor's working
-    /// sets).
-    pub rel: String,
-    /// Rows the planner believes the relation holds.
-    pub rows: f64,
-    /// Estimated rows the scan emits per execution (rows over the
-    /// selectivity of its key columns).
-    pub estimate: f64,
-    /// Number of index-key columns (0 = outermost full scan).
-    pub keyed_cols: usize,
-}
-
-/// One compiled conjunction of a [`PlanReport`]: a labelled join order.
-#[derive(Debug, Clone)]
-pub struct PlanConj {
-    /// Where the conjunction sits (`phase 1, rule 0`, `seed 0`,
-    /// `rule 2 (reach)`, …).
-    pub label: String,
-    /// Scans in execution order.
-    pub scans: Vec<PlanScan>,
-}
-
-/// A query's evaluation plan without evaluating it — the structured form
-/// behind [`QueryProcessor::explain`], rendered as JSON by `:plan` and
-/// `--explain --json`.
-#[derive(Debug, Clone)]
-pub struct PlanReport {
-    /// The normalized query text.
-    pub query: String,
-    /// The strategy automatic selection would run
-    /// (`separable`/`magic`/`seminaive`/`edb-scan`).
-    pub strategy: String,
-    /// `"cost-based"` or `"source-order"`.
-    pub plan_mode: &'static str,
-    /// The human-readable explanation (detection outcome, schema).
-    pub text: String,
-    /// Compiled join orders with per-scan cost estimates.
-    pub conjunctions: Vec<PlanConj>,
-}
-
-/// Finalizes one strategy run into a [`QueryResult`], sorting the answer
-/// tuples into their canonical [`Ord`] order. Every strategy (and every
-/// thread count) produces the same answer *set* but its own insertion
-/// order; sorting here makes downstream rendering stable without each
-/// renderer re-sorting.
-fn finish(answers: Relation, strategy: Strategy, stats: EvalStats, start: Instant) -> QueryResult {
-    let arity = answers.arity();
-    let mut tuples: Vec<Tuple> = answers.iter().map(|t| t.to_tuple()).collect();
-    tuples.sort_unstable();
-    QueryResult {
-        answers: Relation::from_tuples(arity, tuples),
-        strategy,
-        stats,
-        elapsed: start.elapsed(),
-    }
-}
-
-/// Re-export for convenience in match arms.
-pub use sepra_core::evaluate::StrategyNote as SeparableStrategyNote;
 
 #[cfg(test)]
-mod tests {
-    use super::*;
+pub(crate) mod fixtures {
+    //! The three small programs the engine's unit tests share.
 
-    const EX_1_2: &str = "buys(X, Y) :- friend(X, W), buys(W, Y).\n\
+    pub(crate) const EX_1_2: &str = "buys(X, Y) :- friend(X, W), buys(W, Y).\n\
                           buys(X, Y) :- buys(X, W), cheaper(Y, W).\n\
                           buys(X, Y) :- perfectFor(X, Y).\n\
                           friend(tom, sue). friend(sue, joe).\n\
                           perfectFor(joe, widget).\n\
                           cheaper(bargain, widget).\n";
 
-    #[test]
-    fn auto_picks_separable() {
-        let mut qp = QueryProcessor::new();
-        qp.load(EX_1_2).unwrap();
-        let r = qp.query("buys(tom, Y)?").unwrap();
-        assert_eq!(r.strategy, Strategy::Separable);
-        assert_eq!(r.answers.len(), 2); // widget and bargain
-    }
+    pub(crate) const SWAP: &str = "t(X, Y) :- sym(X, Y), t(Y, X).\n\
+                        t(X, Y) :- base(X, Y).\n\
+                        sym(a, b). sym(b, a). base(b, a). base(c, d).\n";
 
-    #[test]
-    fn all_strategies_agree() {
-        for strategy in [
-            Strategy::Separable,
-            Strategy::MagicSets,
-            Strategy::Counting,
-            Strategy::SemiNaive,
-            Strategy::Naive,
-        ] {
-            let mut qp = QueryProcessor::new();
-            qp.load(EX_1_2).unwrap();
-            let r = qp
-                .query_with("buys(tom, Y)?", StrategyChoice::Force(strategy))
-                .unwrap_or_else(|e| panic!("{strategy} failed: {e}"));
-            assert_eq!(r.answers.len(), 2, "strategy {strategy}");
-        }
-    }
+    pub(crate) const STRATIFIED: &str = "t(X, Y) :- e(X, Y).\n\
+                              t(X, Y) :- e(X, W), t(W, Y).\n\
+                              unreach(X, Y) :- node(X), node(Y), !t(X, Y).\n\
+                              shortest(Y, min<C>) :- source(X), w(X, Y, C).\n\
+                              shortest(Y, min<C>) :- shortest(X, D), w(X, Y, W2), C = D + W2.\n\
+                              e(a, b). e(b, c). node(a). node(b). node(c). source(a).\n\
+                              w(a, b, 1). w(b, c, 1). w(a, c, 5).\n";
+}
 
-    #[test]
-    fn auto_falls_back_to_magic_on_nonseparable() {
-        let mut qp = QueryProcessor::new();
-        qp.load(
-            "sg(X, Y) :- flat(X, Y).\n\
-             sg(X, Y) :- up(X, U), sg(U, V), down(V, Y).\n\
-             up(a, p). flat(p, q). down(q, b).\n",
-        )
-        .unwrap();
-        let r = qp.query("sg(a, Y)?").unwrap();
-        assert_eq!(r.strategy, Strategy::MagicSets);
-        assert_eq!(r.answers.len(), 1);
-    }
-
-    #[test]
-    fn auto_uses_seminaive_without_selection() {
-        let mut qp = QueryProcessor::new();
-        qp.load(EX_1_2).unwrap();
-        let r = qp.query("buys(X, Y)?").unwrap();
-        assert_eq!(r.strategy, Strategy::SemiNaive);
-        assert!(!r.answers.is_empty());
-    }
+#[cfg(test)]
+mod tests {
+    use super::fixtures::*;
+    use super::*;
 
     #[test]
     fn edb_queries_work() {
@@ -1290,164 +369,6 @@ mod tests {
         assert_eq!(r.answers.len(), 2); // b and c
     }
 
-    const SWAP: &str = "t(X, Y) :- sym(X, Y), t(Y, X).\n\
-                        t(X, Y) :- base(X, Y).\n\
-                        sym(a, b). sym(b, a). base(b, a). base(c, d).\n";
-
-    #[test]
-    fn auto_picks_bounded_over_everything() {
-        for query in ["t(X, Y)?", "t(a, Y)?"] {
-            let mut qp = QueryProcessor::new();
-            qp.load(SWAP).unwrap();
-            let r = qp.query(query).unwrap();
-            assert_eq!(r.strategy, Strategy::Bounded, "query {query}");
-            assert_eq!(r.stats.iterations, 0, "bounded runs must skip the fixpoint");
-        }
-    }
-
-    #[test]
-    fn bounded_agrees_with_seminaive_prepared_or_not() {
-        let mut plain = QueryProcessor::new();
-        plain.load(SWAP).unwrap();
-        let expected = plain.query_with("t(X, Y)?", StrategyChoice::Force(Strategy::SemiNaive));
-        let expected = expected.unwrap().answers;
-        for prepare in [false, true] {
-            let mut qp = QueryProcessor::new();
-            qp.load(SWAP).unwrap();
-            if prepare {
-                qp.prepare().unwrap();
-            }
-            let r = qp.query_with("t(X, Y)?", StrategyChoice::Force(Strategy::Bounded)).unwrap();
-            assert_eq!(r.answers.len(), expected.len(), "prepare={prepare}");
-            for t in r.answers.iter() {
-                assert!(expected.contains_row(t), "prepare={prepare}");
-            }
-        }
-    }
-
-    #[test]
-    fn forced_bounded_fails_gracefully_on_unbounded() {
-        let mut qp = QueryProcessor::new();
-        qp.load(EX_1_2).unwrap();
-        let err =
-            qp.query_with("buys(tom, Y)?", StrategyChoice::Force(Strategy::Bounded)).unwrap_err();
-        assert!(matches!(err, ProcessorError::StrategyUnavailable(_)), "{err}");
-    }
-
-    #[test]
-    fn bounded_verdict_survives_mutations() {
-        let mut qp = QueryProcessor::new();
-        qp.load(SWAP).unwrap();
-        qp.prepare().unwrap();
-        // Insert facts of the bounded predicate itself: the verdict is
-        // program-only, so the strategy must not change — and the new
-        // fact must flow through the t@edb snapshot into the answers.
-        let before = qp.query("t(X, Y)?").unwrap().answers.len();
-        qp.apply_mutation(&["t(d, c)."], &[]).unwrap();
-        let r = qp.query("t(X, Y)?").unwrap();
-        assert_eq!(r.strategy, Strategy::Bounded);
-        // t(d, c) itself plus the flip through sym? no sym(c, d) fact, so
-        // exactly one new answer.
-        assert_eq!(r.answers.len(), before + 1);
-    }
-
-    #[test]
-    fn subsumptive_magic_agrees_with_magic() {
-        let mut qp = QueryProcessor::new();
-        qp.load(EX_1_2).unwrap();
-        let r = qp
-            .query_with("buys(tom, Y)?", StrategyChoice::Force(Strategy::MagicSubsumptive))
-            .unwrap();
-        assert_eq!(r.strategy, Strategy::MagicSubsumptive);
-        assert_eq!(r.answers.len(), 2);
-    }
-
-    #[test]
-    fn explain_reports_bounded_depth() {
-        let mut qp = QueryProcessor::new();
-        qp.load(SWAP).unwrap();
-        let text = qp.explain("t(X, Y)?").unwrap();
-        assert!(text.contains("bounded recursion detected"), "{text}");
-        assert!(text.contains("bounded(1)"), "{text}");
-        let report = qp.plan_report("t(X, Y)?").unwrap();
-        assert_eq!(report.strategy, "bounded");
-    }
-
-    #[test]
-    fn forced_separable_fails_gracefully() {
-        let mut qp = QueryProcessor::new();
-        qp.load("p(X) :- e(X).\ne(a).\n").unwrap();
-        let err = qp.query_with("p(a)?", StrategyChoice::Force(Strategy::Separable)).unwrap_err();
-        assert!(matches!(err, ProcessorError::StrategyUnavailable(_)));
-    }
-
-    #[test]
-    fn explain_renders_schema() {
-        let mut qp = QueryProcessor::new();
-        qp.load(EX_1_2).unwrap();
-        let text = qp.explain("buys(tom, Y)?").unwrap();
-        assert!(text.contains("separable recursion detected"), "{text}");
-        assert!(text.contains("carry_1"), "{text}");
-        assert!(text.contains("strategy: separable"), "{text}");
-        let text2 = qp.explain("buys(X, Y)?").unwrap();
-        assert!(text2.contains("semi-naive"), "{text2}");
-    }
-
-    #[test]
-    fn explain_persistent_selection() {
-        let mut qp = QueryProcessor::new();
-        qp.load(
-            "buys(X, Y) :- friend(X, W), buys(W, Y).\n\
-             buys(X, Y) :- perfectFor(X, Y).\n\
-             friend(a, b). perfectFor(b, w).\n",
-        )
-        .unwrap();
-        let text = qp.explain("buys(X, w)?").unwrap();
-        assert!(text.contains("persistent columns"), "{text}");
-        assert!(text.contains("full selection on persistent columns"), "{text}");
-        assert!(text.contains("seen_1("), "{text}");
-    }
-
-    #[test]
-    fn plan_report_estimates_follow_statistics() {
-        let mut qp = QueryProcessor::new();
-        qp.load(EX_1_2).unwrap();
-        let report = qp.plan_report("buys(tom, Y)?").unwrap();
-        assert_eq!(report.strategy, "separable");
-        assert_eq!(report.plan_mode, "cost-based");
-        let labels: Vec<&str> = report.conjunctions.iter().map(|c| c.label.as_str()).collect();
-        assert!(labels.iter().any(|l| l.starts_with("phase 1")), "{labels:?}");
-        assert!(labels.iter().any(|l| l.starts_with("seed")), "{labels:?}");
-        assert!(labels.iter().any(|l| l.starts_with("phase 2")), "{labels:?}");
-        // Sharded execution relies on the carry scan staying outermost.
-        for c in report.conjunctions.iter().filter(|c| c.label.starts_with("phase 1")) {
-            assert_eq!(c.scans[0].rel, "carry_1", "{:?}", c.scans);
-        }
-        let text = qp.explain("buys(tom, Y)?").unwrap();
-        assert!(text.contains("join order (cost-based estimates):"), "{text}");
-        assert!(text.contains("carry_1"), "{text}");
-        // Semi-naive fallbacks report the per-rule join orders instead.
-        let report = qp.plan_report("buys(X, Y)?").unwrap();
-        assert_eq!(report.strategy, "seminaive");
-        assert!(report.conjunctions.iter().any(|c| c.label.contains("buys")), "no rule conj");
-    }
-
-    #[test]
-    fn why_requires_full_selection() {
-        let mut qp = QueryProcessor::new();
-        qp.load(
-            "t(X, Y, Z) :- a(X, Y, U, V), t(U, V, Z).\n\
-             t(X, Y, Z) :- t0(X, Y, Z).\n\
-             a(c, d, e, f). t0(e, f, w).\n",
-        )
-        .unwrap();
-        let err = qp.why("t(c, Y, Z)?").unwrap_err();
-        assert!(matches!(err, ProcessorError::Eval(_)), "{err}");
-        // And works on a full selection.
-        let text = qp.why("t(c, d, Z)?").unwrap();
-        assert!(text.contains("because"), "{text}");
-    }
-
     #[test]
     fn program_facts_for_recursive_pred_become_exit_rules() {
         let mut qp = QueryProcessor::new();
@@ -1466,21 +387,6 @@ mod tests {
         qp.load("e(a, b).\n").unwrap();
         let r = qp.query("ghost(a, Y)?").unwrap();
         assert!(r.answers.is_empty());
-    }
-
-    #[test]
-    fn answers_are_sorted_for_every_strategy() {
-        for strategy in
-            [Strategy::Separable, Strategy::MagicSets, Strategy::SemiNaive, Strategy::Naive]
-        {
-            let mut qp = QueryProcessor::new();
-            qp.load(EX_1_2).unwrap();
-            let r = qp.query_with("buys(tom, Y)?", StrategyChoice::Force(strategy)).unwrap();
-            let tuples: Vec<_> = r.answers.iter().map(|t| t.to_tuple()).collect();
-            let mut sorted = tuples.clone();
-            sorted.sort_unstable();
-            assert_eq!(tuples, sorted, "strategy {strategy} answers not sorted");
-        }
     }
 
     #[test]
@@ -1514,312 +420,5 @@ mod tests {
         qp.load("friend(joe, pat). perfectFor(pat, hat).\n").unwrap();
         let r = qp.query("buys(tom, Y)?").unwrap();
         assert_eq!(r.answers.len(), 3); // widget, bargain, hat
-    }
-
-    #[test]
-    fn mutation_updates_prepared_answers_incrementally() {
-        let mut qp = QueryProcessor::new();
-        qp.load(EX_1_2).unwrap();
-        qp.prepare().unwrap();
-        assert_eq!(qp.query("buys(tom, Y)?").unwrap().answers.len(), 2);
-
-        let out = qp.apply_mutation(&["friend(joe, pat).", "perfectFor(pat, hat)."], &[]).unwrap();
-        assert_eq!(out.inserted, 2);
-        assert_eq!(out.retracted, 0);
-        let r = qp.query("buys(tom, Y)?").unwrap();
-        assert_eq!(r.strategy, Strategy::Separable);
-        assert_eq!(r.answers.len(), 3); // widget, bargain, hat
-
-        let out = qp.apply_mutation(&[], &["perfectFor(joe, widget)."]).unwrap();
-        assert_eq!(out.retracted, 1);
-        let r = qp.query("buys(tom, Y)?").unwrap();
-        assert_eq!(r.answers.len(), 1); // only hat: bargain rode on widget
-    }
-
-    #[test]
-    fn mutation_matches_a_fresh_processor_for_every_strategy() {
-        let mut qp = QueryProcessor::new();
-        qp.load(EX_1_2).unwrap();
-        qp.prepare().unwrap();
-        qp.apply_mutation(
-            &["friend(joe, pat).", "perfectFor(pat, hat).", "cheaper(steal, hat)."],
-            &["cheaper(bargain, widget)."],
-        )
-        .unwrap();
-
-        let mut fresh = QueryProcessor::new();
-        fresh.load(EX_1_2).unwrap();
-        fresh
-            .db_mut()
-            .load_fact_text("friend(joe, pat). perfectFor(pat, hat). cheaper(steal, hat).")
-            .unwrap();
-        let widget = {
-            let cheaper = fresh.db_mut().intern("cheaper");
-            let rel = fresh.db().relation(cheaper).unwrap();
-            rel.iter().next().unwrap().to_tuple()
-        };
-        let cheaper = fresh.db_mut().intern("cheaper");
-        fresh.db_mut().retract(cheaper, &widget).unwrap();
-
-        for strategy in [
-            Strategy::Separable,
-            Strategy::MagicSets,
-            Strategy::Counting,
-            Strategy::SemiNaive,
-            Strategy::Naive,
-        ] {
-            let a = qp.query_with("buys(tom, Y)?", StrategyChoice::Force(strategy)).unwrap();
-            let b = fresh.query_with("buys(tom, Y)?", StrategyChoice::Force(strategy)).unwrap();
-            // The two processors interned symbols in different orders, so
-            // compare rendered tuples rather than raw `Sym` ids.
-            let mut ra: Vec<String> =
-                a.answers.iter().map(|t| t.display(qp.db().interner()).to_string()).collect();
-            let mut rb: Vec<String> =
-                b.answers.iter().map(|t| t.display(fresh.db().interner()).to_string()).collect();
-            ra.sort();
-            rb.sort();
-            assert_eq!(ra, rb, "strategy {strategy} diverged after mutation");
-        }
-    }
-
-    #[test]
-    fn mutation_bumps_generation_and_drift_checks_plan_cache() {
-        let mut qp = QueryProcessor::new();
-        qp.load(EX_1_2).unwrap();
-        qp.prepare().unwrap();
-        let gen0 = qp.generation();
-        assert_eq!(qp.plan_cache().generation(), gen0);
-        qp.query("buys(tom, Y)?").unwrap();
-        assert_eq!(qp.plan_cache().entries(), 1);
-        assert_eq!(qp.plan_cache().misses(), 1);
-
-        // A small mutation advances the generation but keeps the cached
-        // plan: nothing it scans has drifted past the replan threshold.
-        let out = qp.apply_mutation(&["friend(pat, tom)."], &[]).unwrap();
-        assert_eq!(out.generation, gen0 + 1);
-        assert_eq!(qp.generation(), gen0 + 1);
-        assert_eq!(qp.plan_cache().generation(), gen0 + 1);
-        assert_eq!(qp.plan_cache().entries(), 1);
-        assert_eq!(qp.plan_cache().drift_invalidations(), 0);
-        qp.query("buys(tom, Y)?").unwrap();
-        assert_eq!(qp.plan_cache().misses(), 1, "retained plan served the query");
-
-        // Growing `friend` far past the size it was planned at (the
-        // retained entry keeps its *original* snapshot, so small steps
-        // accumulate) invalidates the plan; the next query recompiles.
-        let grow: Vec<String> = (0..40).map(|i| format!("friend(extra{i}, tom).")).collect();
-        let grow_refs: Vec<&str> = grow.iter().map(String::as_str).collect();
-        qp.apply_mutation(&grow_refs, &[]).unwrap();
-        assert_eq!(qp.plan_cache().entries(), 0);
-        assert_eq!(qp.plan_cache().drift_invalidations(), 1);
-        qp.query("buys(tom, Y)?").unwrap();
-        assert_eq!(qp.plan_cache().misses(), 2);
-
-        // An ineffective mutation keeps the generation (and the cache).
-        let gen2 = qp.generation();
-        let out = qp.apply_mutation(&["friend(pat, tom)."], &["ghost(a, b)."]).unwrap();
-        assert_eq!(out.inserted, 0);
-        assert_eq!(out.retracted, 0);
-        assert_eq!(qp.generation(), gen2);
-        assert_eq!(qp.plan_cache().entries(), 1);
-    }
-
-    #[test]
-    fn mutation_rejects_rules_and_non_ground_facts() {
-        let mut qp = QueryProcessor::new();
-        qp.load(EX_1_2).unwrap();
-        let err = qp.apply_mutation(&["p(X) :- q(X)."], &[]).unwrap_err();
-        assert!(matches!(err, ProcessorError::Facts(_)), "{err}");
-        // A non-ground fact is already rejected by the parser's safety
-        // check (head variable not bound in an empty body).
-        let err = qp.apply_mutation(&["friend(X, tom)."], &[]).unwrap_err();
-        assert!(matches!(err, ProcessorError::Ast(_)), "{err}");
-    }
-
-    #[test]
-    fn failed_mutation_is_all_or_none() {
-        let mut qp = QueryProcessor::new();
-        qp.load(EX_1_2).unwrap();
-        qp.prepare().unwrap();
-        let gen0 = qp.generation();
-        // The retraction is valid, the insertion has an arity clash: the
-        // whole mutation must be rejected and the database untouched.
-        let err = qp.apply_mutation(&["friend(solo)."], &["friend(tom, sue)."]).unwrap_err();
-        assert!(matches!(err, ProcessorError::Facts(_)), "{err}");
-        assert_eq!(qp.generation(), gen0);
-        assert_eq!(qp.query("buys(tom, Y)?").unwrap().answers.len(), 2);
-    }
-
-    #[test]
-    fn unprepared_mutation_still_works() {
-        let mut qp = QueryProcessor::new();
-        qp.load(EX_1_2).unwrap();
-        let out = qp.apply_mutation(&["perfectFor(sue, gift)."], &[]).unwrap();
-        assert_eq!(out.inserted, 1);
-        assert_eq!(qp.query("buys(tom, Y)?").unwrap().answers.len(), 3);
-    }
-
-    const STRATIFIED: &str = "t(X, Y) :- e(X, Y).\n\
-                              t(X, Y) :- e(X, W), t(W, Y).\n\
-                              unreach(X, Y) :- node(X), node(Y), !t(X, Y).\n\
-                              shortest(Y, min<C>) :- source(X), w(X, Y, C).\n\
-                              shortest(Y, min<C>) :- shortest(X, D), w(X, Y, W2), C = D + W2.\n\
-                              e(a, b). e(b, c). node(a). node(b). node(c). source(a).\n\
-                              w(a, b, 1). w(b, c, 1). w(a, c, 5).\n";
-
-    #[test]
-    fn auto_routes_stratified_programs_to_seminaive() {
-        let mut qp = QueryProcessor::new();
-        qp.load(STRATIFIED).unwrap();
-        // 3 of the 9 node pairs are reachable, so 6 are not.
-        let r = qp.query("unreach(X, Y)?").unwrap();
-        assert_eq!(r.strategy, Strategy::SemiNaive);
-        assert_eq!(r.answers.len(), 6);
-        // min-aggregate shortest paths: b via 1, c via 1+1 (beats direct 5).
-        let r = qp.query("shortest(X, C)?").unwrap();
-        assert_eq!(r.strategy, Strategy::SemiNaive);
-        assert_eq!(r.answers.len(), 2);
-        // Even a selection on the pure positive recursion stays on the
-        // general engine: the magic rewrite never sees stratified programs.
-        let r = qp.query("t(a, Y)?").unwrap();
-        assert_eq!(r.strategy, Strategy::SemiNaive);
-        assert_eq!(r.answers.len(), 2);
-    }
-
-    #[test]
-    fn forced_specialized_strategies_refuse_stratified_programs() {
-        for strategy in [
-            Strategy::Bounded,
-            Strategy::Separable,
-            Strategy::MagicSets,
-            Strategy::MagicSupplementary,
-            Strategy::MagicSubsumptive,
-            Strategy::Counting,
-            Strategy::HenschenNaqvi,
-        ] {
-            let mut qp = QueryProcessor::new();
-            qp.load(STRATIFIED).unwrap();
-            let err = qp.query_with("t(a, Y)?", StrategyChoice::Force(strategy)).unwrap_err();
-            let ProcessorError::StrategyUnavailable(msg) = err else {
-                panic!("{strategy}: expected StrategyUnavailable, got {err}");
-            };
-            assert!(msg.contains("negation or aggregates"), "{strategy}: {msg}");
-        }
-    }
-
-    #[test]
-    fn naive_and_seminaive_agree_on_stratified_programs() {
-        let mut qp = QueryProcessor::new();
-        qp.load(STRATIFIED).unwrap();
-        for query in ["unreach(X, Y)?", "shortest(X, C)?"] {
-            let s = qp.query_with(query, StrategyChoice::Force(Strategy::SemiNaive)).unwrap();
-            let n = qp.query_with(query, StrategyChoice::Force(Strategy::Naive)).unwrap();
-            assert_eq!(s.answers, n.answers, "{query}");
-        }
-    }
-
-    #[test]
-    fn unstratifiable_programs_are_refused_with_both_rules_named() {
-        let mut qp = QueryProcessor::new();
-        qp.load("p(X) :- a(X), !q(X).\nq(X) :- p(X).\na(m).\n").unwrap();
-        let err = qp.query("p(X)?").unwrap_err();
-        let ProcessorError::Eval(EvalError::Unstratifiable(msg)) = err else {
-            panic!("expected Unstratifiable, got {err}");
-        };
-        assert!(msg.contains("`p`") && msg.contains("`q`"), "{msg}");
-    }
-
-    #[test]
-    fn stratified_mutations_maintain_incrementally() {
-        let mut qp = QueryProcessor::new();
-        qp.load(STRATIFIED).unwrap();
-        qp.prepare().unwrap();
-        // Retracting the light edge relaxes the shortest path to c through
-        // the direct heavy edge, and b becomes unreachable entirely.
-        qp.apply_mutation(&[], &["e(a, b).", "w(a, b, 1)."]).unwrap();
-        let mut fresh = QueryProcessor::new();
-        fresh
-            .load(
-                "t(X, Y) :- e(X, Y).\n\
-                 t(X, Y) :- e(X, W), t(W, Y).\n\
-                 unreach(X, Y) :- node(X), node(Y), !t(X, Y).\n\
-                 shortest(Y, min<C>) :- source(X), w(X, Y, C).\n\
-                 shortest(Y, min<C>) :- shortest(X, D), w(X, Y, W2), C = D + W2.\n\
-                 e(b, c). node(a). node(b). node(c). source(a).\n\
-                 w(b, c, 1). w(a, c, 5).\n",
-            )
-            .unwrap();
-        // The two processors have distinct interners, so compare rendered
-        // tuples rather than raw symbol ids.
-        for query in ["unreach(X, Y)?", "shortest(X, C)?", "t(X, Y)?"] {
-            let got = qp.query(query).unwrap();
-            let want = fresh.query(query).unwrap();
-            let render = |r: &QueryResult, i: &sepra_ast::Interner| -> Vec<String> {
-                let mut v: Vec<String> =
-                    r.answers.iter().map(|t| t.to_tuple().display(i).to_string()).collect();
-                v.sort();
-                v
-            };
-            assert_eq!(
-                render(&got, qp.db().interner()),
-                render(&want, fresh.db().interner()),
-                "{query}"
-            );
-        }
-    }
-
-    #[test]
-    fn plan_report_shows_per_stratum_sections() {
-        let mut qp = QueryProcessor::new();
-        qp.load(STRATIFIED).unwrap();
-        let report = qp.plan_report("unreach(X, Y)?").unwrap();
-        assert_eq!(report.strategy, "seminaive");
-        assert!(report.text.contains("stratified program"), "{}", report.text);
-        assert!(report.text.contains("stratum 0: t"), "{}", report.text);
-        assert!(report.text.contains("unreach"), "{}", report.text);
-        assert!(
-            report.conjunctions.iter().any(|c| c.label.starts_with("stratum 0,")),
-            "{:?}",
-            report.conjunctions
-        );
-        assert!(
-            report.conjunctions.iter().any(|c| c.label.contains("(unreach)")),
-            "{:?}",
-            report.conjunctions
-        );
-        // The explain text embeds the same sections.
-        let text = qp.explain("unreach(X, Y)?").unwrap();
-        assert!(text.contains("stratum by stratum"), "{text}");
-    }
-
-    #[test]
-    fn plan_report_refuses_unstratifiable_programs() {
-        let mut qp = QueryProcessor::new();
-        qp.load("p(X) :- a(X), !q(X).\nq(X) :- p(X).\na(m).\n").unwrap();
-        let report = qp.plan_report("p(X)?").unwrap();
-        assert_eq!(report.strategy, "unstratifiable");
-        assert!(report.text.contains("unstratifiable program"), "{}", report.text);
-        assert!(report.conjunctions.is_empty());
-    }
-
-    #[test]
-    fn budget_cuts_off_queries_without_poisoning() {
-        use sepra_eval::{Budget, BudgetResource};
-        let mut qp = QueryProcessor::new();
-        qp.load(EX_1_2).unwrap();
-        qp.set_exec_options(ExecOptions {
-            budget: Budget::default().iterations(0),
-            ..ExecOptions::default()
-        });
-        let err = qp.query("buys(tom, Y)?").unwrap_err();
-        match err {
-            ProcessorError::Eval(EvalError::BudgetExceeded { resource, .. }) => {
-                assert_eq!(resource, BudgetResource::Iterations);
-            }
-            other => panic!("expected BudgetExceeded, got {other}"),
-        }
-        // Lifting the budget on the same processor works again.
-        qp.set_exec_options(ExecOptions::default());
-        assert_eq!(qp.query("buys(tom, Y)?").unwrap().answers.len(), 2);
     }
 }

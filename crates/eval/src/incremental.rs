@@ -27,7 +27,7 @@
 //! from-scratch engines take, with the same index handling, sharding of
 //! large deltas and budget probes — and only the merge is maintenance's
 //! own: insertion and put-back rounds merge like semi-naive
-//! ([`Rounds::step`]), over-deletion rounds *mark* instead of inserting,
+//! (`Rounds::step`), over-deletion rounds *mark* instead of inserting,
 //! and the rederivation round keeps only marked tuples. The loops check the
 //! caller's [`Budget`](crate::budget::Budget) at every barrier. The
 //! result is *identical* to re-running semi-naive on the mutated database —
@@ -35,7 +35,7 @@
 //! this for every interleaving of inserts and retracts they generate.
 //!
 //! Programs with negation or aggregates take a third, coarser path
-//! ([`maintain_stratified`]): strata whose inputs are untouched keep their
+//! (`maintain_stratified`): strata whose inputs are untouched keep their
 //! old relations; affected strata are recomputed from their seed with the
 //! same routine the from-scratch engine uses. `tests/stratified_parity.rs`
 //! asserts the same parity for those programs.

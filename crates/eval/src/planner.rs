@@ -136,7 +136,7 @@ impl PlannerStats {
     }
 
     /// Assumed size for relations the snapshot knows nothing about — see
-    /// [`UNKNOWN_ROWS`] for why "unknown" implies "small".
+    /// `UNKNOWN_ROWS` for why "unknown" implies "small".
     pub fn unknown_rows(&self) -> f64 {
         UNKNOWN_ROWS
     }

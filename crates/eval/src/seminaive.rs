@@ -11,7 +11,7 @@
 //! literals read the completed relations of lower strata (the dependency
 //! graph includes negation edges, so SCC order already sequences them), and
 //! aggregate heads (`shortest(Y, min<C>) :- ...`) merge candidate rows
-//! through an [`AggState`] that keeps exactly one stored tuple per group.
+//! through an `AggState` that keeps exactly one stored tuple per group.
 //! `min`/`max` improve monotonically under the sanctioned direct
 //! self-recursion; `count`/`sum` fold distinct contributions in their own
 //! (non-recursive) stratum. Programs with no stratified model are rejected

@@ -8,7 +8,7 @@
 //! rustc-style text snippets or machine-readable JSON:
 //!
 //! * [`diagnostic`] — the [`Diagnostic`] model: stable codes, severities,
-//!   primary/secondary labeled [`Span`](sepra_ast::Span)s, notes;
+//!   primary/secondary labeled [`sepra_ast::Span`]s, notes;
 //! * [`passes`] — the general lints (`LNT001`…`LNT009`): unsafe rules,
 //!   arity inconsistencies, undefined/unused predicates, reachability,
 //!   non-linear recursion, singleton variables, duplicates;

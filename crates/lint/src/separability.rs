@@ -2,7 +2,7 @@
 //! spans.
 //!
 //! For every recursive predicate the pass runs the paper's detector
-//! ([`sepra_core::detect`]) and translates each violated condition into a
+//! ([`sepra_core::detect()`]) and translates each violated condition into a
 //! diagnostic that cites the exact rule and argument positions:
 //!
 //! | code   | severity | meaning                                            |

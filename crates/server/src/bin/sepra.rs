@@ -40,6 +40,8 @@
 //! ending in `?` are queries, and commands start with `:` (`:help`).
 
 use std::io::{BufRead, BufReader, Write};
+use std::num::NonZeroUsize;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -59,6 +61,109 @@ use sepra_wal::store::{read_recovery, WAL_FILE};
 use sepra_wal::{
     codec, list_checkpoints, read_checkpoint_file, write_checkpoint_file, FsyncPolicy, WalWriter,
 };
+
+/// The one handle everything this binary prints goes through. `print!`
+/// panics when the reader has gone (`sepra … | head -1`); here the first
+/// failed write closes the handle — later prints are dropped, sessions
+/// end — and `main` exits with `closed`: quietly and successfully for a
+/// closed pipe, as any well-behaved filter does. Locked per write, not
+/// for the process's life: `serve` and `route` print their banners from
+/// library code.
+struct Out {
+    stdout: std::io::Stdout,
+    closed: Option<ExitCode>,
+}
+
+impl Out {
+    fn print(&mut self, text: impl std::fmt::Display) {
+        if self.closed.is_some() {
+            return;
+        }
+        let mut stdout = self.stdout.lock();
+        if let Err(e) = write!(stdout, "{text}").and_then(|()| stdout.flush()) {
+            self.closed = Some(if e.kind() == std::io::ErrorKind::BrokenPipe {
+                ExitCode::SUCCESS
+            } else {
+                eprintln!("error: writing to stdout: {e}");
+                ExitCode::FAILURE
+            });
+        }
+    }
+
+    fn println(&mut self, text: impl std::fmt::Display) {
+        self.print(format_args!("{text}\n"));
+    }
+}
+
+/// Why a command stopped early: what `main` writes to stderr, and the
+/// variant picks the exit status.
+enum Stop {
+    /// Bad arguments or unreachable I/O: status 2.
+    Usage(String),
+    /// The command itself failed: status 1.
+    Failed(String),
+}
+
+/// A usage error's `error: …` line.
+fn usage(msg: impl std::fmt::Display) -> Stop {
+    Stop::Usage(format!("error: {msg}\n"))
+}
+
+/// For `map_err`: any error as a failure's `error: …` line.
+fn failed(e: impl std::fmt::Display) -> Stop {
+    Stop::Failed(format!("error: {e}\n"))
+}
+
+/// What the argument cursor reports are usage errors.
+impl From<String> for Stop {
+    fn from(msg: String) -> Self {
+        usage(msg)
+    }
+}
+
+/// A cursor over one command's arguments. The flag loops ask it for each
+/// flag's value, so "missing argument" and "expects …, got …" are worded
+/// in one place.
+struct Args<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Args<'a> {
+    fn next(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+
+    /// The value following `flag`.
+    fn value(&mut self, flag: &str) -> Result<&'a str, String> {
+        self.next().ok_or_else(|| format!("missing argument for {flag}"))
+    }
+
+    /// The value following `flag`, parsed; `what` names what was expected.
+    fn parsed<T: std::str::FromStr>(&mut self, flag: &str, what: &str) -> Result<T, String> {
+        let value = self.value(flag)?;
+        value.parse().map_err(|_| format!("{flag} expects {what}, got `{value}`"))
+    }
+
+    /// The value following `flag`, which must be one of `options`.
+    fn choice<T: Copy>(
+        &mut self,
+        flag: &str,
+        what: &str,
+        options: &[(&str, T)],
+    ) -> Result<T, String> {
+        let given = self.next();
+        let found = options.iter().find(|(name, _)| Some(*name) == given);
+        found
+            .map(|&(_, value)| value)
+            .ok_or_else(|| format!("{flag} expects {what}, got {:?}", given.unwrap_or("<missing>")))
+    }
+
+    fn threads(&mut self) -> Result<usize, String> {
+        Ok(self.parsed::<NonZeroUsize>("--threads", "a positive integer")?.get())
+    }
+
+    fn millis(&mut self, flag: &str) -> Result<Duration, String> {
+        Ok(Duration::from_millis(self.parsed(flag, "milliseconds")?))
+    }
+}
 
 struct Options {
     files: Vec<String>,
@@ -83,7 +188,7 @@ enum Format {
 
 /// Parses the main CLI's arguments. `Ok(None)` means `--help` was handled
 /// and the process should exit successfully.
-fn parse_args(args: Vec<String>) -> Result<Option<Options>, String> {
+fn parse_args(args: &[String], out: &mut Out) -> Result<Option<Options>, String> {
     let mut opts = Options {
         files: Vec::new(),
         query: None,
@@ -97,56 +202,27 @@ fn parse_args(args: Vec<String>) -> Result<Option<Options>, String> {
         timeout: None,
         max_tuples: None,
     };
-    let mut args = args.into_iter();
+    let mut args = Args(args.iter());
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "-q" | "--query" => {
-                opts.query = Some(args.next().ok_or("missing argument for --query")?);
-            }
+        match arg {
+            "-q" | "--query" => opts.query = Some(args.value("--query")?.to_string()),
             "-s" | "--strategy" => {
-                let name = args.next().ok_or("missing argument for --strategy")?;
-                opts.strategy = StrategyChoice::Force(name.parse::<Strategy>()?);
+                opts.strategy = StrategyChoice::Force(args.value("--strategy")?.parse()?);
             }
             "--stats" => opts.stats = true,
             "--explain" => opts.explain = true,
             "--check" => opts.check = true,
             "-f" | "--format" => {
-                opts.format = match args.next().as_deref() {
-                    Some("text") => Format::Text,
-                    Some("csv") => Format::Csv,
-                    Some("json") => Format::Json,
-                    other => {
-                        return Err(format!(
-                            "--format expects text|csv|json, got {:?}",
-                            other.unwrap_or("<missing>")
-                        ))
-                    }
-                };
+                let formats =
+                    [("text", Format::Text), ("csv", Format::Csv), ("json", Format::Json)];
+                opts.format = args.choice("--format", "text|csv|json", &formats)?;
             }
-            "-t" | "--threads" => {
-                let n = args.next().ok_or("missing argument for --threads")?;
-                opts.threads =
-                    n.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        format!("--threads expects a positive integer, got `{n}`")
-                    })?;
-            }
-            "--timeout" => {
-                let ms = args.next().ok_or("missing argument for --timeout")?;
-                let ms = ms
-                    .parse::<u64>()
-                    .map_err(|_| format!("--timeout expects milliseconds, got `{ms}`"))?;
-                opts.timeout = Some(Duration::from_millis(ms));
-            }
-            "--max-tuples" => {
-                let n = args.next().ok_or("missing argument for --max-tuples")?;
-                opts.max_tuples = Some(
-                    n.parse::<usize>()
-                        .map_err(|_| format!("--max-tuples expects an integer, got `{n}`"))?,
-                );
-            }
+            "-t" | "--threads" => opts.threads = args.threads()?,
+            "--timeout" => opts.timeout = Some(args.millis("--timeout")?),
+            "--max-tuples" => opts.max_tuples = Some(args.parsed("--max-tuples", "an integer")?),
             "--repl" => opts.repl = true,
             "-h" | "--help" => {
-                print!("{}", HELP);
+                out.print(HELP);
                 return Ok(None);
             }
             other if other.starts_with('-') => {
@@ -389,84 +465,58 @@ Commands:
 /// Renders a load/parse failure. Frontend errors carry spans, so they get
 /// the full rustc-style snippet against the text that produced them; other
 /// errors fall back to a one-line message.
-fn report_ast_error(name: &str, text: &str, e: &ProcessorError) {
+fn ast_error_text(name: &str, text: &str, e: &ProcessorError) -> String {
     match e {
         ProcessorError::Ast(ast) => {
             let file = sepra_lint::SourceFile::new(name, text);
             let diag = sepra_lint::parse_error_diagnostic(ast);
-            eprint!("{}", sepra_lint::render_diagnostic_text(&diag, &file));
+            sepra_lint::render_diagnostic_text(&diag, &file)
         }
-        other => eprintln!("error: {other}"),
+        other => format!("error: {other}\n"),
     }
 }
 
-/// Loads every file into a fresh processor, reporting the first failure.
-fn load_files(files: &[String]) -> Result<QueryProcessor, ()> {
+/// Loads every file into a fresh processor, stopping at the first failure.
+fn load_files(files: &[String]) -> Result<QueryProcessor, Stop> {
     let mut qp = QueryProcessor::new();
     for file in files {
-        let text = match std::fs::read_to_string(file) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {file}: {e}");
-                return Err(());
-            }
-        };
-        if let Err(e) = qp.load(&text) {
-            report_ast_error(file, &text, &e);
-            return Err(());
-        }
+        let text = std::fs::read_to_string(file)
+            .map_err(|e| failed(format_args!("cannot read {file}: {e}")))?;
+        qp.load(&text).map_err(|e| Stop::Failed(ast_error_text(file, &text, &e)))?;
     }
     Ok(qp)
 }
 
 /// The `sepra check FILE...` subcommand: lint-only, no evaluation.
-fn run_check(args: &[String]) -> ExitCode {
+fn run_check(args: &[String], out: &mut Out) -> Result<ExitCode, Stop> {
     let mut files: Vec<String> = Vec::new();
     let mut json = false;
     let mut deny_warnings = false;
     let mut query: Option<String> = None;
-    let usage_error = |msg: &str| {
-        eprintln!("error: {msg}");
-        ExitCode::from(2)
-    };
-    let mut args = args.iter();
+    let mut args = Args(args.iter());
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "-f" | "--format" => match args.next().map(String::as_str) {
-                Some("json") => json = true,
-                Some("text") => json = false,
-                other => {
-                    return usage_error(&format!(
-                        "--format expects text|json, got {:?}",
-                        other.unwrap_or("<missing>")
-                    ))
-                }
-            },
-            "--deny" => match args.next().map(String::as_str) {
-                Some("warnings") => deny_warnings = true,
-                other => {
-                    return usage_error(&format!(
-                        "--deny expects `warnings`, got {:?}",
-                        other.unwrap_or("<missing>")
-                    ))
-                }
-            },
-            "-q" | "--query" => match args.next() {
-                Some(q) => query = Some(q.clone()),
-                None => return usage_error("missing argument for --query"),
-            },
+        match arg {
+            "-f" | "--format" => {
+                json = args.choice("--format", "text|json", &[("json", true), ("text", false)])?
+            }
+            "--deny" => {
+                deny_warnings = args.choice("--deny", "`warnings`", &[("warnings", true)])?
+            }
+            "-q" | "--query" => query = Some(args.value("--query")?.to_string()),
             "-h" | "--help" => {
-                print!("{}", CHECK_HELP);
-                return ExitCode::SUCCESS;
+                out.print(CHECK_HELP);
+                return Ok(ExitCode::SUCCESS);
             }
             other if other.starts_with('-') => {
-                return usage_error(&format!("unknown option `{other}` (try `sepra check --help`)"))
+                return Err(usage(format_args!(
+                    "unknown option `{other}` (try `sepra check --help`)"
+                )))
             }
             file => files.push(file.to_string()),
         }
     }
     if files.is_empty() {
-        return usage_error("sepra check needs at least one file (try `sepra check --help`)");
+        return Err(usage("sepra check needs at least one file (try `sepra check --help`)"));
     }
     let mut worst: u8 = 0;
     for (i, file) in files.iter().enumerate() {
@@ -483,148 +533,69 @@ fn run_check(args: &[String]) -> ExitCode {
             // One JSON document per file, newline-separated (JSON lines of
             // pretty-printed objects; single-file invocations emit exactly
             // one object).
-            print!("{}", result.render_json());
+            out.print(result.render_json());
         } else {
             if i > 0 {
-                println!();
+                out.println("");
             }
-            print!("{}", result.render_text());
+            out.print(result.render_text());
         }
         worst = worst.max(result.exit_code(deny_warnings) as u8);
     }
-    ExitCode::from(worst)
+    Ok(ExitCode::from(worst))
 }
 
 /// The `sepra serve FILE...` subcommand.
-fn run_serve(args: &[String]) -> ExitCode {
+fn run_serve(args: &[String], out: &mut Out) -> Result<ExitCode, Stop> {
     let mut files: Vec<String> = Vec::new();
     let mut opts = ServeOptions::default();
-    let mut data_dir: Option<std::path::PathBuf> = None;
+    let mut data_dir: Option<PathBuf> = None;
     let mut fsync: Option<FsyncPolicy> = None;
     let mut checkpoint_every: Option<u64> = None;
     let mut checkpoint_format: Option<CheckpointFormat> = None;
-    let usage_error = |msg: &str| {
-        eprintln!("error: {msg}");
-        ExitCode::from(2)
-    };
-    let mut args = args.iter();
+    let mut args = Args(args.iter());
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--data-dir" => match args.next() {
-                Some(dir) => data_dir = Some(std::path::PathBuf::from(dir)),
-                None => return usage_error("missing argument for --data-dir"),
-            },
-            "--fsync" => match args.next().map(|s| s.parse::<FsyncPolicy>()) {
-                Some(Ok(policy)) => fsync = Some(policy),
-                Some(Err(e)) => return usage_error(&e),
-                None => return usage_error("missing argument for --fsync"),
-            },
+        match arg {
+            "--data-dir" => data_dir = Some(PathBuf::from(args.value("--data-dir")?)),
+            "--fsync" => fsync = Some(args.value("--fsync")?.parse()?),
             "--checkpoint-every" => {
-                let Some(n) = args.next() else {
-                    return usage_error("missing argument for --checkpoint-every");
-                };
-                match n.parse::<u64>() {
-                    Ok(n) => checkpoint_every = Some(n),
-                    Err(_) => {
-                        return usage_error(&format!(
-                            "--checkpoint-every expects a record count, got `{n}`"
-                        ))
-                    }
-                }
+                checkpoint_every = Some(args.parsed("--checkpoint-every", "a record count")?)
             }
-            "--checkpoint-format" => match args.next().map(|s| s.parse::<CheckpointFormat>()) {
-                Some(Ok(format)) => checkpoint_format = Some(format),
-                Some(Err(e)) => return usage_error(&e),
-                None => return usage_error("missing argument for --checkpoint-format"),
-            },
-            "--addr" => match args.next() {
-                Some(a) => opts.addr = a.clone(),
-                None => return usage_error("missing argument for --addr"),
-            },
-            "-t" | "--threads" => {
-                let Some(n) = args.next() else {
-                    return usage_error("missing argument for --threads");
-                };
-                match n.parse::<usize>().ok().filter(|&n| n >= 1) {
-                    Some(n) => opts.threads = n,
-                    None => {
-                        return usage_error(&format!(
-                            "--threads expects a positive integer, got `{n}`"
-                        ))
-                    }
-                }
+            "--checkpoint-format" => {
+                checkpoint_format = Some(args.value("--checkpoint-format")?.parse()?)
             }
-            "--timeout" => {
-                let Some(ms) = args.next() else {
-                    return usage_error("missing argument for --timeout");
-                };
-                match ms.parse::<u64>() {
-                    Ok(ms) => opts.default_timeout = Some(Duration::from_millis(ms)),
-                    Err(_) => {
-                        return usage_error(&format!("--timeout expects milliseconds, got `{ms}`"))
-                    }
-                }
-            }
+            "--addr" => opts.addr = args.value("--addr")?.to_string(),
+            "-t" | "--threads" => opts.threads = args.threads()?,
+            "--timeout" => opts.default_timeout = Some(args.millis("--timeout")?),
             "--max-tuples" => {
-                let Some(n) = args.next() else {
-                    return usage_error("missing argument for --max-tuples");
-                };
-                match n.parse::<usize>() {
-                    Ok(n) => opts.default_max_tuples = Some(n),
-                    Err(_) => {
-                        return usage_error(&format!("--max-tuples expects an integer, got `{n}`"))
-                    }
-                }
+                opts.default_max_tuples = Some(args.parsed("--max-tuples", "an integer")?)
             }
-            "--idle-timeout-ms" => {
-                let Some(ms) = args.next() else {
-                    return usage_error("missing argument for --idle-timeout-ms");
-                };
-                match ms.parse::<u64>() {
-                    Ok(ms) => opts.idle_timeout = Duration::from_millis(ms),
-                    Err(_) => {
-                        return usage_error(&format!(
-                            "--idle-timeout-ms expects milliseconds, got `{ms}`"
-                        ))
-                    }
-                }
+            "--idle-timeout-ms" => opts.idle_timeout = args.millis("--idle-timeout-ms")?,
+            "--replica-of" => opts.replica_of = Some(args.value("--replica-of")?.to_string()),
+            "--deny" => {
+                opts.deny_warnings = args.choice("--deny", "`warnings`", &[("warnings", true)])?
             }
-            "--replica-of" => match args.next() {
-                Some(primary) => opts.replica_of = Some(primary.clone()),
-                None => return usage_error("missing argument for --replica-of"),
-            },
-            "--deny" => match args.next().map(String::as_str) {
-                Some("warnings") => opts.deny_warnings = true,
-                other => {
-                    return usage_error(&format!(
-                        "--deny expects `warnings`, got {:?}",
-                        other.unwrap_or("<missing>")
-                    ))
-                }
-            },
             "-h" | "--help" => {
-                print!("{}", SERVE_HELP);
-                return ExitCode::SUCCESS;
+                out.print(SERVE_HELP);
+                return Ok(ExitCode::SUCCESS);
             }
             other if other.starts_with('-') => {
-                return usage_error(&format!("unknown option `{other}` (try `sepra serve --help`)"))
+                return Err(usage(format_args!(
+                    "unknown option `{other}` (try `sepra serve --help`)"
+                )))
             }
             file => files.push(file.to_string()),
         }
     }
     if files.is_empty() {
-        return usage_error("sepra serve needs at least one file (try `sepra serve --help`)");
+        return Err(usage("sepra serve needs at least one file (try `sepra serve --help`)"));
     }
-    if opts.replica_of.is_some()
-        && (data_dir.is_some()
-            || fsync.is_some()
-            || checkpoint_every.is_some()
-            || checkpoint_format.is_some())
-    {
-        return usage_error(
+    let durable = fsync.is_some() || checkpoint_every.is_some() || checkpoint_format.is_some();
+    if opts.replica_of.is_some() && (data_dir.is_some() || durable) {
+        return Err(usage(
             "--replica-of is mutually exclusive with --data-dir/--fsync/--checkpoint-every \
              (a replica's durable lineage is the primary's)",
-        );
+        ));
     }
     match data_dir {
         Some(dir) => {
@@ -635,28 +606,20 @@ fn run_serve(args: &[String]) -> ExitCode {
                 checkpoint_format: checkpoint_format.unwrap_or_default(),
             });
         }
-        None if fsync.is_some() || checkpoint_every.is_some() || checkpoint_format.is_some() => {
-            return usage_error(
+        None if durable => {
+            return Err(usage(
                 "--fsync, --checkpoint-every, and --checkpoint-format require --data-dir",
-            );
+            ));
         }
         None => {}
     }
-    let Ok(qp) = load_files(&files) else {
-        return ExitCode::FAILURE;
-    };
-    match serve(qp, &opts) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    serve(load_files(&files)?, &opts).map_err(failed)?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The `sepra route` subcommand: mutation/query router for a primary
 /// plus read replicas.
-fn run_route(args: &[String]) -> ExitCode {
+fn run_route(args: &[String], out: &mut Out) -> Result<ExitCode, Stop> {
     let mut opts = RouteOptions {
         addr: "127.0.0.1:7465".to_string(),
         primary: String::new(),
@@ -664,248 +627,150 @@ fn run_route(args: &[String]) -> ExitCode {
         threads: default_threads(),
         probe_interval: Duration::from_millis(500),
     };
-    let usage_error = |msg: &str| {
-        eprintln!("error: {msg}");
-        ExitCode::from(2)
-    };
-    let mut args = args.iter();
+    let mut args = Args(args.iter());
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--primary" => match args.next() {
-                Some(a) => opts.primary = a.clone(),
-                None => return usage_error("missing argument for --primary"),
-            },
-            "--replicas" => match args.next() {
-                Some(list) => opts.replicas.extend(
-                    list.split(',').map(str::trim).filter(|s| !s.is_empty()).map(String::from),
-                ),
-                None => return usage_error("missing argument for --replicas"),
-            },
-            "--addr" => match args.next() {
-                Some(a) => opts.addr = a.clone(),
-                None => return usage_error("missing argument for --addr"),
-            },
-            "-t" | "--threads" => {
-                let Some(n) = args.next() else {
-                    return usage_error("missing argument for --threads");
-                };
-                match n.parse::<usize>().ok().filter(|&n| n >= 1) {
-                    Some(n) => opts.threads = n,
-                    None => {
-                        return usage_error(&format!(
-                            "--threads expects a positive integer, got `{n}`"
-                        ))
-                    }
-                }
-            }
-            "--probe-interval-ms" => {
-                let Some(ms) = args.next() else {
-                    return usage_error("missing argument for --probe-interval-ms");
-                };
-                match ms.parse::<u64>() {
-                    Ok(ms) => opts.probe_interval = Duration::from_millis(ms),
-                    Err(_) => {
-                        return usage_error(&format!(
-                            "--probe-interval-ms expects milliseconds, got `{ms}`"
-                        ))
-                    }
-                }
-            }
+        match arg {
+            "--primary" => opts.primary = args.value("--primary")?.to_string(),
+            "--replicas" => opts.replicas.extend(
+                args.value("--replicas")?
+                    .split(',')
+                    .map(str::trim)
+                    .filter(|s| !s.is_empty())
+                    .map(String::from),
+            ),
+            "--addr" => opts.addr = args.value("--addr")?.to_string(),
+            "-t" | "--threads" => opts.threads = args.threads()?,
+            "--probe-interval-ms" => opts.probe_interval = args.millis("--probe-interval-ms")?,
             "-h" | "--help" => {
-                print!("{}", ROUTE_HELP);
-                return ExitCode::SUCCESS;
+                out.print(ROUTE_HELP);
+                return Ok(ExitCode::SUCCESS);
             }
             other => {
-                return usage_error(&format!("unknown option `{other}` (try `sepra route --help`)"))
+                return Err(usage(format_args!(
+                    "unknown option `{other}` (try `sepra route --help`)"
+                )))
             }
         }
     }
     if opts.primary.is_empty() {
-        return usage_error("sepra route needs --primary HOST:PORT (try `sepra route --help`)");
+        return Err(usage("sepra route needs --primary HOST:PORT (try `sepra route --help`)"));
     }
-    match route(&opts) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    route(&opts).map_err(failed)?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The `sepra dump FILE --data-dir DIR` subcommand: exports the durable
 /// state of a data directory (newest valid checkpoint + WAL tail, torn
 /// tail ignored) as one checkpoint-format snapshot file. Strictly
 /// read-only, so it is safe against a live server's directory.
-fn run_dump(args: &[String]) -> ExitCode {
-    let usage_error = |msg: &str| {
-        eprintln!("error: {msg}");
-        ExitCode::from(2)
-    };
+fn run_dump(args: &[String], out: &mut Out) -> Result<ExitCode, Stop> {
     let mut file: Option<String> = None;
-    let mut data_dir: Option<std::path::PathBuf> = None;
-    let mut args = args.iter();
+    let mut data_dir: Option<PathBuf> = None;
+    let mut args = Args(args.iter());
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--data-dir" => match args.next() {
-                Some(dir) => data_dir = Some(std::path::PathBuf::from(dir)),
-                None => return usage_error("missing argument for --data-dir"),
-            },
+        match arg {
+            "--data-dir" => data_dir = Some(PathBuf::from(args.value("--data-dir")?)),
             "-h" | "--help" => {
-                print!("{}", DUMP_HELP);
-                return ExitCode::SUCCESS;
+                out.print(DUMP_HELP);
+                return Ok(ExitCode::SUCCESS);
             }
             other if other.starts_with('-') => {
-                return usage_error(&format!("unknown option `{other}` (try `sepra dump --help`)"))
+                return Err(usage(format_args!(
+                    "unknown option `{other}` (try `sepra dump --help`)"
+                )))
             }
             positional if file.is_none() => file = Some(positional.to_string()),
-            extra => return usage_error(&format!("unexpected argument `{extra}`")),
+            extra => return Err(usage(format_args!("unexpected argument `{extra}`"))),
         }
     }
-    let Some(file) = file else {
-        return usage_error("sepra dump needs an output FILE (try `sepra dump --help`)");
-    };
-    let Some(data_dir) = data_dir else {
-        return usage_error("sepra dump needs --data-dir DIR (try `sepra dump --help`)");
-    };
-    let recovery = match read_recovery(&data_dir) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let file =
+        file.ok_or_else(|| usage("sepra dump needs an output FILE (try `sepra dump --help`)"))?;
+    let data_dir = data_dir
+        .ok_or_else(|| usage("sepra dump needs --data-dir DIR (try `sepra dump --help`)"))?;
+    let recovery = read_recovery(&data_dir).map_err(failed)?;
     if recovery.checkpoint_body.is_none() && recovery.records.is_empty() {
-        eprintln!("error: {} holds no durable state to dump", data_dir.display());
-        return ExitCode::FAILURE;
+        return Err(failed(format_args!("{} holds no durable state to dump", data_dir.display())));
     }
-    let db = match load_offline(&data_dir) {
-        Ok(db) => db,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let db = load_offline(&data_dir).map_err(failed)?;
     let body = codec::encode_database(&db);
-    if let Err(e) = write_checkpoint_file(std::path::Path::new(&file), db.generation(), &body) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("dumped {} facts at generation {} to {file}", db.total_tuples(), db.generation());
-    ExitCode::SUCCESS
+    write_checkpoint_file(Path::new(&file), db.generation(), &body).map_err(failed)?;
+    out.println(format_args!(
+        "dumped {} facts at generation {} to {file}",
+        db.total_tuples(),
+        db.generation()
+    ));
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The `sepra restore FILE --data-dir DIR` subcommand: initializes a data
 /// directory from a snapshot file (the format `sepra dump` and the REPL's
 /// `:save` write). Refuses to overwrite existing durable state without
 /// `--force`.
-fn run_restore(args: &[String]) -> ExitCode {
-    let usage_error = |msg: &str| {
-        eprintln!("error: {msg}");
-        ExitCode::from(2)
-    };
+fn run_restore(args: &[String], out: &mut Out) -> Result<ExitCode, Stop> {
     let mut file: Option<String> = None;
-    let mut data_dir: Option<std::path::PathBuf> = None;
+    let mut data_dir: Option<PathBuf> = None;
     let mut force = false;
-    let mut args = args.iter();
+    let mut args = Args(args.iter());
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--data-dir" => match args.next() {
-                Some(dir) => data_dir = Some(std::path::PathBuf::from(dir)),
-                None => return usage_error("missing argument for --data-dir"),
-            },
+        match arg {
+            "--data-dir" => data_dir = Some(PathBuf::from(args.value("--data-dir")?)),
             "--force" => force = true,
             "-h" | "--help" => {
-                print!("{}", RESTORE_HELP);
-                return ExitCode::SUCCESS;
+                out.print(RESTORE_HELP);
+                return Ok(ExitCode::SUCCESS);
             }
             other if other.starts_with('-') => {
-                return usage_error(&format!(
+                return Err(usage(format_args!(
                     "unknown option `{other}` (try `sepra restore --help`)"
-                ))
+                )))
             }
             positional if file.is_none() => file = Some(positional.to_string()),
-            extra => return usage_error(&format!("unexpected argument `{extra}`")),
+            extra => return Err(usage(format_args!("unexpected argument `{extra}`"))),
         }
     }
-    let Some(file) = file else {
-        return usage_error("sepra restore needs a snapshot FILE (try `sepra restore --help`)");
-    };
-    let Some(data_dir) = data_dir else {
-        return usage_error("sepra restore needs --data-dir DIR (try `sepra restore --help`)");
-    };
+    let file = file
+        .ok_or_else(|| usage("sepra restore needs a snapshot FILE (try `sepra restore --help`)"))?;
+    let data_dir = data_dir
+        .ok_or_else(|| usage("sepra restore needs --data-dir DIR (try `sepra restore --help`)"))?;
     // Validate the snapshot fully (container checksum AND body decode)
     // before touching the directory.
-    let (generation, body) = match read_checkpoint_file(std::path::Path::new(&file)) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (generation, body) = read_checkpoint_file(Path::new(&file)).map_err(failed)?;
     let mut probe = sepra_storage::Database::new();
-    if let Err(e) = codec::decode_snapshot_into(&body, &mut probe) {
-        eprintln!("error: {file} does not decode as an EDB snapshot: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = std::fs::create_dir_all(&data_dir) {
-        eprintln!("error: creating data dir {}: {e}", data_dir.display());
-        return ExitCode::FAILURE;
-    }
-    match read_recovery(&data_dir) {
-        Ok(existing) => {
-            let occupied = existing.checkpoint_body.is_some()
-                || !existing.records.is_empty()
-                || existing.stale_records > 0;
-            if occupied && !force {
-                eprintln!(
-                    "error: {} already holds durable state (generation {}); \
-                     use --force to replace it",
-                    data_dir.display(),
-                    existing.recovered_generation()
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    codec::decode_snapshot_into(&body, &mut probe)
+        .map_err(|e| failed(format_args!("{file} does not decode as an EDB snapshot: {e}")))?;
+    std::fs::create_dir_all(&data_dir)
+        .map_err(|e| failed(format_args!("creating data dir {}: {e}", data_dir.display())))?;
+    let existing = read_recovery(&data_dir).map_err(failed)?;
+    let occupied = existing.checkpoint_body.is_some()
+        || !existing.records.is_empty()
+        || existing.stale_records > 0;
+    if occupied && !force {
+        return Err(failed(format_args!(
+            "{} already holds durable state (generation {}); use --force to replace it",
+            data_dir.display(),
+            existing.recovered_generation()
+        )));
     }
     // Replace wholesale: old checkpoints and the old WAL describe a state
     // the restored snapshot supersedes.
-    match list_checkpoints(&data_dir) {
-        Ok(old) => {
-            for (_, path) in old {
-                let _ = std::fs::remove_file(path);
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    for (_, path) in list_checkpoints(&data_dir).map_err(failed)? {
+        let _ = std::fs::remove_file(path);
     }
     let _ = std::fs::remove_file(data_dir.join(WAL_FILE));
-    if let Err(e) =
-        write_checkpoint_file(&data_dir.join(checkpoint_file_name(generation)), generation, &body)
-    {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
+    write_checkpoint_file(&data_dir.join(checkpoint_file_name(generation)), generation, &body)
+        .map_err(failed)?;
     // A fresh, empty WAL so the directory is immediately servable.
-    if let Err(e) = WalWriter::open(&data_dir.join(WAL_FILE), FsyncPolicy::Always) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!(
+    WalWriter::open(&data_dir.join(WAL_FILE), FsyncPolicy::Always).map_err(failed)?;
+    out.println(format_args!(
         "restored {} facts at generation {generation} into {}",
         probe.total_tuples(),
         data_dir.display()
-    );
-    ExitCode::SUCCESS
+    ));
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The `sepra client` subcommand: one connection, one request per line.
-fn run_client(args: &[String]) -> ExitCode {
+fn run_client(args: &[String], out: &mut Out) -> Result<ExitCode, Stop> {
     let mut addr = String::from("127.0.0.1:7464");
     let mut queries: Vec<String> = Vec::new();
     let mut raw: Vec<String> = Vec::new();
@@ -913,48 +778,35 @@ fn run_client(args: &[String]) -> ExitCode {
     let mut timeout_ms: Option<u64> = None;
     let mut max_tuples: Option<u64> = None;
     let mut stats = false;
-    let usage_error = |msg: &str| {
-        eprintln!("error: {msg}");
-        ExitCode::from(2)
-    };
-    let mut args = args.iter();
+    let mut args = Args(args.iter());
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--addr" => match args.next() {
-                Some(a) => addr = a.clone(),
-                None => return usage_error("missing argument for --addr"),
-            },
-            "-s" | "--strategy" => match args.next() {
-                Some(s) => strategy = Some(s.clone()),
-                None => return usage_error("missing argument for --strategy"),
-            },
+        match arg {
+            "--addr" => addr = args.value("--addr")?.to_string(),
+            "-s" | "--strategy" => strategy = Some(args.value("--strategy")?.to_string()),
             "--timeout" => match args.next().and_then(|n| n.parse::<u64>().ok()) {
                 Some(ms) => timeout_ms = Some(ms),
-                None => return usage_error("--timeout expects milliseconds"),
+                None => return Err(usage("--timeout expects milliseconds")),
             },
             "--max-tuples" => match args.next().and_then(|n| n.parse::<u64>().ok()) {
                 Some(n) => max_tuples = Some(n),
-                None => return usage_error("--max-tuples expects an integer"),
+                None => return Err(usage("--max-tuples expects an integer")),
             },
             "--stats" => stats = true,
-            "--raw" => match args.next() {
-                Some(r) => raw.push(r.clone()),
-                None => return usage_error("missing argument for --raw"),
-            },
+            "--raw" => raw.push(args.value("--raw")?.to_string()),
             "-h" | "--help" => {
-                print!("{}", CLIENT_HELP);
-                return ExitCode::SUCCESS;
+                out.print(CLIENT_HELP);
+                return Ok(ExitCode::SUCCESS);
             }
             other if other.starts_with('-') => {
-                return usage_error(&format!(
+                return Err(usage(format_args!(
                     "unknown option `{other}` (try `sepra client --help`)"
-                ))
+                )))
             }
             query => queries.push(query.to_string()),
         }
     }
     if queries.is_empty() && raw.is_empty() && !stats {
-        return usage_error("sepra client needs a QUERY, --raw, or --stats");
+        return Err(usage("sepra client needs a QUERY, --raw, or --stats"));
     }
     let mut requests: Vec<String> = Vec::new();
     for query in &queries {
@@ -976,44 +828,30 @@ fn run_client(args: &[String]) -> ExitCode {
         requests.push(r#"{"stats":true}"#.to_string());
     }
 
-    let stream = match std::net::TcpStream::connect(&addr) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot connect to {addr}: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    // Exit status 2 covers usage *and* I/O errors (see CLIENT_HELP).
+    let stream = std::net::TcpStream::connect(&addr)
+        .map_err(|e| usage(format_args!("cannot connect to {addr}: {e}")))?;
     let _ = stream.set_read_timeout(Some(Duration::from_secs(60)));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let mut writer = stream.try_clone().map_err(usage)?;
     let mut reader = BufReader::new(stream);
     for request in &requests {
+        if out.closed.is_some() {
+            break; // nobody is reading the responses any more
+        }
         if writer.write_all(request.as_bytes()).is_err()
             || writer.write_all(b"\n").is_err()
             || writer.flush().is_err()
         {
-            eprintln!("error: connection to {addr} lost");
-            return ExitCode::from(2);
+            return Err(usage(format_args!("connection to {addr} lost")));
         }
         let mut response = String::new();
         match reader.read_line(&mut response) {
-            Ok(0) => {
-                eprintln!("error: server closed the connection");
-                return ExitCode::from(2);
-            }
-            Ok(_) => print!("{response}"),
-            Err(e) => {
-                eprintln!("error: reading response: {e}");
-                return ExitCode::from(2);
-            }
+            Ok(0) => return Err(usage("server closed the connection")),
+            Ok(_) => out.print(response),
+            Err(e) => return Err(usage(format_args!("reading response: {e}"))),
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Runs one query and prints the outcome. Returns `false` on parse or
@@ -1025,30 +863,31 @@ fn run_query(
     strategy: StrategyChoice,
     stats: bool,
     format: Format,
+    out: &mut Out,
 ) -> bool {
     let query = match qp.parse_query(src) {
         Ok(q) => q,
         Err(e) => {
-            report_ast_error("<query>", src, &e);
+            eprint!("{}", ast_error_text("<query>", src, &e));
             return false;
         }
     };
     match qp.run_query(&query, strategy) {
         Ok(result) => match format {
             Format::Text => {
-                print!("{}", render_answers(&result.answers, qp.db().interner()));
-                println!(
+                out.print(render_answers(&result.answers, qp.db().interner()));
+                out.println(format_args!(
                     "-- {} answers in {:.3?} via {}",
                     result.answers.len(),
                     result.elapsed,
                     result.strategy
-                );
+                ));
                 if stats {
-                    print!("{}", result.stats);
+                    out.print(&result.stats);
                 }
             }
-            Format::Csv => print!("{}", render_answers_csv(&result.answers, qp.db().interner())),
-            Format::Json => print!("{}", render_answers_json(&result.answers, qp.db().interner())),
+            Format::Csv => out.print(render_answers_csv(&result.answers, qp.db().interner())),
+            Format::Json => out.print(render_answers_json(&result.answers, qp.db().interner())),
         },
         Err(e) => {
             eprintln!("error: {e}");
@@ -1096,16 +935,32 @@ fn plan_report_json(report: &PlanReport) -> String {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("check") => return run_check(&args[1..]),
-        Some("serve") => return run_serve(&args[1..]),
-        Some("route") => return run_route(&args[1..]),
-        Some("client") => return run_client(&args[1..]),
-        Some("dump") => return run_dump(&args[1..]),
-        Some("restore") => return run_restore(&args[1..]),
-        _ => {}
-    }
-    let opts = match parse_args(args) {
+    let mut out = Out { stdout: std::io::stdout(), closed: None };
+    let command = match args.first().map(String::as_str) {
+        Some("check") => run_check,
+        Some("serve") => run_serve,
+        Some("route") => run_route,
+        Some("client") => run_client,
+        Some("dump") => run_dump,
+        Some("restore") => run_restore,
+        _ => {
+            let status = run_main(&args, &mut out);
+            return out.closed.unwrap_or(status);
+        }
+    };
+    let (status, text) = match command(&args[1..], &mut out) {
+        Ok(status) => return out.closed.unwrap_or(status),
+        Err(Stop::Usage(text)) => (2, text),
+        Err(Stop::Failed(text)) => (1, text),
+    };
+    eprint!("{text}");
+    ExitCode::from(status)
+}
+
+/// `sepra [OPTIONS] [FILE...]`: a one-shot query, `--explain`, `--check`,
+/// or the REPL. Every failure here exits 1.
+fn run_main(args: &[String], out: &mut Out) -> ExitCode {
+    let opts = match parse_args(args, out) {
         Ok(Some(o)) => o,
         Ok(None) => return ExitCode::SUCCESS,
         Err(e) => {
@@ -1120,13 +975,17 @@ fn main() -> ExitCode {
     if let Some(n) = opts.max_tuples {
         budget = budget.tuples(n);
     }
-    let Ok(mut qp) = load_files(&opts.files) else {
-        return ExitCode::FAILURE;
+    let mut qp = match load_files(&opts.files) {
+        Ok(qp) => qp,
+        Err(Stop::Usage(text) | Stop::Failed(text)) => {
+            eprint!("{text}");
+            return ExitCode::FAILURE;
+        }
     };
     qp.set_exec_options(ExecOptions { threads: opts.threads, budget, ..ExecOptions::default() });
 
     if opts.check {
-        print!("{}", qp.check_report());
+        out.print(qp.check_report());
         return ExitCode::SUCCESS;
     }
 
@@ -1140,31 +999,29 @@ fn main() -> ExitCode {
                 qp.explain(query)
             };
             match rendered {
-                Ok(text) => print!("{text}"),
+                Ok(text) => out.print(text),
                 Err(e) => {
                     eprintln!("error: {e}");
                     return ExitCode::FAILURE;
                 }
             }
-        } else if !run_query(&mut qp, query, opts.strategy, opts.stats, opts.format) {
+        } else if !run_query(&mut qp, query, opts.strategy, opts.stats, opts.format, out) {
             return ExitCode::FAILURE;
         }
         return ExitCode::SUCCESS;
     }
 
     // REPL.
-    println!("sepra — type :help for commands");
+    out.println("sepra — type :help for commands");
     let stdin = std::io::stdin();
     let mut strategy = opts.strategy;
     let mut stats = opts.stats;
     let mut buffer = String::new();
     loop {
-        if buffer.is_empty() {
-            print!("sepra> ");
-        } else {
-            print!("   ... ");
+        out.print(if buffer.is_empty() { "sepra> " } else { "   ... " });
+        if out.closed.is_some() {
+            break;
         }
-        let _ = std::io::stdout().flush();
         let mut line = String::new();
         match stdin.lock().read_line(&mut line) {
             Ok(0) => break,
@@ -1182,119 +1039,85 @@ fn main() -> ExitCode {
             let mut parts = line.splitn(2, ' ');
             let cmd = parts.next().unwrap_or_default();
             let rest = parts.next().unwrap_or("").trim();
-            match cmd {
+            // Commands that produce text print it; failures go to stderr
+            // and the session carries on.
+            let printed: Result<String, String> = match cmd {
                 ":quit" | ":q" | ":exit" => break,
-                ":help" | ":h" => print!("{REPL_HELP}"),
+                ":help" | ":h" => Ok(REPL_HELP.to_string()),
                 ":stats" => {
                     stats = rest != "off";
-                    println!("stats {}", if stats { "on" } else { "off" });
+                    Ok(format!("stats {}\n", if stats { "on" } else { "off" }))
                 }
-                ":strategy" => {
-                    if rest == "auto" {
-                        strategy = StrategyChoice::Auto;
-                        println!("strategy auto");
-                    } else {
-                        match rest.parse::<Strategy>() {
-                            Ok(s) => {
-                                strategy = StrategyChoice::Force(s);
-                                println!("strategy {s}");
-                            }
-                            Err(e) => eprintln!("error: {e}"),
-                        }
-                    }
+                ":strategy" if rest == "auto" => {
+                    strategy = StrategyChoice::Auto;
+                    Ok("strategy auto\n".to_string())
                 }
-                ":explain" => match qp.explain(rest) {
-                    Ok(text) => print!("{text}"),
-                    Err(e) => eprintln!("error: {e}"),
-                },
-                ":plan" => match qp.plan_report(rest) {
-                    Ok(report) => println!("{}", plan_report_json(&report)),
-                    Err(e) => eprintln!("error: {e}"),
-                },
-                ":why" => match qp.why(rest) {
-                    Ok(text) => print!("{text}"),
-                    Err(e) => eprintln!("error: {e}"),
-                },
+                ":strategy" => rest.parse::<Strategy>().map(|s| {
+                    strategy = StrategyChoice::Force(s);
+                    format!("strategy {s}\n")
+                }),
+                ":explain" => qp.explain(rest).map_err(|e| e.to_string()),
+                ":plan" => qp
+                    .plan_report(rest)
+                    .map(|report| format!("{}\n", plan_report_json(&report)))
+                    .map_err(|e| e.to_string()),
+                ":why" => qp.why(rest).map_err(|e| e.to_string()),
+                ":insert" | ":retract" if rest.is_empty() => {
+                    Err(format!("{cmd} expects one or more facts, e.g. {cmd} e(a, b)."))
+                }
                 ":insert" | ":retract" => {
-                    if rest.is_empty() {
-                        eprintln!("error: {cmd} expects one or more facts, e.g. {cmd} e(a, b).");
-                    } else {
-                        let (inserts, retracts): (&[&str], &[&str]) =
-                            if cmd == ":insert" { (&[rest], &[]) } else { (&[], &[rest]) };
-                        match qp.apply_mutation(inserts, retracts) {
-                            Ok(out) => {
-                                println!(
-                                    "{} inserted, {} retracted in {:.3?} (generation {})",
-                                    out.inserted, out.retracted, out.elapsed, out.generation
-                                );
-                                if stats {
-                                    print!("{}", out.stats);
-                                }
-                            }
-                            Err(e) => eprintln!("error: {e}"),
-                        }
-                    }
+                    let (inserts, retracts): (&[&str], &[&str]) =
+                        if cmd == ":insert" { (&[rest], &[]) } else { (&[], &[rest]) };
+                    qp.apply_mutation(inserts, retracts).map_err(|e| e.to_string()).map(|m| {
+                        let stats = if stats { m.stats.to_string() } else { String::new() };
+                        format!(
+                            "{} inserted, {} retracted in {:.3?} (generation {})\n{stats}",
+                            m.inserted, m.retracted, m.elapsed, m.generation
+                        )
+                    })
                 }
-                ":save" | ":load" => {
-                    if rest.is_empty() {
-                        eprintln!("error: {cmd} expects a file path, e.g. {cmd} facts.sepra");
-                    } else if cmd == ":save" {
-                        let db = qp.db();
-                        let body = codec::encode_database(db);
-                        match write_checkpoint_file(
-                            std::path::Path::new(rest),
-                            db.generation(),
-                            &body,
-                        ) {
-                            Ok(()) => println!(
-                                "saved {} facts (generation {}) to {rest}",
-                                db.total_tuples(),
-                                db.generation()
-                            ),
-                            Err(e) => eprintln!("error: {e}"),
-                        }
-                    } else {
-                        let loaded = read_checkpoint_file(std::path::Path::new(rest)).and_then(
-                            |(_, body)| {
-                                Ok(codec::decode_database_as_inserts(
-                                    &body,
-                                    qp.db_mut().interner_mut(),
-                                )?)
-                            },
-                        );
-                        match loaded {
-                            Ok((_, delta)) => match qp.apply_delta_mutation(delta) {
-                                Ok(out) => {
-                                    println!(
-                                        "{} facts merged in {:.3?} (generation {})",
-                                        out.inserted, out.elapsed, out.generation
-                                    );
-                                    if stats {
-                                        print!("{}", out.stats);
-                                    }
-                                }
-                                Err(e) => eprintln!("error: {e}"),
-                            },
-                            Err(e) => eprintln!("error: {e}"),
-                        }
-                    }
+                ":save" | ":load" if rest.is_empty() => {
+                    Err(format!("{cmd} expects a file path, e.g. {cmd} facts.sepra"))
                 }
+                ":save" => {
+                    let db = qp.db();
+                    let (facts, generation) = (db.total_tuples(), db.generation());
+                    write_checkpoint_file(Path::new(rest), generation, &codec::encode_database(db))
+                        .map(|()| {
+                            format!("saved {facts} facts (generation {generation}) to {rest}\n")
+                        })
+                        .map_err(|e| e.to_string())
+                }
+                ":load" => read_checkpoint_file(Path::new(rest))
+                    .and_then(|(_, body)| {
+                        let interner = qp.db_mut().interner_mut();
+                        Ok(codec::decode_database_as_inserts(&body, interner)?)
+                    })
+                    .map_err(|e| e.to_string())
+                    .and_then(|(_, delta)| {
+                        qp.apply_delta_mutation(delta).map_err(|e| e.to_string())
+                    })
+                    .map(|m| {
+                        let stats = if stats { m.stats.to_string() } else { String::new() };
+                        format!(
+                            "{} facts merged in {:.3?} (generation {})\n{stats}",
+                            m.inserted, m.elapsed, m.generation
+                        )
+                    }),
+                ":lint" if qp.source().trim().is_empty() => Ok("no rules loaded\n".to_string()),
                 ":lint" => {
-                    if qp.source().trim().is_empty() {
-                        println!("no rules loaded");
-                    } else {
-                        let q = if rest.is_empty() { None } else { Some(rest) };
-                        print!("{}", qp.lint("<repl>", q).render_text());
-                    }
+                    let q = if rest.is_empty() { None } else { Some(rest) };
+                    Ok(qp.lint("<repl>", q).render_text())
                 }
-                ":check" => print!("{}", qp.check_report()),
+                ":check" => Ok(qp.check_report()),
                 ":program" => {
-                    print!(
-                        "{}",
-                        sepra_ast::pretty::program_to_string(qp.program(), qp.db().interner())
-                    );
+                    Ok(sepra_ast::pretty::program_to_string(qp.program(), qp.db().interner()))
                 }
-                other => eprintln!("error: unknown command {other} (try :help)"),
+                other => Err(format!("unknown command {other} (try :help)")),
+            };
+            match printed {
+                Ok(text) => out.print(text),
+                Err(e) => eprintln!("error: {e}"),
             }
             continue;
         }
@@ -1308,9 +1131,9 @@ fn main() -> ExitCode {
         let stmt = buffer.trim().to_string();
         buffer.clear();
         if stmt.ends_with('?') {
-            run_query(&mut qp, &stmt, strategy, stats, opts.format);
+            run_query(&mut qp, &stmt, strategy, stats, opts.format, out);
         } else if let Err(e) = qp.load(&stmt) {
-            report_ast_error("<repl>", &stmt, &e);
+            eprint!("{}", ast_error_text("<repl>", &stmt, &e));
         }
     }
     ExitCode::SUCCESS

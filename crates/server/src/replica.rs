@@ -8,9 +8,9 @@
 //! primary. What the applier maintains:
 //!
 //! * **Same code path as live mutations.** A streamed WAL record's delta
-//!   goes through [`QueryProcessor::apply_delta_mutation`] — the
-//!   identical incremental-maintenance path the primary's own commits and
-//!   crash recovery use — then the record's stamped generation is adopted
+//!   goes through [`apply_delta_mutation`] — the identical
+//!   incremental-maintenance path the primary's own commits and crash
+//!   recovery use — then the record's stamped generation is adopted
 //!   verbatim. A replica's state is therefore always the exact EDB of
 //!   some committed-generation prefix of the primary, never an
 //!   approximation.
@@ -26,6 +26,8 @@
 //! failure — tears down the connection and reconnects from the replica's
 //! current generation. The feeder decides from that floor whether the
 //! WAL tail suffices or a checkpoint must be re-shipped.
+//!
+//! [`apply_delta_mutation`]: sepra_engine::QueryProcessor::apply_delta_mutation
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -748,28 +748,7 @@ impl Worker {
                 let budget_exceeded =
                     matches!(&e, ProcessorError::Eval(EvalError::BudgetExceeded { .. }));
                 self.metrics.record_error(budget_exceeded, start.elapsed());
-                match e {
-                    ProcessorError::Eval(EvalError::BudgetExceeded { what, resource }) => {
-                        let mut detail = ObjWriter::new();
-                        detail
-                            .str("kind", "budget_exceeded")
-                            .str(
-                                "message",
-                                &format!("budget exceeded in {what}: {}", resource.name()),
-                            )
-                            .str("what", &what)
-                            .str("resource", resource.name());
-                        let mut out = ObjWriter::new();
-                        out.raw("error", &detail.finish());
-                        out.finish()
-                    }
-                    ProcessorError::Ast(e) => error_response("parse", &e.to_string(), None),
-                    ProcessorError::Eval(e) => error_response("eval", &e.to_string(), None),
-                    ProcessorError::Facts(e) => error_response("facts", &e, None),
-                    ProcessorError::StrategyUnavailable(e) => {
-                        error_response("strategy_unavailable", &e, None)
-                    }
-                }
+                processor_error_response(e)
             }
         }
     }
@@ -900,28 +879,7 @@ impl Worker {
             }
             Err(e) => {
                 self.metrics.record_mutation_failure();
-                match e {
-                    ProcessorError::Eval(EvalError::BudgetExceeded { what, resource }) => {
-                        let mut detail = ObjWriter::new();
-                        detail
-                            .str("kind", "budget_exceeded")
-                            .str(
-                                "message",
-                                &format!("budget exceeded in {what}: {}", resource.name()),
-                            )
-                            .str("what", &what)
-                            .str("resource", resource.name());
-                        let mut out = ObjWriter::new();
-                        out.raw("error", &detail.finish());
-                        out.finish()
-                    }
-                    ProcessorError::Ast(e) => error_response("parse", &e.to_string(), None),
-                    ProcessorError::Eval(e) => error_response("eval", &e.to_string(), None),
-                    ProcessorError::Facts(e) => error_response("facts", &e, None),
-                    ProcessorError::StrategyUnavailable(e) => {
-                        error_response("strategy_unavailable", &e, None)
-                    }
-                }
+                processor_error_response(e)
             }
         }
     }
@@ -987,6 +945,28 @@ fn error_response(kind: &str, message: &str, what: Option<&str>) -> String {
     let mut out = ObjWriter::new();
     out.raw("error", &detail.finish());
     out.finish()
+}
+
+/// Renders a failed query or mutation: the error's kind and message, and
+/// for an exhausted budget the structured `what` / `resource` detail.
+fn processor_error_response(e: ProcessorError) -> String {
+    match e {
+        ProcessorError::Eval(EvalError::BudgetExceeded { what, resource }) => {
+            let mut detail = ObjWriter::new();
+            detail
+                .str("kind", "budget_exceeded")
+                .str("message", &format!("budget exceeded in {what}: {}", resource.name()))
+                .str("what", &what)
+                .str("resource", resource.name());
+            let mut out = ObjWriter::new();
+            out.raw("error", &detail.finish());
+            out.finish()
+        }
+        ProcessorError::Ast(e) => error_response("parse", &e.to_string(), None),
+        ProcessorError::Eval(e) => error_response("eval", &e.to_string(), None),
+        ProcessorError::Facts(e) => error_response("facts", &e, None),
+        ProcessorError::StrategyUnavailable(e) => error_response("strategy_unavailable", &e, None),
+    }
 }
 
 /// Renders the `{"stats": true}` response from the live counters.

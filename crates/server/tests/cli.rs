@@ -290,3 +290,26 @@ fn bad_file_fails_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
 }
+
+#[test]
+fn a_closed_stdout_pipe_is_a_quiet_exit() {
+    let dir = std::env::temp_dir().join("sepra_cli_test8");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = write_fixture(&dir);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sepra"))
+        .arg(&file)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    // The reader goes away first, as `sepra … | head -1`'s does; only then
+    // is there anything to print, so every later write meets a closed pipe.
+    // (The session may already be over by the time the query is sent.)
+    drop(child.stdout.take());
+    let _ = child.stdin.take().unwrap().write_all(b"buys(tom, Y)?\n:program\n:help\n");
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.status.success(), "status {:?}, stderr: {stderr}", out.status);
+}
