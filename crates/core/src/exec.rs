@@ -224,10 +224,14 @@ fn seed_and_phase2(
             opts.threads,
             &opts.budget,
             "seed join",
-            &mut |exit_rule, row| {
-                let (seen1_tuple, child) = row.split_at(prefix);
-                stats.record_insert(carry2_init.insert_row(child));
-                if let Some(tracker) = tracker.as_deref_mut() {
+            &mut |exit_rule, rows| {
+                let Some(tracker) = tracker.as_deref_mut() else {
+                    let new = rows.insert_into(&mut carry2_init);
+                    return stats.record_inserts(rows.len(), new);
+                };
+                for row in rows.rows() {
+                    let (seen1_tuple, child) = row.split_at(prefix);
+                    stats.record_insert(carry2_init.insert_row(child));
                     let seen1 = (prefix > 0).then(|| Tuple::new(seen1_tuple.to_vec()));
                     tracker.record_phase2(
                         Tuple::new(child.to_vec()),
@@ -331,10 +335,14 @@ fn run_closure(
                 opts.threads,
                 &opts.budget,
                 &what,
-                &mut |step, row| {
-                    let (parent, child) = row.split_at(prefix);
-                    stats.record_insert(produced.insert_row(child));
-                    if let Some(record) = record.as_deref_mut() {
+                &mut |step, rows| {
+                    let Some(record) = record.as_deref_mut() else {
+                        let new = rows.insert_into(&mut produced);
+                        return stats.record_inserts(rows.len(), new);
+                    };
+                    for row in rows.rows() {
+                        let (parent, child) = row.split_at(prefix);
+                        stats.record_insert(produced.insert_row(child));
                         if !seen.contains_values(child) {
                             record(parent, child, steps[step].0);
                         }

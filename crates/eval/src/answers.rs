@@ -53,6 +53,13 @@ pub fn filter_by_query(query: &Query, source: &Relation) -> Result<Relation, Eva
             }
         }
     }
+    if const_filters.is_empty() && var_groups.is_empty() {
+        // Nothing to filter: an all-free query over a fixpoint is the
+        // fixpoint, copied in bulk (columns, cached hashes, probe table)
+        // rather than probed in row by row.
+        out.union_in_place(source);
+        return Ok(out);
+    }
     'tuples: for t in source.iter() {
         for &(i, v) in &const_filters {
             if t[i] != v {

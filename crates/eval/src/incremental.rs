@@ -483,19 +483,20 @@ fn retract_phase(
                 options.threads,
                 &options.budget,
                 what,
-                &mut |i, row| {
+                &mut |i, rows| {
                     let head = fire[i].head;
-                    if !believed[i].contains_values(row) {
-                        return;
-                    }
-                    let marked =
-                        del.entry(head).or_insert_with(|| Relation::new(row.len())).insert_row(row);
-                    stats.record_insert(marked);
-                    if marked {
-                        new_delta
+                    for row in rows.rows().filter(|row| believed[i].contains_values(row)) {
+                        let marked = del
                             .entry(head)
                             .or_insert_with(|| Relation::new(row.len()))
                             .insert_row(row);
+                        stats.record_insert(marked);
+                        if marked {
+                            new_delta
+                                .entry(head)
+                                .or_insert_with(|| Relation::new(row.len()))
+                                .insert_row(row);
+                        }
                     }
                 },
             )?;
@@ -545,9 +546,9 @@ fn retract_phase(
                 options.threads,
                 &options.budget,
                 "incremental rederivation",
-                &mut |i, row| {
+                &mut |i, rows| {
                     let (variant, marked) = &rederive[i];
-                    if marked.contains_values(row) {
+                    for row in rows.rows().filter(|row| marked.contains_values(row)) {
                         putbacks
                             .entry(variant.head)
                             .or_insert_with(|| Relation::new(row.len()))

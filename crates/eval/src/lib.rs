@@ -53,6 +53,6 @@ pub use incremental::maintain;
 pub use naive::{naive, naive_with_options};
 pub use plan::{ConjPlan, PlanAtom, PlanLiteral, RelKey, Step, TermSpec};
 pub use planner::{PlanMode, Planner, PlannerStats, RelEstimate, ScanEstimate};
-pub use round::{delta_round, RoundPlan};
+pub use round::{delta_round, RoundPlan, RowBuf};
 pub use seminaive::{seminaive, seminaive_with_options, Derived, EvalOptions};
-pub use store::{IndexCache, IndexSource, LayeredIndexes, RelStore};
+pub use store::{IndexCache, RelStore};

@@ -1,19 +1,40 @@
-//! Compilation of conjunctions into executable join plans.
+//! Compilation of conjunctions into executable join plans, and the batch
+//! kernel that runs them.
 //!
-//! A [`ConjPlan`] evaluates a conjunction of atoms (plus equality literals)
-//! left to right, exactly as the paper's algorithms describe: each atom is
-//! scanned with whatever columns are already bound used as an index key, and
-//! unbound columns bind new variable slots. The same machinery drives
-//! ordinary rule bodies in the semi-naive engine, the magic-rewritten rules,
-//! and the carry-extension operators `f_1`/`f_2` of the Separable algorithm
-//! (Figure 2), which are compiled as conjunctions whose first atom is a
-//! synthetic `carry` relation.
+//! A [`ConjPlan`] evaluates a conjunction of atoms (plus equality, sum and
+//! negation literals) left to right, exactly as the paper's algorithms
+//! describe: each atom is probed with whatever columns are already bound as
+//! an index key, and unbound columns bind new variable slots. The same
+//! machinery drives ordinary rule bodies in the semi-naive engine, the
+//! magic-rewritten rules, and the carry-extension operators `f_1`/`f_2` of
+//! the Separable algorithm (Figure 2), which are compiled as conjunctions
+//! whose first atom is a synthetic `carry` relation.
+//!
+//! Compilation decides what a row would otherwise re-decide: per scan,
+//! which columns form the key, which bind a slot, and which must agree
+//! with an earlier column of the same atom. Execution ([`ConjPlan::run`]) is **batch-at-a-time**:
+//! partial matches live in struct-of-arrays *chunks* of at most `CHUNK`
+//! rows, one value column per slot. A scan expands a chunk into `(chunk row,
+//! relation position)` pairs through `Index::lookup` and gathers the next
+//! chunk from them a column at a time; equalities, sums and negations
+//! filter a chunk in place; the output leaves as a row-major [`RowBuf`] with
+//! its row hashes, once per chunk. Expansion is stable and a full chunk is
+//! pushed all the way downstream before the scan continues, so rows are
+//! emitted — and tuples counted as scanned — in exactly the order of the
+//! nested loops the plan denotes.
+
+use std::ops::Range;
 
 use sepra_ast::{Literal, Sym, Term};
-use sepra_storage::{Row, Value};
+use sepra_storage::{row_hash, Relation, Value};
 
 use crate::error::EvalError;
-use crate::store::{IndexSource, RelStore};
+use crate::round::RowBuf;
+use crate::store::{IndexCache, RelStore};
+
+/// Rows per chunk of partial matches: enough that per-chunk work (a sink
+/// call, a `store` lookup) vanishes per row, few enough to stay in L1.
+const CHUNK: usize = 1024;
 
 /// An abstract name for a relation consulted during execution; resolved to a
 /// concrete [`sepra_storage::Relation`] through a [`RelStore`] at run time.
@@ -44,14 +65,17 @@ pub enum Step {
     Scan {
         /// Which relation to consult.
         rel: RelKey,
-        /// Per-column specification.
-        cols: Vec<TermSpec>,
         /// Columns statically known to be bound before this step, in
         /// ascending order — used as the index key.
         key_cols: Vec<usize>,
-        /// Slot-boundness before this step (`bound_before[s]` is true when
-        /// slot `s` has a value when the step starts).
-        bound_before: Vec<bool>,
+        /// What each key column must equal (parallel to `key_cols`): a
+        /// constant, or a slot bound before this step.
+        key: Vec<TermSpec>,
+        /// `(column, slot)`: the column binds the (until now unbound) slot.
+        binds: Vec<(usize, usize)>,
+        /// `(column, earlier column)`: a variable first bound by this atom
+        /// occurs again in it, so the two columns must agree.
+        same: Vec<(usize, usize)>,
     },
     /// Bind a currently-unbound slot from a bound spec.
     EqBind {
@@ -213,272 +237,63 @@ impl ConjPlan {
         ConjPlan::compile(inputs, &reordered, output)
     }
 
-    /// Executes the plan, calling `emit` once per result row.
+    /// Executes the plan whole, calling `emit` once per result row — a
+    /// per-row view of [`ConjPlan::run`] for callers that fold row by row.
+    pub fn execute(
+        &self,
+        store: &RelStore<'_>,
+        indexes: &IndexCache,
+        init: &[Value],
+        emit: &mut dyn FnMut(&[Value]),
+    ) {
+        self.run(store, indexes, init, None, &mut |rows| rows.rows().for_each(&mut *emit));
+    }
+
+    /// Runs the plan, handing result rows to `sink` a chunk at a time (in
+    /// production order, undeduplicated, hashed), and returns how many
+    /// tuples the scans and index probes considered — the join-work metric.
     ///
     /// `init` supplies values for the input slots (`init.len()` must equal
-    /// [`ConjPlan::n_inputs`]). Indexes for every keyed scan must have been
-    /// prepared via [`crate::store::IndexCache::prepare`]; any
-    /// [`IndexSource`] works, so parallel workers can pass layered
-    /// shard-local indexes.
-    pub fn execute<I: IndexSource + ?Sized>(
+    /// [`ConjPlan::n_inputs`]). A keyed scan whose index was not prepared
+    /// ([`IndexCache::prepare`]) filters a full scan. `within` confines every
+    /// scan of one relation to a range of its rows: a sharded round hands
+    /// each worker a range of the frontier this way, with no copy of it.
+    /// The chunk buffers are allocated here, once, and reused by every chunk.
+    pub fn run(
         &self,
         store: &RelStore<'_>,
-        indexes: &I,
+        indexes: &IndexCache,
         init: &[Value],
-        emit: &mut dyn FnMut(&[Value]),
-    ) {
-        let mut scanned = 0u64;
-        self.execute_counted(store, indexes, init, emit, &mut scanned);
-    }
-
-    /// [`ConjPlan::execute`], additionally counting every tuple considered
-    /// by a scan or index probe into `scanned` (the join-work metric).
-    pub fn execute_counted<I: IndexSource + ?Sized>(
-        &self,
-        store: &RelStore<'_>,
-        indexes: &I,
-        init: &[Value],
-        emit: &mut dyn FnMut(&[Value]),
-        scanned: &mut u64,
-    ) {
+        within: Option<(RelKey, Range<usize>)>,
+        sink: &mut dyn FnMut(&RowBuf),
+    ) -> u64 {
         assert_eq!(init.len(), self.n_inputs, "wrong number of input values");
-        let mut slots = vec![Value::sym(sepra_ast::Sym(0)); self.n_slots];
-        slots[..init.len()].copy_from_slice(init);
-        let mut out_row = vec![Value::sym(sepra_ast::Sym(0)); self.output.len()];
-        // One key buffer shared by every scan step of this execution; each
-        // step rebuilds it, so probing allocates nothing per delta tuple.
-        let mut key_scratch: Vec<Value> = Vec::new();
-        self.run_step(0, store, indexes, &mut slots, &mut out_row, &mut key_scratch, emit, scanned);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_step<I: IndexSource + ?Sized>(
-        &self,
-        step_idx: usize,
-        store: &RelStore<'_>,
-        indexes: &I,
-        slots: &mut [Value],
-        out_row: &mut [Value],
-        key_scratch: &mut Vec<Value>,
-        emit: &mut dyn FnMut(&[Value]),
-        scanned: &mut u64,
-    ) {
-        let Some(step) = self.steps.get(step_idx) else {
-            for (i, spec) in self.output.iter().enumerate() {
-                out_row[i] = match spec {
-                    TermSpec::Const(v) => *v,
-                    TermSpec::Slot(s) => slots[*s],
-                };
-            }
-            emit(out_row);
-            return;
-        };
-        match step {
-            Step::EqBind { slot, from } => {
-                slots[*slot] = match from {
-                    TermSpec::Const(v) => *v,
-                    TermSpec::Slot(s) => slots[*s],
-                };
-                self.run_step(
-                    step_idx + 1,
-                    store,
-                    indexes,
-                    slots,
-                    out_row,
-                    key_scratch,
-                    emit,
-                    scanned,
-                );
-            }
-            Step::EqCheck { a, b } => {
-                let va = match a {
-                    TermSpec::Const(v) => *v,
-                    TermSpec::Slot(s) => slots[*s],
-                };
-                let vb = match b {
-                    TermSpec::Const(v) => *v,
-                    TermSpec::Slot(s) => slots[*s],
-                };
-                if va == vb {
-                    self.run_step(
-                        step_idx + 1,
-                        store,
-                        indexes,
-                        slots,
-                        out_row,
-                        key_scratch,
-                        emit,
-                        scanned,
-                    );
-                }
-            }
-            Step::NegCheck { rel, cols } => {
-                let pass = match store.get(*rel) {
-                    None => true, // absent relation has no rows
-                    Some(relation) => {
-                        key_scratch.clear();
-                        for spec in cols {
-                            key_scratch.push(match spec {
-                                TermSpec::Const(v) => *v,
-                                TermSpec::Slot(s) => slots[*s],
-                            });
-                        }
-                        *scanned += 1;
-                        !relation.contains_values(key_scratch)
-                    }
-                };
-                if pass {
-                    self.run_step(
-                        step_idx + 1,
-                        store,
-                        indexes,
-                        slots,
-                        out_row,
-                        key_scratch,
-                        emit,
-                        scanned,
-                    );
-                }
-            }
-            Step::SumBind { slot, a, b } => {
-                let va = match a {
-                    TermSpec::Const(v) => *v,
-                    TermSpec::Slot(s) => slots[*s],
-                };
-                let vb = match b {
-                    TermSpec::Const(v) => *v,
-                    TermSpec::Slot(s) => slots[*s],
-                };
-                // Non-integer operands or an unrepresentable sum derive
-                // nothing: `dst = a + b` is a partial function.
-                let sum = va
-                    .as_int()
-                    .zip(vb.as_int())
-                    .and_then(|(x, y)| x.checked_add(y))
-                    .and_then(|n| Value::int(n).ok());
-                if let Some(v) = sum {
-                    slots[*slot] = v;
-                    self.run_step(
-                        step_idx + 1,
-                        store,
-                        indexes,
-                        slots,
-                        out_row,
-                        key_scratch,
-                        emit,
-                        scanned,
-                    );
-                }
-            }
-            Step::SumCheck { dst, a, b } => {
-                let value_of = |spec: &TermSpec, slots: &[Value]| match spec {
-                    TermSpec::Const(v) => *v,
-                    TermSpec::Slot(s) => slots[*s],
-                };
-                let vd = value_of(dst, slots);
-                let va = value_of(a, slots);
-                let vb = value_of(b, slots);
-                let sum = va
-                    .as_int()
-                    .zip(vb.as_int())
-                    .and_then(|(x, y)| x.checked_add(y))
-                    .and_then(|n| Value::int(n).ok());
-                if sum == Some(vd) {
-                    self.run_step(
-                        step_idx + 1,
-                        store,
-                        indexes,
-                        slots,
-                        out_row,
-                        key_scratch,
-                        emit,
-                        scanned,
-                    );
-                }
-            }
-            Step::Scan { rel, cols, key_cols, bound_before } => {
-                let Some(relation) = store.get(*rel) else {
-                    return; // absent relation: no tuples
-                };
-                // Assemble the index key in the shared scratch buffer.
-                // Deeper scan steps clobber it, which is fine: the indexed
-                // path only needs the key for the initial lookup, and the
-                // fallback path takes a private copy.
-                key_scratch.clear();
-                for &c in key_cols {
-                    key_scratch.push(match &cols[c] {
-                        TermSpec::Const(v) => *v,
-                        TermSpec::Slot(s) => slots[*s],
-                    });
-                }
-                let mut newly: Vec<usize> = Vec::new();
-                let mut consider = |tuple: Row<'_>,
-                                    slots: &mut [Value],
-                                    newly: &mut Vec<usize>,
-                                    this: &ConjPlan,
-                                    key_scratch: &mut Vec<Value>,
-                                    emit: &mut dyn FnMut(&[Value]),
-                                    scanned: &mut u64| {
-                    *scanned += 1;
-                    newly.clear();
-                    let mut ok = true;
-                    for (c, spec) in cols.iter().enumerate() {
-                        match spec {
-                            TermSpec::Const(v) => {
-                                if tuple[c] != *v {
-                                    ok = false;
-                                    break;
-                                }
-                            }
-                            TermSpec::Slot(s) => {
-                                if bound_before[*s] || newly.contains(s) {
-                                    if slots[*s] != tuple[c] {
-                                        ok = false;
-                                        break;
-                                    }
-                                } else {
-                                    slots[*s] = tuple[c];
-                                    newly.push(*s);
-                                }
-                            }
-                        }
-                    }
-                    if ok {
-                        this.run_step(
-                            step_idx + 1,
-                            store,
-                            indexes,
-                            slots,
-                            out_row,
-                            key_scratch,
-                            emit,
-                            scanned,
-                        );
-                    }
-                };
-                if key_cols.is_empty() {
-                    for tuple in relation.iter() {
-                        consider(tuple, slots, &mut newly, self, key_scratch, emit, scanned);
-                    }
-                } else if let Some(index) = indexes.get_index(*rel, key_cols) {
-                    // `lookup` returns positions borrowed from the index,
-                    // not from the key, so the scratch buffer is free for
-                    // reuse by deeper steps during iteration.
-                    for &pos in index.lookup(key_scratch) {
-                        let tuple = relation.get(pos as usize).expect("index within relation");
-                        consider(tuple, slots, &mut newly, self, key_scratch, emit, scanned);
-                    }
-                } else {
-                    // Fallback: filter a full scan (index not prepared).
-                    let key: Vec<Value> = key_scratch.clone();
-                    for tuple in relation.iter() {
-                        if key_cols.iter().zip(&key).all(|(&c, v)| &tuple[c] == v) {
-                            consider(tuple, slots, &mut newly, self, key_scratch, emit, scanned);
-                        }
-                    }
-                }
-            }
+        let scans = self.steps.iter().filter(|s| matches!(s, Step::Scan { .. })).count();
+        let mut chunks = vec![Chunk::default(); scans + 1];
+        for chunk in &mut chunks {
+            chunk.slots.resize(self.n_slots, Vec::new());
         }
+        let first = &mut chunks[0];
+        first.len = 1;
+        first.bound.extend(0..init.len());
+        for (slot, &v) in first.slots.iter_mut().zip(init) {
+            slot.push(v);
+        }
+        let (rows, positions, values, out) = Default::default();
+        let mut kernel = Kernel {
+            plan: self,
+            store,
+            indexes,
+            within,
+            sink,
+            scanned: 0,
+            rows,
+            positions,
+            values,
+            out,
+        };
+        kernel.advance(0, &mut chunks);
+        kernel.scanned
     }
 
     /// The keyed scans of this plan, for index preparation:
@@ -500,6 +315,232 @@ impl ConjPlan {
     /// relation would lose the cross-shard pairs.
     pub fn scans_of(&self, rel: RelKey) -> usize {
         self.steps.iter().filter(|s| matches!(s, Step::Scan { rel: r, .. } if *r == rel)).count()
+    }
+}
+
+/// Up to [`CHUNK`] partial matches of a plan prefix, struct-of-arrays:
+/// `slots[s][i]` is match `i`'s value for slot `s`, for the slots in `bound`.
+#[derive(Clone, Default)]
+struct Chunk {
+    slots: Vec<Vec<Value>>,
+    bound: Vec<usize>,
+    len: usize,
+    /// Scratch of the scan that reads this chunk (deeper scans have their
+    /// own chunk's): the index key of the match being expanded, and the
+    /// positions it can join with when no index answers that.
+    key: Vec<Value>,
+    matching: Vec<u32>,
+}
+
+impl Chunk {
+    #[inline]
+    fn value(&self, spec: &TermSpec, i: usize) -> Value {
+        match spec {
+            TermSpec::Const(v) => *v,
+            TermSpec::Slot(s) => self.slots[*s][i],
+        }
+    }
+
+    /// Keeps the matches `pass` accepts, in order; `kept` is scratch.
+    fn retain(&mut self, kept: &mut Vec<u32>, mut pass: impl FnMut(&Chunk, usize) -> bool) {
+        kept.clear();
+        kept.extend((0..self.len).filter(|&i| pass(self, i)).map(|i| i as u32));
+        if kept.len() < self.len {
+            for &s in &self.bound {
+                let col = &mut self.slots[s];
+                for (to, &from) in kept.iter().enumerate() {
+                    col[to] = col[from as usize];
+                }
+                col.truncate(kept.len());
+            }
+            self.len = kept.len();
+        }
+        kept.clear();
+    }
+
+    /// Binds `slot` to `value` of each match, dropping the matches for
+    /// which it is undefined; `kept` and `values` are scratch.
+    fn bind(
+        &mut self,
+        slot: usize,
+        kept: &mut Vec<u32>,
+        values: &mut Vec<Value>,
+        value: impl Fn(&Chunk, usize) -> Option<Value>,
+    ) {
+        values.clear();
+        self.retain(kept, |chunk, i| value(chunk, i).map(|v| values.push(v)).is_some());
+        std::mem::swap(&mut self.slots[slot], values);
+        self.bound.push(slot);
+    }
+}
+
+/// `a + b` over integer values. Non-integer operands or an unrepresentable
+/// sum derive nothing: `dst = a + b` is a partial function.
+fn sum(a: Value, b: Value) -> Option<Value> {
+    let n = a.as_int().zip(b.as_int()).and_then(|(x, y)| x.checked_add(y))?;
+    Value::int(n).ok()
+}
+
+/// One execution of a plan: the plan's steps interpreted a chunk at a time.
+struct Kernel<'a> {
+    plan: &'a ConjPlan,
+    store: &'a RelStore<'a>,
+    indexes: &'a IndexCache,
+    within: Option<(RelKey, Range<usize>)>,
+    sink: &'a mut dyn FnMut(&RowBuf),
+    scanned: u64,
+    /// The selection a scan builds before it gathers: the chunk row and the
+    /// relation position of each surviving match, in production order.
+    /// (`rows` doubles as the survivors list of an in-place filter.)
+    rows: Vec<u32>,
+    positions: Vec<u32>,
+    /// Values a binding step computed, or the row a negation probes.
+    values: Vec<Value>,
+    out: RowBuf,
+}
+
+impl Kernel<'_> {
+    /// Pushes `chunks[0]`, whose matches satisfy `steps[..step]`, through
+    /// the rest of the plan: filters and bindings in place, the next scan
+    /// into `chunks[1]` (and so on down), the output into the sink.
+    fn advance(&mut self, mut step: usize, chunks: &mut [Chunk]) {
+        let plan = self.plan;
+        let (chunk, deeper) = chunks.split_first_mut().expect("a chunk per scan, plus one");
+        while chunk.len > 0 {
+            match plan.steps.get(step) {
+                None => return self.emit(chunk),
+                Some(Step::Scan { rel, key_cols, key, binds, same }) => {
+                    let Some(relation) = self.store.get(*rel) else {
+                        return; // absent relation: no tuples
+                    };
+                    let index = self.indexes.get(*rel, key_cols);
+                    let range = match &self.within {
+                        Some((confined, range)) if confined == rel => range.clone(),
+                        _ => 0..relation.len(),
+                    };
+                    let range = range.start as u32..range.end as u32;
+                    let (mut probe, mut matching) =
+                        (std::mem::take(&mut chunk.key), std::mem::take(&mut chunk.matching));
+                    for i in 0..chunk.len {
+                        probe.clear();
+                        probe.extend(key.iter().map(|spec| chunk.value(spec, i)));
+                        // What this match could join with, in relation
+                        // order: the index's answer (positions ascend, so a
+                        // range of rows is a sub-slice of it) or, with no
+                        // index, a filtered scan — the same for every match
+                        // when the scan has no key.
+                        let candidates: &[u32] = match index {
+                            Some(index) => {
+                                let hits = index.lookup(&probe);
+                                let cut = |at: u32| hits.partition_point(|&pos| pos < at);
+                                &hits[cut(range.start)..cut(range.end)]
+                            }
+                            None => {
+                                if i == 0 || !key.is_empty() {
+                                    let keyed = |&pos: &u32| {
+                                        let at = |&c| relation.column(c)[pos as usize];
+                                        key_cols.iter().map(at).eq(probe.iter().copied())
+                                    };
+                                    matching.clear();
+                                    matching.extend(range.clone().filter(keyed));
+                                }
+                                &matching
+                            }
+                        };
+                        self.scanned += candidates.len() as u64;
+                        for &pos in candidates {
+                            let at = |c: usize| relation.column(c)[pos as usize];
+                            if same.iter().all(|&(c, earlier)| at(c) == at(earlier)) {
+                                self.rows.push(i as u32);
+                                self.positions.push(pos);
+                                if self.rows.len() == CHUNK {
+                                    self.gather(chunk, relation, binds, &mut deeper[0]);
+                                    self.advance(step + 1, deeper);
+                                }
+                            }
+                        }
+                    }
+                    (chunk.key, chunk.matching) = (probe, matching);
+                    if !self.rows.is_empty() {
+                        self.gather(chunk, relation, binds, &mut deeper[0]);
+                        self.advance(step + 1, deeper);
+                    }
+                    return;
+                }
+                Some(Step::EqBind { slot, from }) => {
+                    chunk.bind(*slot, &mut self.rows, &mut self.values, |chunk, i| {
+                        Some(chunk.value(from, i))
+                    });
+                }
+                Some(Step::SumBind { slot, a, b }) => {
+                    chunk.bind(*slot, &mut self.rows, &mut self.values, |chunk, i| {
+                        sum(chunk.value(a, i), chunk.value(b, i))
+                    });
+                }
+                Some(Step::EqCheck { a, b }) => {
+                    chunk.retain(&mut self.rows, |chunk, i| chunk.value(a, i) == chunk.value(b, i));
+                }
+                Some(Step::SumCheck { dst, a, b }) => {
+                    chunk.retain(&mut self.rows, |chunk, i| {
+                        sum(chunk.value(a, i), chunk.value(b, i)) == Some(chunk.value(dst, i))
+                    });
+                }
+                // An absent relation has no rows, so the check passes.
+                Some(Step::NegCheck { rel, cols }) => {
+                    if let Some(relation) = self.store.get(*rel) {
+                        self.scanned += chunk.len as u64;
+                        let row = &mut self.values;
+                        chunk.retain(&mut self.rows, |chunk, i| {
+                            row.clear();
+                            row.extend(cols.iter().map(|spec| chunk.value(spec, i)));
+                            !relation.contains_values(row)
+                        });
+                    }
+                }
+            }
+            step += 1;
+        }
+    }
+
+    /// Builds `next` from the selected pairs, a column at a time: the
+    /// parent chunk's slots, then the slots the relation's columns bind.
+    fn gather(
+        &mut self,
+        chunk: &Chunk,
+        relation: &Relation,
+        binds: &[(usize, usize)],
+        next: &mut Chunk,
+    ) {
+        let (row, pos) = (&mut self.rows, &mut self.positions);
+        next.len = row.len();
+        next.bound.clear();
+        for &s in &chunk.bound {
+            let from = &chunk.slots[s];
+            next.slots[s].clear();
+            next.slots[s].extend(row.iter().map(|&i| from[i as usize]));
+            next.bound.push(s);
+        }
+        for &(c, s) in binds {
+            let from = relation.column(c);
+            next.slots[s].clear();
+            next.slots[s].extend(pos.iter().map(|&p| from[p as usize]));
+            next.bound.push(s);
+        }
+        row.clear();
+        pos.clear();
+    }
+
+    /// Projects a finished chunk onto the output row-major, hashes the rows
+    /// in bulk, and hands them to the sink.
+    fn emit(&mut self, chunk: &Chunk) {
+        let arity = self.plan.output.len();
+        self.out.clear();
+        for i in 0..chunk.len {
+            self.out.values.extend(self.plan.output.iter().map(|spec| chunk.value(spec, i)));
+        }
+        let values = &self.out.values;
+        self.out.hashes.extend((0..chunk.len).map(|i| row_hash(&values[i * arity..][..arity])));
+        (self.sink)(&self.out);
     }
 }
 
@@ -656,30 +697,28 @@ impl Builder {
     }
 
     fn push_scan(&mut self, atom: &PlanAtom) -> Result<(), EvalError> {
-        let cols: Vec<TermSpec> =
-            atom.terms.iter().map(|t| self.term_spec(t)).collect::<Result<_, _>>()?;
-        let bound_before = self.bound.clone();
-        let mut key_cols = Vec::new();
-        for (c, spec) in cols.iter().enumerate() {
-            match spec {
-                TermSpec::Const(_) => key_cols.push(c),
-                TermSpec::Slot(s) => {
-                    if *self.bound.get(*s).unwrap_or(&false) {
-                        key_cols.push(c);
+        let (mut key_cols, mut key, mut binds, mut same) = (vec![], vec![], vec![], vec![]);
+        for (c, term) in atom.terms.iter().enumerate() {
+            match self.term_spec(term)? {
+                TermSpec::Slot(s) if !self.bound[s] => {
+                    // Unbound before the scan: its first column in this atom
+                    // binds it, any further one must agree with that column.
+                    match binds.iter().find(|&&(_, bound)| bound == s) {
+                        Some(&(first, _)) => same.push((c, first)),
+                        None => binds.push((c, s)),
                     }
+                }
+                spec => {
+                    key_cols.push(c);
+                    key.push(spec);
                 }
             }
         }
         // Every slot mentioned becomes bound after the scan.
-        for spec in &cols {
-            if let TermSpec::Slot(s) = spec {
-                self.bound[*s] = true;
-            }
+        for &(_, s) in &binds {
+            self.bound[s] = true;
         }
-        // Pad bound_before to current slot count (new slots are unbound).
-        let mut bb = bound_before;
-        bb.resize(self.bound.len(), false);
-        self.steps.push(Step::Scan { rel: atom.rel, cols, key_cols, bound_before: bb });
+        self.steps.push(Step::Scan { rel: atom.rel, key_cols, key, binds, same });
         Ok(())
     }
 
@@ -786,10 +825,46 @@ impl Builder {
 
 #[cfg(test)]
 mod tests {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
     use super::*;
-    use crate::store::IndexCache;
     use sepra_ast::{parse_program, Interner};
     use sepra_storage::{Database, Relation, Tuple};
+
+    thread_local! {
+        /// Heap allocations (and reallocations) made by this thread.
+        static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// The system allocator, counting per thread — the test harness runs
+    /// tests on parallel threads, and each measures only its own.
+    struct Counting;
+
+    // SAFETY: every operation is `System`'s, unchanged. The counter is a
+    // const-initialized thread-local `Cell` without a destructor: touching
+    // it neither allocates nor can observe a torn-down value.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            ALLOCATIONS.with(|n| n.set(n.get() + 1));
+            // SAFETY: the caller's obligations are passed through as given.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: as above.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            ALLOCATIONS.with(|n| n.set(n.get() + 1));
+            // SAFETY: as above.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: Counting = Counting;
 
     /// Compiles the body of the first rule of `src` with the head terms as
     /// output and no inputs.
@@ -981,8 +1056,7 @@ mod tests {
             let mut indexes = IndexCache::new();
             indexes.prepare(plan, &store);
             let mut rows = 0usize;
-            let mut scanned = 0u64;
-            plan.execute_counted(&store, &indexes, &[], &mut |_| rows += 1, &mut scanned);
+            let scanned = plan.run(&store, &indexes, &[], None, &mut |buf| rows += buf.len());
             (rows, scanned)
         };
         let (rows_a, scanned_a) = run(&source_order);
@@ -1130,5 +1204,46 @@ mod tests {
         let mut rows = Vec::new();
         plan.execute(&store, &indexes, &[], &mut |r| rows.push(r.to_vec()));
         assert_eq!(rows, vec![vec![v]]);
+    }
+
+    /// The adapter path (naive's per-rule loop, Counting's and HN's
+    /// per-level `execute`) runs on one set of chunk buffers per execution:
+    /// allocations grow with the number of chunks, not of rows.
+    #[test]
+    fn execution_allocates_per_chunk_not_per_row() {
+        let mut i = Interner::new();
+        let [x, y, z] = ["X", "Y", "Z"].map(|v| Term::Var(i.intern(v)));
+        let (frontier, edges) = (RelKey::Aux(0), RelKey::Aux(1));
+        let body = [
+            PlanLiteral::Atom(PlanAtom { rel: frontier, terms: vec![x, y] }),
+            PlanLiteral::Atom(PlanAtom { rel: edges, terms: vec![y, z] }),
+        ];
+        let plan = ConjPlan::compile(&[], &body, &[x, z]).unwrap();
+        let int = |n: usize| Value::int(n as i64).unwrap();
+        let mut e = Relation::new(2);
+        for k in 0..64 {
+            e.insert_row(&[int(k % 32), int(k)]);
+        }
+        let allocations_over = |rows: usize| {
+            let mut f = Relation::new(2);
+            for k in 0..rows {
+                f.insert_row(&[int(k), int(k % 32)]);
+            }
+            let mut store = RelStore::new();
+            store.bind(frontier, &f);
+            store.bind(edges, &e);
+            let mut indexes = IndexCache::new();
+            indexes.prepare(&plan, &store);
+            let mut emitted = 0;
+            let before = ALLOCATIONS.with(Cell::get);
+            plan.execute(&store, &indexes, &[], &mut |_| emitted += 1);
+            assert_eq!(emitted, 2 * rows);
+            ALLOCATIONS.with(Cell::get) - before
+        };
+        let (small, large) = (allocations_over(4096), allocations_over(4 * 4096));
+        assert!(small < 4096 / 16, "{small} allocations over 4096 frontier rows");
+        // Twelve more chunks of frontier: an index lookup key each, and the
+        // odd buffer doubling.
+        assert!(large - small <= 3 * 12, "{small} allocations over 4096 rows, {large} over 16384");
     }
 }

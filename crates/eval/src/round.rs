@@ -7,10 +7,10 @@
 //! merge what was produced at a barrier. [`delta_round`] is that step, for
 //! all of them. It owns everything the step's callers used to copy:
 //!
-//! * **index preparation** — the persistent [`IndexCache`] for everything
-//!   that runs on the calling thread, shard-local caches layered over it
-//!   ([`LayeredIndexes`]) for workers, and dropping the frontiers' indexes
-//!   when the round ends (next round a frontier is a different relation);
+//! * **index preparation** — in the caller's persistent [`IndexCache`], on
+//!   the calling thread, for whichever ordering of each conjunction will
+//!   run, and dropping the frontiers' indexes when the round ends (next
+//!   round a frontier is a different relation);
 //! * **serial or sharded** — decided per plan from what the round can
 //!   observe: the thread count, the frontier's length, and whether the
 //!   plan scans its frontier exactly once;
@@ -20,8 +20,9 @@
 //!   error *of the round*, so its truncated output can never be read as
 //!   convergence;
 //! * **`scanned` accounting and emission order** — rows reach the caller's
-//!   sink plan-major and shard-minor, which for a given thread count is a
-//!   fixed interleaving of the serial production order.
+//!   sink a [`RowBuf`] at a time (a chunk of the batch kernel, or a shard
+//!   worker's whole buffer), plan-major and shard-minor, which for a given
+//!   thread count is a fixed interleaving of the serial production order.
 //!
 //! Callers keep what genuinely differs, the merge: set insertion or an
 //! aggregate fold (semi-naive), over-deletion marks and put-backs
@@ -34,19 +35,21 @@
 //! the cross-shard pairs, so such plans run on the calling thread over the
 //! whole frontier, like plans with no frontier at all.
 
+use std::ops::Range;
+
 use sepra_storage::{Relation, Value};
 
 use crate::budget::{Budget, BudgetResource};
 use crate::error::EvalError;
 use crate::plan::{ConjPlan, RelKey};
-use crate::store::{IndexCache, LayeredIndexes, RelStore};
+use crate::store::{IndexCache, RelStore};
 
 /// Minimum shard size, in frontier tuples per worker.
 ///
-/// Spawning a thread, cloning the store, and re-hashing a shard into its
-/// own [`Relation`] cost on the order of an index probe over a few hundred
-/// tuples, so a frontier runs on at most `len / MIN_SHARD_TUPLES` workers —
-/// below two shards' worth, on the calling thread.
+/// Spawning a thread and merging its buffer at the barrier cost on the
+/// order of an index probe over a few hundred tuples, so a frontier runs on
+/// at most `len / MIN_SHARD_TUPLES` workers — below two shards' worth, on
+/// the calling thread.
 const MIN_SHARD_TUPLES: usize = 512;
 
 // A sharded round shares plans, the relation store, and the prepared index
@@ -78,44 +81,71 @@ pub struct RoundPlan<'a> {
     pub frontier: Option<RelKey>,
 }
 
-/// Rows buffered between production and merge — by a shard worker until
-/// the barrier, or by a caller whose merge target the round's store still
-/// borrows. Flat values; the explicit count keeps zero-arity rows
-/// countable.
+/// Result rows on their way from production to merge: what the kernel
+/// hands a sink per chunk, what a shard worker fills until the barrier, and
+/// what a caller buffers while the round's store still borrows its merge
+/// target. Flat row-major values, each row's
+/// [`row_hash`](sepra_storage::row_hash) beside them (the hash count is the
+/// row count, which keeps zero-arity rows countable).
 #[derive(Debug, Clone, Default)]
-pub(crate) struct RowBuf {
-    values: Vec<Value>,
-    rows: usize,
+pub struct RowBuf {
+    pub(crate) values: Vec<Value>,
+    pub(crate) hashes: Vec<u64>,
 }
 
 impl RowBuf {
-    pub(crate) fn push(&mut self, row: &[Value]) {
-        self.values.extend_from_slice(row);
-        self.rows += 1;
+    /// Number of buffered rows.
+    pub fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// Whether no row is buffered.
+    pub fn is_empty(&self) -> bool {
+        self.hashes.is_empty()
+    }
+
+    /// Inserts the rows into `rel`, in order, without hashing any again;
+    /// returns how many were new.
+    pub fn insert_into(&self, rel: &mut Relation) -> usize {
+        rel.insert_rows_hashed(&self.values, &self.hashes)
     }
 
     /// The buffered rows, in production order.
-    pub(crate) fn rows(&self) -> impl Iterator<Item = &[Value]> {
-        let arity = self.values.len().checked_div(self.rows).unwrap_or(0);
-        (0..self.rows).map(move |r| &self.values[r * arity..(r + 1) * arity])
+    pub fn rows(&self) -> impl Iterator<Item = &[Value]> {
+        let arity = self.values.len().checked_div(self.len()).unwrap_or(0);
+        (0..self.len()).map(move |r| &self.values[r * arity..(r + 1) * arity])
+    }
+
+    /// Appends `other`'s rows.
+    pub fn extend(&mut self, other: &RowBuf) {
+        self.values.extend_from_slice(&other.values);
+        self.hashes.extend_from_slice(&other.hashes);
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.values.clear();
+        self.hashes.clear();
     }
 }
 
-/// One frontier cut into shards, and the plans that expand it.
-struct ShardGroup<'a> {
-    key: RelKey,
-    shards: Vec<Relation>,
-    /// `(slot, frontier-first plan)`; slots number the round's sharded
-    /// plans in plan order.
-    plans: Vec<(usize, &'a ConjPlan)>,
+/// A plan that runs sharded: its frontier-first ordering, once per range of
+/// the frontier's rows.
+struct Sharded<'a> {
+    /// Index into the round's plans.
+    at: usize,
+    plan: &'a ConjPlan,
+    frontier: RelKey,
+    ranges: Vec<Range<usize>>,
 }
 
-/// What one shard worker hands back at the barrier: a buffer per slot, the
-/// tuples its joins considered, and the interrupt that stopped it, if any.
+/// What one shard worker hands back at the barrier: a buffer per sharded
+/// plan, the tuples its joins considered, and the interrupt that stopped
+/// it, if any.
 type WorkerOutput = (Vec<RowBuf>, u64, Option<BudgetResource>);
 
-/// Runs `plans` once over `store`, handing every produced row to `sink` as
-/// `(index into plans, row)`, and returns how many tuples the joins
+/// Runs `plans` once over `store`, handing the produced rows to `sink` as
+/// `(index into plans, rows)` — a kernel chunk or a shard's buffer at a
+/// time, never an empty one — and returns how many tuples the joins
 /// considered (the `rows_scanned` metric).
 ///
 /// `store` must bind every frontier. `indexes` is the caller's persistent
@@ -127,8 +157,9 @@ type WorkerOutput = (Vec<RowBuf>, u64, Option<BudgetResource>);
 ///
 /// With `threads > 1`, a plan whose frontier holds at least two shards'
 /// worth of tuples and which scans it exactly once runs sharded: the
-/// frontier is cut into contiguous ranges, each expanded on its own OS
-/// thread (`std::thread::scope`) into a private buffer. Everything else
+/// frontier's rows are cut into contiguous ranges, each expanded on its own
+/// OS thread (`std::thread::scope`) — the same kernel, confined to the
+/// range ([`ConjPlan::run`]) — into a private buffer. Everything else
 /// runs on the calling thread and streams straight into `sink`. Rows are
 /// emitted plan by plan, shards in range order — concatenated, a sharded
 /// plan's rows are exactly what it would have produced serially. They are
@@ -144,44 +175,33 @@ pub fn delta_round(
     threads: usize,
     budget: &Budget,
     what: &str,
-    sink: &mut dyn FnMut(usize, &[Value]),
+    sink: &mut dyn FnMut(usize, &RowBuf),
 ) -> Result<u64, EvalError> {
     #[cfg(test)]
     tests::at_round_start();
     let interrupt = |resource| EvalError::BudgetExceeded { what: what.to_string(), resource };
 
-    let (slots, groups) = match indexes {
-        Some(_) if threads > 1 => shard_groups(plans, store, threads),
-        _ => (Vec::new(), Vec::new()),
+    let sharded = match indexes {
+        Some(_) if threads > 1 => shard(plans, store, threads),
+        _ => Vec::new(),
     };
-    // The shared cache serves the calling thread in full; for a sharded
-    // plan it holds every keyed scan but the frontier's, which each worker
-    // indexes over its own shard.
+    let running = |i: usize| sharded.iter().find(|s| s.at == i).map_or(plans[i].plan, |s| s.plan);
     if let Some(indexes) = indexes.as_deref_mut() {
-        for (i, p) in plans.iter().enumerate() {
-            if !slots.contains(&i) {
-                indexes.prepare(p.plan, store);
-            }
-        }
-        for group in &groups {
-            for (_, plan) in &group.plans {
-                indexes.prepare_where(plan, store, |k| k != group.key);
-            }
-        }
+        (0..plans.len()).for_each(|i| indexes.prepare(running(i), store));
     }
     let unindexed = IndexCache::new();
     let shared = indexes.as_deref().unwrap_or(&unindexed);
 
     let mut scanned = 0u64;
-    let workers = groups.iter().map(|g| g.shards.len()).max().unwrap_or(0);
+    let workers = sharded.iter().map(|s| s.ranges.len()).max().unwrap_or(0);
     let outputs: Vec<WorkerOutput> = if workers == 0 {
         Vec::new()
     } else {
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
-                    let (groups, n_slots) = (&groups, slots.len());
-                    scope.spawn(move || expand_shards(w, groups, n_slots, store, shared, budget))
+                    let sharded = &sharded;
+                    scope.spawn(move || expand_shards(w, sharded, store, shared, budget))
                 })
                 .collect();
             handles
@@ -197,19 +217,21 @@ pub fn delta_round(
         }
     }
 
-    let mut next_slot = 0;
+    let mut next_shard = 0;
     for (i, p) in plans.iter().enumerate() {
-        if slots.get(next_slot) == Some(&i) {
+        if sharded.get(next_shard).is_some_and(|s| s.at == i) {
             for (bufs, ..) in &outputs {
-                bufs[next_slot].rows().for_each(|row| sink(i, row));
+                if !bufs[next_shard].is_empty() {
+                    sink(i, &bufs[next_shard]);
+                }
             }
-            next_slot += 1;
+            next_shard += 1;
             continue;
         }
         if let Some(resource) = budget.interrupted() {
             return Err(interrupt(resource));
         }
-        p.plan.execute_counted(store, shared, &[], &mut |row| sink(i, row), &mut scanned);
+        scanned += p.plan.run(store, shared, &[], None, &mut |rows| sink(i, rows));
     }
 
     if let Some(indexes) = indexes {
@@ -218,74 +240,45 @@ pub fn delta_round(
     Ok(scanned)
 }
 
-/// Decides which plans run sharded and cuts their frontiers. Returns the
-/// indices of the sharded plans in plan order (their *slots*) and one
-/// group per distinct sharded frontier.
-fn shard_groups<'a>(
-    plans: &[RoundPlan<'a>],
-    store: &RelStore<'_>,
-    threads: usize,
-) -> (Vec<usize>, Vec<ShardGroup<'a>>) {
-    let mut slots = Vec::new();
-    let mut groups: Vec<ShardGroup<'a>> = Vec::new();
-    for (i, p) in plans.iter().enumerate() {
-        let Some((key, frontier)) = p.frontier.and_then(|key| Some((key, store.get(key)?))) else {
-            continue;
-        };
+/// Decides which plans run sharded and cuts their frontiers' rows into
+/// ranges; in plan order.
+fn shard<'a>(plans: &[RoundPlan<'a>], store: &RelStore<'_>, threads: usize) -> Vec<Sharded<'a>> {
+    let cut = |(at, p): (usize, &RoundPlan<'a>)| {
+        let frontier = p.frontier?;
+        let len = store.get(frontier)?.len();
         let plan = p.sharded.unwrap_or(p.plan);
         // Grain guard: never hand a worker fewer than MIN_SHARD_TUPLES.
-        let workers = threads.min(frontier.len() / MIN_SHARD_TUPLES);
-        if workers < 2 || plan.scans_of(key) != 1 {
-            continue;
+        let workers = threads.min(len / MIN_SHARD_TUPLES);
+        if workers < 2 || plan.scans_of(frontier) != 1 {
+            return None;
         }
-        let group = match groups.iter().position(|g| g.key == key) {
-            Some(g) => &mut groups[g],
-            None => {
-                // Contiguous ranges preserve within-shard insertion order,
-                // so shard-order concatenation is the serial row order.
-                let chunk = frontier.len().div_ceil(workers);
-                let shards = (0..frontier.len())
-                    .step_by(chunk)
-                    .map(|start| frontier.slice_range(start..(start + chunk).min(frontier.len())))
-                    .collect();
-                groups.push(ShardGroup { key, shards, plans: Vec::new() });
-                groups.last_mut().expect("just pushed")
-            }
-        };
-        group.plans.push((slots.len(), plan));
-        slots.push(i);
-    }
-    (slots, groups)
+        // Contiguous ranges preserve within-shard insertion order, so
+        // shard-order concatenation is the serial row order.
+        let chunk = len.div_ceil(workers);
+        let ranges = (0..len).step_by(chunk).map(|start| start..(start + chunk).min(len));
+        Some(Sharded { at, plan, frontier, ranges: ranges.collect() })
+    };
+    plans.iter().enumerate().filter_map(cut).collect()
 }
 
-/// Worker `w` of a sharded round: expands shard `w` of every frontier that
-/// has one, through indexes over the shard layered onto the shared cache.
+/// Worker `w` of a sharded round: expands range `w` of every sharded plan's
+/// frontier that has one.
 fn expand_shards(
     w: usize,
-    groups: &[ShardGroup<'_>],
-    n_slots: usize,
+    sharded: &[Sharded<'_>],
     store: &RelStore<'_>,
     shared: &IndexCache,
     budget: &Budget,
 ) -> WorkerOutput {
-    let mut bufs = vec![RowBuf::default(); n_slots];
+    let mut bufs = vec![RowBuf::default(); sharded.len()];
     let mut scanned = 0u64;
-    for group in groups {
-        let Some(shard) = group.shards.get(w) else { continue };
-        let mut wstore = store.clone();
-        wstore.bind(group.key, shard);
-        let mut local = IndexCache::new();
-        for (_, plan) in &group.plans {
-            local.prepare_where(plan, &wstore, |k| k == group.key);
+    for (shard, buf) in sharded.iter().zip(&mut bufs) {
+        let Some(range) = shard.ranges.get(w) else { continue };
+        if let Some(resource) = budget.interrupted() {
+            return (bufs, scanned, Some(resource));
         }
-        let layered = LayeredIndexes::new(&local, shared);
-        for &(slot, plan) in &group.plans {
-            if let Some(resource) = budget.interrupted() {
-                return (bufs, scanned, Some(resource));
-            }
-            let buf = &mut bufs[slot];
-            plan.execute_counted(&wstore, &layered, &[], &mut |row| buf.push(row), &mut scanned);
-        }
+        let within = Some((shard.frontier, range.clone()));
+        scanned += shard.plan.run(store, shared, &[], within, &mut |rows| buf.extend(rows));
     }
     (bufs, scanned, None)
 }
@@ -397,7 +390,7 @@ pub(crate) mod tests {
             threads,
             budget,
             "test",
-            &mut |i, row| rows.push((i, row.to_vec())),
+            &mut |i, buf| rows.extend(buf.rows().map(|row| (i, row.to_vec()))),
         )?;
         assert!(
             plans
@@ -507,7 +500,7 @@ pub(crate) mod tests {
             4,
             &Budget::default(),
             "test",
-            &mut |i, row| rows.push((i, row.to_vec())),
+            &mut |i, buf| rows.extend(buf.rows().map(|row| (i, row.to_vec()))),
         )
         .unwrap();
         assert_eq!(rows, rows_at(&[expanding(&plan)], &frontier, &e, 1));

@@ -358,42 +358,45 @@ impl<'a> Rounds<'a> {
             self.options.threads,
             &self.options.budget,
             self.what,
-            &mut |i, row| produced[i].push(row),
+            &mut |i, rows| produced[i].extend(rows),
         )?;
         stats.record_scanned(scanned as usize);
+        // Where each plain head's relation ended before this step's merge.
+        let mut grown: Vec<(Sym, usize)> = Vec::new();
         for (variant, rows) in variants.iter().zip(&produced) {
             let head = variant.head;
             let rel = derived.get_mut(&head).expect("derived relation exists");
-            let arity = rel.arity();
-            let mut agg = self.aggs.get_mut(&head);
-            for row in rows.rows() {
-                if let Some(state) = agg.as_deref_mut() {
-                    let changed = delta_entry(&mut new_delta, head, arity);
+            if let Some(state) = self.aggs.get_mut(&head) {
+                let arity = rel.arity();
+                for row in rows.rows() {
+                    let changed = new_delta.as_deref_mut();
+                    let changed =
+                        changed.map(|d| d.entry(head).or_insert_with(|| Relation::new(arity)));
                     state.absorb_into(row, rel, stats, changed);
-                } else {
-                    let was_new = rel.insert_row(row);
-                    stats.record_insert(was_new);
-                    if was_new {
-                        if let Some(changed) = delta_entry(&mut new_delta, head, arity) {
-                            changed.insert_row(row);
-                        }
-                    }
+                }
+            } else {
+                if !grown.iter().any(|&(p, _)| p == head) {
+                    grown.push((head, rel.len()));
+                }
+                let new = rows.insert_into(rel);
+                stats.record_inserts(rows.len(), new);
+            }
+        }
+        // A set insert appends, so what a plain head gained this step is the
+        // tail of its relation: the delta is a slice of it — same rows, same
+        // order as inserting each new row a second time, with no hashing and
+        // no probing. (An aggregate head retracts and compacts; its changed
+        // tuples are collected as they happen.)
+        if let Some(new_delta) = new_delta {
+            for (head, before) in grown {
+                let rel = &derived[&head];
+                if rel.len() > before {
+                    new_delta.insert(head, rel.slice_range(before..rel.len()));
                 }
             }
         }
         Ok(())
     }
-}
-
-/// The relation collecting `head`'s changed tuples this round, when the
-/// caller tracks them.
-fn delta_entry<'d>(
-    new_delta: &'d mut Option<&mut FxHashMap<Sym, Relation>>,
-    head: Sym,
-    arity: usize,
-) -> Option<&'d mut Relation> {
-    let new_delta = new_delta.as_deref_mut()?;
-    Some(new_delta.entry(head).or_insert_with(|| Relation::new(arity)))
 }
 
 /// Compiles one rule with body-atom occurrence `delta_occ` (the body index
@@ -898,5 +901,63 @@ mod tests {
         let (d, mut db) = eval("t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).\n", "other(a).");
         let t = db.intern("t");
         assert!(d.relation(t).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_plain_heads_delta_is_the_tail_its_merge_appended() {
+        // Both delta variants of the non-linear rule feed `t`, and both
+        // re-derive tuples the other (or an earlier round) already produced.
+        let mut db = Database::new();
+        db.load_fact_text("e(a, b). e(b, c). e(c, d). e(d, a). e(b, e5). e(e5, c).").unwrap();
+        let src = "t(X, Y) :- e(X, Y).\nt(X, Y) :- t(X, W), t(W, Y).\n";
+        let program = parse_program(src, db.interner_mut()).unwrap();
+        let (e, t) = (db.intern("e"), db.intern("t"));
+        let planner = Planner::new(PlanMode::default(), None);
+        let variants: Vec<Variant> = [0, 1]
+            .map(|occ| compile_variant(&program.rules[1], Some(occ), &planner).unwrap())
+            .into();
+        let fire: Vec<&Variant> = variants.iter().collect();
+        let options = EvalOptions::default();
+        let mut rounds = Rounds::new(&db, &options, "test");
+        let mut stats = EvalStats::new();
+        let mut derived: FxHashMap<Sym, Relation> =
+            [(t, db.relation(e).unwrap().clone())].into_iter().collect();
+        let mut delta = derived.clone();
+        let rows = |r: &Relation| r.iter().map(|row| row.to_vec()).collect::<Vec<_>>();
+        let mut productive_rounds = 0;
+        while !delta.is_empty() {
+            // The merge as it was: every produced row offered to the head,
+            // every new one inserted a second time into the delta.
+            let (mut head, mut twice) = (derived[&t].clone(), Relation::new(2));
+            let plans: Vec<RoundPlan<'_>> = fire.iter().map(|v| v.fire()).collect();
+            delta_round(
+                &plans,
+                &build_store(&db, &derived, &delta),
+                Some(&mut IndexCache::new()),
+                1,
+                &options.budget,
+                "test",
+                &mut |_, produced| {
+                    for row in produced.rows() {
+                        if head.insert_row(row) {
+                            twice.insert_row(row);
+                        }
+                    }
+                },
+            )
+            .unwrap();
+            let mut new_delta = FxHashMap::default();
+            rounds.step(&fire, &mut derived, &delta, &mut stats, Some(&mut new_delta)).unwrap();
+            assert_eq!(rows(&derived[&t]), rows(&head));
+            assert_eq!(new_delta.contains_key(&t), !twice.is_empty());
+            if let Some(sliced) = new_delta.get(&t) {
+                assert_eq!(rows(sliced), rows(&twice));
+                assert!(twice.iter().all(|row| sliced.contains_row(row)));
+                productive_rounds += 1;
+            }
+            delta = new_delta;
+        }
+        assert!(productive_rounds >= 2, "the closure takes several rounds");
+        assert!(stats.insert_attempts > stats.tuples_inserted, "duplicates were offered");
     }
 }

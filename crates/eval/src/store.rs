@@ -7,9 +7,7 @@ use crate::plan::{ConjPlan, RelKey};
 /// Binds abstract [`RelKey`]s to concrete relations for one execution round.
 ///
 /// Evaluators rebuild the (cheap) store each round because delta and carry
-/// relations are replaced between rounds. Cloning copies only the key →
-/// reference map, so parallel workers clone the round's store and rebind
-/// the sharded key to their own shard.
+/// relations are replaced between rounds.
 #[derive(Debug, Default, Clone)]
 pub struct RelStore<'a> {
     map: FxHashMap<RelKey, &'a Relation>,
@@ -52,23 +50,7 @@ impl IndexCache {
     /// Ensures an up-to-date index exists for every keyed scan of `plan`
     /// against the relations currently bound in `store`.
     pub fn prepare(&mut self, plan: &ConjPlan, store: &RelStore<'_>) {
-        self.prepare_where(plan, store, |_| true);
-    }
-
-    /// [`IndexCache::prepare`] restricted to the keyed scans whose relation
-    /// key satisfies `keep`. Parallel rounds split preparation this way:
-    /// the shared cache holds every key except the sharded one, and each
-    /// worker builds indexes over its own shard locally.
-    pub fn prepare_where(
-        &mut self,
-        plan: &ConjPlan,
-        store: &RelStore<'_>,
-        keep: impl Fn(RelKey) -> bool,
-    ) {
         for (rel, cols) in plan.keyed_scans() {
-            if !keep(rel) {
-                continue;
-            }
             let Some(relation) = store.get(rel) else {
                 continue;
             };
@@ -98,46 +80,6 @@ impl IndexCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-}
-
-/// A read-only source of prepared indexes for plan execution.
-///
-/// [`ConjPlan::execute`] is generic over this so the serial engines keep
-/// passing an [`IndexCache`] while parallel workers pass a
-/// [`LayeredIndexes`] chaining their shard-local cache over the shared one.
-pub trait IndexSource {
-    /// Fetches the index of `rel` on `cols`, if one has been prepared.
-    fn get_index(&self, rel: RelKey, cols: &[usize]) -> Option<&Index>;
-}
-
-impl IndexSource for IndexCache {
-    fn get_index(&self, rel: RelKey, cols: &[usize]) -> Option<&Index> {
-        self.get(rel, cols)
-    }
-}
-
-/// Worker-local indexes layered over a shared cache.
-///
-/// Lookups consult `local` first so a worker's indexes over its delta
-/// shard shadow any same-key entry of the shared cache; everything else
-/// (EDB, derived, seen) resolves through `base`.
-#[derive(Debug)]
-pub struct LayeredIndexes<'a> {
-    local: &'a IndexCache,
-    base: &'a IndexCache,
-}
-
-impl<'a> LayeredIndexes<'a> {
-    /// Chains `local` over `base`.
-    pub fn new(local: &'a IndexCache, base: &'a IndexCache) -> Self {
-        LayeredIndexes { local, base }
-    }
-}
-
-impl IndexSource for LayeredIndexes<'_> {
-    fn get_index(&self, rel: RelKey, cols: &[usize]) -> Option<&Index> {
-        self.local.get(rel, cols).or_else(|| self.base.get(rel, cols))
     }
 }
 

@@ -32,7 +32,7 @@ pub mod value;
 pub use database::{Database, EdbDelta};
 pub use hasher::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use index::Index;
-pub use relation::{Relation, Row, RowValues, Rows};
+pub use relation::{row_hash, Relation, Row, RowValues, Rows};
 pub use relstats::{ColStats, RelStats};
 pub use stats::EvalStats;
 pub use tuple::Tuple;
