@@ -172,6 +172,151 @@ mod tests {
     use super::*;
     use crate::processor::fixtures::*;
     use crate::{QueryResult, Strategy, StrategyChoice};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use sepra_storage::{DeltaRun, Tuple};
+
+    /// A separable recursion whose nonrecursive subgoal `friend` is itself
+    /// derived, so `prepare` materializes a supporting stratum that every
+    /// mutation of `knows` has to maintain.
+    const SUPPORTED: &str = "buys(X, Y) :- friend(X, W), buys(W, Y).\n\
+                             buys(X, Y) :- perfectFor(X, Y).\n\
+                             friend(X, Y) :- knows(X, Y).\n\
+                             friend(X, Y) :- knows(Y, X).\n\
+                             knows(n0, n1). knows(n1, n2). knows(n3, n2).\n\
+                             perfectFor(n2, gift). perfectFor(n0, card).\n";
+
+    /// Everything a mutation can change, in comparable form: the EDB, the
+    /// prepared supporting relations, and the answers to `queries`.
+    fn observable(qp: &mut QueryProcessor, queries: &[String]) -> Vec<String> {
+        let mut seen = Vec::new();
+        for (pred, relation) in qp.db.relations() {
+            let mut rows: Vec<Tuple> = relation.iter().map(|t| t.to_tuple()).collect();
+            rows.sort();
+            seen.push(format!("edb {pred:?} {rows:?}"));
+        }
+        for (pred, recursion) in qp.prepared.as_deref().into_iter().flatten() {
+            for (derived, relation) in recursion.support.iter().flat_map(|s| s.relations.iter()) {
+                let mut rows: Vec<Tuple> = relation.iter().map(|t| t.to_tuple()).collect();
+                rows.sort();
+                seen.push(format!("support of {pred:?}: {derived:?} {rows:?}"));
+            }
+        }
+        seen.sort();
+        for query in queries {
+            let answers = qp.query(query).unwrap().answers;
+            seen.push(format!(
+                "{query} {:?}",
+                answers.iter().map(|t| t.to_tuple()).collect::<Vec<_>>()
+            ));
+        }
+        seen
+    }
+
+    /// A script of `steps` raw deltas over `pool` (ground facts, some live
+    /// in the program and some not): each step retracts and inserts a few
+    /// facts drawn with replacement, whatever their state — so tuples
+    /// toggle, present ones are inserted and absent ones retracted.
+    fn toggling_script(
+        qp: &mut QueryProcessor,
+        pool: &[String],
+        steps: usize,
+        seed: u64,
+    ) -> Vec<EdbDelta> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pool: Vec<_> = pool
+            .iter()
+            .map(|fact| {
+                let head = parse_program(fact, qp.interner_mut()).unwrap().rules.remove(0).head;
+                (head.pred, qp.db.ground_tuple(&head).unwrap())
+            })
+            .collect();
+        (0..steps)
+            .map(|_| {
+                let mut delta = EdbDelta::default();
+                for half in [&mut delta.remove, &mut delta.insert] {
+                    for _ in 0..rng.gen_range(0..=2usize) {
+                        let (pred, tuple) = &pool[rng.gen_range(0..pool.len())];
+                        half.entry(*pred).or_default().push(tuple.clone());
+                    }
+                }
+                delta
+            })
+            .collect()
+    }
+
+    /// For every way of cutting `script` into consecutive runs, applying
+    /// each run's [`DeltaRun`] composition as one mutation must leave what
+    /// applying the script one delta at a time leaves.
+    fn assert_every_split_agrees(source: &str, pool: &[String], queries: &[String], seed: u64) {
+        let mut base = QueryProcessor::new();
+        base.load(source).unwrap();
+        base.prepare().unwrap();
+        let script = toggling_script(&mut base, pool, 6, seed);
+        let mut one_by_one = base.clone();
+        for delta in &script {
+            one_by_one.apply_delta_mutation(delta.clone()).unwrap();
+        }
+        let want = observable(&mut one_by_one, queries);
+        // Bit i of `cuts` set: a run ends after step i.
+        for cuts in 0..1u32 << (script.len() - 1) {
+            let mut coalesced = base.clone();
+            let mut run = DeltaRun::default();
+            for (i, delta) in script.iter().enumerate() {
+                run.push(delta.clone());
+                if cuts >> i & 1 == 1 || i + 1 == script.len() {
+                    coalesced.apply_delta_mutation(std::mem::take(&mut run).into_delta()).unwrap();
+                }
+            }
+            assert_eq!(
+                observable(&mut coalesced, queries),
+                want,
+                "seed {seed}, cuts {cuts:#b}\n{source}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_split_of_a_script_into_coalesced_runs_maintains_the_same_state() {
+        let facts = |source: &str| -> Vec<String> {
+            source
+                .split_inclusive('.')
+                .map(str::trim)
+                .filter(|f| !f.contains(":-") && f.ends_with('.'))
+                .map(String::from)
+                .collect()
+        };
+        for seed in 0..6 {
+            // Positive: left-linear closure, edges over a five-node pool.
+            let mut source = sepra_gen::programs::transitive_closure().to_string();
+            source.push_str("e(n0, n1). e(n1, n2). e(n2, n0). e(n3, n4).\n");
+            let mut pool = facts(&source);
+            pool.extend(["e(n2, n3).", "e(n4, n0).", "e(n1, n1)."].map(String::from));
+            assert_every_split_agrees(
+                &source,
+                &pool,
+                &["t(n0, Y)?".into(), "t(X, Y)?".into()],
+                seed,
+            );
+
+            // Separable with a maintained supporting stratum.
+            let mut pool = facts(SUPPORTED);
+            pool.extend(
+                ["knows(n2, n4).", "knows(n4, n0).", "perfectFor(n4, ring)."].map(String::from),
+            );
+            let queries = ["buys(n0, Y)?".into(), "buys(X, gift)?".into(), "friend(X, Y)?".into()];
+            assert_every_split_agrees(SUPPORTED, &pool, &queries, seed);
+
+            // Stratified (negation, count, recursive min): the generated
+            // program, with its own script's facts added to the pool.
+            let scenario = sepra_gen::random::random_stratified_scenario(seed);
+            let mut pool = facts(&scenario.program);
+            pool.extend(
+                scenario.steps.iter().flat_map(|(ins, outs)| ins.iter().chain(outs).cloned()),
+            );
+            assert_every_split_agrees(&scenario.program, &pool, &scenario.queries, seed);
+        }
+    }
 
     #[test]
     fn bounded_verdict_survives_mutations() {

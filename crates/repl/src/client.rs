@@ -24,6 +24,10 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 /// Pings arrive every second on a quiet stream; ten silent seconds means
 /// the primary is gone.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
+/// What one read can take off the socket: a backlog the primary flushed
+/// in one piece is buffered whole, so [`SyncClient::frame_buffered`] sees
+/// to its end.
+const READ_BUFFER: usize = 64 * 1024;
 
 /// One validated unit of the sync stream.
 #[derive(Debug, PartialEq)]
@@ -74,7 +78,21 @@ impl SyncClient {
         let mut request = render_sync_request(from_generation);
         request.push('\n');
         (&stream).write_all(request.as_bytes())?;
-        Ok(SyncClient { reader: BufReader::new(stream) })
+        Ok(SyncClient { reader: BufReader::with_capacity(READ_BUFFER, stream) })
+    }
+
+    /// Whether a whole frame has already arrived, so that the next
+    /// [`next_event`](Self::next_event) starts without waiting on the
+    /// socket. (A checkpoint announcement may still wait for its chunks.)
+    pub fn frame_buffered(&self) -> bool {
+        self.reader.buffer().contains(&b'\n')
+    }
+
+    /// A second handle on the connection. Shutting it down
+    /// ([`TcpStream::shutdown`]) from another thread makes a blocked
+    /// `next_event` return at once with an error.
+    pub fn try_clone_stream(&self) -> io::Result<TcpStream> {
+        self.reader.get_ref().try_clone()
     }
 
     fn next_frame(&mut self) -> io::Result<Frame> {
@@ -215,6 +233,41 @@ mod tests {
         assert!(err.contains("sync_unavailable"), "{err}");
     }
 
+    #[test]
+    fn says_whether_the_next_frame_has_already_arrived() {
+        let addr = scripted_primary(vec![
+            render_record(1, b"one"),
+            render_ping(3),
+            render_record(2, b"two"),
+            render_record(3, b"three"),
+        ]);
+        let mut client = SyncClient::connect(&addr, 0).unwrap();
+        // Let the whole script land, so the first read takes all of it.
+        std::thread::sleep(Duration::from_millis(100));
+        for (generation, more) in [(1, true), (3, true), (2, true), (3, false)] {
+            let event = client.next_event().unwrap();
+            assert!(
+                matches!(event, SyncEvent::Record { generation: g, .. } | SyncEvent::Ping { generation: g } if g == generation),
+                "{event:?}"
+            );
+            assert_eq!(client.frame_buffered(), more, "after {event:?}");
+        }
+    }
+
+    #[test]
+    fn a_corrupt_record_is_an_error_after_the_intact_ones() {
+        let bad = render_record(2, b"two").replace("dHdv", "dHdw"); // "two" -> "twp"
+        assert_ne!(bad, render_record(2, b"two"));
+        let addr =
+            scripted_primary(vec![render_record(1, b"one"), bad, render_record(3, b"three")]);
+        let mut client = SyncClient::connect(&addr, 0).unwrap();
+        assert_eq!(
+            client.next_event().unwrap(),
+            SyncEvent::Record { generation: 1, payload: b"one".to_vec() }
+        );
+        assert!(client.next_event().is_err());
+    }
+
     /// End-to-end over a real socket: a feeder serving a real data
     /// directory (checkpoint + WAL tail) delivers exactly the snapshot
     /// and the post-snapshot records, in order.
@@ -260,6 +313,49 @@ mod tests {
         );
         shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
         feeder.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The records one poll of the log returns leave in one flush (the
+    /// follower finds them buffered as a run), and the feeder returns when
+    /// the follower hangs up — not at its next ping a second later.
+    #[test]
+    fn a_backlog_arrives_as_a_run_and_a_hang_up_ends_the_feeder() {
+        let dir = std::env::temp_dir().join(format!("sepra-sync-run-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut writer = WalWriter::open(&dir.join("wal.log"), FsyncPolicy::Never).unwrap();
+        for generation in 1..=40 {
+            writer.append(generation, format!("delta {generation}").as_bytes()).unwrap();
+        }
+        drop(writer);
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let source = SyncSource { data_dir: dir.clone(), leases: LeaseSet::new() };
+        let feeder = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut request = String::new();
+            BufReader::new(&stream).read_line(&mut request).unwrap();
+            let idle = AtomicBool::new(false);
+            stream_to_follower(&stream, 0, &source, &idle, &|| 40)
+        });
+
+        let mut client = SyncClient::connect(&addr, 0).unwrap();
+        assert_eq!(client.next_event().unwrap(), SyncEvent::Ping { generation: 40 });
+        let mut run = 0;
+        loop {
+            assert!(matches!(client.next_event().unwrap(), SyncEvent::Record { .. }));
+            run += 1;
+            if !client.frame_buffered() {
+                break;
+            }
+        }
+        assert_eq!(run, 40, "the backlog was flushed as one piece");
+        let hung_up = std::time::Instant::now();
+        drop(client);
+        feeder.join().unwrap().unwrap();
+        assert!(hung_up.elapsed() < Duration::from_millis(200), "took {:?}", hung_up.elapsed());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

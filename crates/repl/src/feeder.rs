@@ -25,7 +25,7 @@
 //!    the log: any truncation is visible as a checkpoint by the time the
 //!    truncated records could be missed.
 
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -38,7 +38,8 @@ use crate::protocol::{
     render_checkpoint, render_chunk, render_error, render_ping, render_record, CHUNK_BYTES,
 };
 
-/// How often the WAL tail is re-read for new records.
+/// How often the WAL tail is re-read for new records. The wait between
+/// two reads is spent listening for the follower's hang-up.
 const TAIL_POLL: Duration = Duration::from_millis(25);
 /// How often a quiet stream still sends a ping (liveness + lag signal).
 const PING_EVERY: Duration = Duration::from_secs(1);
@@ -61,10 +62,33 @@ impl SyncSource {
     }
 }
 
-fn send_line(out: &mut BufWriter<&TcpStream>, line: &str) -> io::Result<()> {
+fn write_line(out: &mut BufWriter<&TcpStream>, line: &str) -> io::Result<()> {
     out.write_all(line.as_bytes())?;
-    out.write_all(b"\n")?;
+    out.write_all(b"\n")
+}
+
+fn send_line(out: &mut BufWriter<&TcpStream>, line: &str) -> io::Result<()> {
+    write_line(out, line)?;
     out.flush()
+}
+
+/// Waits up to [`TAIL_POLL`] on the follower's half of the socket and
+/// reports whether it hung up. A follower never writes after its sync
+/// request, so the only thing this read can return early for is the end
+/// of the connection; stray bytes are dropped.
+fn follower_hung_up(mut stream: &TcpStream) -> io::Result<bool> {
+    match stream.read(&mut [0u8; 64]) {
+        Ok(n) => Ok(n == 0),
+        Err(e)
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+            ) =>
+        {
+            Ok(false)
+        }
+        Err(e) => Err(e),
+    }
 }
 
 /// Writes a terminal error frame and returns (used for refusals like
@@ -134,8 +158,11 @@ fn wal_to_io(e: sepra_wal::WalError) -> io::Error {
 }
 
 /// Serves one follower's sync stream until the connection drops, the
-/// follower goes away, or `shutdown` is raised. `current_generation`
-/// reports the primary's committed database generation for ping frames.
+/// follower hangs up (noticed within one 25 ms tail poll, not at the next
+/// failed write), or `shutdown` is raised. Every record one poll of the
+/// log returns leaves in one flush, so a follower reading a backlog finds
+/// it buffered as a run. `current_generation` reports the primary's
+/// committed database generation for ping frames.
 pub fn stream_to_follower(
     stream: &TcpStream,
     from_generation: u64,
@@ -144,6 +171,7 @@ pub fn stream_to_follower(
     current_generation: &dyn Fn() -> u64,
 ) -> io::Result<()> {
     stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+    stream.set_read_timeout(Some(TAIL_POLL))?;
     // The follower never writes back, so there are no ACK-bearing
     // responses for Nagle to piggyback on: without nodelay each flushed
     // record can sit behind the follower's delayed ACK, inflating
@@ -181,16 +209,19 @@ pub fn stream_to_follower(
                 continue 'resync;
             }
             for record in &poll.records {
-                send_line(&mut out, &render_record(record.generation, &record.payload))?;
+                write_line(&mut out, &render_record(record.generation, &record.payload))?;
             }
             if !poll.records.is_empty() {
+                out.flush()?;
                 last_ping = Instant::now();
             } else {
                 if last_ping.elapsed() >= PING_EVERY {
                     send_line(&mut out, &render_ping(current_generation()))?;
                     last_ping = Instant::now();
                 }
-                std::thread::sleep(TAIL_POLL);
+                if follower_hung_up(stream)? {
+                    return Ok(());
+                }
             }
         }
     }

@@ -22,6 +22,9 @@
 //!   round-robins queries across healthy replicas with
 //!   retry-on-next-replica, health-probes every backend, and aggregates
 //!   backend generations/lag under `{"stats": true}`.
+//! * [`listener`] — the accept loop and worker hand-off the router and
+//!   `sepra serve` both run: connections are handed over as they arrive,
+//!   idle workers sleep until one does.
 //! * [`json`] / [`base64`] — the dependency-free wire encoding both ends
 //!   share (the JSON module started life in `sepra-server`, which
 //!   re-exports it unchanged).
@@ -36,6 +39,7 @@ pub mod base64;
 pub mod client;
 pub mod feeder;
 pub mod json;
+pub mod listener;
 pub mod protocol;
 pub mod router;
 

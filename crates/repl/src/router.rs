@@ -25,17 +25,16 @@
 //! generation-stamped responses from the backends themselves, so
 //! consistency (`min_generation`) survives routing to any replica.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::json::{self, escape, Json};
+use crate::listener::serve_connections;
 
-/// How often the accept loop and idle workers re-check shutdown.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
 /// Per-read poll on client connections (so workers notice shutdown).
 const READ_POLL: Duration = Duration::from_millis(200);
 /// Largest request line relayed; matches the server's own cap.
@@ -422,65 +421,17 @@ pub fn run_router(listener: TcpListener, opts: &RouteOptions, shutdown: Arc<Atom
         }
     });
 
-    if listener.set_nonblocking(true).is_err() {
-        shutdown.store(true, Ordering::SeqCst);
-    }
-    let queue: Arc<(Mutex<VecDeque<TcpStream>>, Condvar)> =
-        Arc::new((Mutex::new(VecDeque::new()), Condvar::new()));
-    let mut workers = Vec::new();
-    for i in 0..opts.threads.max(1) {
-        let state = Arc::clone(&state);
-        let queue = Arc::clone(&queue);
-        let worker_shutdown = Arc::clone(&shutdown);
-        let handle =
-            std::thread::Builder::new().name(format!("sepra-route-{i}")).spawn(move || {
-                let mut conns = Conns::default();
-                let (lock, cvar) = &*queue;
-                loop {
-                    let stream = {
-                        let mut q = lock.lock().unwrap_or_else(|e| e.into_inner());
-                        loop {
-                            if let Some(stream) = q.pop_front() {
-                                break Some(stream);
-                            }
-                            if worker_shutdown.load(Ordering::SeqCst) {
-                                break None;
-                            }
-                            let (guard, _) = cvar
-                                .wait_timeout(q, POLL_INTERVAL)
-                                .unwrap_or_else(|e| e.into_inner());
-                            q = guard;
-                        }
-                    };
-                    match stream {
-                        Some(stream) => handle_connection(&state, &mut conns, stream),
-                        None => return,
-                    }
-                }
-            });
-        if let Ok(handle) = handle {
-            workers.push(handle);
-        }
-    }
-
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let (lock, cvar) = &*queue;
-                lock.lock().unwrap_or_else(|e| e.into_inner()).push_back(stream);
-                cvar.notify_one();
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
-        }
-    }
+    let handlers = (0..opts.threads.max(1))
+        .map(|_| {
+            let state = Arc::clone(&state);
+            let mut conns = Conns::default();
+            move |stream| handle_connection(&state, &mut conns, stream)
+        })
+        .collect();
+    // A listener that cannot be polled or a pool that cannot start ends
+    // the router; either way the flag is raised for the prober.
+    let _ = serve_connections(&listener, &shutdown, "sepra-route", handlers, || {});
     shutdown.store(true, Ordering::SeqCst);
-    queue.1.notify_all();
-    for handle in workers {
-        let _ = handle.join();
-    }
     let _ = prober.map(|p| p.join());
 }
 

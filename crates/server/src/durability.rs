@@ -18,15 +18,16 @@
 //!
 //! Generation bookkeeping: WAL records and checkpoints are stamped with
 //! the **database** generation (one bump per effective tuple), which is
-//! the durable lineage. Recovery forces the counter to each replayed
-//! stamp, so post-recovery commits continue the on-disk numbering.
+//! the durable lineage. [`replay`] applies a run of records as one delta
+//! and forces the counter to the run's last stamp, so post-recovery
+//! commits continue the on-disk numbering.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use sepra_engine::QueryProcessor;
-use sepra_storage::{Database, EdbDelta};
-use sepra_wal::store::read_recovery;
+use sepra_storage::{Database, DeltaRun, EdbDelta};
+use sepra_wal::store::{read_recovery, Recovery};
 use sepra_wal::{codec, DurableStore, FsyncPolicy, WalError};
 
 use crate::json::ObjWriter;
@@ -112,6 +113,52 @@ pub struct RecoveryReport {
     pub duration: Duration,
 }
 
+/// Applies a run of log records — `(stamped generation, encoded delta)`,
+/// oldest first — to `qp` as **one** mutation. The deltas are composed
+/// by [`DeltaRun`] (per tuple the last operation wins, which is what
+/// applying them one by one comes to), the composed delta goes through
+/// [`QueryProcessor::apply_delta_mutation`] once — the all-or-none
+/// staging, incremental maintenance and plan-cache validation a live
+/// commit gets — and the database generation is then forced to the run's
+/// last stamp. Crash recovery, `sepra dump` and the replica applier all
+/// replay through here. All-or-none for the run too: if a record does not
+/// decode or the delta does not apply, `qp` is where it was (bar interned
+/// symbols), which is a state the log's writer committed.
+pub fn replay<'a>(
+    qp: &mut QueryProcessor,
+    records: impl IntoIterator<Item = (u64, &'a [u8])>,
+) -> Result<(), WalError> {
+    let mut run = DeltaRun::default();
+    let mut last = None;
+    for (generation, payload) in records {
+        run.push(codec::decode_delta(payload, qp.interner_mut())?);
+        last = Some(generation);
+    }
+    let Some(generation) = last else { return Ok(()) };
+    qp.apply_delta_mutation(run.into_delta()).map_err(|e| {
+        WalError::io(
+            format!("replaying the log up to generation {generation}"),
+            std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()),
+        )
+    })?;
+    qp.adopt_db_generation(generation);
+    Ok(())
+}
+
+/// Brings `qp`'s EDB to the durable state `recovery` read from a data
+/// directory: the checkpoint, if there is one, replaces the facts
+/// wholesale, then the log tail replays on top as one run.
+fn restore(qp: &mut QueryProcessor, recovery: &Recovery) -> Result<(), WalError> {
+    if let Some(body) = &recovery.checkpoint_body {
+        // The snapshot is the whole EDB: drop the program file's facts
+        // first so pre-checkpoint retractions stay retracted.
+        qp.db_mut().clear_relations();
+        let generation = codec::decode_snapshot_into(body, qp.db_mut())?;
+        qp.db_mut().force_generation(generation);
+    }
+    replay(qp, recovery.records.iter().map(|r| (r.generation, r.payload.as_slice())))
+}
+
 /// An open durability pipeline: owns the [`DurableStore`] and the
 /// checkpoint cadence. Lives behind its own mutex in the server's shared
 /// state; commits lock master first, then this — stats readers lock only
@@ -129,9 +176,9 @@ impl Durability {
     /// Opens `opts.data_dir`, recovers `qp` to the newest durable state
     /// (checkpoint + WAL replay, truncating a torn tail), and returns the
     /// pipeline ready to record commits. Call before
-    /// [`QueryProcessor::prepare`] — replay is plain delta application
-    /// then; support materialization happens once, after, over the
-    /// recovered EDB.
+    /// [`QueryProcessor::prepare`] — [`replay`] is plain delta
+    /// application then; support materialization happens once, after,
+    /// over the recovered EDB.
     pub fn recover(qp: &mut QueryProcessor, opts: &DurabilityOptions) -> Result<Self, WalError> {
         let start = Instant::now();
         let (store, recovery) = DurableStore::open(&opts.data_dir, opts.fsync)?;
@@ -140,24 +187,8 @@ impl Durability {
             truncated_bytes: recovery.truncated_bytes,
             ..RecoveryReport::default()
         };
-        if let Some(body) = &recovery.checkpoint_body {
-            // The snapshot is the whole EDB: drop the program file's
-            // facts first so pre-checkpoint retractions stay retracted.
-            qp.db_mut().clear_relations();
-            let generation = codec::decode_snapshot_into(body, qp.db_mut())?;
-            qp.db_mut().force_generation(generation);
-        }
-        for record in &recovery.records {
-            let delta = codec::decode_delta(&record.payload, qp.db_mut().interner_mut())?;
-            qp.apply_delta_mutation(delta).map_err(|e| {
-                WalError::io(
-                    format!("replaying WAL record at generation {}", record.generation),
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()),
-                )
-            })?;
-            qp.db_mut().force_generation(record.generation);
-            report.replayed_records += 1;
-        }
+        restore(qp, &recovery)?;
+        report.replayed_records = recovery.records.len() as u64;
         report.recovered_generation = qp.db().generation();
         report.duration = start.elapsed();
         let mut durability = Durability {
@@ -292,23 +323,9 @@ impl Durability {
 /// replayed on top, as a standalone [`Database`]. `sepra dump` is built on
 /// this so it can run against a live server's directory.
 pub fn load_offline(data_dir: &std::path::Path) -> Result<Database, WalError> {
-    let recovery = read_recovery(data_dir)?;
-    let mut db = Database::new();
-    if let Some(body) = &recovery.checkpoint_body {
-        let generation = codec::decode_snapshot_into(body, &mut db)?;
-        db.force_generation(generation);
-    }
-    for record in &recovery.records {
-        let delta = codec::decode_delta(&record.payload, db.interner_mut())?;
-        db.apply_delta(&delta).map_err(|e| {
-            WalError::io(
-                format!("replaying WAL record at generation {}", record.generation),
-                std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()),
-            )
-        })?;
-        db.force_generation(record.generation);
-    }
-    Ok(db)
+    let mut qp = QueryProcessor::new();
+    restore(&mut qp, &read_recovery(data_dir)?)?;
+    Ok(qp.db().clone())
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ pub mod replica;
 pub mod server;
 
 pub use durability::{
-    load_offline, CheckpointFormat, Durability, DurabilityOptions, DEFAULT_CHECKPOINT_EVERY,
+    load_offline, replay, CheckpointFormat, Durability, DurabilityOptions, DEFAULT_CHECKPOINT_EVERY,
 };
 pub use metrics::{Metrics, Snapshot};
 pub use sepra_repl::json;

@@ -7,25 +7,30 @@
 //! keeps serving reads from snapshots throughout, exactly as on a
 //! primary. What the applier maintains:
 //!
-//! * **Same code path as live mutations.** A streamed WAL record's delta
-//!   goes through [`apply_delta_mutation`] — the identical
-//!   incremental-maintenance path the primary's own commits and crash
-//!   recovery use — then the record's stamped generation is adopted
-//!   verbatim. A replica's state is therefore always the exact EDB of
-//!   some committed-generation prefix of the primary, never an
-//!   approximation.
+//! * **A run of records is one delta.** The record frames that have
+//!   already arrived when the applier looks — a whole backlog after a
+//!   connect, a single record behind a live primary — are one *run*. It
+//!   goes through [`replay`], the path crash recovery takes: one
+//!   coalesced delta through [`apply_delta_mutation`] (the identical
+//!   incremental-maintenance path the primary's own commits use), then
+//!   the run's last stamped generation is adopted verbatim. A ping or a
+//!   checkpoint frame ends the run. At every run boundary a replica's
+//!   state is therefore the exact EDB of some committed-generation prefix
+//!   of the primary, never an approximation; inside a run nothing is
+//!   visible, because a run commits all-or-none under the master lock.
 //! * **Idempotence at generation granularity.** Every event at or below
 //!   the replica's current generation is skipped, so reconnect overlap
 //!   (the feeder re-sends from the requested floor) and checkpoint
 //!   re-ships are harmless.
-//! * **Publish order.** After applying: processor generation first (so
+//! * **Publish order**, once per run: the lock-free generation first (so
 //!   workers refresh), then the gate (so a `min_generation` waiter that
 //!   wakes always finds a refreshable snapshot at its target).
 //!
 //! Any stream error — connection loss, a failed checksum, a decode
 //! failure — tears down the connection and reconnects from the replica's
-//! current generation. The feeder decides from that floor whether the
-//! WAL tail suffices or a checkpoint must be re-shipped.
+//! current generation; the records that arrived intact before it are
+//! applied first. The feeder decides from that floor whether the WAL tail
+//! suffices or a checkpoint must be re-shipped.
 //!
 //! [`apply_delta_mutation`]: sepra_engine::QueryProcessor::apply_delta_mutation
 
@@ -36,10 +41,47 @@ use std::time::Duration;
 use sepra_repl::{SyncClient, SyncEvent};
 use sepra_wal::codec;
 
+use crate::durability::replay;
 use crate::server::SharedState;
 
 /// Delay between reconnect attempts when the primary is unreachable.
 const RECONNECT_DELAY: Duration = Duration::from_millis(250);
+
+/// Applies the pending run of records — `(stamped generation, encoded
+/// delta)`, in stream order — as one mutation and publishes once, leaving
+/// `run` empty. On `Err` nothing was applied (the caller reconnects).
+fn apply_run(shared: &SharedState, run: &mut Vec<(u64, Vec<u8>)>) -> Result<(), String> {
+    let run = std::mem::take(run);
+    if run.is_empty() {
+        return Ok(());
+    }
+    let mut master = shared.lock_master();
+    // Reconnect overlap: whatever is at or below the generation reached
+    // so far was already applied.
+    let mut floor = master.db().generation();
+    let fresh: Vec<(u64, &[u8])> = run
+        .iter()
+        .filter(|(generation, _)| {
+            let new = *generation > floor;
+            floor = floor.max(*generation);
+            new
+        })
+        .map(|(generation, payload)| (*generation, payload.as_slice()))
+        .collect();
+    bump_primary_generation(shared, floor);
+    if fresh.is_empty() {
+        return Ok(());
+    }
+    let applied = fresh.len() as u64;
+    // `replay` adopts the primary's stamp (the local effective-tuple
+    // count can differ when a record carries already-present tuples).
+    replay(&mut master, fresh).map_err(|e| e.to_string())?;
+    shared.generation.store(floor, Ordering::SeqCst);
+    drop(master);
+    shared.applied_records.fetch_add(applied, Ordering::SeqCst);
+    shared.gate.publish(floor);
+    Ok(())
+}
 
 /// Applies one validated sync event to the shared state. Returns `Err`
 /// with a description when the stream content cannot be applied (the
@@ -52,24 +94,7 @@ pub(crate) fn apply_event(shared: &SharedState, event: SyncEvent) -> Result<(), 
             Ok(())
         }
         SyncEvent::Record { generation, payload } => {
-            bump_primary_generation(shared, generation);
-            let mut master = shared.lock_master();
-            if generation <= master.db().generation() {
-                return Ok(()); // reconnect overlap: already applied
-            }
-            let delta = codec::decode_delta(&payload, master.interner_mut())
-                .map_err(|e| format!("decoding record at generation {generation}: {e}"))?;
-            master
-                .apply_delta_mutation(delta)
-                .map_err(|e| format!("applying record at generation {generation}: {e}"))?;
-            // Adopt the primary's stamp (the local effective-tuple count
-            // can differ when a record carries already-present tuples).
-            master.adopt_db_generation(generation);
-            shared.generation.store(master.generation(), Ordering::SeqCst);
-            drop(master);
-            shared.applied_records.fetch_add(1, Ordering::SeqCst);
-            shared.gate.publish(generation);
-            Ok(())
+            apply_run(shared, &mut vec![(generation, payload)])
         }
         SyncEvent::Checkpoint { generation, body } => {
             bump_primary_generation(shared, generation);
@@ -91,7 +116,7 @@ pub(crate) fn apply_event(shared: &SharedState, event: SyncEvent) -> Result<(), 
             master
                 .prepare()
                 .map_err(|e| format!("re-preparing after checkpoint {generation}: {e}"))?;
-            shared.generation.store(master.generation(), Ordering::SeqCst);
+            shared.generation.store(generation, Ordering::SeqCst);
             drop(master);
             shared.gate.publish(generation);
             Ok(())
@@ -106,7 +131,8 @@ fn bump_primary_generation(shared: &SharedState, generation: u64) {
 }
 
 /// The applier loop: connect from the current generation, apply events,
-/// reconnect on any failure, until shutdown.
+/// reconnect on any failure, until shutdown. [`stop_applier`] is what
+/// ends its waits.
 fn applier_loop(primary: &str, shared: &SharedState, shutdown: &AtomicBool) {
     while !shutdown.load(Ordering::SeqCst) {
         let from_generation = shared.gate.current();
@@ -114,25 +140,45 @@ fn applier_loop(primary: &str, shared: &SharedState, shutdown: &AtomicBool) {
             Ok(client) => client,
             Err(_) => {
                 // Primary down or unreachable: keep serving (lagging)
-                // reads and retry. Sleep in one slice — short enough that
-                // shutdown and recovery both stay prompt.
-                std::thread::sleep(RECONNECT_DELAY);
+                // reads and retry.
+                std::thread::park_timeout(RECONNECT_DELAY);
                 continue;
             }
         };
+        // Registered before the flag is read below: whichever of this
+        // thread and `stop_applier` comes second sees the other.
+        *shared.lock_sync_socket() = client.try_clone_stream().ok();
+        let mut run = Vec::new();
         loop {
             if shutdown.load(Ordering::SeqCst) {
-                return;
+                break;
             }
             match client.next_event() {
-                Ok(event) => {
-                    if apply_event(shared, event).is_err() {
+                Ok(SyncEvent::Record { generation, payload }) => {
+                    run.push((generation, payload));
+                    // The run is what has already arrived: keep reading
+                    // while that costs no wait, then apply it as one.
+                    if client.frame_buffered() {
+                        continue;
+                    }
+                    if apply_run(shared, &mut run).is_err() {
                         break; // unapplicable content: resync from scratch
                     }
                 }
-                Err(_) => break, // stream error: reconnect
+                // Anything else ends the run, a broken stream included:
+                // what arrived intact is applied before it is handled.
+                other => {
+                    let applied = apply_run(shared, &mut run)
+                        .and_then(|()| apply_event(shared, other.map_err(|e| e.to_string())?));
+                    if applied.is_err() {
+                        break; // stream error or unapplicable content: reconnect
+                    }
+                }
             }
         }
+        // The connection is over: its second handle must not keep the
+        // socket open under the primary's feeder.
+        shared.lock_sync_socket().take();
     }
 }
 
@@ -145,4 +191,15 @@ pub(crate) fn spawn_applier(
     std::thread::Builder::new()
         .name("sepra-replica".into())
         .spawn(move || applier_loop(&primary, &shared, &shutdown))
+}
+
+/// Ends the applier's waits once the shutdown flag is up, so that it
+/// returns now and not at the primary's next ping: shuts its sync socket
+/// down (a blocked read returns at once) and cuts its reconnect delay
+/// short.
+pub(crate) fn stop_applier(shared: &SharedState, applier: &std::thread::JoinHandle<()>) {
+    if let Some(socket) = shared.lock_sync_socket().take() {
+        let _ = socket.shutdown(std::net::Shutdown::Both);
+    }
+    applier.thread().unpark();
 }

@@ -18,12 +18,12 @@
 //! Concurrency is a hand-rolled worker pool over `std::net` (the workspace
 //! takes no external dependencies): each worker owns a cheap
 //! [`QueryProcessor`] clone — a copy-on-write database snapshot sharing the
-//! prepared state and plan cache — and pulls connections from a
-//! condvar-guarded queue. Every request runs under a [`Budget`] that
-//! combines the server-wide defaults, the request's overrides, and a
-//! cancellation flag raised at shutdown, so a deadline or a Ctrl-C
-//! surfaces as a structured `budget_exceeded` error instead of a stuck
-//! fixpoint.
+//! prepared state and plan cache — and is handed connections as they
+//! arrive ([`sepra_repl::listener`], the loop the router runs too). Every
+//! request runs under a [`Budget`] that combines the server-wide
+//! defaults, the request's overrides, and a cancellation flag raised at
+//! shutdown, so a deadline or a Ctrl-C surfaces as a structured
+//! `budget_exceeded` error instead of a stuck fixpoint.
 //!
 //! Mutations (`insert`/`retract` requests) are serialized through one
 //! master processor behind a mutex — writes are exclusive, reads share
@@ -33,16 +33,16 @@
 //! every worker refresh its snapshot before its next request. A query
 //! therefore observes either none or all of a mutation, never a prefix.
 
-use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use sepra_engine::{GenerationGate, ProcessorError, QueryProcessor, Strategy, StrategyChoice};
 use sepra_eval::{Budget, EvalError};
 use sepra_repl::feeder::refuse_sync;
+use sepra_repl::listener::serve_connections;
 use sepra_repl::protocol::parse_sync_request;
 use sepra_repl::stream_to_follower;
 use sepra_wal::WalError;
@@ -61,9 +61,6 @@ pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
 const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 const READ_POLL: Duration = Duration::from_millis(200);
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// How often the accept loop and idle workers re-check the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// How long a `min_generation` read waits for the replica to catch up
 /// when the request carries no deadline of its own (no `timeout_ms`, no
@@ -213,7 +210,8 @@ pub fn serve(mut qp: QueryProcessor, opts: &ServeOptions) -> Result<(), ServeErr
 
 /// The accept loop and worker pool, parameterized over the listener and
 /// shutdown flag so tests can drive a server in-process. Returns once the
-/// flag is raised and every worker has drained.
+/// flag is raised — a bare store is enough, nobody needs notifying — and
+/// every worker has drained.
 pub fn run(
     listener: TcpListener,
     qp: QueryProcessor,
@@ -221,20 +219,18 @@ pub fn run(
     shutdown: Arc<AtomicBool>,
     durability: Option<Durability>,
 ) -> Result<(), ServeError> {
-    listener.set_nonblocking(true)?;
     let metrics = Arc::new(Metrics::new());
-    let queue: Arc<(Mutex<VecDeque<TcpStream>>, Condvar)> =
-        Arc::new((Mutex::new(VecDeque::new()), Condvar::new()));
     let gate = GenerationGate::new();
     gate.publish(qp.db().generation());
     let shared = Arc::new(SharedState {
-        generation: AtomicU64::new(qp.generation()),
+        generation: AtomicU64::new(qp.db().generation()),
         primary_generation: AtomicU64::new(qp.db().generation()),
         master: Mutex::new(qp),
         durability: durability.map(Mutex::new),
         gate,
         replica_of: opts.replica_of.clone(),
         applied_records: AtomicU64::new(0),
+        sync_socket: Mutex::new(None),
     });
 
     // A replica pulls its state from the primary on a dedicated applier
@@ -251,25 +247,21 @@ pub fn run(
         })
         .transpose()?;
 
-    let mut workers = Vec::new();
-    for i in 0..opts.threads.max(1) {
-        let worker = Worker {
-            qp: shared.lock_master().clone(),
-            shared: Arc::clone(&shared),
-            queue: Arc::clone(&queue),
-            shutdown: Arc::clone(&shutdown),
-            metrics: Arc::clone(&metrics),
-            default_timeout: opts.default_timeout,
-            default_max_tuples: opts.default_max_tuples,
-            idle_timeout: opts.idle_timeout,
-            threads: opts.threads.max(1),
-        };
-        workers.push(
-            std::thread::Builder::new()
-                .name(format!("sepra-worker-{i}"))
-                .spawn(move || worker.run())?,
-        );
-    }
+    let workers = (0..opts.threads.max(1))
+        .map(|_| {
+            let mut worker = Worker {
+                qp: shared.lock_master().clone(),
+                shared: Arc::clone(&shared),
+                shutdown: Arc::clone(&shutdown),
+                metrics: Arc::clone(&metrics),
+                default_timeout: opts.default_timeout,
+                default_max_tuples: opts.default_max_tuples,
+                idle_timeout: opts.idle_timeout,
+                threads: opts.threads.max(1),
+            };
+            move |stream| worker.handle_connection(stream)
+        })
+        .collect();
 
     // `--fsync interval:MS` defers syncs to the next append; the accept
     // loop backstops that with a periodic flush so the documented loss
@@ -280,10 +272,13 @@ pub fn run(
         .and_then(|d| d.lock().unwrap_or_else(|e| e.into_inner()).deferred_sync_interval());
     let mut last_flush_check = Instant::now();
 
-    while !shutdown.load(Ordering::SeqCst) {
+    // Raising the flag cancels in-flight budgets (every request's budget
+    // carries it as a cancellation token); the pool releases its idle
+    // workers itself. The applier is not in the pool: its waits are ended
+    // from here, so it does not sit out the primary's next ping.
+    let served = serve_connections(&listener, &shutdown, "sepra-worker", workers, || {
         if signal::raised() {
             shutdown.store(true, Ordering::SeqCst);
-            break;
         }
         if let (Some(interval), Some(durability)) = (deferred_fsync, &shared.durability) {
             if last_flush_check.elapsed() >= interval {
@@ -291,36 +286,18 @@ pub fn run(
                 last_flush_check = Instant::now();
             }
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let (lock, cvar) = &*queue;
-                lock.lock().unwrap_or_else(|e| e.into_inner()).push_back(stream);
-                cvar.notify_one();
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
-        }
-    }
-
-    // Raising the flag cancels in-flight budgets (every request's budget
-    // carries it as a cancellation token); waking the condvar releases
-    // idle workers.
+    });
     shutdown.store(true, Ordering::SeqCst);
-    queue.1.notify_all();
-    for handle in workers {
-        let _ = handle.join();
-    }
-    if let Some(handle) = applier {
-        let _ = handle.join();
+    if let Some(applier) = applier {
+        crate::replica::stop_applier(&shared, &applier);
+        let _ = applier.join();
     }
     // Clean shutdown flushes policy-deferred WAL writes: `--fsync
     // interval`/`never` only risk loss on a crash, not on an exit.
     if let Some(durability) = &shared.durability {
         let _ = durability.lock().unwrap_or_else(|e| e.into_inner()).sync();
     }
-    Ok(())
+    Ok(served?)
 }
 
 /// Watches stdin for a `quit`/`shutdown` line on a detached thread. EOF
@@ -391,10 +368,16 @@ mod signal {
 /// published database generation workers compare their snapshots against.
 pub(crate) struct SharedState {
     pub(crate) master: Mutex<QueryProcessor>,
-    /// [`QueryProcessor::generation`] of the last committed mutation (or,
-    /// on a replica, the last applied sync event). Published *after* the
-    /// master commits, so a worker observing the new value is guaranteed
-    /// to clone a fully mutated master.
+    /// The master's **database** generation as of the last committed
+    /// mutation (or, on a replica, the last applied run or checkpoint):
+    /// the lock-free copy of the gate that every request compares its
+    /// snapshot with. The database generation and not the processor's,
+    /// because a replica adopts stamps the processor generation does not
+    /// follow — a run whose effective delta is empty still moves the
+    /// stamp, and a snapshot below it must not answer a read the gate
+    /// released. Published *after* the master commits, so a worker
+    /// observing the new value is guaranteed to clone a fully mutated
+    /// master.
     pub(crate) generation: AtomicU64,
     /// The durability pipeline (`--data-dir`). Lock order: master first,
     /// then durability — stats readers take durability alone, never the
@@ -413,6 +396,9 @@ pub(crate) struct SharedState {
     pub(crate) primary_generation: AtomicU64,
     /// On a replica: WAL records applied since startup.
     pub(crate) applied_records: AtomicU64,
+    /// On a replica: a handle on the applier's live sync connection, for
+    /// shutdown to close under it.
+    pub(crate) sync_socket: Mutex<Option<TcpStream>>,
 }
 
 impl SharedState {
@@ -422,14 +408,17 @@ impl SharedState {
         // state behind a poisoned lock is still consistent.
         self.master.lock().unwrap_or_else(|e| e.into_inner())
     }
+
+    pub(crate) fn lock_sync_socket(&self) -> std::sync::MutexGuard<'_, Option<TcpStream>> {
+        self.sync_socket.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
-/// One worker thread: owns a processor clone and serves whole connections
-/// pulled from the shared queue.
+/// One worker thread: owns a processor clone and serves the whole
+/// connections the accept loop hands it.
 struct Worker {
     qp: QueryProcessor,
     shared: Arc<SharedState>,
-    queue: Arc<(Mutex<VecDeque<TcpStream>>, Condvar)>,
     shutdown: Arc<AtomicBool>,
     metrics: Arc<Metrics>,
     default_timeout: Option<Duration>,
@@ -439,30 +428,6 @@ struct Worker {
 }
 
 impl Worker {
-    fn run(mut self) {
-        loop {
-            let stream = {
-                let (lock, cvar) = &*self.queue;
-                let mut q = lock.lock().unwrap_or_else(|e| e.into_inner());
-                loop {
-                    if let Some(stream) = q.pop_front() {
-                        break Some(stream);
-                    }
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        break None;
-                    }
-                    let (guard, _) =
-                        cvar.wait_timeout(q, POLL_INTERVAL).unwrap_or_else(|e| e.into_inner());
-                    q = guard;
-                }
-            };
-            match stream {
-                Some(stream) => self.handle_connection(stream),
-                None => return,
-            }
-        }
-    }
-
     fn handle_connection(&mut self, stream: TcpStream) {
         // Short read timeouts so a worker parked on an idle connection
         // still notices shutdown within one poll interval; `idle` tracks
@@ -594,7 +559,7 @@ impl Worker {
     /// Replaces this worker's snapshot with the master's when a mutation
     /// has been published since the snapshot was taken.
     fn refresh_snapshot(&mut self) {
-        if self.shared.generation.load(Ordering::SeqCst) != self.qp.generation() {
+        if self.shared.generation.load(Ordering::SeqCst) != self.qp.db().generation() {
             self.qp = self.shared.lock_master().clone();
         }
     }
@@ -843,9 +808,9 @@ impl Worker {
                 // and the delta is logged, so no snapshot can observe a
                 // non-durable mutation. The gate (the client-visible db
                 // generation) is published last: a waiter it releases
-                // must find the processor generation already advanced.
+                // must find the lock-free copy already advanced.
                 self.qp = master.clone();
-                self.shared.generation.store(self.qp.generation(), Ordering::SeqCst);
+                self.shared.generation.store(self.qp.db().generation(), Ordering::SeqCst);
                 self.shared.gate.publish(self.qp.db().generation());
             }
             outcome
@@ -1078,18 +1043,18 @@ mod tests {
         let gate = GenerationGate::new();
         gate.publish(qp.db().generation());
         let shared = Arc::new(SharedState {
-            generation: AtomicU64::new(qp.generation()),
+            generation: AtomicU64::new(qp.db().generation()),
             primary_generation: AtomicU64::new(qp.db().generation()),
             master: Mutex::new(qp.clone()),
             durability: durability.map(Mutex::new),
             gate,
             replica_of: None,
             applied_records: AtomicU64::new(0),
+            sync_socket: Mutex::new(None),
         });
         Worker {
             qp,
             shared,
-            queue: Arc::new((Mutex::new(VecDeque::new()), Condvar::new())),
             shutdown: Arc::new(AtomicBool::new(false)),
             metrics: Arc::new(Metrics::new()),
             default_timeout: None,
@@ -1255,7 +1220,6 @@ mod tests {
         let mut b = Worker {
             qp: a.shared.lock_master().clone(),
             shared: Arc::clone(&a.shared),
-            queue: Arc::clone(&a.queue),
             shutdown: Arc::clone(&a.shutdown),
             metrics: Arc::clone(&a.metrics),
             default_timeout: None,

@@ -99,6 +99,58 @@ impl EdbDelta {
     }
 }
 
+/// Composes consecutive [`EdbDelta`]s into the one delta that leaves a
+/// database where applying them in order would have: per tuple, the
+/// *last* operation wins. A tuple last inserted ends in the insert half
+/// and one last removed in the remove half, so the halves are disjoint
+/// and [`Database::apply_delta`]'s remove-then-insert order is immaterial.
+/// Because `apply_delta` ignores an absent remove and a present insert,
+/// this holds whether or not each composed operation was effective where
+/// it was first applied — a log replays the same on a database that
+/// already holds part of it. Tuples keep first-seen order per predicate,
+/// so equal runs compose to equal deltas.
+#[derive(Debug, Default)]
+pub struct DeltaRun {
+    preds: FxHashMap<Sym, TupleOps>,
+}
+
+#[derive(Debug, Default)]
+struct TupleOps {
+    /// Every tuple the run touched, in first-seen order.
+    order: Vec<Tuple>,
+    /// Whether each touched tuple's last operation was an insert.
+    inserted: FxHashMap<Tuple, bool>,
+}
+
+impl DeltaRun {
+    /// Composes `delta` after everything pushed so far (its removes
+    /// before its inserts, as [`Database::apply_delta`] applies them).
+    pub fn push(&mut self, delta: EdbDelta) {
+        for (is_insert, half) in [(false, delta.remove), (true, delta.insert)] {
+            for (pred, tuples) in half {
+                let ops = self.preds.entry(pred).or_default();
+                for tuple in tuples {
+                    if ops.inserted.insert(tuple.clone(), is_insert).is_none() {
+                        ops.order.push(tuple);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The composed delta.
+    pub fn into_delta(self) -> EdbDelta {
+        let mut delta = EdbDelta::default();
+        for (pred, ops) in self.preds {
+            for tuple in ops.order {
+                let half = if ops.inserted[&tuple] { &mut delta.insert } else { &mut delta.remove };
+                half.entry(pred).or_default().push(tuple);
+            }
+        }
+        delta
+    }
+}
+
 impl Database {
     /// Creates an empty database.
     pub fn new() -> Self {
@@ -495,6 +547,49 @@ mod tests {
         assert!(!rel.contains(&tuples[0]));
         assert!(rel.contains(&tuples[1]));
         assert!(rel.contains(&fresh));
+    }
+
+    #[test]
+    fn a_run_composes_to_what_its_deltas_do_in_order() {
+        let mut db = Database::new();
+        db.load_fact_text("e(a, b). e(b, c).").unwrap();
+        let e = db.intern("e");
+        let pair = |db: &mut Database, x: &str, y: &str| {
+            Tuple::from(vec![Value::sym(db.intern(x)), Value::sym(db.intern(y))])
+        };
+        let (ab, bc) = (pair(&mut db, "a", "b"), pair(&mut db, "b", "c"));
+        let (xy, yz) = (pair(&mut db, "x", "y"), pair(&mut db, "y", "z"));
+        let delta = |remove: &[&Tuple], insert: &[&Tuple]| {
+            let mut delta = EdbDelta::default();
+            delta.remove.insert(e, remove.iter().map(|t| (*t).clone()).collect());
+            delta.insert.insert(e, insert.iter().map(|t| (*t).clone()).collect());
+            delta
+        };
+        // Toggles (xy in, out, in; ab out, in), a present insert (bc), an
+        // absent remove (yz), and remove-then-insert inside one delta.
+        let script = [
+            delta(&[], &[&xy, &bc]),
+            delta(&[&xy, &ab, &yz], &[]),
+            delta(&[&bc], &[&xy, &bc]),
+            delta(&[], &[&ab]),
+        ];
+        let mut one_by_one = db.clone();
+        let mut run = DeltaRun::default();
+        for step in &script {
+            one_by_one.apply_delta(step).unwrap();
+            run.push(step.clone());
+        }
+        let composed = run.into_delta();
+        assert_eq!(composed.insert[&e], vec![xy.clone(), bc.clone(), ab.clone()]);
+        assert_eq!(composed.remove[&e], vec![yz.clone()]);
+        db.apply_delta(&composed).unwrap();
+        let facts = |db: &Database| {
+            let mut rows: Vec<Tuple> =
+                db.relation(e).unwrap().iter().map(|t| t.to_tuple()).collect();
+            rows.sort();
+            rows
+        };
+        assert_eq!(facts(&db), facts(&one_by_one));
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod stats;
 pub mod tuple;
 pub mod value;
 
-pub use database::{Database, EdbDelta};
+pub use database::{Database, DeltaRun, EdbDelta};
 pub use hasher::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use index::Index;
 pub use relation::{row_hash, Relation, Row, RowValues, Rows};
