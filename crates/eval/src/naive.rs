@@ -116,16 +116,11 @@ pub fn naive_with_options(
                     // whole relation from this iteration's contributions
                     // (EDB facts plus every rule output) — the simplest
                     // possible reading, kept as ground truth.
-                    let mut state = AggState::new(spec);
                     let mut fresh = Relation::new(derived[&pred].arity());
-                    if let Some(edb) = db.relation(pred) {
-                        for row in edb.iter() {
-                            state.absorb_into(&row.to_vec(), &mut fresh, &mut stats, None);
-                        }
-                    }
-                    for t in &tuples {
-                        state.absorb_into(t.values(), &mut fresh, &mut stats, None);
-                    }
+                    let mut state = AggState::new(spec, fresh.arity());
+                    let edb = db.relation(pred).into_iter().flatten().map(|row| row.to_vec());
+                    state.merge(edb, &mut fresh, &mut stats, None);
+                    state.merge(tuples.iter().map(Tuple::values), &mut fresh, &mut stats, None);
                     let rel = derived.get_mut(&pred).expect("derived exists");
                     if fresh != *rel {
                         any_new = true;

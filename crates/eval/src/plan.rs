@@ -824,7 +824,7 @@ impl Builder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
 
@@ -834,7 +834,7 @@ mod tests {
 
     thread_local! {
         /// Heap allocations (and reallocations) made by this thread.
-        static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+        pub(crate) static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
     }
 
     /// The system allocator, counting per thread — the test harness runs

@@ -19,7 +19,7 @@
 //! mis-evaluated.
 
 use sepra_ast::{AggFunc, AggSpec, DependencyGraph, Literal, Program, Rule, Sym};
-use sepra_storage::{Database, EvalStats, FxHashMap, FxHashSet, Relation, Tuple, Value};
+use sepra_storage::{Database, EvalStats, FxHashMap, Relation, Tuple, Value};
 
 use crate::budget::Budget;
 use crate::error::EvalError;
@@ -270,12 +270,10 @@ pub(crate) fn eval_stratum(
     let mut rounds = Rounds::new(db, options, "semi-naive fixpoint");
     for &p in stratum_idb {
         let Some(spec) = aggs.get(&p) else { continue };
-        let mut state = AggState::new(spec);
+        let rel = derived.get_mut(&p).expect("derived relation exists");
+        let mut state = AggState::new(spec, rel.arity());
         if let Some(edb) = db.relation(p) {
-            let rel = derived.get_mut(&p).expect("derived relation exists");
-            for row in edb.iter() {
-                state.absorb_into(&row.to_vec(), rel, stats, None);
-            }
+            state.merge(edb.iter().map(|row| row.to_vec()), rel, stats, None);
         }
         rounds.aggs.insert(p, state);
     }
@@ -368,12 +366,10 @@ impl<'a> Rounds<'a> {
             let rel = derived.get_mut(&head).expect("derived relation exists");
             if let Some(state) = self.aggs.get_mut(&head) {
                 let arity = rel.arity();
-                for row in rows.rows() {
-                    let changed = new_delta.as_deref_mut();
-                    let changed =
-                        changed.map(|d| d.entry(head).or_insert_with(|| Relation::new(arity)));
-                    state.absorb_into(row, rel, stats, changed);
-                }
+                let changed = new_delta.as_deref_mut();
+                let changed =
+                    changed.map(|d| d.entry(head).or_insert_with(|| Relation::new(arity)));
+                state.merge(rows.rows(), rel, stats, changed);
             } else {
                 if !grown.iter().any(|&(p, _)| p == head) {
                     grown.push((head, rel.len()));
@@ -385,8 +381,8 @@ impl<'a> Rounds<'a> {
         // A set insert appends, so what a plain head gained this step is the
         // tail of its relation: the delta is a slice of it — same rows, same
         // order as inserting each new row a second time, with no hashing and
-        // no probing. (An aggregate head retracts and compacts; its changed
-        // tuples are collected as they happen.)
+        // no probing. (An aggregate head's merge rewrites its relation; its
+        // changed tuples are collected as they happen.)
         if let Some(new_delta) = new_delta {
             for (head, before) in grown {
                 let rel = &derived[&head];
@@ -461,9 +457,16 @@ pub(crate) fn build_store<'a>(
     store
 }
 
-/// Merge state for one aggregate head: keeps the current aggregate value
-/// per group (the row minus the aggregate column) so the stored relation
-/// holds exactly one tuple per group at all times.
+/// Merge state for one aggregate head: the current aggregate value of every
+/// group (the row minus the aggregate column), from which [`AggState::merge`]
+/// keeps exactly one stored tuple per group.
+///
+/// A merge is a fold over one step's rows against the group table; the
+/// stored relation is not read and is rewritten once, when the fold is done:
+/// one [`Relation::remove_batch`] of the tuples it held for the groups that
+/// changed, then their current tuples appended in the order the groups last
+/// changed — the relation a retract and an insert per change would leave,
+/// for one compaction per call. The fold allocates per new group, not per row.
 ///
 /// Aggregates fold over **distinct** contribution rows (set semantics, like
 /// everything else in the engine): `count`/`sum` count each distinct
@@ -473,117 +476,116 @@ pub(crate) fn build_store<'a>(
 pub(crate) struct AggState {
     func: AggFunc,
     pos: usize,
-    /// Group key → current stored aggregate value.
-    groups: FxHashMap<Vec<Value>, Value>,
+    /// Group key → the group's slot in `groups`.
+    slots: FxHashMap<Vec<Value>, usize>,
+    groups: Vec<Group>,
     /// Distinct contribution rows already folded (`count`/`sum` only).
-    seen: FxHashSet<Vec<Value>>,
+    seen: Relation,
+    /// How many times a group's value has changed, over every merge.
+    changes: usize,
+    /// The key of the row being folded; reused, so a lookup allocates nothing.
+    key: Vec<Value>,
+}
+
+struct Group {
+    /// The aggregate's current value.
+    value: Value,
+    /// Which change set it, counting from zero over the state's life.
+    last: usize,
 }
 
 impl AggState {
-    pub(crate) fn new(spec: &AggSpec) -> Self {
+    /// State for the aggregate `spec` of a head with `arity` columns.
+    pub(crate) fn new(spec: &AggSpec, arity: usize) -> Self {
         AggState {
             func: spec.func,
             pos: spec.pos,
-            groups: FxHashMap::default(),
-            seen: FxHashSet::default(),
+            slots: FxHashMap::default(),
+            groups: Vec::new(),
+            seen: Relation::new(arity),
+            changes: 0,
+            key: Vec::new(),
         }
     }
 
-    fn key_of(&self, row: &[Value]) -> Vec<Value> {
-        let mut key = row.to_vec();
-        key.remove(self.pos);
-        key
-    }
-
-    fn tuple_for(&self, key: &[Value], v: Value) -> Tuple {
-        let mut row = Vec::with_capacity(key.len() + 1);
-        row.extend_from_slice(&key[..self.pos]);
-        row.push(v);
-        row.extend_from_slice(&key[self.pos..]);
-        Tuple::new(row)
-    }
-
-    /// Folds one candidate row; when the group's stored tuple changes,
-    /// returns `(old stored tuple if any, new stored tuple)`.
-    fn absorb(&mut self, row: &[Value]) -> Option<(Option<Tuple>, Tuple)> {
-        match self.func {
-            AggFunc::Min | AggFunc::Max => {
-                let v = row[self.pos];
-                let n = v.as_int()?;
-                let key = self.key_of(row);
-                let cur = self.groups.get(&key).copied();
-                let improved = match cur {
-                    None => true,
-                    Some(c) => {
-                        let c = c.as_int().expect("stored aggregate is an integer");
-                        if self.func == AggFunc::Min {
-                            n < c
-                        } else {
-                            n > c
-                        }
-                    }
-                };
-                if !improved {
-                    return None;
-                }
-                self.groups.insert(key.clone(), v);
-                Some((cur.map(|c| self.tuple_for(&key, c)), self.tuple_for(&key, v)))
-            }
-            AggFunc::Count => {
-                if !self.seen.insert(row.to_vec()) {
-                    return None;
-                }
-                let key = self.key_of(row);
-                let cur = self.groups.get(&key).copied();
-                let n = cur.map_or(0, |c| c.as_int().expect("count is an integer")) + 1;
-                let v = Value::int(n).ok()?;
-                self.groups.insert(key.clone(), v);
-                Some((cur.map(|c| self.tuple_for(&key, c)), self.tuple_for(&key, v)))
-            }
-            AggFunc::Sum => {
-                let add = row[self.pos].as_int()?;
-                if !self.seen.insert(row.to_vec()) {
-                    return None;
-                }
-                let key = self.key_of(row);
-                let cur = self.groups.get(&key).copied();
-                let base = cur.map_or(0, |c| c.as_int().expect("sum is an integer"));
-                // Out-of-range sums drop the contribution rather than wrap.
-                let v = Value::int(base.checked_add(add)?).ok()?;
-                if cur == Some(v) {
-                    return None; // zero contribution: value unchanged
-                }
-                self.groups.insert(key.clone(), v);
-                Some((cur.map(|c| self.tuple_for(&key, c)), self.tuple_for(&key, v)))
-            }
+    /// Folds one candidate row into the group table; when that changes its
+    /// group's value, returns the group's slot and the value it had.
+    fn fold(&mut self, row: &[Value]) -> Option<(usize, Option<Value>)> {
+        let offered = row[self.pos];
+        let n = if self.func == AggFunc::Count { 1 } else { offered.as_int()? };
+        if matches!(self.func, AggFunc::Count | AggFunc::Sum) && !self.seen.insert_row(row) {
+            return None;
         }
+        self.key.clear();
+        self.key.extend_from_slice(&row[..self.pos]);
+        self.key.extend_from_slice(&row[self.pos + 1..]);
+        let slot = self.slots.get(self.key.as_slice()).copied();
+        let old = slot.map(|s| self.groups[s].value);
+        let held = old.map(|v| v.as_int().expect("stored aggregate is an integer"));
+        let value = match self.func {
+            AggFunc::Min if held.is_some_and(|c| n >= c) => return None,
+            AggFunc::Max if held.is_some_and(|c| n <= c) => return None,
+            AggFunc::Min | AggFunc::Max => offered,
+            // Out-of-range sums drop the contribution rather than wrap.
+            AggFunc::Count | AggFunc::Sum => Value::int(held.unwrap_or(0).checked_add(n)?).ok()?,
+        };
+        if old == Some(value) {
+            return None; // zero contribution to a sum: value unchanged
+        }
+        let slot = slot.unwrap_or_else(|| {
+            self.slots.insert(self.key.clone(), self.groups.len());
+            self.groups.push(Group { value, last: 0 });
+            self.groups.len() - 1
+        });
+        self.groups[slot].value = value;
+        Some((slot, old))
     }
 
-    /// Folds one candidate row into `rel`, replacing the group's stored
-    /// tuple when the aggregate changes. Returns whether the relation
-    /// changed; the new stored tuple joins `delta` when one is given.
-    pub(crate) fn absorb_into(
+    /// Folds `rows` in order, then brings `rel` up to date with the groups
+    /// they changed. Every change of a group's value is one
+    /// `record_insert(true)` and, when a `delta` is given, one tuple offered
+    /// to it — values a later row of the same call superseded included; every
+    /// other row is a `record_insert(false)`.
+    pub(crate) fn merge<R: AsRef<[Value]>>(
         &mut self,
-        row: &[Value],
+        rows: impl IntoIterator<Item = R>,
         rel: &mut Relation,
         stats: &mut EvalStats,
-        delta: Option<&mut Relation>,
-    ) -> bool {
-        match self.absorb(row) {
-            None => {
+        mut delta: Option<&mut Relation>,
+    ) {
+        let (arity, first) = (rel.arity(), self.changes);
+        // This call's changes, in order: the tuples they stored, row-major,
+        // and their groups; and what `rel` holds for a group changed here.
+        let (mut stored, mut changed) = (Vec::new(), Vec::new());
+        let mut superseded: Vec<Tuple> = Vec::new();
+        for row in rows {
+            let row = row.as_ref();
+            let Some((slot, old)) = self.fold(row) else {
                 stats.record_insert(false);
-                false
+                continue;
+            };
+            stats.record_insert(true);
+            let at = stored.len();
+            stored.extend_from_slice(row);
+            let group = &mut self.groups[slot];
+            if let Some(old) = old.filter(|_| group.last < first) {
+                stored[at + self.pos] = old;
+                superseded.push(Tuple::new(&stored[at..]));
             }
-            Some((old, new)) => {
-                if let Some(old) = old {
-                    rel.remove(&old);
-                }
-                rel.insert(new.clone());
-                stats.record_insert(true);
-                if let Some(d) = delta {
-                    d.insert(new);
-                }
-                true
+            stored[at + self.pos] = group.value;
+            if let Some(delta) = delta.as_deref_mut() {
+                delta.insert_row(&stored[at..]);
+            }
+            group.last = self.changes;
+            self.changes += 1;
+            changed.push(slot);
+        }
+        if !superseded.is_empty() {
+            rel.remove_batch(&superseded);
+        }
+        for (i, (tuple, &slot)) in stored.chunks_exact(arity).zip(&changed).enumerate() {
+            if self.groups[slot].last == first + i {
+                rel.insert_row(tuple);
             }
         }
     }
@@ -959,5 +961,169 @@ mod tests {
         }
         assert!(productive_rounds >= 2, "the closure takes several rounds");
         assert!(stats.insert_attempts > stats.tuples_inserted, "duplicates were offered");
+    }
+
+    #[test]
+    fn a_count_head_compacts_once_per_merge_not_once_per_row() {
+        // 24 groups of 16 rows from each of two rules: two merges, the second
+        // of which moves every group — 744 changes of a stored tuple in all.
+        let mut facts = String::new();
+        for k in 0..24 * 16 {
+            facts.push_str(&format!("reach(x{}, y{k}). more(x{}, z{k}). ", k % 24, k % 24));
+        }
+        let (d, mut db) = eval(
+            "nreach(X, count<Y>) :- reach(X, Y).\nnreach(X, count<Y>) :- more(X, Y).\n",
+            &facts,
+        );
+        let rel = d.relation(db.intern("nreach")).unwrap();
+        assert_eq!(rel.len(), 24);
+        assert!(rel.iter().all(|row| row[1] == Value::int(32).unwrap()));
+        assert_eq!(d.stats.tuples_inserted, 2 * 24 * 16);
+        assert!(rel.compaction_epoch() <= 2, "{} compactions", rel.compaction_epoch());
+    }
+
+    #[test]
+    fn a_recursive_min_compacts_once_per_round() {
+        // Every node reaches the next four, a hop of d costing d²: the chain
+        // of unit hops is cheapest and found last, so a node's distance
+        // improves in round after round.
+        let mut facts = String::from("source(n0). ");
+        for a in 0..40 {
+            for d in 1..=4 {
+                facts.push_str(&format!("w(n{a}, n{}, {}). ", a + d, d * d));
+            }
+        }
+        let (d, mut db) = eval(
+            "shortest(Y, min<C>) :- source(X), w(X, Y, C).\n\
+             shortest(Y, min<C>) :- shortest(X, D), w(X, Y, W2), C = D + W2.\n",
+            &facts,
+        );
+        let rel = d.relation(db.intern("shortest")).unwrap();
+        assert_eq!(rel.len(), 43);
+        // One merge for the base rule, one per round of the recursive one.
+        let merges = d.stats.iterations + 1;
+        assert!(d.stats.tuples_inserted > 3 * merges, "the distances improve many times a round");
+        assert!(
+            rel.compaction_epoch() as usize <= merges,
+            "{} compactions",
+            rel.compaction_epoch()
+        );
+    }
+
+    #[test]
+    fn the_aggregate_fold_allocates_per_group_not_per_row() {
+        use crate::plan::tests::ALLOCATIONS;
+        let int = |n: usize| Value::int(n as i64).unwrap();
+        let spec = |func| AggSpec { func, pos: 1, span: sepra_ast::Span::DUMMY };
+        // 64 groups; every row is a change (a new count, a lower minimum).
+        let allocations_over = |func, rows: usize| {
+            let flat: Vec<Value> = (0..rows).flat_map(|k| [int(k % 64), int(rows - k)]).collect();
+            let (mut rel, mut delta) = (Relation::new(2), Relation::new(2));
+            let mut state = AggState::new(&spec(func), 2);
+            let mut stats = EvalStats::new();
+            let before = ALLOCATIONS.with(std::cell::Cell::get);
+            state.merge(flat.chunks_exact(2), &mut rel, &mut stats, Some(&mut delta));
+            assert_eq!((rel.len(), stats.tuples_inserted), (64, rows));
+            ALLOCATIONS.with(std::cell::Cell::get) - before
+        };
+        for func in [AggFunc::Count, AggFunc::Min] {
+            let (small, large) = (allocations_over(func, 4096), allocations_over(func, 4 * 4096));
+            assert!(small < 4096 / 16, "{func:?}: {small} allocations over 4096 rows");
+            // Four times the rows double every growing buffer twice more: the
+            // call's two, and the columns, hashes and table of `delta` and `seen`.
+            assert!(
+                large - small <= 2 * 10,
+                "{func:?}: {small} over 4096 rows, {large} over 16384"
+            );
+        }
+    }
+
+    /// The aggregate of `group` over the distinct contributions `rows`
+    /// (`[group, value]`, in arrival order), recomputed from nothing.
+    fn reference_value(func: AggFunc, group: Value, rows: &[[Value; 2]]) -> Option<i128> {
+        use sepra_storage::value::{INT_MAX_EXCLUSIVE, INT_MIN};
+        let own = rows.iter().filter(|r| r[0] == group);
+        let ints = own.clone().filter_map(|r| r[1].as_int()).map(i128::from);
+        let fits = |n: &i128| (i128::from(INT_MIN)..i128::from(INT_MAX_EXCLUSIVE)).contains(n);
+        match func {
+            AggFunc::Min => ints.min(),
+            AggFunc::Max => ints.max(),
+            AggFunc::Count => Some(own.count() as i128).filter(|&n| n > 0),
+            // A contribution that would leave the range is dropped.
+            AggFunc::Sum => {
+                ints.fold(None, |acc, c| Some(acc.unwrap_or(0) + c).filter(fits).or(acc))
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// `AggState::merge` against a reference that shares no code with it
+        /// (the naive oracle shares `AggState`): after every call the stored
+        /// relation, row for row, the counters and the delta.
+        #[test]
+        fn merge_matches_a_recomputing_reference(
+            func in proptest::sample::select(vec![AggFunc::Min, AggFunc::Max, AggFunc::Count, AggFunc::Sum]),
+            pos in 0usize..2,
+            picks in proptest::collection::vec((0u32..6, 0usize..12), 0..160),
+            cuts in proptest::collection::vec(0usize..160, 0..6),
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            use sepra_storage::value::{INT_MAX_EXCLUSIVE, INT_MIN};
+            // Small integers (zero among them), integers whose sums leave the
+            // range, and two symbols, which are not integers at all.
+            let pool: Vec<Value> = [-3, -1, 0, 1, 2, 5, 5, INT_MAX_EXCLUSIVE - 1, INT_MAX_EXCLUSIVE - 2, INT_MIN]
+                .iter()
+                .map(|&n| Value::int(n).unwrap())
+                .chain([Value::sym(Sym(7)), Value::sym(Sym(8))])
+                .collect();
+            let tuple = |group: Value, v: Value| if pos == 1 { [group, v] } else { [v, group] };
+            let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(picks.len())).collect();
+            cuts.extend([0, picks.len()]);
+            cuts.sort_unstable();
+
+            let spec = AggSpec { func, pos, span: sepra_ast::Span::DUMMY };
+            let (mut state, mut rel) = (AggState::new(&spec, 2), Relation::new(2));
+            let mut stats = EvalStats::new();
+            // The reference: distinct contributions so far and, kept the slow
+            // way, the one stored tuple of every group.
+            let (mut distinct, mut stored): (Vec<[Value; 2]>, Vec<[Value; 2]>) = Default::default();
+            for step in cuts.windows(2) {
+                let rows: Vec<[Value; 2]> = picks[step[0]..step[1]]
+                    .iter()
+                    .map(|&(g, v)| [Value::sym(Sym(g)), pool[v]])
+                    .collect();
+                let (mut changes, mut offered) = (0, Vec::new());
+                for &[group, v] in &rows {
+                    let before = reference_value(func, group, &distinct);
+                    if !distinct.contains(&[group, v]) {
+                        distinct.push([group, v]);
+                    }
+                    let after = reference_value(func, group, &distinct);
+                    if let Some(now) = after.filter(|_| after != before) {
+                        let now = tuple(group, Value::int(now as i64).unwrap());
+                        changes += 1;
+                        stored.retain(|t| t[1 - pos] != group);
+                        stored.push(now);
+                        if !offered.contains(&now) {
+                            offered.push(now);
+                        }
+                    }
+                }
+                let (inserted, attempts, epoch) =
+                    (stats.tuples_inserted, stats.insert_attempts, rel.compaction_epoch());
+                let mut delta = Relation::new(2);
+                state.merge(rows.iter().map(|&[g, v]| tuple(g, v)), &mut rel, &mut stats, Some(&mut delta));
+                let in_order = |r: &Relation| r.iter().map(|row| [row[0], row[1]]).collect::<Vec<_>>();
+                prop_assert_eq!(in_order(&rel), stored);
+                prop_assert_eq!(in_order(&delta), offered);
+                prop_assert_eq!(stats.tuples_inserted - inserted, changes);
+                prop_assert_eq!(stats.insert_attempts - attempts, rows.len());
+                prop_assert!(rel.compaction_epoch() - epoch <= 1);
+                let mut groups = rel.column(1 - pos).to_vec();
+                groups.sort_unstable();
+                groups.dedup();
+                prop_assert_eq!(groups.len(), rel.len(), "one tuple per group");
+            }
+        }
     }
 }

@@ -310,7 +310,7 @@ impl Database {
         if !rel.contains(tuple) {
             return Ok(false);
         }
-        let removed = Arc::make_mut(rel).remove(tuple);
+        let removed = Arc::make_mut(rel).remove_batch(std::slice::from_ref(tuple)) == 1;
         if removed {
             self.generation += 1;
         }

@@ -184,7 +184,7 @@ mod tests {
         assert_eq!(idx.covered(), 4);
 
         // Remove the first row: every later row shifts down one position.
-        assert!(r.remove(&t2(1, 10)));
+        assert_eq!(r.remove_batch(&[t2(1, 10)]), 1);
         r.insert(t2(4, 40));
         idx.extend_to(&r);
         assert_eq!(idx.covered(), r.len());

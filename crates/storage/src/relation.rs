@@ -12,9 +12,10 @@
 //! layout, so positional delta frontiers keep working.
 //!
 //! Rows are read through the borrowed [`Row`] view (`row[c]` indexes a
-//! column, [`Row::to_tuple`] materializes an owned [`Tuple`]). Fixpoint
-//! evaluation only ever adds; removal exists solely for live EDB retraction
-//! ([`Relation::remove_batch`]), compacts the dense storage, and bumps the
+//! column, [`Row::to_tuple`] materializes an owned [`Tuple`]). Set-valued
+//! fixpoints only ever add; removal ([`Relation::remove_batch`], for live EDB
+//! retraction, maintenance and the superseded tuples of an aggregate merge)
+//! is a batch operation: it compacts the dense storage and bumps the
 //! relation's **compaction epoch** — any holder of positional state (an
 //! [`Index`](crate::Index)'s covered watermark, a `since` frontier) must
 //! reset when the epoch changes, because dense indices have shifted.
@@ -488,21 +489,14 @@ impl Relation {
         }
     }
 
-    /// Removes one tuple, returning `true` if it was present.
-    ///
-    /// Remaining tuples keep their relative insertion order. Removal
-    /// compacts the dense storage and rebuilds the probe table, so batch
-    /// retraction should go through [`Relation::remove_batch`], which pays
-    /// the rebuild once.
-    pub fn remove(&mut self, tuple: &Tuple) -> bool {
-        self.remove_batch(std::slice::from_ref(tuple)) == 1
-    }
-
     /// Removes every listed tuple (duplicates and absent tuples are
     /// ignored), returning how many were actually removed. Remaining
     /// tuples keep their relative insertion order; the probe table is
     /// rebuilt once and the compaction epoch is bumped (dense indices have
     /// shifted — positional frontiers and index watermarks are now stale).
+    /// An effective call costs a pass over the whole relation however few
+    /// tuples it lists, which is why there is no one-tuple `remove` to loop
+    /// over: collect what goes and call this once.
     pub fn remove_batch(&mut self, tuples: &[Tuple]) -> usize {
         let mut doomed = vec![false; self.len()];
         let mut removed = 0;
@@ -966,9 +960,9 @@ mod tests {
         r.insert(t2(1, 1));
         r.insert(t2(2, 2));
         assert_eq!(r.compaction_epoch(), 0);
-        r.remove(&t2(9, 9)); // ineffective: no shift, no bump
+        r.remove_batch(&[t2(9, 9)]); // ineffective: no shift, no bump
         assert_eq!(r.compaction_epoch(), 0);
-        r.remove(&t2(1, 1));
+        r.remove_batch(&[t2(1, 1)]);
         assert_eq!(r.compaction_epoch(), 1);
         // Clones and slices carry their own epoch lineage.
         assert_eq!(r.slice_range(0..1).compaction_epoch(), 0);
@@ -1019,7 +1013,7 @@ mod tests {
         let mut slow = Relation::new(2);
         slow.insert(t2(9999, 9999));
         slow.union_in_place(&src);
-        slow.remove(&t2(9999, 9999));
+        slow.remove_batch(&[t2(9999, 9999)]);
         assert_eq!(bulk, slow);
         // The bulk copy's probe table works: membership and further
         // inserts behave identically.
@@ -1071,9 +1065,9 @@ mod tests {
         for i in 0..100 {
             r.insert(t2(i, i));
         }
-        assert!(r.remove(&t2(50, 50)));
-        assert!(!r.remove(&t2(50, 50))); // already gone
-        assert!(!r.remove(&t2(999, 999)));
+        assert_eq!(r.remove_batch(&[t2(50, 50)]), 1);
+        assert_eq!(r.remove_batch(&[t2(50, 50)]), 0); // already gone
+        assert_eq!(r.remove_batch(&[t2(999, 999)]), 0);
         assert_eq!(r.len(), 99);
         assert!(!r.contains(&t2(50, 50)));
         let order: Vec<u32> = r.iter().map(|t| t[0].as_sym().unwrap().0).collect();

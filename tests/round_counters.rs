@@ -170,3 +170,23 @@ fn maintain_one_retract() {
     // rederive part of it.
     assert_eq!(maintain_counters(["n10", "n11"], true), (15, 231, 302, 534));
 }
+
+#[test]
+fn seminaive_count_and_sum_strata() {
+    // Non-recursive aggregate strata over the cyclic closure (numbers
+    // captured at the commit before the aggregate merge became a fold per
+    // step, PR 22): every node reaches all twelve, so `fan` counts to 12 one
+    // distinct row at a time, and `total` folds duplicate, zero and negative
+    // contributions.
+    let src = format!(
+        "{TC}fan(X, count<Y>) :- t(X, Y).\n\
+         total(X, sum<C>) :- t(X, Y), cost(Y, C).\n"
+    );
+    let mut facts = ring_facts("e");
+    for (i, c) in [3, 0, 3, -2, 5, 7, 0, 5, 11, -2, 4, 1].iter().enumerate() {
+        facts.push_str(&format!("cost(n{i}, {c}). "));
+    }
+    let (program, db) = load(&src, &facts);
+    let derived = seminaive(&program, &db).unwrap();
+    assert_eq!(counters(&derived.stats), (9, 372, 483, 639));
+}
