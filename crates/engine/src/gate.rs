@@ -9,11 +9,15 @@
 //! wait_for`] until the applier publishes a generation ≥ G or the
 //! request's deadline budget runs out; the publish side is one
 //! `lock + max + notify_all`, cheap enough to run per applied record.
+//! The gate is also the server's one *published* generation: every
+//! request compares its snapshot with [`GenerationGate::current`], which
+//! is why that is an atomic read and not a lock.
 //!
 //! The gate is monotonic by construction (`publish` keeps the max), so a
 //! late or duplicated publish can never move the visible generation
 //! backwards — matching the WAL's own monotone generation stamps.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -21,7 +25,19 @@ use std::time::{Duration, Instant};
 /// on. Clones share the same gate.
 #[derive(Debug, Clone, Default)]
 pub struct GenerationGate {
-    inner: Arc<(Mutex<u64>, Condvar)>,
+    inner: Arc<Inner>,
+}
+
+/// The published value is an atomic so that [`GenerationGate::current`],
+/// which every server request calls, takes no lock. It is only stored to
+/// with `waiters` held, and a waiter re-reads it with `waiters` held
+/// before it sleeps, so a publish cannot fall between a waiter's check
+/// and its wait.
+#[derive(Debug, Default)]
+struct Inner {
+    published: AtomicU64,
+    waiters: Mutex<()>,
+    advanced: Condvar,
 }
 
 impl GenerationGate {
@@ -32,18 +48,17 @@ impl GenerationGate {
 
     /// The most recently published generation.
     pub fn current(&self) -> u64 {
-        *self.inner.0.lock().unwrap_or_else(|e| e.into_inner())
+        self.inner.published.load(Ordering::SeqCst)
     }
 
     /// Publishes `generation`, waking every waiter. Monotonic: publishing
     /// less than the current value is a no-op, so replays and races
     /// cannot regress the gate.
     pub fn publish(&self, generation: u64) {
-        let (lock, cvar) = &*self.inner;
-        let mut current = lock.lock().unwrap_or_else(|e| e.into_inner());
-        if generation > *current {
-            *current = generation;
-            cvar.notify_all();
+        let _waiters = self.inner.waiters.lock().unwrap_or_else(|e| e.into_inner());
+        if generation > self.current() {
+            self.inner.published.store(generation, Ordering::SeqCst);
+            self.inner.advanced.notify_all();
         }
     }
 
@@ -53,18 +68,20 @@ impl GenerationGate {
     /// answers `deadline` with its honest generation either way).
     pub fn wait_for(&self, generation: u64, timeout: Duration) -> u64 {
         let deadline = Instant::now() + timeout;
-        let (lock, cvar) = &*self.inner;
-        let mut current = lock.lock().unwrap_or_else(|e| e.into_inner());
-        while *current < generation {
+        let mut waiters = self.inner.waiters.lock().unwrap_or_else(|e| e.into_inner());
+        while self.current() < generation {
             let now = Instant::now();
             if now >= deadline {
                 break;
             }
-            let (guard, _) =
-                cvar.wait_timeout(current, deadline - now).unwrap_or_else(|e| e.into_inner());
-            current = guard;
+            let (guard, _) = self
+                .inner
+                .advanced
+                .wait_timeout(waiters, deadline - now)
+                .unwrap_or_else(|e| e.into_inner());
+            waiters = guard;
         }
-        *current
+        self.current()
     }
 }
 

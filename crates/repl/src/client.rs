@@ -11,14 +11,15 @@
 //! reconnect and resync from its current generation, which is always safe
 //! because application is idempotent at generation granularity.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::path::Path;
 use std::time::Duration;
 
 use sepra_wal::checkpoint::decode_checkpoint;
 
-use crate::protocol::{parse_frame, render_sync_request, Frame};
+use crate::listener::write_line;
+use crate::protocol::{parse_frame, Frame, Request};
 
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 /// Pings arrive every second on a quiet stream; ten silent seconds means
@@ -64,20 +65,32 @@ fn bad_data(message: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.into())
 }
 
+/// Dials the server at `addr` (`HOST:PORT`), giving up after
+/// `connect_timeout`; reads and writes on the connection give up after
+/// `io_timeout`. Lines are written whole ([`write_line`]), so Nagle is
+/// off.
+pub(crate) fn connect(
+    addr: &str,
+    connect_timeout: Duration,
+    io_timeout: Duration,
+) -> io::Result<TcpStream> {
+    let resolved = addr
+        .to_socket_addrs()?
+        .next()
+        .ok_or_else(|| bad_data(format!("{addr} resolved to no address")))?;
+    let stream = TcpStream::connect_timeout(&resolved, connect_timeout)?;
+    stream.set_read_timeout(Some(io_timeout))?;
+    stream.set_write_timeout(Some(io_timeout))?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
 impl SyncClient {
     /// Connects to `addr` and requests the stream from `from_generation`
     /// (the follower's current generation; 0 for an empty follower).
     pub fn connect(addr: &str, from_generation: u64) -> io::Result<SyncClient> {
-        let resolved = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| bad_data(format!("{addr} resolved to no address")))?;
-        let stream = TcpStream::connect_timeout(&resolved, CONNECT_TIMEOUT)?;
-        stream.set_read_timeout(Some(READ_TIMEOUT))?;
-        stream.set_write_timeout(Some(READ_TIMEOUT))?;
-        let mut request = render_sync_request(from_generation);
-        request.push('\n');
-        (&stream).write_all(request.as_bytes())?;
+        let stream = connect(addr, CONNECT_TIMEOUT, READ_TIMEOUT)?;
+        write_line(&stream, &Request::Sync { from_generation }.render())?;
         Ok(SyncClient { reader: BufReader::with_capacity(READ_BUFFER, stream) })
     }
 
@@ -145,11 +158,14 @@ impl SyncClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::feeder::{refuse_sync, stream_to_follower, SyncSource};
-    use crate::protocol::{render_checkpoint, render_chunk, render_ping, render_record};
+    use crate::feeder::{stream_to_follower, SyncSource};
+    use crate::protocol::{
+        render_checkpoint, render_chunk, render_error, render_ping, render_record,
+    };
     use sepra_wal::checkpoint::{checkpoint_file_name, encode_checkpoint, write_checkpoint_file};
     use sepra_wal::log::WalWriter;
     use sepra_wal::{FsyncPolicy, LeaseSet};
+    use std::io::Write;
     use std::net::TcpListener;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
@@ -225,7 +241,8 @@ mod tests {
             let mut reader = BufReader::new(stream.try_clone().unwrap());
             let mut request = String::new();
             reader.read_line(&mut request).unwrap();
-            refuse_sync(&stream, "sync_unavailable", "serve has no --data-dir").unwrap();
+            let refusal = render_error("sync_unavailable", "serve has no --data-dir");
+            write_line(&stream, &refusal).unwrap();
             std::thread::sleep(Duration::from_millis(200));
         });
         let mut client = SyncClient::connect(&addr, 0).unwrap();

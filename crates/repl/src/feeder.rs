@@ -34,9 +34,7 @@ use std::time::{Duration, Instant};
 use sepra_wal::checkpoint::{decode_checkpoint, list_checkpoints};
 use sepra_wal::{LeaseSet, WalFollower};
 
-use crate::protocol::{
-    render_checkpoint, render_chunk, render_error, render_ping, render_record, CHUNK_BYTES,
-};
+use crate::protocol::{render_checkpoint, render_chunk, render_ping, render_record, CHUNK_BYTES};
 
 /// How often the WAL tail is re-read for new records. The wait between
 /// two reads is spent listening for the follower's hang-up.
@@ -89,13 +87,6 @@ fn follower_hung_up(mut stream: &TcpStream) -> io::Result<bool> {
         }
         Err(e) => Err(e),
     }
-}
-
-/// Writes a terminal error frame and returns (used for refusals like
-/// syncing from a non-durable server).
-pub fn refuse_sync(stream: &TcpStream, kind: &str, message: &str) -> io::Result<()> {
-    let mut out = BufWriter::new(stream);
-    send_line(&mut out, &render_error(kind, message))
 }
 
 /// The newest checkpoint strictly above `floor` that validates, leased

@@ -7,7 +7,11 @@
 //! over the same line-delimited-JSON TCP transport queries use, and a
 //! **router** spreads client traffic across them:
 //!
-//! * [`protocol`] — the wire frames: a follower opens with
+//! * [`protocol`] — the wire format's one home. [`Request`] is a decoded
+//!   request line (query, mutation, stats, sync) with the only decoder
+//!   and encoder of one, and `render_error` is the only error envelope;
+//!   the server, the router and `sepra client` are callers. The sync
+//!   frames live here too: a follower opens with
 //!   `{"sync": {"from_generation": G}}` and the primary answers with a
 //!   chunked checkpoint (when the follower is behind the newest snapshot)
 //!   followed by a live WAL tail, every record carrying the same CRC the
@@ -22,9 +26,11 @@
 //!   round-robins queries across healthy replicas with
 //!   retry-on-next-replica, health-probes every backend, and aggregates
 //!   backend generations/lag under `{"stats": true}`.
-//! * [`listener`] — the accept loop and worker hand-off the router and
-//!   `sepra serve` both run: connections are handed over as they arrive,
-//!   idle workers sleep until one does.
+//! * [`listener`] — what the router and `sepra serve` both do with a
+//!   socket: the accept loop and worker hand-off (connections are handed
+//!   over as they arrive, idle workers sleep until one does), the framed
+//!   request/reply loop on one connection, and the shutdown watcher
+//!   (`quit` on stdin, SIGINT, SIGTERM).
 //! * [`json`] / [`base64`] — the dependency-free wire encoding both ends
 //!   share (the JSON module started life in `sepra-server`, which
 //!   re-exports it unchanged).
@@ -45,5 +51,5 @@ pub mod router;
 
 pub use client::{SyncClient, SyncEvent};
 pub use feeder::{stream_to_follower, SyncSource};
-pub use protocol::Frame;
+pub use protocol::{Frame, Request};
 pub use router::{route, run_router, RouteOptions};

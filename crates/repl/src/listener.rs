@@ -1,5 +1,7 @@
-//! The accept loop and worker hand-off behind both `sepra serve` and
-//! `sepra route`.
+//! What `sepra serve` and `sepra route` do with a socket, once: the
+//! accept loop and worker hand-off ([`serve_connections`]), the framed
+//! request/reply loop on one connection ([`serve_requests`]), and the
+//! shutdown watcher ([`watch_shutdown`]).
 //!
 //! One thread accepts; a fixed pool of handler threads each take whole
 //! connections off a condvar-guarded queue. Every wait ends on the event
@@ -12,16 +14,38 @@
 //! [`POLL_INTERVAL`]; it then closes the queue, which is what the
 //! handlers hear. A handler that finds the flag up when its connection
 //! ends does not leave the loop to its clock either: it wakes it.
+//!
+//! On a connection the protocol is one request line in, one reply line
+//! out ([`crate::protocol`]). The loop that frames it is careful about
+//! the things a peer can do to a thread that serves it: send a line that
+//! never ends, send one slowly, send nothing, or stop reading.
 
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
+
+use crate::protocol::{render_error, Request};
 
 /// Longest the accept loop goes without re-reading the shutdown flag.
 pub const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// Requests larger than this are rejected without parsing (the protocol is
+/// one query per line; 64 KiB is far beyond any sensible query text).
+pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
+
+/// How long a connection may sit idle between requests before its handler
+/// reclaims itself, unless the caller says otherwise.
+pub const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Reads on a connection wait in slices of this, so a handler parked on
+/// an idle connection still notices shutdown promptly.
+pub const READ_POLL: Duration = Duration::from_millis(200);
+
+/// A peer that cannot absorb a reply for this long is dropped.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 #[derive(Default)]
 struct Queue {
@@ -40,9 +64,10 @@ fn lock(queue: &Mutex<Queue>) -> MutexGuard<'_, Queue> {
 /// each to one of `handlers` — every handler runs on its own thread
 /// (named `NAME-i`) and serves one connection at a time. `tick` runs on
 /// the accepting thread before each wait, at most [`POLL_INTERVAL`]
-/// apart; it may raise `shutdown` itself. Returns once the flag is up and
-/// every handler has finished the connections already queued (handlers
-/// are expected to watch the same flag and return promptly).
+/// apart; it may raise `shutdown` itself, and a SIGINT or SIGTERM that
+/// [`watch_shutdown`] asked for raises it here. Returns once the flag is
+/// up and every handler has finished the connections already queued
+/// (handlers are expected to watch the same flag and return promptly).
 pub fn serve_connections<H>(
     listener: &TcpListener,
     shutdown: &AtomicBool,
@@ -94,6 +119,9 @@ where
         }
         loop {
             tick();
+            if signal::raised() {
+                shutdown.store(true, Ordering::SeqCst);
+            }
             if shutdown.load(Ordering::SeqCst) {
                 break;
             }
@@ -121,6 +149,180 @@ where
         }
         Ok(())
     })
+}
+
+/// What a handler makes of one request.
+pub enum Reply {
+    /// One reply line (no newline).
+    Line(String),
+    /// The handler keeps the connection: it is given the socket and the
+    /// request loop ends without a reply. This is how a sync request
+    /// turns a connection into a replication stream.
+    TakeOver(Box<dyn FnOnce(TcpStream) + Send>),
+}
+
+/// Writes `line` plus its newline as ONE stream write: a trailing
+/// newline in its own small write gets held by Nagle behind the peer's
+/// delayed ACK, adding a flat ~40 ms per round trip.
+pub fn write_line(mut stream: &TcpStream, line: &str) -> io::Result<()> {
+    let mut framed = String::with_capacity(line.len() + 1);
+    framed.push_str(line);
+    framed.push('\n');
+    stream.write_all(framed.as_bytes())
+}
+
+/// Serves one connection: reads request lines, decodes each with
+/// [`Request::parse`], answers a line that does not decode with
+/// `bad_request` and hands every other to `handle` with its text, and
+/// writes the reply — until the peer is done (EOF; a final unterminated
+/// request is still answered), has been idle for `idle_timeout`, sends a
+/// line over [`MAX_REQUEST_BYTES`], stops reading its replies, `shutdown`
+/// is raised, or `handle` takes the connection over. Blank lines are
+/// skipped.
+pub fn serve_requests(
+    stream: TcpStream,
+    shutdown: &AtomicBool,
+    idle_timeout: Duration,
+    mut handle: impl FnMut(Request, &str) -> Reply,
+) {
+    // Short read timeouts so a handler parked on an idle connection
+    // still notices shutdown within one poll interval; `idle` tracks the
+    // cumulative wait so connections are still reclaimed.
+    let _ = stream.set_read_timeout(Some(READ_POLL));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+    // Replies are one small write each on a ping-pong connection:
+    // without nodelay, Nagle + the peer's delayed ACK adds a flat
+    // ~40 ms to every round trip.
+    let _ = stream.set_nodelay(true);
+    let Ok(writer) = stream.try_clone() else { return };
+    let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
+    let mut idle = Duration::ZERO;
+    let bad_request = |message: &str| render_error("bad_request", message);
+    loop {
+        if shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        // The cap counts the request line itself: filling it without a
+        // newline means the client sent an oversized request. A timed-
+        // out read leaves any partial line in `line` for the next poll.
+        let remaining = (MAX_REQUEST_BYTES + 1).saturating_sub(line.len());
+        if remaining == 0 {
+            let message = format!("request exceeds {MAX_REQUEST_BYTES} bytes");
+            let _ = write_line(&writer, &bad_request(&message));
+            return;
+        }
+        let sofar = line.len();
+        match (&mut reader).take(remaining as u64).read_until(b'\n', &mut line) {
+            Ok(0) if line.is_empty() => return,        // EOF: client is done
+            Ok(0) => {}                                // EOF with a final unterminated request
+            Ok(_) if line.last() == Some(&b'\n') => {} // one complete request
+            Ok(_) => {
+                // Mid-line (take cap reached): progress was made, so
+                // the connection is not idle.
+                idle = Duration::ZERO;
+                continue;
+            }
+            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+                // A timed-out read may still have consumed partial
+                // bytes into `line`; that is progress, and a slow
+                // writer must not be reclaimed while still sending.
+                if line.len() > sofar {
+                    idle = Duration::ZERO;
+                } else {
+                    idle += READ_POLL;
+                    if idle >= idle_timeout {
+                        return;
+                    }
+                }
+                continue;
+            }
+            Err(_) => return, // reset
+        }
+        idle = Duration::ZERO;
+        let reply = match std::str::from_utf8(&line).map(str::trim) {
+            Ok("") => {
+                line.clear();
+                continue;
+            }
+            Ok(text) => match Request::parse(text) {
+                Ok(request) => handle(request, text),
+                Err(message) => Reply::Line(bad_request(&message)),
+            },
+            Err(_) => Reply::Line(bad_request("request is not valid UTF-8")),
+        };
+        line.clear();
+        match reply {
+            Reply::Line(reply) => {
+                if write_line(&writer, &reply).is_err() {
+                    return;
+                }
+            }
+            Reply::TakeOver(takes) => return takes(writer),
+        }
+    }
+}
+
+/// A shutdown flag that a `quit`/`shutdown`/`exit` line on stdin raises
+/// and, through [`serve_connections`], SIGINT or SIGTERM. Stdin is
+/// watched on a detached thread; EOF stops the watcher without stopping
+/// the process (so a backgrounded server with a closed stdin keeps
+/// running; use the signals there).
+pub fn watch_shutdown() -> Arc<AtomicBool> {
+    signal::install();
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let raised = Arc::clone(&shutdown);
+    let _ = std::thread::Builder::new().name("sepra-stdin".into()).spawn(move || {
+        let mut lines = io::stdin().lines().map_while(Result::ok);
+        if lines.any(|line| matches!(line.trim(), "quit" | "shutdown" | "exit")) {
+            raised.store(true, Ordering::SeqCst);
+        }
+    });
+    shutdown
+}
+
+/// SIGINT/SIGTERM handling without a libc dependency: a hand-rolled
+/// binding to `signal(2)` flips a process-global flag the accept loop
+/// polls. Non-Unix builds compile the polling to a constant `false`.
+#[cfg(unix)]
+mod signal {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    static RAISED: AtomicBool = AtomicBool::new(false);
+
+    extern "C" fn on_signal(_signum: i32) {
+        RAISED.store(true, Ordering::SeqCst);
+    }
+
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+
+    pub(super) fn install() {
+        const SIGINT: i32 = 2;
+        const SIGTERM: i32 = 15;
+        let handler = on_signal as extern "C" fn(i32) as *const () as usize;
+        // SAFETY: `signal(2)` takes a signal number and the address of an
+        // `extern "C" fn(i32)`, which `handler` is; the handler only
+        // stores to an atomic, which is async-signal-safe.
+        unsafe {
+            signal(SIGINT, handler);
+            signal(SIGTERM, handler);
+        }
+    }
+
+    pub(super) fn raised() -> bool {
+        RAISED.load(Ordering::SeqCst)
+    }
+}
+
+#[cfg(not(unix))]
+mod signal {
+    pub(super) fn install() {}
+
+    pub(super) fn raised() -> bool {
+        false
+    }
 }
 
 /// What the accept loop sleeps on besides its listener: one end of a

@@ -1,7 +1,15 @@
-//! The sync wire protocol: line-delimited JSON frames over the same TCP
-//! transport queries use.
+//! The wire protocol: line-delimited JSON over TCP, one format for
+//! `sepra serve`, `sepra route` and `sepra client`.
 //!
-//! A follower opens a connection and sends one request line:
+//! **Requests.** A client sends one JSON object per line and reads one
+//! line back. [`Request`] is what such a line means; [`Request::parse`]
+//! is the only decoder and [`Request::render`] the only encoder, so the
+//! server, the router and the clients cannot disagree about a member. A
+//! refusal is always `{"error": {"kind", "message", ...}}`
+//! ([`render_error`]).
+//!
+//! **The sync stream.** A follower opens a connection and sends one
+//! request line:
 //!
 //! ```text
 //! -> {"sync": {"from_generation": G}}
@@ -91,18 +99,150 @@ pub fn record_crc(generation: u64, payload: &[u8]) -> u32 {
     crc.finish()
 }
 
-/// Renders the follower's opening request.
-pub fn render_sync_request(from_generation: u64) -> String {
-    let mut sync = ObjWriter::new();
-    sync.num("from_generation", from_generation);
-    let mut out = ObjWriter::new();
-    out.raw("sync", &sync.finish());
-    out.finish()
+/// One request line, decoded. What each member means is the server's
+/// business (a strategy is still a *name* here: resolving it needs the
+/// engine, which this crate does not depend on); that the members are
+/// there, of the right type and consistent is checked once, in
+/// [`Request::parse`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Request {
+    /// `{"query": "t(a, Y)?", ...}`: answer one query — by a forced
+    /// `strategy` if named, under a deadline and a derived-tuple cap that
+    /// override the server's defaults, and from a database at or past
+    /// `min_generation` (waited for: read-your-writes against a replica).
+    Query {
+        query: String,
+        strategy: Option<String>,
+        timeout_ms: Option<u64>,
+        max_tuples: Option<u64>,
+        min_generation: Option<u64>,
+    },
+    /// `{"insert": ["e(a, b)."], "retract": [...]}`: add and remove
+    /// ground facts, under the same two overrides. Either list may be
+    /// absent on the wire; both are rendered.
+    Mutation {
+        insert: Vec<String>,
+        retract: Vec<String>,
+        timeout_ms: Option<u64>,
+        max_tuples: Option<u64>,
+    },
+    /// `{"stats": true}`: the live counters.
+    Stats,
+    /// `{"sync": {"from_generation": G}}`: the opening line of a follower
+    /// that holds every commit up to `G`; the connection becomes a stream
+    /// of [`Frame`]s.
+    Sync { from_generation: u64 },
+}
+
+impl Request {
+    /// Decodes one request line. Total: every input is a request or the
+    /// `message` of a `bad_request` error. Members a request does not
+    /// use are ignored, `sync` wins over `stats: true`, which wins over
+    /// a mutation or a query.
+    pub fn parse(line: &str) -> Result<Request, String> {
+        let v = json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
+        if let Some(sync) = parse_sync_request(&v) {
+            return Ok(Request::Sync { from_generation: sync? });
+        }
+        if v.get("stats").and_then(Json::as_bool) == Some(true) {
+            return Ok(Request::Stats);
+        }
+        if v.get("insert").is_some() || v.get("retract").is_some() {
+            if v.get("query").is_some() {
+                return Err("a request is either a query or a mutation, not both".into());
+            }
+            return Ok(Request::Mutation {
+                insert: fact_list(&v, "insert")?,
+                retract: fact_list(&v, "retract")?,
+                timeout_ms: count(&v, "timeout_ms")?,
+                max_tuples: count(&v, "max_tuples")?,
+            });
+        }
+        let Some(query) = v.get("query").and_then(Json::as_str) else {
+            return Err("request needs a \"query\" member (or \"insert\"/\"retract\", or \
+                        \"stats\": true)"
+                .into());
+        };
+        let strategy = match v.get("strategy") {
+            None => None,
+            Some(name) => Some(name.as_str().ok_or("\"strategy\" must be a string")?.to_owned()),
+        };
+        Ok(Request::Query {
+            query: query.to_owned(),
+            strategy,
+            timeout_ms: count(&v, "timeout_ms")?,
+            max_tuples: count(&v, "max_tuples")?,
+            min_generation: count(&v, "min_generation")?,
+        })
+    }
+
+    /// Renders the request as one line (no newline);
+    /// `Request::parse(&r.render()) == Ok(r)`.
+    pub fn render(&self) -> String {
+        fn put(out: &mut ObjWriter, key: &str, count: &Option<u64>) {
+            if let Some(n) = count {
+                out.num(key, *n);
+            }
+        }
+        let mut out = ObjWriter::new();
+        match self {
+            Request::Query { query, strategy, timeout_ms, max_tuples, min_generation } => {
+                out.str("query", query);
+                if let Some(name) = strategy {
+                    out.str("strategy", name);
+                }
+                put(&mut out, "timeout_ms", timeout_ms);
+                put(&mut out, "max_tuples", max_tuples);
+                put(&mut out, "min_generation", min_generation);
+            }
+            Request::Mutation { insert, retract, timeout_ms, max_tuples } => {
+                for (key, facts) in [("insert", insert), ("retract", retract)] {
+                    let facts = facts.iter().cloned().map(Json::Str).collect();
+                    out.raw(key, &json::render(&Json::Arr(facts)));
+                }
+                put(&mut out, "timeout_ms", timeout_ms);
+                put(&mut out, "max_tuples", max_tuples);
+            }
+            Request::Stats => {
+                out.raw("stats", "true");
+            }
+            Request::Sync { from_generation } => {
+                let mut sync = ObjWriter::new();
+                sync.num("from_generation", *from_generation);
+                return tagged("sync", sync);
+            }
+        }
+        out.finish()
+    }
+}
+
+/// An optional counter member: present, it must be a nonnegative integer
+/// (silently ignoring `"timeout_ms": "soon"` would run the query
+/// unbounded — the opposite of what the client asked for).
+fn count(request: &Json, key: &str) -> Result<Option<u64>, String> {
+    match request.get(key) {
+        None => Ok(None),
+        Some(v) => match v.as_u64() {
+            Some(n) => Ok(Some(n)),
+            None => Err(format!("\"{key}\" must be a nonnegative integer")),
+        },
+    }
+}
+
+/// An optional `insert`/`retract` member as a list of fact strings.
+fn fact_list(request: &Json, key: &str) -> Result<Vec<String>, String> {
+    let wrong = || format!("\"{key}\" must be an array of fact strings");
+    match request.get(key) {
+        None => Ok(Vec::new()),
+        Some(Json::Arr(items)) => {
+            items.iter().map(|item| item.as_str().map(str::to_owned).ok_or_else(wrong)).collect()
+        }
+        Some(_) => Err(wrong()),
+    }
 }
 
 /// Extracts `from_generation` from a parsed request, if it is a sync
-/// request at all (`None` lets the server fall through to query/mutation
-/// handling).
+/// request at all (`None`: it is some other request).
 pub fn parse_sync_request(request: &Json) -> Option<Result<u64, String>> {
     let sync = request.get("sync")?;
     Some(
@@ -112,31 +252,33 @@ pub fn parse_sync_request(request: &Json) -> Option<Result<u64, String>> {
     )
 }
 
+/// `{"KEY": {BODY}}`: a sync request, a frame and an error are each one
+/// member naming what they are.
+fn tagged(key: &str, body: ObjWriter) -> String {
+    let mut out = ObjWriter::new();
+    out.raw(key, &body.finish());
+    out.finish()
+}
+
 /// Renders a ping frame.
 pub fn render_ping(generation: u64) -> String {
     let mut ping = ObjWriter::new();
     ping.num("generation", generation);
-    let mut out = ObjWriter::new();
-    out.raw("ping", &ping.finish());
-    out.finish()
+    tagged("ping", ping)
 }
 
 /// Renders a checkpoint announcement.
 pub fn render_checkpoint(generation: u64, chunks: u64) -> String {
     let mut ckpt = ObjWriter::new();
     ckpt.num("generation", generation).num("chunks", chunks);
-    let mut out = ObjWriter::new();
-    out.raw("checkpoint", &ckpt.finish());
-    out.finish()
+    tagged("checkpoint", ckpt)
 }
 
 /// Renders one chunk of a checkpoint file.
 pub fn render_chunk(index: u64, of: u64, data: &[u8]) -> String {
     let mut chunk = ObjWriter::new();
     chunk.num("index", index).num("of", of).str("data", &base64::encode(data));
-    let mut out = ObjWriter::new();
-    out.raw("chunk", &chunk.finish());
-    out.finish()
+    tagged("chunk", chunk)
 }
 
 /// Renders one WAL record, stamping the log's own checksum.
@@ -146,18 +288,22 @@ pub fn render_record(generation: u64, payload: &[u8]) -> String {
         .num("generation", generation)
         .num("crc", u64::from(record_crc(generation, payload)))
         .str("payload", &base64::encode(payload));
-    let mut out = ObjWriter::new();
-    out.raw("record", &record.finish());
-    out.finish()
+    tagged("record", record)
 }
 
-/// Renders a terminal error frame (same shape as query errors).
+/// Renders `{"error": {"kind": ..., "message": ...}}`: the one error
+/// envelope, for a refused request and a terminal sync frame alike.
 pub fn render_error(kind: &str, message: &str) -> String {
+    render_error_with(kind, message, |_| {})
+}
+
+/// [`render_error`] with structured members after `message` (which
+/// fixpoint ran out of budget, the generation a wait reached, …).
+pub fn render_error_with(kind: &str, message: &str, extra: impl FnOnce(&mut ObjWriter)) -> String {
     let mut detail = ObjWriter::new();
     detail.str("kind", kind).str("message", message);
-    let mut out = ObjWriter::new();
-    out.raw("error", &detail.finish());
-    out.finish()
+    extra(&mut detail);
+    tagged("error", detail)
 }
 
 /// Parses one stream line into a [`Frame`], verifying base64 payloads and
@@ -218,7 +364,8 @@ mod tests {
 
     #[test]
     fn sync_request_round_trips() {
-        let line = render_sync_request(17);
+        let line = Request::Sync { from_generation: 17 }.render();
+        assert_eq!(line, r#"{"sync":{"from_generation":17}}"#);
         let v = json::parse(&line).unwrap();
         assert_eq!(parse_sync_request(&v), Some(Ok(17)));
         // Non-sync requests fall through; malformed sync requests error.
@@ -231,6 +378,69 @@ mod tests {
             parse_sync_request(&json::parse(r#"{"sync": true}"#).unwrap()),
             Some(Err(_))
         ));
+    }
+
+    #[test]
+    fn requests_decode_by_their_members() {
+        let parsed = |line| Request::parse(line).unwrap();
+        assert!(matches!(parsed(r#"{"insert": ["t(a)."]}"#), Request::Mutation { .. }));
+        assert!(matches!(parsed(r#"{"retract": ["t(a)."]}"#), Request::Mutation { .. }));
+        assert_eq!(parsed(r#"{"stats": true}"#), Request::Stats);
+        assert!(matches!(parsed(r#"{"query": "t(X)?"}"#), Request::Query { .. }));
+        assert!(matches!(
+            parsed(r#"{"query": "t(X)?", "min_generation": 4, "unknown": [1]}"#),
+            Request::Query { min_generation: Some(4), strategy: None, .. }
+        ));
+        assert_eq!(
+            parsed(r#"{"sync": {"from_generation": 0}, "stats": true}"#),
+            Request::Sync { from_generation: 0 }
+        );
+        // `stats` is a request only when it is `true`.
+        assert!(matches!(parsed(r#"{"stats": 1, "query": "t(X)?"}"#), Request::Query { .. }));
+        let rendered = Request::Query {
+            query: "t(a, \"Y\")?".into(),
+            strategy: Some("magic".into()),
+            timeout_ms: Some(250),
+            max_tuples: Some(1000),
+            min_generation: Some(7),
+        }
+        .render();
+        assert_eq!(
+            rendered,
+            r#"{"query":"t(a, \"Y\")?","strategy":"magic","timeout_ms":250,"max_tuples":1000,"min_generation":7}"#
+        );
+        assert_eq!(Request::Stats.render(), r#"{"stats":true}"#);
+    }
+
+    #[test]
+    fn refused_requests_say_why() {
+        let none =
+            "request needs a \"query\" member (or \"insert\"/\"retract\", or \"stats\": true)";
+        for (line, message) in [
+            ("not json", "invalid JSON: invalid literal at byte 0"),
+            ("{}", none),
+            (r#"{"query": 7}"#, none),
+            (r#"{"stats": false}"#, none),
+            (
+                r#"{"insert": ["p(a)."], "query": "p(X)?"}"#,
+                "a request is either a query or a mutation, not both",
+            ),
+            (r#"{"insert": "p(a)."}"#, "\"insert\" must be an array of fact strings"),
+            (r#"{"retract": [7]}"#, "\"retract\" must be an array of fact strings"),
+            (
+                r#"{"query": "p(X)?", "timeout_ms": "soon"}"#,
+                "\"timeout_ms\" must be a nonnegative integer",
+            ),
+            (r#"{"insert": [], "max_tuples": -1}"#, "\"max_tuples\" must be a nonnegative integer"),
+            (
+                r#"{"query": "p(X)?", "min_generation": 1.5}"#,
+                "\"min_generation\" must be a nonnegative integer",
+            ),
+            (r#"{"query": "p(X)?", "strategy": 7}"#, "\"strategy\" must be a string"),
+            (r#"{"sync": true}"#, "\"sync\" needs a nonnegative \"from_generation\" integer"),
+        ] {
+            assert_eq!(Request::parse(line), Err(message.to_string()), "{line}");
+        }
     }
 
     #[test]

@@ -1,18 +1,20 @@
 //! `sepra route`: a query router in front of one primary and N replicas.
 //!
-//! The router is deliberately dumb — it terminates client connections,
-//! classifies each request line by its top-level key, and relays raw
-//! lines to a backend over the same protocol:
+//! The router is deliberately dumb — it terminates client connections
+//! with the loop `sepra serve` runs ([`serve_requests`]: same framing,
+//! same decoder, same `bad_request` for a line that is not a request),
+//! and relays the raw line of each [`Request`] to a backend over the
+//! same protocol:
 //!
-//! * `insert` / `retract` → the primary (replicas reject mutations with a
+//! * a mutation → the primary (replicas reject mutations with a
 //!   `read_only_replica` redirect anyway; routing saves the round trip).
 //! * `stats` → answered locally: an aggregate of every backend's health,
 //!   generation, and lag behind the primary.
 //! * `sync` → refused (`bad_request`); followers must sync from the
 //!   primary directly, not through the router.
-//! * everything else (queries) → round-robin across **healthy** replicas,
-//!   retrying on the next replica if the chosen one fails mid-request,
-//!   and falling back to the primary when no replica is usable.
+//! * a query → round-robin across **healthy** replicas, retrying on the
+//!   next replica if the chosen one fails mid-request, and falling back
+//!   to the primary when no replica is usable.
 //!
 //! Health is maintained by a single prober thread that sends
 //! `{"stats": true}` to every backend on an interval and records the
@@ -26,19 +28,19 @@
 //! consistency (`min_generation`) survives routing to any replica.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::json::{self, escape, Json};
-use crate::listener::serve_connections;
+use crate::client::connect;
+use crate::json::{self, Json};
+use crate::listener::{
+    serve_connections, serve_requests, watch_shutdown, write_line, Reply, IDLE_TIMEOUT,
+};
+use crate::protocol::{render_error, Request};
 
-/// Per-read poll on client connections (so workers notice shutdown).
-const READ_POLL: Duration = Duration::from_millis(200);
-/// Largest request line relayed; matches the server's own cap.
-const MAX_REQUEST_BYTES: usize = 64 * 1024;
 /// Connect timeout for backend connections (relay and probes).
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 /// A backend gets this long to answer a relayed request. Generous:
@@ -46,8 +48,6 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 const BACKEND_TIMEOUT: Duration = Duration::from_secs(60);
 /// A probe is quick; an unresponsive backend is unhealthy.
 const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
-/// A client connection idle this long is closed.
-const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Configuration for [`route`].
 #[derive(Debug, Clone)]
@@ -64,25 +64,9 @@ pub struct RouteOptions {
     pub probe_interval: Duration,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Role {
-    Primary,
-    Replica,
-}
-
-impl Role {
-    fn name(self) -> &'static str {
-        match self {
-            Role::Primary => "primary",
-            Role::Replica => "replica",
-        }
-    }
-}
-
 #[derive(Debug)]
 struct Backend {
     addr: String,
-    role: Role,
     /// Last probe (or relay attempt) outcome. Backends start unhealthy
     /// and are promoted by the first successful probe.
     healthy: AtomicBool,
@@ -90,12 +74,22 @@ struct Backend {
     generation: AtomicU64,
 }
 
+impl Backend {
+    fn new(addr: &str) -> Backend {
+        Backend {
+            addr: addr.to_string(),
+            healthy: AtomicBool::new(false),
+            generation: AtomicU64::new(0),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct RouterState {
+    /// The primary, then the replicas.
     backends: Vec<Backend>,
-    /// Index into `backends` of the primary (always 0, by construction).
+    /// The round-robin cursor over the replicas.
     next_replica: AtomicUsize,
-    shutdown: Arc<AtomicBool>,
 }
 
 impl RouterState {
@@ -108,31 +102,11 @@ impl RouterState {
     }
 }
 
-/// Writes `line` plus its newline as ONE stream write: a trailing
-/// newline in its own small write gets held by Nagle behind the peer's
-/// delayed ACK, adding a flat ~40 ms per round trip.
-fn write_framed(mut stream: &TcpStream, line: &str) -> std::io::Result<()> {
-    let mut framed = String::with_capacity(line.len() + 1);
-    framed.push_str(line);
-    framed.push('\n');
-    stream.write_all(framed.as_bytes())
-}
-
-/// Sends one request line to `addr` on a fresh connection and returns the
-/// single response line.
-fn one_shot(addr: &str, line: &str, timeout: Duration) -> std::io::Result<String> {
-    let resolved = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| std::io::Error::other(format!("{addr} resolved to no address")))?;
-    let stream = TcpStream::connect_timeout(&resolved, CONNECT_TIMEOUT)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    stream.set_nodelay(true)?;
-    write_framed(&stream, line)?;
-    let mut reader = BufReader::new(stream);
+/// Sends one request line on `conn` and returns the single response line.
+fn round_trip(conn: &mut BufReader<TcpStream>, line: &str) -> std::io::Result<String> {
+    write_line(conn.get_ref(), line)?;
     let mut response = String::new();
-    if reader.read_line(&mut response)? == 0 {
+    if conn.read_line(&mut response)? == 0 {
         return Err(std::io::Error::new(
             std::io::ErrorKind::UnexpectedEof,
             "backend closed without answering",
@@ -144,45 +118,15 @@ fn one_shot(addr: &str, line: &str, timeout: Duration) -> std::io::Result<String
 /// Probes one backend: `{"stats": true}` on a fresh connection; healthy
 /// iff it answers with a generation.
 fn probe(backend: &Backend) {
-    let healthy = match one_shot(&backend.addr, r#"{"stats": true}"#, PROBE_TIMEOUT) {
-        Ok(response) => match json::parse(&response) {
-            Ok(v) => {
-                if let Some(generation) = v.get("generation").and_then(Json::as_u64) {
-                    backend.generation.store(generation, Ordering::SeqCst);
-                    true
-                } else {
-                    false
-                }
-            }
-            Err(_) => false,
-        },
-        Err(_) => false,
-    };
-    backend.healthy.store(healthy, Ordering::SeqCst);
-}
-
-fn error_line(kind: &str, message: &str) -> String {
-    format!(r#"{{"error": {{"kind": "{}", "message": "{}"}}}}"#, escape(kind), escape(message))
-}
-
-/// What a request line is, for routing purposes.
-enum Kind {
-    Mutation,
-    Stats,
-    Query,
-}
-
-fn classify(line: &str) -> Result<Kind, String> {
-    let v = json::parse(line).map_err(|e| format!("invalid request JSON: {e}"))?;
-    if v.get("insert").is_some() || v.get("retract").is_some() {
-        Ok(Kind::Mutation)
-    } else if v.get("stats").is_some() {
-        Ok(Kind::Stats)
-    } else if v.get("sync").is_some() {
-        Err("sync streams must connect to the primary directly, not the router".into())
-    } else {
-        Ok(Kind::Query)
+    let generation = connect(&backend.addr, CONNECT_TIMEOUT, PROBE_TIMEOUT)
+        .and_then(|stream| round_trip(&mut BufReader::new(stream), &Request::Stats.render()))
+        .ok()
+        .and_then(|response| json::parse(&response).ok())
+        .and_then(|stats| stats.get("generation").and_then(Json::as_u64));
+    if let Some(generation) = generation {
+        backend.generation.store(generation, Ordering::SeqCst);
     }
+    backend.healthy.store(generation.is_some(), Ordering::SeqCst);
 }
 
 /// The locally answered `{"stats": true}`: router identity plus every
@@ -203,7 +147,7 @@ fn stats_line(state: &RouterState) -> String {
         let generation = backend.generation.load(Ordering::SeqCst);
         let mut b = json::ObjWriter::new();
         b.str("addr", &backend.addr)
-            .str("role", backend.role.name())
+            .str("role", if i == 0 { "primary" } else { "replica" })
             .raw("healthy", if backend.healthy.load(Ordering::SeqCst) { "true" } else { "false" })
             .num("generation", generation)
             .num("lag", primary_generation.saturating_sub(generation));
@@ -216,156 +160,66 @@ fn stats_line(state: &RouterState) -> String {
 }
 
 /// A worker's cache of open backend connections, keyed by address.
-#[derive(Default)]
-struct Conns {
-    open: HashMap<String, BufReader<TcpStream>>,
-}
+type Conns = HashMap<String, BufReader<TcpStream>>;
 
-impl Conns {
-    /// Relays `line` to `addr`, reusing this worker's open connection if
-    /// any. One retry on a fresh connection absorbs a backend restart
-    /// that left a stale socket behind.
-    fn relay(&mut self, addr: &str, line: &str) -> std::io::Result<String> {
-        if let Some(conn) = self.open.get_mut(addr) {
-            match Self::send_on(conn, line) {
-                Ok(response) => return Ok(response),
-                Err(_) => {
-                    self.open.remove(addr);
-                }
-            }
-        }
-        let resolved = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| std::io::Error::other(format!("{addr} resolved to no address")))?;
-        let stream = TcpStream::connect_timeout(&resolved, CONNECT_TIMEOUT)?;
-        stream.set_read_timeout(Some(BACKEND_TIMEOUT))?;
-        stream.set_write_timeout(Some(BACKEND_TIMEOUT))?;
-        stream.set_nodelay(true)?;
+/// Relays `line` to `backend`, reusing this worker's open connection if
+/// any. One retry on a fresh connection absorbs a backend restart that
+/// left a stale socket behind; a backend that still does not answer is
+/// marked down at once, not at the next probe.
+fn relay(conns: &mut Conns, backend: &Backend, line: &str) -> std::io::Result<String> {
+    if let Some(response) = conns.get_mut(&backend.addr).and_then(|c| round_trip(c, line).ok()) {
+        return Ok(response);
+    }
+    conns.remove(&backend.addr);
+    let fresh = connect(&backend.addr, CONNECT_TIMEOUT, BACKEND_TIMEOUT).and_then(|stream| {
         let mut conn = BufReader::new(stream);
-        let response = Self::send_on(&mut conn, line)?;
-        self.open.insert(addr.to_string(), conn);
+        let response = round_trip(&mut conn, line)?;
+        conns.insert(backend.addr.clone(), conn);
         Ok(response)
+    });
+    if fresh.is_err() {
+        backend.healthy.store(false, Ordering::SeqCst);
     }
-
-    fn send_on(conn: &mut BufReader<TcpStream>, line: &str) -> std::io::Result<String> {
-        write_framed(conn.get_ref(), line)?;
-        let mut response = String::new();
-        if conn.read_line(&mut response)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "backend closed without answering",
-            ));
-        }
-        Ok(response.trim_end().to_string())
-    }
+    fresh
 }
 
-fn route_one(state: &RouterState, conns: &mut Conns, line: &str) -> String {
-    let kind = match classify(line) {
-        Ok(kind) => kind,
-        Err(message) => return error_line("bad_request", &message),
-    };
-    match kind {
-        Kind::Stats => stats_line(state),
-        Kind::Mutation => {
-            let primary = state.primary();
-            match conns.relay(&primary.addr, line) {
-                Ok(response) => response,
-                Err(e) => {
-                    primary.healthy.store(false, Ordering::SeqCst);
-                    error_line(
-                        "unavailable",
-                        &format!("primary {} did not answer: {e}", primary.addr),
-                    )
-                }
-            }
-        }
-        Kind::Query => {
+/// Answers one request: `line` is relayed as the client wrote it.
+fn route_one(state: &RouterState, conns: &mut Conns, request: &Request, line: &str) -> String {
+    let primary = state.primary();
+    let unavailable = |message: String| render_error("unavailable", &message);
+    match request {
+        Request::Stats => stats_line(state),
+        Request::Sync { .. } => render_error(
+            "bad_request",
+            "sync streams must connect to the primary directly, not the router",
+        ),
+        Request::Mutation { .. } => relay(conns, primary, line).unwrap_or_else(|e| {
+            unavailable(format!("primary {} did not answer: {e}", primary.addr))
+        }),
+        Request::Query { .. } => {
             // Round-robin over healthy replicas; a shared cursor spreads
             // load across workers. Unhealthy replicas are skipped, a
             // replica that fails mid-relay is marked down and the next
             // one tried, and the primary is the last resort.
             let replicas = state.replicas();
+            let start = state.next_replica.fetch_add(1, Ordering::SeqCst);
             let mut tried = 0;
-            if !replicas.is_empty() {
-                let start = state.next_replica.fetch_add(1, Ordering::SeqCst);
-                for offset in 0..replicas.len() {
-                    let backend = &replicas[(start + offset) % replicas.len()];
-                    if !backend.healthy.load(Ordering::SeqCst) {
-                        continue;
-                    }
-                    tried += 1;
-                    match conns.relay(&backend.addr, line) {
-                        Ok(response) => return response,
-                        Err(_) => backend.healthy.store(false, Ordering::SeqCst),
-                    }
-                }
-            }
-            let primary = state.primary();
-            match conns.relay(&primary.addr, line) {
-                Ok(response) => response,
-                Err(e) => {
-                    primary.healthy.store(false, Ordering::SeqCst);
-                    error_line(
-                        "unavailable",
-                        &format!(
-                            "no backend answered ({tried} replicas tried, primary {}: {e})",
-                            primary.addr
-                        ),
-                    )
-                }
-            }
-        }
-    }
-}
-
-/// One client connection: line-in, line-out, same framing as `sepra
-/// serve`, until EOF, idle timeout, oversize line, or shutdown.
-fn handle_connection(state: &RouterState, conns: &mut Conns, stream: TcpStream) {
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
-        return;
-    }
-    let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut idle = Duration::ZERO;
-    let mut buf = Vec::new();
-    loop {
-        if state.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        buf.clear();
-        match reader.by_ref().take(MAX_REQUEST_BYTES as u64 + 1).read_until(b'\n', &mut buf) {
-            Ok(0) => return,
-            Ok(n) if n > MAX_REQUEST_BYTES => {
-                let _ = write_framed(&stream, &error_line("bad_request", "request too large"));
-                return;
-            }
-            Ok(_) => {
-                idle = Duration::ZERO;
-                let line = String::from_utf8_lossy(&buf);
-                let line = line.trim();
-                if line.is_empty() {
+            for offset in 0..replicas.len() {
+                let backend = &replicas[(start + offset) % replicas.len()];
+                if !backend.healthy.load(Ordering::SeqCst) {
                     continue;
                 }
-                let response = route_one(state, conns, line);
-                if write_framed(&stream, &response).is_err() {
-                    return;
+                tried += 1;
+                if let Ok(response) = relay(conns, backend, line) {
+                    return response;
                 }
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                idle += READ_POLL;
-                if idle >= IDLE_TIMEOUT {
-                    return;
-                }
-            }
-            Err(_) => return,
+            relay(conns, primary, line).unwrap_or_else(|e| {
+                let primary = &primary.addr;
+                unavailable(format!(
+                    "no backend answered ({tried} replicas tried, primary {primary}: {e})"
+                ))
+            })
         }
     }
 }
@@ -374,45 +228,29 @@ fn handle_connection(state: &RouterState, conns: &mut Conns, stream: TcpStream) 
 /// listener and shutdown flag so tests can drive it in-process. Returns
 /// once the flag is raised and every worker has drained.
 pub fn run_router(listener: TcpListener, opts: &RouteOptions, shutdown: Arc<AtomicBool>) {
-    let mut backends = vec![Backend {
-        addr: opts.primary.clone(),
-        role: Role::Primary,
-        healthy: AtomicBool::new(false),
-        generation: AtomicU64::new(0),
-    }];
-    for addr in &opts.replicas {
-        backends.push(Backend {
-            addr: addr.clone(),
-            role: Role::Replica,
-            healthy: AtomicBool::new(false),
-            generation: AtomicU64::new(0),
-        });
-    }
-    let state = Arc::new(RouterState {
-        backends,
-        next_replica: AtomicUsize::new(0),
-        shutdown: Arc::clone(&shutdown),
-    });
+    let backends = std::iter::once(&opts.primary).chain(&opts.replicas);
+    let backends = backends.map(|addr| Backend::new(addr)).collect();
+    let state = Arc::new(RouterState { backends, next_replica: AtomicUsize::new(0) });
 
     // One prober for all backends: a synchronous first pass so the pool
     // starts with real health, then an interval loop.
     for backend in &state.backends {
         probe(backend);
     }
-    let prober_state = Arc::clone(&state);
+    let (prober_state, prober_shutdown) = (Arc::clone(&state), Arc::clone(&shutdown));
     let probe_interval = opts.probe_interval;
     let prober = std::thread::Builder::new().name("sepra-route-probe".into()).spawn(move || {
         // Sleep in short slices so shutdown is prompt, probing only when
         // a full interval has elapsed.
         let slice = probe_interval.min(Duration::from_millis(100));
         let mut last_probe = std::time::Instant::now();
-        while !prober_state.shutdown.load(Ordering::SeqCst) {
+        while !prober_shutdown.load(Ordering::SeqCst) {
             std::thread::sleep(slice);
             if last_probe.elapsed() < probe_interval {
                 continue;
             }
             for backend in &prober_state.backends {
-                if prober_state.shutdown.load(Ordering::SeqCst) {
+                if prober_shutdown.load(Ordering::SeqCst) {
                     return;
                 }
                 probe(backend);
@@ -423,9 +261,13 @@ pub fn run_router(listener: TcpListener, opts: &RouteOptions, shutdown: Arc<Atom
 
     let handlers = (0..opts.threads.max(1))
         .map(|_| {
-            let state = Arc::clone(&state);
-            let mut conns = Conns::default();
-            move |stream| handle_connection(&state, &mut conns, stream)
+            let (state, shutdown) = (Arc::clone(&state), Arc::clone(&shutdown));
+            let mut conns = Conns::new();
+            move |stream| {
+                serve_requests(stream, &shutdown, IDLE_TIMEOUT, |request, line| {
+                    Reply::Line(route_one(&state, &mut conns, &request, line))
+                })
+            }
         })
         .collect();
     // A listener that cannot be polled or a pool that cannot start ends
@@ -435,9 +277,8 @@ pub fn run_router(listener: TcpListener, opts: &RouteOptions, shutdown: Arc<Atom
     let _ = prober.map(|p| p.join());
 }
 
-/// Binds, prints `sepra route listening on ADDR (N workers)`, watches
-/// stdin for `quit`, and runs until shutdown. Returns a process exit
-/// code.
+/// Binds, prints `sepra route listening on ADDR (N workers)`, and runs
+/// until shutdown: a `quit` line on stdin, SIGINT, or SIGTERM.
 pub fn route(opts: &RouteOptions) -> Result<(), std::io::Error> {
     let listener = TcpListener::bind(&opts.addr)?;
     let addr = listener.local_addr()?;
@@ -447,25 +288,7 @@ pub fn route(opts: &RouteOptions) -> Result<(), std::io::Error> {
         opts.replicas.len()
     );
     let _ = std::io::stdout().flush();
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let stdin_shutdown = Arc::clone(&shutdown);
-    let _ = std::thread::Builder::new().name("sepra-route-stdin".into()).spawn(move || {
-        let stdin = std::io::stdin();
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match stdin.lock().read_line(&mut line) {
-                Ok(0) | Err(_) => return,
-                Ok(_) => {
-                    if matches!(line.trim(), "quit" | "shutdown" | "exit") {
-                        stdin_shutdown.store(true, Ordering::SeqCst);
-                        return;
-                    }
-                }
-            }
-        }
-    });
-    run_router(listener, opts, shutdown);
+    run_router(listener, opts, watch_shutdown());
     Ok(())
 }
 
@@ -473,15 +296,10 @@ pub fn route(opts: &RouteOptions) -> Result<(), std::io::Error> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn classifies_request_lines() {
-        assert!(matches!(classify(r#"{"insert": ["t(a)."]}"#), Ok(Kind::Mutation)));
-        assert!(matches!(classify(r#"{"retract": ["t(a)."]}"#), Ok(Kind::Mutation)));
-        assert!(matches!(classify(r#"{"stats": true}"#), Ok(Kind::Stats)));
-        assert!(matches!(classify(r#"{"query": "t(X)?"}"#), Ok(Kind::Query)));
-        assert!(matches!(classify(r#"{"query": "t(X)?", "min_generation": 4}"#), Ok(Kind::Query)));
-        assert!(classify(r#"{"sync": {"from_generation": 0}}"#).is_err());
-        assert!(classify("not json").is_err());
+    /// What the connection loop does with a line before it reaches
+    /// [`route_one`].
+    fn route_line(state: &RouterState, conns: &mut Conns, line: &str) -> String {
+        route_one(state, conns, &Request::parse(line).expect("a request"), line)
     }
 
     /// A scripted backend that answers every line with a fixed response.
@@ -513,27 +331,24 @@ mod tests {
             backends: vec![
                 Backend {
                     addr: primary,
-                    role: Role::Primary,
                     healthy: AtomicBool::new(true),
                     generation: AtomicU64::new(30),
                 },
                 Backend {
                     addr: replica,
-                    role: Role::Replica,
                     healthy: AtomicBool::new(true),
                     generation: AtomicU64::new(28),
                 },
             ],
             next_replica: AtomicUsize::new(0),
-            shutdown: Arc::new(AtomicBool::new(false)),
         };
-        let mut conns = Conns::default();
-        let answer = route_one(&state, &mut conns, r#"{"insert": ["t(a)."]}"#);
+        let mut conns = Conns::new();
+        let answer = route_line(&state, &mut conns, r#"{"insert": ["t(a)."]}"#);
         assert!(answer.contains("primary"), "{answer}");
-        let answer = route_one(&state, &mut conns, r#"{"query": "t(X)?"}"#);
+        let answer = route_line(&state, &mut conns, r#"{"query": "t(X)?"}"#);
         assert!(answer.contains("replica"), "{answer}");
         // Stats are answered locally, with lag relative to the primary.
-        let stats = route_one(&state, &mut conns, r#"{"stats": true}"#);
+        let stats = route_line(&state, &mut conns, r#"{"stats": true}"#);
         let v = json::parse(&stats).unwrap();
         let backends = match v.get("backends") {
             Some(Json::Arr(items)) => items.clone(),
@@ -542,7 +357,7 @@ mod tests {
         assert_eq!(backends.len(), 2);
         assert_eq!(backends[1].get("lag").and_then(Json::as_u64), Some(2));
         // Sync through the router is refused.
-        let refused = route_one(&state, &mut conns, r#"{"sync": {"from_generation": 0}}"#);
+        let refused = route_line(&state, &mut conns, r#"{"sync": {"from_generation": 0}}"#);
         assert!(refused.contains("bad_request"), "{refused}");
     }
 
@@ -559,38 +374,34 @@ mod tests {
             backends: vec![
                 Backend {
                     addr: primary,
-                    role: Role::Primary,
                     healthy: AtomicBool::new(true),
                     generation: AtomicU64::new(30),
                 },
                 Backend {
                     addr: dead.clone(),
-                    role: Role::Replica,
                     healthy: AtomicBool::new(true),
                     generation: AtomicU64::new(30),
                 },
                 Backend {
                     addr: live,
-                    role: Role::Replica,
                     healthy: AtomicBool::new(true),
                     generation: AtomicU64::new(30),
                 },
             ],
             next_replica: AtomicUsize::new(0),
-            shutdown: Arc::new(AtomicBool::new(false)),
         };
-        let mut conns = Conns::default();
+        let mut conns = Conns::new();
         // Drive enough queries that the round-robin cursor lands on the
         // dead replica at least once; every answer must still arrive.
         for _ in 0..4 {
-            let answer = route_one(&state, &mut conns, r#"{"query": "t(X)?"}"#);
+            let answer = route_line(&state, &mut conns, r#"{"query": "t(X)?"}"#);
             assert!(answer.contains("replica-b"), "{answer}");
         }
         // The dead replica was marked down on first failure.
         assert!(!state.backends[1].healthy.load(Ordering::SeqCst));
         // With every replica down, queries fall back to the primary.
         state.backends[2].healthy.store(false, Ordering::SeqCst);
-        let answer = route_one(&state, &mut conns, r#"{"query": "t(X)?"}"#);
+        let answer = route_line(&state, &mut conns, r#"{"query": "t(X)?"}"#);
         assert!(answer.contains("primary"), "{answer}");
     }
 }

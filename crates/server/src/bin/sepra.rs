@@ -51,6 +51,8 @@ use sepra_engine::{
     QueryProcessor, Strategy, StrategyChoice,
 };
 use sepra_eval::Budget;
+use sepra_repl::listener::write_line;
+use sepra_repl::protocol::Request;
 use sepra_repl::{route, RouteOptions};
 use sepra_server::{
     default_threads, json, load_offline, serve, CheckpointFormat, DurabilityOptions, ServeOptions,
@@ -783,14 +785,8 @@ fn run_client(args: &[String], out: &mut Out) -> Result<ExitCode, Stop> {
         match arg {
             "--addr" => addr = args.value("--addr")?.to_string(),
             "-s" | "--strategy" => strategy = Some(args.value("--strategy")?.to_string()),
-            "--timeout" => match args.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(ms) => timeout_ms = Some(ms),
-                None => return Err(usage("--timeout expects milliseconds")),
-            },
-            "--max-tuples" => match args.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(n) => max_tuples = Some(n),
-                None => return Err(usage("--max-tuples expects an integer")),
-            },
+            "--timeout" => timeout_ms = Some(args.parsed("--timeout", "milliseconds")?),
+            "--max-tuples" => max_tuples = Some(args.parsed("--max-tuples", "an integer")?),
             "--stats" => stats = true,
             "--raw" => raw.push(args.value("--raw")?.to_string()),
             "-h" | "--help" => {
@@ -808,40 +804,29 @@ fn run_client(args: &[String], out: &mut Out) -> Result<ExitCode, Stop> {
     if queries.is_empty() && raw.is_empty() && !stats {
         return Err(usage("sepra client needs a QUERY, --raw, or --stats"));
     }
-    let mut requests: Vec<String> = Vec::new();
-    for query in &queries {
-        let mut w = json::ObjWriter::new();
-        w.str("query", query);
-        if let Some(s) = &strategy {
-            w.str("strategy", s);
-        }
-        if let Some(ms) = timeout_ms {
-            w.num("timeout_ms", ms);
-        }
-        if let Some(n) = max_tuples {
-            w.num("max_tuples", n);
-        }
-        requests.push(w.finish());
-    }
+    let mut requests: Vec<String> = queries
+        .into_iter()
+        .map(|query| {
+            let strategy = strategy.clone();
+            Request::Query { query, strategy, timeout_ms, max_tuples, min_generation: None }
+                .render()
+        })
+        .collect();
     requests.extend(raw);
     if stats {
-        requests.push(r#"{"stats":true}"#.to_string());
+        requests.push(Request::Stats.render());
     }
 
     // Exit status 2 covers usage *and* I/O errors (see CLIENT_HELP).
     let stream = std::net::TcpStream::connect(&addr)
         .map_err(|e| usage(format_args!("cannot connect to {addr}: {e}")))?;
     let _ = stream.set_read_timeout(Some(Duration::from_secs(60)));
-    let mut writer = stream.try_clone().map_err(usage)?;
     let mut reader = BufReader::new(stream);
     for request in &requests {
         if out.closed.is_some() {
             break; // nobody is reading the responses any more
         }
-        if writer.write_all(request.as_bytes()).is_err()
-            || writer.write_all(b"\n").is_err()
-            || writer.flush().is_err()
-        {
+        if write_line(reader.get_ref(), request).is_err() {
             return Err(usage(format_args!("connection to {addr} lost")));
         }
         let mut response = String::new();

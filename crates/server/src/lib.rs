@@ -10,22 +10,27 @@
 //! statistics (per-strategy counts, latency aggregates, plan-cache
 //! hit rates).
 //!
-//! See [`server`] for the wire protocol, [`metrics`] for what the `stats`
-//! request reports, and [`json`] for the dependency-free JSON layer (now
-//! hosted by `sepra-repl` so the replication protocol can share it, and
-//! re-exported here unchanged).
+//! See [`server`] for how a request is served (the wire protocol itself
+//! is [`sepra_repl::protocol`]), [`metrics`] for what the `stats` request
+//! reports, and [`json`] for the dependency-free JSON layer (hosted by
+//! `sepra-repl` so the replication protocol can share it, and re-exported
+//! here unchanged).
 
+mod commit;
 pub mod durability;
 pub mod metrics;
 pub mod replica;
+mod respond;
 pub mod server;
+mod worker;
 
 pub use durability::{
     load_offline, replay, CheckpointFormat, Durability, DurabilityOptions, DEFAULT_CHECKPOINT_EVERY,
 };
 pub use metrics::{Metrics, Snapshot};
 pub use sepra_repl::json;
-pub use server::{lint_gate, serve, ServeError, ServeOptions, MAX_REQUEST_BYTES};
+pub use sepra_repl::listener::MAX_REQUEST_BYTES;
+pub use server::{lint_gate, serve, ServeError, ServeOptions};
 
 /// Default worker count: whatever the OS reports, falling back to serial.
 pub fn default_threads() -> usize {

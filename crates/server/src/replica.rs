@@ -22,9 +22,10 @@
 //!   the replica's current generation is skipped, so reconnect overlap
 //!   (the feeder re-sends from the requested floor) and checkpoint
 //!   re-ships are harmless.
-//! * **Publish order**, once per run: the lock-free generation first (so
-//!   workers refresh), then the gate (so a `min_generation` waiter that
-//!   wakes always finds a refreshable snapshot at its target).
+//! * **One publish per run**, after the master holds the run: the gate
+//!   (`SharedState::gate`) is what workers compare their snapshots with
+//!   and what `min_generation` readers wait on, so a reader it releases
+//!   always finds a refreshable snapshot at its target.
 //!
 //! Any stream error — connection loss, a failed checksum, a decode
 //! failure — tears down the connection and reconnects from the replica's
@@ -34,7 +35,7 @@
 //!
 //! [`apply_delta_mutation`]: sepra_engine::QueryProcessor::apply_delta_mutation
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -76,7 +77,6 @@ fn apply_run(shared: &SharedState, run: &mut Vec<(u64, Vec<u8>)>) -> Result<(), 
     // `replay` adopts the primary's stamp (the local effective-tuple
     // count can differ when a record carries already-present tuples).
     replay(&mut master, fresh).map_err(|e| e.to_string())?;
-    shared.generation.store(floor, Ordering::SeqCst);
     drop(master);
     shared.applied_records.fetch_add(applied, Ordering::SeqCst);
     shared.gate.publish(floor);
@@ -116,7 +116,6 @@ pub(crate) fn apply_event(shared: &SharedState, event: SyncEvent) -> Result<(), 
             master
                 .prepare()
                 .map_err(|e| format!("re-preparing after checkpoint {generation}: {e}"))?;
-            shared.generation.store(generation, Ordering::SeqCst);
             drop(master);
             shared.gate.publish(generation);
             Ok(())
@@ -133,7 +132,8 @@ fn bump_primary_generation(shared: &SharedState, generation: u64) {
 /// The applier loop: connect from the current generation, apply events,
 /// reconnect on any failure, until shutdown. [`stop_applier`] is what
 /// ends its waits.
-fn applier_loop(primary: &str, shared: &SharedState, shutdown: &AtomicBool) {
+fn applier_loop(primary: &str, shared: &SharedState) {
+    let shutdown = &shared.shutdown;
     while !shutdown.load(Ordering::SeqCst) {
         let from_generation = shared.gate.current();
         let mut client = match SyncClient::connect(primary, from_generation) {
@@ -182,15 +182,17 @@ fn applier_loop(primary: &str, shared: &SharedState, shutdown: &AtomicBool) {
     }
 }
 
-/// Spawns the applier thread for `serve --replica-of`.
+/// Spawns the applier thread if `shared` is a replica's state
+/// (`serve --replica-of`).
 pub(crate) fn spawn_applier(
-    primary: String,
-    shared: Arc<SharedState>,
-    shutdown: Arc<AtomicBool>,
-) -> std::io::Result<std::thread::JoinHandle<()>> {
+    shared: &Arc<SharedState>,
+) -> std::io::Result<Option<std::thread::JoinHandle<()>>> {
+    let Some(primary) = shared.opts.replica_of.clone() else { return Ok(None) };
+    let shared = Arc::clone(shared);
     std::thread::Builder::new()
         .name("sepra-replica".into())
-        .spawn(move || applier_loop(&primary, &shared, &shutdown))
+        .spawn(move || applier_loop(&primary, &shared))
+        .map(Some)
 }
 
 /// Ends the applier's waits once the shutdown flag is up, so that it

@@ -313,3 +313,39 @@ fn a_closed_stdout_pipe_is_a_quiet_exit() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(out.status.success(), "status {:?}, stderr: {stderr}", out.status);
 }
+
+#[test]
+fn client_sends_the_protocols_rendering_of_a_request() {
+    // A listener that records the one line it is sent and answers `{}`.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("binds");
+    let addr = listener.local_addr().expect("has an address").to_string();
+    let server = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("the client connects");
+        let mut line = String::new();
+        std::io::BufRead::read_line(&mut std::io::BufReader::new(&stream), &mut line)
+            .expect("request reads");
+        (&stream).write_all(b"{}\n").expect("reply writes");
+        line
+    });
+    let query = "buys(tom, Y)?";
+    let out = Command::new(env!("CARGO_BIN_EXE_sepra"))
+        .args(["client", "--addr", &addr, "-s", "magic", "--timeout", "250"])
+        .args(["--max-tuples", "1000", query])
+        .output()
+        .expect("client runs");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "{}\n");
+    assert_eq!(
+        server.join().expect("listener thread"),
+        "{\"query\":\"buys(tom, Y)?\",\"strategy\":\"magic\",\"timeout_ms\":250,\"max_tuples\":1000}\n"
+    );
+
+    // Bad values are worded by the argument cursor, as everywhere else.
+    let out = Command::new(env!("CARGO_BIN_EXE_sepra"))
+        .args(["client", "--timeout", "soon", query])
+        .output()
+        .expect("client runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--timeout expects milliseconds, got `soon`"), "{stderr}");
+}

@@ -116,6 +116,11 @@ fn error_kind(v: &Json) -> Option<&str> {
 fn serves_concurrent_clients_with_deadlines_and_stats() {
     let server = Server::spawn(4);
 
+    // One selection before the race below: the plan cache's only miss is
+    // this one, so each of the clients racing their first query is a hit.
+    let first = server.connect().request(r#"{"query": "t(n4, Y)?"}"#);
+    assert_eq!(first.get("count").and_then(Json::as_u64), Some((CHAIN - 4) as u64), "{first:?}");
+
     // Phase 1: four concurrent clients issue selection queries with known
     // answer counts (from n_k the chain reaches CHAIN - k nodes), while a
     // fifth asks for the full closure under a 1 ms deadline — it must get
@@ -185,15 +190,15 @@ fn serves_concurrent_clients_with_deadlines_and_stats() {
     // Phase 3: live stats reflect everything above.
     let stats = conn.request(r#"{"stats": true}"#);
     let queries = stats.get("queries").expect("queries member");
-    assert_eq!(queries.get("ok").and_then(Json::as_u64), Some(5), "{stats:?}");
+    assert_eq!(queries.get("ok").and_then(Json::as_u64), Some(6), "{stats:?}");
     assert_eq!(queries.get("budget_exceeded").and_then(Json::as_u64), Some(2), "{stats:?}");
     let by_strategy = queries.get("by_strategy").expect("by_strategy member");
-    assert_eq!(by_strategy.get("separable").and_then(Json::as_u64), Some(5), "{stats:?}");
+    assert_eq!(by_strategy.get("separable").and_then(Json::as_u64), Some(6), "{stats:?}");
     let latency = stats.get("latency_us").expect("latency member");
     for member in ["min", "median", "max"] {
         assert!(latency.get(member).and_then(Json::as_u64).is_some(), "{stats:?}");
     }
-    // Five selection queries on one predicate share one compiled plan.
+    // Six selection queries on one predicate share one compiled plan.
     let cache = stats.get("plan_cache").expect("plan_cache member");
     assert_eq!(cache.get("entries").and_then(Json::as_u64), Some(1), "{stats:?}");
     assert!(cache.get("hits").and_then(Json::as_u64).unwrap_or(0) >= 4, "{stats:?}");
