@@ -65,24 +65,29 @@ fn bad_data(message: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.into())
 }
 
-/// Dials the server at `addr` (`HOST:PORT`), giving up after
-/// `connect_timeout`; reads and writes on the connection give up after
-/// `io_timeout`. Lines are written whole ([`write_line`]), so Nagle is
-/// off.
-pub(crate) fn connect(
+/// Dials the server at `addr` (`HOST:PORT`), trying each address it
+/// resolves to in turn and giving each `connect_timeout`; reads and writes
+/// on the connection give up after `io_timeout`. Lines are written whole
+/// ([`write_line`]), so Nagle is off. The sync client, the router and
+/// `sepra client` all connect through here.
+pub fn connect(
     addr: &str,
     connect_timeout: Duration,
     io_timeout: Duration,
 ) -> io::Result<TcpStream> {
-    let resolved = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| bad_data(format!("{addr} resolved to no address")))?;
-    let stream = TcpStream::connect_timeout(&resolved, connect_timeout)?;
-    stream.set_read_timeout(Some(io_timeout))?;
-    stream.set_write_timeout(Some(io_timeout))?;
-    stream.set_nodelay(true)?;
-    Ok(stream)
+    let mut failed = None;
+    for resolved in addr.to_socket_addrs()? {
+        match TcpStream::connect_timeout(&resolved, connect_timeout) {
+            Ok(stream) => {
+                stream.set_read_timeout(Some(io_timeout))?;
+                stream.set_write_timeout(Some(io_timeout))?;
+                stream.set_nodelay(true)?;
+                return Ok(stream);
+            }
+            Err(e) => failed = Some(e),
+        }
+    }
+    Err(failed.unwrap_or_else(|| bad_data(format!("{addr} resolved to no address"))))
 }
 
 impl SyncClient {

@@ -102,8 +102,11 @@ impl RouterState {
     }
 }
 
-/// Sends one request line on `conn` and returns the single response line.
-fn round_trip(conn: &mut BufReader<TcpStream>, line: &str) -> std::io::Result<String> {
+/// Sends one request line on `conn` and returns the single response line
+/// (without its newline). A server that hangs up instead of answering is
+/// an [`UnexpectedEof`](std::io::ErrorKind::UnexpectedEof) error. The
+/// router's relays and probes and `sepra client` all ask through here.
+pub fn round_trip(conn: &mut BufReader<TcpStream>, line: &str) -> std::io::Result<String> {
     write_line(conn.get_ref(), line)?;
     let mut response = String::new();
     if conn.read_line(&mut response)? == 0 {

@@ -1,68 +1,35 @@
-//! `sepra` — a small CLI for the separable-recursion query processor.
+//! `sepra` — the command line of the separable-recursion query processor.
 //!
-//! ```text
-//! sepra [OPTIONS] [FILE...]
-//! sepra check [OPTIONS] FILE...
-//! sepra serve [OPTIONS] FILE...
-//! sepra route --primary HOST:PORT --replicas HOST:PORT,... [OPTIONS]
-//! sepra client [OPTIONS] [QUERY...]
-//! sepra dump FILE --data-dir DIR
-//! sepra restore FILE --data-dir DIR [--force]
-//!
-//! Options:
-//!   -q, --query QUERY       run QUERY (e.g. 'buys(tom, Y)?') and exit
-//!   -s, --strategy NAME     force a strategy: bounded|separable|magic|magic-sup|magic-subsumptive|counting|hn|seminaive|naive
-//!   -f, --format FMT        answer output format: text (default) | csv | json
-//!   -t, --threads N         worker threads for fixpoint iterations
-//!                           (default: available parallelism; 1 = serial)
-//!       --timeout MS        per-query evaluation deadline in milliseconds
-//!       --max-tuples N      abort evaluation after deriving N tuples
-//!       --stats             print relation-size statistics after each query
-//!       --explain           print the evaluation plan instead of running
-//!       --check             print the diagnostic report for the loaded program
-//!       --repl              start an interactive session (default if no -q)
-//!   -h, --help              this message
-//! ```
-//!
-//! `sepra check` is the static-analysis front door: it lints one or more
-//! files without evaluating anything, reporting unsafe rules, arity
-//! mismatches, unused/undefined predicates (`LNT0xx`) and — per recursive
-//! predicate — either the separable structure or the exact condition of
-//! the paper's Definition 2.4 that fails (`SEP00x`), with source snippets
-//! or as JSON (`--format json`).
-//!
-//! `sepra serve` loads and compiles a program once, then answers
-//! line-delimited JSON queries over TCP — see `sepra serve --help` and the
-//! `sepra_server::server` module docs. `sepra client` is the matching
-//! one-shot test client.
-//!
-//! In the REPL, clauses ending in `.` extend the program/database, atoms
-//! ending in `?` are queries, and commands start with `:` (`:help`).
+//! This file decodes argv and REPL lines, holds the help texts, and
+//! prints; what it runs are library calls. One-shot queries, `--explain`,
+//! `--check` and the REPL run through one [`Session`], as the server's
+//! workers do — the one-shot path is the REPL's dispatcher run once — and
+//! `client` speaks the wire through `sepra_repl`'s connection and
+//! round-trip helpers. The help texts below are the usage.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
-use sepra_core::exec::ExecOptions;
 use sepra_engine::{
-    render_answers, render_answers_csv, render_answers_json, PlanReport, ProcessorError,
-    QueryProcessor, Strategy, StrategyChoice,
+    render_answers, render_answers_csv, render_answers_json, MutationOutcome, ProcessorError,
+    QueryProcessor, StrategyChoice,
 };
-use sepra_eval::Budget;
-use sepra_repl::listener::write_line;
+use sepra_repl::client::connect;
 use sepra_repl::protocol::Request;
+use sepra_repl::router::round_trip;
 use sepra_repl::{route, RouteOptions};
 use sepra_server::{
-    default_threads, json, load_offline, serve, CheckpointFormat, DurabilityOptions, ServeOptions,
-    DEFAULT_CHECKPOINT_EVERY,
+    default_threads, dump, restore, serve, CheckpointFormat, DurabilityOptions, Limits,
+    ServeOptions, Session, DEFAULT_CHECKPOINT_EVERY,
 };
-use sepra_wal::checkpoint::checkpoint_file_name;
-use sepra_wal::store::{read_recovery, WAL_FILE};
-use sepra_wal::{
-    codec, list_checkpoints, read_checkpoint_file, write_checkpoint_file, FsyncPolicy, WalWriter,
-};
+use sepra_storage::EvalStats;
+use sepra_wal::FsyncPolicy;
+
+/// How long `sepra client` waits to connect, and then for each reply.
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// The one handle everything this binary prints goes through. `print!`
 /// panics when the reader has gone (`sepra … | head -1`); here the first
@@ -83,7 +50,7 @@ impl Out {
         }
         let mut stdout = self.stdout.lock();
         if let Err(e) = write!(stdout, "{text}").and_then(|()| stdout.flush()) {
-            self.closed = Some(if e.kind() == std::io::ErrorKind::BrokenPipe {
+            self.closed = Some(if e.kind() == ErrorKind::BrokenPipe {
                 ExitCode::SUCCESS
             } else {
                 eprintln!("error: writing to stdout: {e}");
@@ -114,6 +81,11 @@ fn usage(msg: impl std::fmt::Display) -> Stop {
 /// For `map_err`: any error as a failure's `error: …` line.
 fn failed(e: impl std::fmt::Display) -> Stop {
     Stop::Failed(format!("error: {e}\n"))
+}
+
+/// A subcommand's refusal of an option it does not know.
+fn unknown_option(command: &str, option: &str) -> Stop {
+    usage(format_args!("unknown option `{option}` (try `sepra {command} --help`)"))
 }
 
 /// What the argument cursor reports are usage errors.
@@ -174,11 +146,8 @@ struct Options {
     stats: bool,
     explain: bool,
     check: bool,
-    repl: bool,
     format: Format,
-    threads: usize,
-    timeout: Option<Duration>,
-    max_tuples: Option<usize>,
+    limits: Limits,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -198,18 +167,20 @@ fn parse_args(args: &[String], out: &mut Out) -> Result<Option<Options>, String>
         stats: false,
         explain: false,
         check: false,
-        repl: false,
         format: Format::Text,
-        threads: default_threads(),
-        timeout: None,
-        max_tuples: None,
+        limits: Limits {
+            timeout: None,
+            max_tuples: None,
+            threads: default_threads(),
+            cancel: None,
+        },
     };
     let mut args = Args(args.iter());
     while let Some(arg) = args.next() {
         match arg {
             "-q" | "--query" => opts.query = Some(args.value("--query")?.to_string()),
             "-s" | "--strategy" => {
-                opts.strategy = StrategyChoice::Force(args.value("--strategy")?.parse()?);
+                opts.strategy = Session::choice(Some(args.value("--strategy")?))?
             }
             "--stats" => opts.stats = true,
             "--explain" => opts.explain = true,
@@ -219,16 +190,19 @@ fn parse_args(args: &[String], out: &mut Out) -> Result<Option<Options>, String>
                     [("text", Format::Text), ("csv", Format::Csv), ("json", Format::Json)];
                 opts.format = args.choice("--format", "text|csv|json", &formats)?;
             }
-            "-t" | "--threads" => opts.threads = args.threads()?,
-            "--timeout" => opts.timeout = Some(args.millis("--timeout")?),
-            "--max-tuples" => opts.max_tuples = Some(args.parsed("--max-tuples", "an integer")?),
-            "--repl" => opts.repl = true,
+            "-t" | "--threads" => opts.limits.threads = args.threads()?,
+            "--timeout" => opts.limits.timeout = Some(args.millis("--timeout")?),
+            "--max-tuples" => {
+                opts.limits.max_tuples = Some(args.parsed("--max-tuples", "an integer")?)
+            }
+            // The REPL is what runs when there is no query to run.
+            "--repl" => {}
             "-h" | "--help" => {
                 out.print(HELP);
                 return Ok(None);
             }
             other if other.starts_with('-') => {
-                return Err(format!("unknown option `{other}` (try --help)"));
+                return Err(format!("unknown option `{other}` (try --help)"))
             }
             file => opts.files.push(file.to_string()),
         }
@@ -509,11 +483,7 @@ fn run_check(args: &[String], out: &mut Out) -> Result<ExitCode, Stop> {
                 out.print(CHECK_HELP);
                 return Ok(ExitCode::SUCCESS);
             }
-            other if other.starts_with('-') => {
-                return Err(usage(format_args!(
-                    "unknown option `{other}` (try `sepra check --help`)"
-                )))
-            }
+            other if other.starts_with('-') => return Err(unknown_option("check", other)),
             file => files.push(file.to_string()),
         }
     }
@@ -522,26 +492,17 @@ fn run_check(args: &[String], out: &mut Out) -> Result<ExitCode, Stop> {
     }
     let mut worst: u8 = 0;
     for (i, file) in files.iter().enumerate() {
-        let text = match std::fs::read_to_string(file) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {file}: {e}");
-                worst = worst.max(2);
-                continue;
-            }
+        let read = std::fs::read_to_string(file);
+        let Ok(text) = read.map_err(|e| eprintln!("error: cannot read {file}: {e}")) else {
+            worst = worst.max(2);
+            continue;
         };
         let result = sepra_lint::check_source(file, &text, query.as_deref());
-        if json {
-            // One JSON document per file, newline-separated (JSON lines of
-            // pretty-printed objects; single-file invocations emit exactly
-            // one object).
-            out.print(result.render_json());
-        } else {
-            if i > 0 {
-                out.println("");
-            }
-            out.print(result.render_text());
+        // Text reports are a blank line apart; JSON is one document a file.
+        if !json && i > 0 {
+            out.println("");
         }
+        out.print(if json { result.render_json() } else { result.render_text() });
         worst = worst.max(result.exit_code(deny_warnings) as u8);
     }
     Ok(ExitCode::from(worst))
@@ -581,11 +542,7 @@ fn run_serve(args: &[String], out: &mut Out) -> Result<ExitCode, Stop> {
                 out.print(SERVE_HELP);
                 return Ok(ExitCode::SUCCESS);
             }
-            other if other.starts_with('-') => {
-                return Err(usage(format_args!(
-                    "unknown option `{other}` (try `sepra serve --help`)"
-                )))
-            }
+            other if other.starts_with('-') => return Err(unknown_option("serve", other)),
             file => files.push(file.to_string()),
         }
     }
@@ -599,22 +556,17 @@ fn run_serve(args: &[String], out: &mut Out) -> Result<ExitCode, Stop> {
              (a replica's durable lineage is the primary's)",
         ));
     }
-    match data_dir {
-        Some(dir) => {
-            opts.durability = Some(DurabilityOptions {
-                data_dir: dir,
-                fsync: fsync.unwrap_or_default(),
-                checkpoint_every: checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY),
-                checkpoint_format: checkpoint_format.unwrap_or_default(),
-            });
-        }
-        None if durable => {
-            return Err(usage(
-                "--fsync, --checkpoint-every, and --checkpoint-format require --data-dir",
-            ));
-        }
-        None => {}
+    if data_dir.is_none() && durable {
+        return Err(usage(
+            "--fsync, --checkpoint-every, and --checkpoint-format require --data-dir",
+        ));
     }
+    opts.durability = data_dir.map(|data_dir| DurabilityOptions {
+        data_dir,
+        fsync: fsync.unwrap_or_default(),
+        checkpoint_every: checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY),
+        checkpoint_format: checkpoint_format.unwrap_or_default(),
+    });
     serve(load_files(&files)?, &opts).map_err(failed)?;
     Ok(ExitCode::SUCCESS)
 }
@@ -633,13 +585,10 @@ fn run_route(args: &[String], out: &mut Out) -> Result<ExitCode, Stop> {
     while let Some(arg) = args.next() {
         match arg {
             "--primary" => opts.primary = args.value("--primary")?.to_string(),
-            "--replicas" => opts.replicas.extend(
-                args.value("--replicas")?
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(String::from),
-            ),
+            "--replicas" => {
+                let listed = args.value("--replicas")?.split(',').map(str::trim);
+                opts.replicas.extend(listed.filter(|s| !s.is_empty()).map(String::from));
+            }
             "--addr" => opts.addr = args.value("--addr")?.to_string(),
             "-t" | "--threads" => opts.threads = args.threads()?,
             "--probe-interval-ms" => opts.probe_interval = args.millis("--probe-interval-ms")?,
@@ -647,11 +596,7 @@ fn run_route(args: &[String], out: &mut Out) -> Result<ExitCode, Stop> {
                 out.print(ROUTE_HELP);
                 return Ok(ExitCode::SUCCESS);
             }
-            other => {
-                return Err(usage(format_args!(
-                    "unknown option `{other}` (try `sepra route --help`)"
-                )))
-            }
+            other => return Err(unknown_option("route", other)),
         }
     }
     if opts.primary.is_empty() {
@@ -661,125 +606,51 @@ fn run_route(args: &[String], out: &mut Out) -> Result<ExitCode, Stop> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// The `sepra dump FILE --data-dir DIR` subcommand: exports the durable
-/// state of a data directory (newest valid checkpoint + WAL tail, torn
-/// tail ignored) as one checkpoint-format snapshot file. Strictly
-/// read-only, so it is safe against a live server's directory.
-fn run_dump(args: &[String], out: &mut Out) -> Result<ExitCode, Stop> {
-    let mut file: Option<String> = None;
-    let mut data_dir: Option<PathBuf> = None;
+/// `sepra dump FILE --data-dir DIR`, or with `restoring` `sepra restore
+/// FILE --data-dir DIR [--force]`.
+fn run_snapshot(restoring: bool, args: &[String], out: &mut Out) -> Result<ExitCode, Stop> {
+    let (command, help, file_is) = if restoring {
+        ("restore", RESTORE_HELP, "a snapshot")
+    } else {
+        ("dump", DUMP_HELP, "an output")
+    };
+    let (mut file, mut data_dir, mut force) = (None, None, false);
     let mut args = Args(args.iter());
     while let Some(arg) = args.next() {
         match arg {
             "--data-dir" => data_dir = Some(PathBuf::from(args.value("--data-dir")?)),
+            "--force" if restoring => force = true,
             "-h" | "--help" => {
-                out.print(DUMP_HELP);
+                out.print(help);
                 return Ok(ExitCode::SUCCESS);
             }
-            other if other.starts_with('-') => {
-                return Err(usage(format_args!(
-                    "unknown option `{other}` (try `sepra dump --help`)"
-                )))
-            }
-            positional if file.is_none() => file = Some(positional.to_string()),
+            other if other.starts_with('-') => return Err(unknown_option(command, other)),
+            positional if file.is_none() => file = Some(PathBuf::from(positional)),
             extra => return Err(usage(format_args!("unexpected argument `{extra}`"))),
         }
     }
-    let file =
-        file.ok_or_else(|| usage("sepra dump needs an output FILE (try `sepra dump --help`)"))?;
-    let data_dir = data_dir
-        .ok_or_else(|| usage("sepra dump needs --data-dir DIR (try `sepra dump --help`)"))?;
-    let recovery = read_recovery(&data_dir).map_err(failed)?;
-    if recovery.checkpoint_body.is_none() && recovery.records.is_empty() {
-        return Err(failed(format_args!("{} holds no durable state to dump", data_dir.display())));
-    }
-    let db = load_offline(&data_dir).map_err(failed)?;
-    let body = codec::encode_database(&db);
-    write_checkpoint_file(Path::new(&file), db.generation(), &body).map_err(failed)?;
-    out.println(format_args!(
-        "dumped {} facts at generation {} to {file}",
-        db.total_tuples(),
-        db.generation()
-    ));
-    Ok(ExitCode::SUCCESS)
-}
-
-/// The `sepra restore FILE --data-dir DIR` subcommand: initializes a data
-/// directory from a snapshot file (the format `sepra dump` and the REPL's
-/// `:save` write). Refuses to overwrite existing durable state without
-/// `--force`.
-fn run_restore(args: &[String], out: &mut Out) -> Result<ExitCode, Stop> {
-    let mut file: Option<String> = None;
-    let mut data_dir: Option<PathBuf> = None;
-    let mut force = false;
-    let mut args = Args(args.iter());
-    while let Some(arg) = args.next() {
-        match arg {
-            "--data-dir" => data_dir = Some(PathBuf::from(args.value("--data-dir")?)),
-            "--force" => force = true,
-            "-h" | "--help" => {
-                out.print(RESTORE_HELP);
-                return Ok(ExitCode::SUCCESS);
-            }
-            other if other.starts_with('-') => {
-                return Err(usage(format_args!(
-                    "unknown option `{other}` (try `sepra restore --help`)"
-                )))
-            }
-            positional if file.is_none() => file = Some(positional.to_string()),
-            extra => return Err(usage(format_args!("unexpected argument `{extra}`"))),
-        }
-    }
-    let file = file
-        .ok_or_else(|| usage("sepra restore needs a snapshot FILE (try `sepra restore --help`)"))?;
-    let data_dir = data_dir
-        .ok_or_else(|| usage("sepra restore needs --data-dir DIR (try `sepra restore --help`)"))?;
-    // Validate the snapshot fully (container checksum AND body decode)
-    // before touching the directory.
-    let (generation, body) = read_checkpoint_file(Path::new(&file)).map_err(failed)?;
-    let mut probe = sepra_storage::Database::new();
-    codec::decode_snapshot_into(&body, &mut probe)
-        .map_err(|e| failed(format_args!("{file} does not decode as an EDB snapshot: {e}")))?;
-    std::fs::create_dir_all(&data_dir)
-        .map_err(|e| failed(format_args!("creating data dir {}: {e}", data_dir.display())))?;
-    let existing = read_recovery(&data_dir).map_err(failed)?;
-    let occupied = existing.checkpoint_body.is_some()
-        || !existing.records.is_empty()
-        || existing.stale_records > 0;
-    if occupied && !force {
-        return Err(failed(format_args!(
-            "{} already holds durable state (generation {}); use --force to replace it",
-            data_dir.display(),
-            existing.recovered_generation()
-        )));
-    }
-    // Replace wholesale: old checkpoints and the old WAL describe a state
-    // the restored snapshot supersedes.
-    for (_, path) in list_checkpoints(&data_dir).map_err(failed)? {
-        let _ = std::fs::remove_file(path);
-    }
-    let _ = std::fs::remove_file(data_dir.join(WAL_FILE));
-    write_checkpoint_file(&data_dir.join(checkpoint_file_name(generation)), generation, &body)
-        .map_err(failed)?;
-    // A fresh, empty WAL so the directory is immediately servable.
-    WalWriter::open(&data_dir.join(WAL_FILE), FsyncPolicy::Always).map_err(failed)?;
-    out.println(format_args!(
-        "restored {} facts at generation {generation} into {}",
-        probe.total_tuples(),
-        data_dir.display()
-    ));
+    let needs = |what: &str| {
+        usage(format_args!("sepra {command} needs {what} (try `sepra {command} --help`)"))
+    };
+    let file = file.ok_or_else(|| needs(&format!("{file_is} FILE")))?;
+    let data_dir = data_dir.ok_or_else(|| needs("--data-dir DIR"))?;
+    out.println(if restoring {
+        let db = restore(&file, &data_dir, force).map_err(failed)?;
+        let (facts, generation) = (db.total_tuples(), db.generation());
+        format!("restored {facts} facts at generation {generation} into {}", data_dir.display())
+    } else {
+        let db = dump(&data_dir, &file).map_err(failed)?;
+        let (facts, generation) = (db.total_tuples(), db.generation());
+        format!("dumped {facts} facts at generation {generation} to {}", file.display())
+    });
     Ok(ExitCode::SUCCESS)
 }
 
 /// The `sepra client` subcommand: one connection, one request per line.
 fn run_client(args: &[String], out: &mut Out) -> Result<ExitCode, Stop> {
     let mut addr = String::from("127.0.0.1:7464");
-    let mut queries: Vec<String> = Vec::new();
-    let mut raw: Vec<String> = Vec::new();
-    let mut strategy: Option<String> = None;
-    let mut timeout_ms: Option<u64> = None;
-    let mut max_tuples: Option<u64> = None;
-    let mut stats = false;
+    let (mut queries, mut raw) = (Vec::new(), Vec::new());
+    let (mut strategy, mut timeout_ms, mut max_tuples, mut stats) = (None, None, None, false);
     let mut args = Args(args.iter());
     while let Some(arg) = args.next() {
         match arg {
@@ -793,147 +664,163 @@ fn run_client(args: &[String], out: &mut Out) -> Result<ExitCode, Stop> {
                 out.print(CLIENT_HELP);
                 return Ok(ExitCode::SUCCESS);
             }
-            other if other.starts_with('-') => {
-                return Err(usage(format_args!(
-                    "unknown option `{other}` (try `sepra client --help`)"
-                )))
-            }
+            other if other.starts_with('-') => return Err(unknown_option("client", other)),
             query => queries.push(query.to_string()),
         }
     }
     if queries.is_empty() && raw.is_empty() && !stats {
         return Err(usage("sepra client needs a QUERY, --raw, or --stats"));
     }
-    let mut requests: Vec<String> = queries
-        .into_iter()
-        .map(|query| {
-            let strategy = strategy.clone();
-            Request::Query { query, strategy, timeout_ms, max_tuples, min_generation: None }
-                .render()
-        })
-        .collect();
+    let query = |query| Request::Query {
+        query,
+        strategy: strategy.clone(),
+        timeout_ms,
+        max_tuples,
+        min_generation: None,
+    };
+    let mut requests: Vec<String> = queries.into_iter().map(|q| query(q).render()).collect();
     requests.extend(raw);
     if stats {
         requests.push(Request::Stats.render());
     }
 
     // Exit status 2 covers usage *and* I/O errors (see CLIENT_HELP).
-    let stream = std::net::TcpStream::connect(&addr)
+    let stream = connect(&addr, CLIENT_TIMEOUT, CLIENT_TIMEOUT)
         .map_err(|e| usage(format_args!("cannot connect to {addr}: {e}")))?;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(60)));
-    let mut reader = BufReader::new(stream);
+    let mut conn = BufReader::new(stream);
     for request in &requests {
         if out.closed.is_some() {
             break; // nobody is reading the responses any more
         }
-        if write_line(reader.get_ref(), request).is_err() {
-            return Err(usage(format_args!("connection to {addr} lost")));
-        }
-        let mut response = String::new();
-        match reader.read_line(&mut response) {
-            Ok(0) => return Err(usage("server closed the connection")),
-            Ok(_) => out.print(response),
-            Err(e) => return Err(usage(format_args!("reading response: {e}"))),
-        }
+        let response = round_trip(&mut conn, request).map_err(|e| match e.kind() {
+            ErrorKind::UnexpectedEof => usage("server closed the connection"),
+            ErrorKind::BrokenPipe => usage(format_args!("connection to {addr} lost")),
+            _ => usage(format_args!("reading response: {e}")),
+        })?;
+        out.println(response);
     }
     Ok(ExitCode::SUCCESS)
 }
 
-/// Runs one query and prints the outcome. Returns `false` on parse or
-/// evaluation failure so the one-shot path can exit nonzero; the REPL
-/// ignores the result and keeps the session alive.
-fn run_query(
-    qp: &mut QueryProcessor,
-    src: &str,
-    strategy: StrategyChoice,
-    stats: bool,
-    format: Format,
-    out: &mut Out,
-) -> bool {
-    let query = match qp.parse_query(src) {
-        Ok(q) => q,
-        Err(e) => {
-            eprint!("{}", ast_error_text("<query>", src, &e));
-            return false;
-        }
-    };
-    match qp.run_query(&query, strategy) {
-        Ok(result) => match format {
-            Format::Text => {
-                out.print(render_answers(&result.answers, qp.db().interner()));
-                out.println(format_args!(
-                    "-- {} answers in {:.3?} via {}",
-                    result.answers.len(),
-                    result.elapsed,
-                    result.strategy
-                ));
-                if stats {
-                    out.print(&result.stats);
-                }
-            }
-            Format::Csv => out.print(render_answers_csv(&result.answers, qp.db().interner())),
-            Format::Json => out.print(render_answers_json(&result.answers, qp.db().interner())),
-        },
-        Err(e) => {
-            eprintln!("error: {e}");
-            return false;
-        }
-    }
-    true
+/// A REPL session: the [`Session`] and the options it started with, of
+/// which `:strategy` and `:stats` change two. The one-shot path is one
+/// call into it. Each call returns what goes to stdout, or on failure what
+/// goes to stderr.
+struct Repl {
+    session: Session,
+    opts: Options,
 }
 
-/// Renders a [`PlanReport`] as one line of JSON — the `:plan` and
-/// `--explain -f json` output. Estimates are fixed-point decimals so the
-/// output is stable for golden tests.
-fn plan_report_json(report: &PlanReport) -> String {
-    let mut conjs = String::from("[");
-    for (i, conj) in report.conjunctions.iter().enumerate() {
-        if i > 0 {
-            conjs.push(',');
-        }
-        let mut scans = String::from("[");
-        for (j, s) in conj.scans.iter().enumerate() {
-            if j > 0 {
-                scans.push(',');
-            }
-            let mut scan = json::ObjWriter::new();
-            scan.str("rel", &s.rel)
-                .raw("rows", &format!("{:.0}", s.rows))
-                .num("keyed_cols", s.keyed_cols as u64)
-                .raw("estimate", &format!("{:.4}", s.estimate));
-            scans.push_str(&scan.finish());
-        }
-        scans.push(']');
-        let mut c = json::ObjWriter::new();
-        c.str("label", &conj.label).raw("scans", &scans);
-        conjs.push_str(&c.finish());
+impl Repl {
+    /// Runs one query; its answers as the format renders them.
+    fn query(&mut self, src: &str) -> Result<String, String> {
+        let budget = self.session.budget(None, None);
+        let queried = self.session.query(src, self.opts.strategy, budget);
+        let result = queried.map_err(|e| ast_error_text("<query>", src, &e))?;
+        let (answers, interner) = (&result.answers, self.session.processor().db().interner());
+        Ok(match self.opts.format {
+            Format::Text => format!(
+                "{}-- {} answers in {:.3?} via {}\n{}",
+                render_answers(answers, interner),
+                answers.len(),
+                result.elapsed,
+                result.strategy,
+                stats_text(self.opts.stats, &result.stats)
+            ),
+            Format::Csv => render_answers_csv(answers, interner),
+            Format::Json => render_answers_json(answers, interner),
+        })
     }
-    conjs.push(']');
-    let mut out = json::ObjWriter::new();
-    out.str("query", &report.query)
-        .str("strategy", &report.strategy)
-        .str("plan_mode", report.plan_mode)
-        .raw("conjunctions", &conjs)
-        .str("text", &report.text);
-    out.finish()
+
+    /// Runs one `:` command other than `:quit`.
+    fn command(&mut self, cmd: &str, rest: &str) -> Result<String, String> {
+        let session = &mut self.session;
+        // A mutation's summary line, then its statistics under `:stats on`.
+        let mutated = |head: String, m: MutationOutcome| {
+            format!(
+                "{head} (generation {})\n{}",
+                m.generation,
+                stats_text(self.opts.stats, &m.stats)
+            )
+        };
+        let done = match cmd {
+            ":help" | ":h" => Ok(REPL_HELP.to_string()),
+            ":stats" => {
+                self.opts.stats = rest != "off";
+                Ok(format!("stats {}\n", if self.opts.stats { "on" } else { "off" }))
+            }
+            ":strategy" => Session::choice(Some(rest).filter(|&name| name != "auto")).map(|c| {
+                self.opts.strategy = c;
+                match c {
+                    StrategyChoice::Auto => "strategy auto\n".to_string(),
+                    StrategyChoice::Force(strategy) => format!("strategy {strategy}\n"),
+                }
+            }),
+            ":explain" => session.explain(rest).map_err(|e| e.to_string()),
+            ":plan" => session.plan(rest).map(|line| line + "\n").map_err(|e| e.to_string()),
+            ":why" => session.why(rest).map_err(|e| e.to_string()),
+            ":insert" | ":retract" if rest.is_empty() => {
+                Err(format!("{cmd} expects one or more facts, e.g. {cmd} e(a, b)."))
+            }
+            ":insert" | ":retract" => {
+                let (inserts, retracts): (&[&str], &[&str]) =
+                    if cmd == ":insert" { (&[rest], &[]) } else { (&[], &[rest]) };
+                let budget = session.budget(None, None);
+                let m = session.mutate(inserts, retracts, budget).map_err(|e| e.to_string());
+                m.map(|m| {
+                    let head = format!("{} inserted, {} retracted", m.inserted, m.retracted);
+                    mutated(format!("{head} in {:.3?}", m.elapsed), m)
+                })
+            }
+            ":save" | ":load" if rest.is_empty() => {
+                Err(format!("{cmd} expects a file path, e.g. {cmd} facts.sepra"))
+            }
+            ":save" => {
+                let db = session.processor().db();
+                let (facts, generation) = (db.total_tuples(), db.generation());
+                let saved = session.save(Path::new(rest)).map_err(|e| e.to_string());
+                saved.map(|()| format!("saved {facts} facts (generation {generation}) to {rest}\n"))
+            }
+            ":load" => session
+                .load(Path::new(rest))
+                .map(|m| mutated(format!("{} facts merged in {:.3?}", m.inserted, m.elapsed), m)),
+            ":lint" => Ok(session.lint(Some(rest).filter(|q| !q.is_empty()))),
+            ":check" => Ok(session.check()),
+            ":program" => Ok(session.program()),
+            other => Err(format!("unknown command {other} (try :help)")),
+        };
+        done.map_err(|e| format!("error: {e}\n"))
+    }
+}
+
+/// Statistics after a command's output, when `:stats` is on.
+fn stats_text(on: bool, stats: &EvalStats) -> String {
+    if on {
+        stats.to_string()
+    } else {
+        String::new()
+    }
+}
+
+/// Prints what a REPL line did; `false` when it failed.
+fn show(out: &mut Out, done: Result<String, String>) -> bool {
+    done.map(|text| out.print(text)).map_err(|text| eprint!("{text}")).is_ok()
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out = Out { stdout: std::io::stdout(), closed: None };
-    let command = match args.first().map(String::as_str) {
-        Some("check") => run_check,
-        Some("serve") => run_serve,
-        Some("route") => run_route,
-        Some("client") => run_client,
-        Some("dump") => run_dump,
-        Some("restore") => run_restore,
-        _ => {
-            let status = run_main(&args, &mut out);
-            return out.closed.unwrap_or(status);
-        }
+    let rest = args.get(1..).unwrap_or_default();
+    let done = match args.first().map(String::as_str) {
+        Some("check") => run_check(rest, &mut out),
+        Some("serve") => run_serve(rest, &mut out),
+        Some("route") => run_route(rest, &mut out),
+        Some("client") => run_client(rest, &mut out),
+        Some("dump") => run_snapshot(false, rest, &mut out),
+        Some("restore") => run_snapshot(true, rest, &mut out),
+        _ => run_main(&args, &mut out),
     };
-    let (status, text) = match command(&args[1..], &mut out) {
+    let (status, text) = match done {
         Ok(status) => return out.closed.unwrap_or(status),
         Err(Stop::Usage(text)) => (2, text),
         Err(Stop::Failed(text)) => (1, text),
@@ -944,63 +831,27 @@ fn main() -> ExitCode {
 
 /// `sepra [OPTIONS] [FILE...]`: a one-shot query, `--explain`, `--check`,
 /// or the REPL. Every failure here exits 1.
-fn run_main(args: &[String], out: &mut Out) -> ExitCode {
-    let opts = match parse_args(args, out) {
-        Ok(Some(o)) => o,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+fn run_main(args: &[String], out: &mut Out) -> Result<ExitCode, Stop> {
+    let Some(opts) = parse_args(args, out).map_err(failed)? else {
+        return Ok(ExitCode::SUCCESS);
     };
-    let mut budget = Budget::unlimited();
-    if let Some(t) = opts.timeout {
-        budget = budget.timeout(t);
-    }
-    if let Some(n) = opts.max_tuples {
-        budget = budget.tuples(n);
-    }
-    let mut qp = match load_files(&opts.files) {
-        Ok(qp) => qp,
-        Err(Stop::Usage(text) | Stop::Failed(text)) => {
-            eprint!("{text}");
-            return ExitCode::FAILURE;
-        }
+    let session = Session::new(load_files(&opts.files)?, opts.limits.clone());
+    let mut repl = Repl { session, opts };
+
+    // One shot: the REPL's dispatcher, run once.
+    let once = match (repl.opts.query.clone(), repl.opts.explain, repl.opts.format) {
+        _ if repl.opts.check => Some(repl.command(":check", "")),
+        (Some(query), true, Format::Json) => Some(repl.command(":plan", &query)),
+        (Some(query), true, _) => Some(repl.command(":explain", &query)),
+        (Some(query), false, _) => Some(repl.query(&query)),
+        (None, ..) => None,
     };
-    qp.set_exec_options(ExecOptions { threads: opts.threads, budget, ..ExecOptions::default() });
-
-    if opts.check {
-        out.print(qp.check_report());
-        return ExitCode::SUCCESS;
+    if let Some(done) = once {
+        return Ok(if show(out, done) { ExitCode::SUCCESS } else { ExitCode::FAILURE });
     }
 
-    if let Some(query) = &opts.query {
-        if opts.explain {
-            // `--explain -f json` emits the structured report; other
-            // formats get the rendered text.
-            let rendered = if opts.format == Format::Json {
-                qp.plan_report(query).map(|r| format!("{}\n", plan_report_json(&r)))
-            } else {
-                qp.explain(query)
-            };
-            match rendered {
-                Ok(text) => out.print(text),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if !run_query(&mut qp, query, opts.strategy, opts.stats, opts.format, out) {
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    // REPL.
     out.println("sepra — type :help for commands");
     let stdin = std::io::stdin();
-    let mut strategy = opts.strategy;
-    let mut stats = opts.stats;
     let mut buffer = String::new();
     loop {
         out.print(if buffer.is_empty() { "sepra> " } else { "   ... " });
@@ -1021,105 +872,29 @@ fn run_main(args: &[String], out: &mut Out) -> ExitCode {
             continue;
         }
         if buffer.is_empty() && line.starts_with(':') {
-            let mut parts = line.splitn(2, ' ');
-            let cmd = parts.next().unwrap_or_default();
-            let rest = parts.next().unwrap_or("").trim();
-            // Commands that produce text print it; failures go to stderr
-            // and the session carries on.
-            let printed: Result<String, String> = match cmd {
-                ":quit" | ":q" | ":exit" => break,
-                ":help" | ":h" => Ok(REPL_HELP.to_string()),
-                ":stats" => {
-                    stats = rest != "off";
-                    Ok(format!("stats {}\n", if stats { "on" } else { "off" }))
-                }
-                ":strategy" if rest == "auto" => {
-                    strategy = StrategyChoice::Auto;
-                    Ok("strategy auto\n".to_string())
-                }
-                ":strategy" => rest.parse::<Strategy>().map(|s| {
-                    strategy = StrategyChoice::Force(s);
-                    format!("strategy {s}\n")
-                }),
-                ":explain" => qp.explain(rest).map_err(|e| e.to_string()),
-                ":plan" => qp
-                    .plan_report(rest)
-                    .map(|report| format!("{}\n", plan_report_json(&report)))
-                    .map_err(|e| e.to_string()),
-                ":why" => qp.why(rest).map_err(|e| e.to_string()),
-                ":insert" | ":retract" if rest.is_empty() => {
-                    Err(format!("{cmd} expects one or more facts, e.g. {cmd} e(a, b)."))
-                }
-                ":insert" | ":retract" => {
-                    let (inserts, retracts): (&[&str], &[&str]) =
-                        if cmd == ":insert" { (&[rest], &[]) } else { (&[], &[rest]) };
-                    qp.apply_mutation(inserts, retracts).map_err(|e| e.to_string()).map(|m| {
-                        let stats = if stats { m.stats.to_string() } else { String::new() };
-                        format!(
-                            "{} inserted, {} retracted in {:.3?} (generation {})\n{stats}",
-                            m.inserted, m.retracted, m.elapsed, m.generation
-                        )
-                    })
-                }
-                ":save" | ":load" if rest.is_empty() => {
-                    Err(format!("{cmd} expects a file path, e.g. {cmd} facts.sepra"))
-                }
-                ":save" => {
-                    let db = qp.db();
-                    let (facts, generation) = (db.total_tuples(), db.generation());
-                    write_checkpoint_file(Path::new(rest), generation, &codec::encode_database(db))
-                        .map(|()| {
-                            format!("saved {facts} facts (generation {generation}) to {rest}\n")
-                        })
-                        .map_err(|e| e.to_string())
-                }
-                ":load" => read_checkpoint_file(Path::new(rest))
-                    .and_then(|(_, body)| {
-                        let interner = qp.db_mut().interner_mut();
-                        Ok(codec::decode_database_as_inserts(&body, interner)?)
-                    })
-                    .map_err(|e| e.to_string())
-                    .and_then(|(_, delta)| {
-                        qp.apply_delta_mutation(delta).map_err(|e| e.to_string())
-                    })
-                    .map(|m| {
-                        let stats = if stats { m.stats.to_string() } else { String::new() };
-                        format!(
-                            "{} facts merged in {:.3?} (generation {})\n{stats}",
-                            m.inserted, m.elapsed, m.generation
-                        )
-                    }),
-                ":lint" if qp.source().trim().is_empty() => Ok("no rules loaded\n".to_string()),
-                ":lint" => {
-                    let q = if rest.is_empty() { None } else { Some(rest) };
-                    Ok(qp.lint("<repl>", q).render_text())
-                }
-                ":check" => Ok(qp.check_report()),
-                ":program" => {
-                    Ok(sepra_ast::pretty::program_to_string(qp.program(), qp.db().interner()))
-                }
-                other => Err(format!("unknown command {other} (try :help)")),
-            };
-            match printed {
-                Ok(text) => out.print(text),
-                Err(e) => eprintln!("error: {e}"),
+            let (cmd, rest) = line.split_once(' ').unwrap_or((line, ""));
+            if matches!(cmd, ":quit" | ":q" | ":exit") {
+                break;
             }
+            // Failures are on stderr; the session carries on.
+            show(out, repl.command(cmd, rest.trim()));
             continue;
         }
         buffer.push_str(line);
         buffer.push(' ');
         // A statement is complete at a trailing `.` or `?`.
-        let complete = line.ends_with('.') || line.ends_with('?');
-        if !complete {
+        if !(line.ends_with('.') || line.ends_with('?')) {
             continue;
         }
         let stmt = buffer.trim().to_string();
         buffer.clear();
-        if stmt.ends_with('?') {
-            run_query(&mut qp, &stmt, strategy, stats, opts.format, out);
-        } else if let Err(e) = qp.load(&stmt) {
-            eprint!("{}", ast_error_text("<repl>", &stmt, &e));
-        }
+        let done = if stmt.ends_with('?') {
+            repl.query(&stmt)
+        } else {
+            let loaded = repl.session.processor_mut().load(&stmt);
+            loaded.map(|()| String::new()).map_err(|e| ast_error_text("<repl>", &stmt, &e))
+        };
+        show(out, done);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

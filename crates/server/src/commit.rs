@@ -8,11 +8,12 @@
 //! copy when durable, one `apply_mutation`, one `record_commit`, one
 //! clone into the committing worker's snapshot.
 
-use sepra_engine::{MutationOutcome, ProcessorError, QueryProcessor};
+use sepra_engine::{MutationOutcome, ProcessorError};
 use sepra_eval::Budget;
 use sepra_wal::WalError;
 
 use crate::server::SharedState;
+use crate::session::Session;
 
 /// Why a mutation did not commit. Either way the master is as it was.
 pub(crate) enum CommitError {
@@ -23,13 +24,13 @@ pub(crate) enum CommitError {
     RolledBack(WalError),
 }
 
-/// Applies `inserts`/`retracts` through the shared master processor
+/// Applies `inserts`/`retracts` through the shared master session
 /// (write-exclusive) under `budget`, logs the effective delta, and
 /// publishes the new generation; `snapshot`, the committing worker's own,
 /// is replaced by the committed state.
 pub(crate) fn commit(
     shared: &SharedState,
-    snapshot: &mut QueryProcessor,
+    snapshot: &mut Session,
     inserts: &[&str],
     retracts: &[&str],
     budget: Budget,
@@ -37,19 +38,15 @@ pub(crate) fn commit(
     let mut master = shared.lock_master();
     // With durability on, keep a copy-on-write backup so a failed
     // WAL append can roll the in-memory commit back.
-    let backup = shared.durability.as_ref().map(|_| master.clone());
-    master.set_exec_options(sepra_core::exec::ExecOptions {
-        budget,
-        ..sepra_core::exec::ExecOptions::default()
-    });
-    let out = master.apply_mutation(inserts, retracts).map_err(CommitError::Refused)?;
+    let backup = shared.durability.as_ref().map(|_| master.processor().clone());
+    let out = master.mutate(inserts, retracts, budget).map_err(CommitError::Refused)?;
     if !out.delta.is_empty() {
         if let Some(mut durability) = shared.lock_durability() {
-            if let Err(e) = durability.record_commit(master.db(), &out.delta) {
+            if let Err(e) = durability.record_commit(master.processor().db(), &out.delta) {
                 // Write-ahead failed: the commit would not survive a
                 // crash, so it must not be visible at all. Restore the
                 // pre-mutation master.
-                *master = backup.expect("backup exists when durability is on");
+                *master.processor_mut() = backup.expect("backup exists when durability is on");
                 return Err(CommitError::RolledBack(e));
             }
         }
@@ -60,6 +57,6 @@ pub(crate) fn commit(
     // still under the master lock, so a reader the gate releases clones
     // a master at or past the generation it waited for.
     *snapshot = master.clone();
-    shared.gate.publish(snapshot.db().generation());
+    shared.gate.publish(snapshot.processor().db().generation());
     Ok(out)
 }

@@ -21,14 +21,24 @@
 //! the durable lineage. [`replay`] applies a run of records as one delta
 //! and forces the counter to the run's last stamp, so post-recovery
 //! commits continue the on-disk numbering.
+//!
+//! Snapshot files — what `sepra dump` and `:save` write, and `sepra
+//! restore` and `:load` read — go through one writer ([`write_snapshot`])
+//! and one reader ([`read_snapshot`]), and [`dump`] and [`restore`] are
+//! the offline tools over a data directory.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use sepra_ast::{Interner, Sym};
 use sepra_engine::QueryProcessor;
-use sepra_storage::{Database, DeltaRun, EdbDelta};
-use sepra_wal::store::{read_recovery, Recovery};
-use sepra_wal::{codec, DurableStore, FsyncPolicy, WalError};
+use sepra_storage::{Database, DeltaRun, EdbDelta, Tuple, Value};
+use sepra_wal::checkpoint::checkpoint_file_name;
+use sepra_wal::store::{read_recovery, Recovery, WAL_FILE};
+use sepra_wal::{
+    codec, list_checkpoints, read_checkpoint_file, write_checkpoint_file, CodecError, DurableStore,
+    FsyncPolicy, WalError, WalWriter,
+};
 
 use crate::json::ObjWriter;
 
@@ -148,15 +158,24 @@ pub fn replay<'a>(
 /// Brings `qp`'s EDB to the durable state `recovery` read from a data
 /// directory: the checkpoint, if there is one, replaces the facts
 /// wholesale, then the log tail replays on top as one run.
-fn restore(qp: &mut QueryProcessor, recovery: &Recovery) -> Result<(), WalError> {
+fn recover_into(qp: &mut QueryProcessor, recovery: &Recovery) -> Result<(), WalError> {
     if let Some(body) = &recovery.checkpoint_body {
-        // The snapshot is the whole EDB: drop the program file's facts
-        // first so pre-checkpoint retractions stay retracted.
-        qp.db_mut().clear_relations();
-        let generation = codec::decode_snapshot_into(body, qp.db_mut())?;
-        qp.db_mut().force_generation(generation);
+        // The program file's facts go, so pre-checkpoint retractions stay
+        // retracted.
+        install_snapshot(qp.db_mut(), body)?;
     }
     replay(qp, recovery.records.iter().map(|r| (r.generation, r.payload.as_slice())))
+}
+
+/// Replaces `db`'s facts with the snapshot `body`, in either format, at
+/// the body's generation: the snapshot is the whole EDB. Recovery, a
+/// replica's cold sync and [`read_snapshot`] all read a snapshot body
+/// through here, and so through [`codec::decode_snapshot_into`].
+pub(crate) fn install_snapshot(db: &mut Database, body: &[u8]) -> Result<(), CodecError> {
+    db.clear_relations();
+    let generation = codec::decode_snapshot_into(body, db)?;
+    db.force_generation(generation);
+    Ok(())
 }
 
 /// An open durability pipeline: owns the [`DurableStore`] and the
@@ -187,7 +206,7 @@ impl Durability {
             truncated_bytes: recovery.truncated_bytes,
             ..RecoveryReport::default()
         };
-        restore(qp, &recovery)?;
+        recover_into(qp, &recovery)?;
         report.replayed_records = recovery.records.len() as u64;
         report.recovered_generation = qp.db().generation();
         report.duration = start.elapsed();
@@ -320,12 +339,94 @@ impl Durability {
 
 /// Reads the durable EDB state of `data_dir` without touching it (no tail
 /// truncation, no locks): the newest valid checkpoint with the WAL tail
-/// replayed on top, as a standalone [`Database`]. `sepra dump` is built on
+/// replayed on top, as a standalone [`Database`]. [`dump`] is built on
 /// this so it can run against a live server's directory.
-pub fn load_offline(data_dir: &std::path::Path) -> Result<Database, WalError> {
+pub fn load_offline(data_dir: &Path) -> Result<Database, WalError> {
     let mut qp = QueryProcessor::new();
-    restore(&mut qp, &read_recovery(data_dir)?)?;
+    recover_into(&mut qp, &read_recovery(data_dir)?)?;
     Ok(qp.db().clone())
+}
+
+/// The facts of `db` as an insert-only delta over `interner`'s symbols:
+/// how a live processor merges a snapshot through incremental
+/// maintenance.
+pub(crate) fn as_inserts(db: &Database, interner: &mut Interner) -> EdbDelta {
+    let mut intern = |sym: Sym| interner.intern(db.interner().resolve(sym));
+    let mut delta = EdbDelta::default();
+    for (pred, relation) in db.relations() {
+        let tuples = delta.insert.entry(intern(pred)).or_default();
+        for row in relation.iter() {
+            let values = row.values().map(|v| v.as_sym().map_or(v, |s| Value::sym(intern(s))));
+            tuples.push(Tuple::from(values.collect::<Vec<_>>()));
+        }
+    }
+    delta
+}
+
+/// The one snapshot-file reader, behind `sepra restore` and `:load`:
+/// checks the container, then decodes the body in full, into a database
+/// (and symbol space) of its own.
+pub fn read_snapshot(path: &Path) -> Result<Database, WalError> {
+    let (_, body) = read_checkpoint_file(path)?;
+    let mut db = Database::new();
+    install_snapshot(&mut db, &body).map_err(|e| {
+        let e = std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string());
+        WalError::io(format!("{} does not decode as an EDB snapshot", path.display()), e)
+    })?;
+    Ok(db)
+}
+
+/// The one snapshot-file writer, behind `sepra dump`, `:save` and the
+/// checkpoint `sepra restore` installs: `db` in the canonical row-major
+/// body, stamped with its generation, written atomically. Dumping what
+/// was restored from a dump reproduces it.
+pub fn write_snapshot(db: &Database, path: &Path) -> Result<(), WalError> {
+    write_checkpoint_file(path, db.generation(), &codec::encode_database(db))
+}
+
+/// `sepra dump`: writes the durable state of `data_dir` (see
+/// [`load_offline`]) to the snapshot file `file`, and returns it.
+/// Read-only on `data_dir`; a directory without durable state is refused.
+pub fn dump(data_dir: &Path, file: &Path) -> Result<Database, String> {
+    let recovery = read_recovery(data_dir).map_err(|e| e.to_string())?;
+    if recovery.checkpoint_body.is_none() && recovery.records.is_empty() {
+        return Err(format!("{} holds no durable state to dump", data_dir.display()));
+    }
+    let mut qp = QueryProcessor::new();
+    recover_into(&mut qp, &recovery).map_err(|e| e.to_string())?;
+    write_snapshot(qp.db(), file).map_err(|e| e.to_string())?;
+    Ok(qp.db().clone())
+}
+
+/// `sepra restore`: makes the snapshot file `file` the durable state of
+/// `data_dir` — its one checkpoint, with an empty log — and returns it.
+/// Existing durable state is replaced only under `force`. The checkpoint
+/// is written before what it supersedes is removed, so a restore that
+/// fails leaves the directory's durable state as it was.
+pub fn restore(file: &Path, data_dir: &Path, force: bool) -> Result<Database, String> {
+    let text = |e: WalError| e.to_string();
+    let db = read_snapshot(file).map_err(text)?;
+    std::fs::create_dir_all(data_dir)
+        .map_err(|e| format!("creating data dir {}: {e}", data_dir.display()))?;
+    let old = read_recovery(data_dir).map_err(text)?;
+    if !force && (old.checkpoint_body.is_some() || !old.records.is_empty() || old.stale_records > 0)
+    {
+        let (dir, generation) = (data_dir.display(), old.recovered_generation());
+        return Err(format!(
+            "{dir} already holds durable state (generation {generation}); use --force to replace it"
+        ));
+    }
+    let checkpoint = data_dir.join(checkpoint_file_name(db.generation()));
+    write_snapshot(&db, &checkpoint).map_err(text)?;
+    let _ = std::fs::remove_file(data_dir.join(WAL_FILE));
+    for (_, path) in list_checkpoints(data_dir).map_err(text)? {
+        if path != checkpoint {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+    // A fresh, empty WAL so the directory is immediately servable.
+    WalWriter::open(&data_dir.join(WAL_FILE), FsyncPolicy::Always).map_err(text)?;
+    Ok(db)
 }
 
 #[cfg(test)]
@@ -484,6 +585,28 @@ mod tests {
             recovered.push((fact_strings(fresh.db()), fresh.db().generation()));
         }
         assert_eq!(recovered[0], recovered[1]);
+    }
+
+    #[test]
+    fn a_failed_restore_leaves_the_durable_state_intact() {
+        // A durable directory at generation 3 ...
+        let dir = tmp_dir("restore_fails");
+        let data = dir.join("data");
+        let mut qp = QueryProcessor::new();
+        qp.load("e(a, b). e(b, c). e(c, d).\n").unwrap();
+        Durability::recover(&mut qp, &DurabilityOptions::new(data.clone())).unwrap();
+        // ... a snapshot at generation 2 ...
+        let mut two = QueryProcessor::new();
+        two.load("e(x, y). e(y, z).\n").unwrap();
+        let file = dir.join("two.sepra");
+        write_snapshot(two.db(), &file).unwrap();
+        // ... and a directory squatting on the name its checkpoint takes.
+        std::fs::create_dir_all(data.join(checkpoint_file_name(2))).unwrap();
+        let err = restore(&file, &data, true).unwrap_err();
+        assert!(err.starts_with("renaming"), "{err}");
+        let after = load_offline(&data).unwrap();
+        assert_eq!(fact_strings(&after), fact_strings(qp.db()));
+        assert_eq!(after.generation(), 3);
     }
 
     #[test]

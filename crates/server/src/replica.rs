@@ -40,9 +40,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sepra_repl::{SyncClient, SyncEvent};
-use sepra_wal::codec;
 
-use crate::durability::replay;
+use crate::durability::{install_snapshot, replay};
 use crate::server::SharedState;
 
 /// Delay between reconnect attempts when the primary is unreachable.
@@ -59,7 +58,7 @@ fn apply_run(shared: &SharedState, run: &mut Vec<(u64, Vec<u8>)>) -> Result<(), 
     let mut master = shared.lock_master();
     // Reconnect overlap: whatever is at or below the generation reached
     // so far was already applied.
-    let mut floor = master.db().generation();
+    let mut floor = master.processor().db().generation();
     let fresh: Vec<(u64, &[u8])> = run
         .iter()
         .filter(|(generation, _)| {
@@ -76,7 +75,7 @@ fn apply_run(shared: &SharedState, run: &mut Vec<(u64, Vec<u8>)>) -> Result<(), 
     let applied = fresh.len() as u64;
     // `replay` adopts the primary's stamp (the local effective-tuple
     // count can differ when a record carries already-present tuples).
-    replay(&mut master, fresh).map_err(|e| e.to_string())?;
+    replay(master.processor_mut(), fresh).map_err(|e| e.to_string())?;
     drop(master);
     shared.applied_records.fetch_add(applied, Ordering::SeqCst);
     shared.gate.publish(floor);
@@ -99,23 +98,20 @@ pub(crate) fn apply_event(shared: &SharedState, event: SyncEvent) -> Result<(), 
         SyncEvent::Checkpoint { generation, body } => {
             bump_primary_generation(shared, generation);
             let mut master = shared.lock_master();
-            if generation <= master.db().generation() {
+            let qp = master.processor_mut();
+            if generation <= qp.db().generation() {
                 return Ok(()); // re-ship of a snapshot we already cover
             }
-            // The snapshot is authoritative for the whole EDB: clear
-            // first so tuples it says were retracted stay retracted. This
-            // goes through `db_mut` (invalidating prepared state), so
-            // re-prepare before serving — checkpoints arrive rarely
-            // (initial sync and truncation races), records do the
-            // steady-state work.
-            let db = master.db_mut();
-            db.clear_relations();
-            codec::decode_snapshot_into(&body, db)
+            // The snapshot replaces the whole EDB, so tuples it says were
+            // retracted stay retracted. This goes through `db_mut`
+            // (invalidating prepared state), so re-prepare before serving
+            // — checkpoints arrive rarely (initial sync and truncation
+            // races), records do the steady-state work.
+            let db = qp.db_mut();
+            install_snapshot(db, &body)
                 .map_err(|e| format!("decoding checkpoint at generation {generation}: {e}"))?;
             db.force_generation(generation);
-            master
-                .prepare()
-                .map_err(|e| format!("re-preparing after checkpoint {generation}: {e}"))?;
+            qp.prepare().map_err(|e| format!("re-preparing after checkpoint {generation}: {e}"))?;
             drop(master);
             shared.gate.publish(generation);
             Ok(())

@@ -1,10 +1,11 @@
-//! Every reply line the server writes, rendered from what the worker
-//! computed. Refusals go through the protocol's one error envelope
-//! ([`render_error`]); nothing here decides anything.
+//! Every JSON line a session's reply is rendered as: what the server
+//! writes, and the plan `:plan` prints. Refusals go through the
+//! protocol's one error envelope ([`render_error`]); nothing here decides
+//! anything.
 
 use std::sync::atomic::Ordering;
 
-use sepra_engine::{MutationOutcome, ProcessorError, QueryProcessor, QueryResult};
+use sepra_engine::{MutationOutcome, PlanReport, ProcessorError, QueryProcessor, QueryResult};
 use sepra_eval::EvalError;
 use sepra_repl::protocol::{render_error, render_error_with};
 use sepra_storage::EvalStats;
@@ -71,6 +72,33 @@ pub(crate) fn mutation_ack(out: &MutationOutcome, generation: u64) -> String {
         .num("elapsed_us", micros(out.elapsed))
         .raw("stats", &work(&out.stats));
     response.finish()
+}
+
+/// A query's evaluation plan — what `:plan` and `--explain -f json`
+/// print. Estimates are fixed-point decimals, so the line is stable for
+/// golden tests.
+pub(crate) fn plan(report: &PlanReport) -> String {
+    let array = |items: Vec<String>| format!("[{}]", items.join(","));
+    let conjunctions = report.conjunctions.iter().map(|conj| {
+        let scans = conj.scans.iter().map(|s| {
+            let mut scan = ObjWriter::new();
+            scan.str("rel", &s.rel)
+                .raw("rows", &format!("{:.0}", s.rows))
+                .num("keyed_cols", s.keyed_cols as u64)
+                .raw("estimate", &format!("{:.4}", s.estimate));
+            scan.finish()
+        });
+        let mut out = ObjWriter::new();
+        out.str("label", &conj.label).raw("scans", &array(scans.collect()));
+        out.finish()
+    });
+    let mut out = ObjWriter::new();
+    out.str("query", &report.query)
+        .str("strategy", &report.strategy)
+        .str("plan_mode", report.plan_mode)
+        .raw("conjunctions", &array(conjunctions.collect()))
+        .str("text", &report.text);
+    out.finish()
 }
 
 /// A failed query or mutation: the error's kind and message, and for an

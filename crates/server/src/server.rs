@@ -17,22 +17,23 @@
 //!
 //! A request passes four places. The connection loop the router runs too
 //! ([`sepra_repl::listener::serve_requests`]) frames and decodes it; a
-//! `worker` refreshes its snapshot, builds the budget and runs a query;
-//! a mutation commits in `commit`; `respond` renders the reply. This
-//! module is what is around them: startup ([`serve`]), the pool ([`run`])
-//! and the state the pool shares.
+//! `worker` refreshes its snapshot and runs a query on it; a mutation
+//! commits in `commit`; `respond` renders the reply. The snapshot and the
+//! master are each a [`Session`], the front door the REPL and the
+//! one-shot CLI use too. This module is what is around them: startup
+//! ([`serve`]), the pool ([`run`]) and the state the pool shares.
 //!
 //! Concurrency is a hand-rolled worker pool over `std::net` (the workspace
-//! takes no external dependencies): each worker owns a cheap
-//! [`QueryProcessor`] clone — a copy-on-write database snapshot sharing the
-//! prepared state and plan cache — and is handed connections as they
-//! arrive. Every request runs under a budget that combines the server-wide
-//! defaults, the request's overrides, and a cancellation flag raised at
-//! shutdown, so a deadline or a Ctrl-C surfaces as a structured
-//! `budget_exceeded` error instead of a stuck fixpoint.
+//! takes no external dependencies): each worker owns a cheap session
+//! clone — a copy-on-write database snapshot sharing the prepared state
+//! and plan cache — and is handed connections as they arrive. Every
+//! request runs under a budget that combines the server-wide defaults,
+//! the request's overrides, and a cancellation flag raised at shutdown,
+//! so a deadline or a Ctrl-C surfaces as a structured `budget_exceeded`
+//! error instead of a stuck fixpoint.
 //!
 //! Mutations (`insert`/`retract` requests) are serialized through one
-//! master processor behind a mutex — writes are exclusive, reads share
+//! master session behind a mutex — writes are exclusive, reads share
 //! snapshots. [`QueryProcessor::apply_mutation`] stages the whole delta and
 //! maintains the prepared materializations incrementally, so a mutation is
 //! all-or-none; publishing the new database generation afterwards makes
@@ -51,6 +52,7 @@ use sepra_wal::WalError;
 
 use crate::durability::{Durability, DurabilityOptions};
 use crate::metrics::Metrics;
+use crate::session::{Limits, Session};
 use crate::worker::Worker;
 
 /// Configuration for [`serve`].
@@ -246,8 +248,8 @@ pub fn run(
     Ok(served?)
 }
 
-/// The server state every worker shares: the master processor
-/// (mutations are serialized through its mutex — write-exclusive), the
+/// The server state every worker shares: the master session (mutations
+/// are serialized through its mutex — write-exclusive), the
 /// published database generation workers compare their snapshots against,
 /// and what the server was started with.
 pub(crate) struct SharedState {
@@ -258,7 +260,7 @@ pub(crate) struct SharedState {
     /// cancellation token.
     pub(crate) shutdown: Arc<AtomicBool>,
     pub(crate) metrics: Metrics,
-    pub(crate) master: Mutex<QueryProcessor>,
+    pub(crate) master: Mutex<Session>,
     /// The durability pipeline (`--data-dir`). Lock order: master first,
     /// then durability — stats readers take durability alone, never the
     /// reverse.
@@ -297,11 +299,19 @@ impl SharedState {
         let generation = qp.db().generation();
         let gate = GenerationGate::new();
         gate.publish(generation);
+        // Each request's fixpoints run serially: parallelism is across
+        // requests.
+        let limits = Limits {
+            timeout: opts.default_timeout,
+            max_tuples: opts.default_max_tuples,
+            threads: 1,
+            cancel: Some(Arc::clone(&shutdown)),
+        };
         SharedState {
             opts,
             shutdown,
             metrics: Metrics::new(),
-            master: Mutex::new(qp),
+            master: Mutex::new(Session::new(qp, limits)),
             durability: durability.map(Mutex::new),
             gate,
             primary_generation: AtomicU64::new(generation),
@@ -310,7 +320,7 @@ impl SharedState {
         }
     }
 
-    pub(crate) fn lock_master(&self) -> std::sync::MutexGuard<'_, QueryProcessor> {
+    pub(crate) fn lock_master(&self) -> std::sync::MutexGuard<'_, Session> {
         // A worker that panicked mid-mutation never committed (the master
         // only changes at `apply_mutation`'s final commit step), so the
         // state behind a poisoned lock is still consistent.

@@ -1,21 +1,21 @@
 //! One pool thread: what a decoded request does before it is a reply.
 //!
-//! A worker owns a processor clone — its snapshot — and serves whole
-//! connections through the shared request loop
-//! ([`sepra_repl::listener::serve_requests`]). For each request it
-//! brings the snapshot up to the published generation, builds the budget,
-//! and then: a query waits out its `min_generation` and runs on the
-//! snapshot; a mutation goes to [`commit`](crate::commit); a sync request
-//! leaves with its socket for a feeder thread. [`respond`] renders what
-//! comes back.
+//! A worker owns a [`Session`] — its snapshot of the master — and serves
+//! whole connections through the shared request loop
+//! ([`sepra_repl::listener::serve_requests`]). What only a shared server
+//! does stays here: for each request it brings the snapshot up to the
+//! published generation; a query waits out its `min_generation` and runs
+//! on the snapshot; a mutation goes to [`commit`](crate::commit); a sync
+//! request leaves with its socket for a feeder thread; and the outcome is
+//! counted in the metrics. [`respond`] renders what comes back.
 
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sepra_engine::{ProcessorError, QueryProcessor, Strategy, StrategyChoice};
-use sepra_eval::{Budget, EvalError};
+use sepra_engine::ProcessorError;
+use sepra_eval::EvalError;
 use sepra_repl::listener::{serve_requests, write_line, Reply, READ_POLL};
 use sepra_repl::protocol::{render_error, Request};
 use sepra_repl::stream_to_follower;
@@ -23,22 +23,23 @@ use sepra_repl::stream_to_follower;
 use crate::commit::{commit, CommitError};
 use crate::respond;
 use crate::server::SharedState;
+use crate::session::Session;
 
 /// How long a `min_generation` read waits for the replica to catch up
 /// when the request carries no deadline of its own (no `timeout_ms`, no
 /// server default).
 const MIN_GENERATION_WAIT: Duration = Duration::from_secs(10);
 
-/// One worker thread: owns a processor clone and serves the whole
-/// connections the accept loop hands it.
+/// One worker thread: owns a snapshot of the master session and serves
+/// the whole connections the accept loop hands it.
 pub(crate) struct Worker {
-    qp: QueryProcessor,
+    session: Session,
     shared: Arc<SharedState>,
 }
 
 impl Worker {
     pub(crate) fn new(shared: &Arc<SharedState>) -> Worker {
-        Worker { qp: shared.lock_master().clone(), shared: Arc::clone(shared) }
+        Worker { session: shared.lock_master().clone(), shared: Arc::clone(shared) }
     }
 
     /// Serves one connection to its end.
@@ -64,7 +65,7 @@ impl Worker {
             }
             Request::Stats => {
                 self.refresh_snapshot();
-                Reply::Line(respond::stats(&self.qp, &self.shared))
+                Reply::Line(respond::stats(self.session.processor(), &self.shared))
             }
             Request::Mutation { insert, retract, timeout_ms, max_tuples } => {
                 Reply::Line(self.mutate(&insert, &retract, timeout_ms, max_tuples))
@@ -86,23 +87,9 @@ impl Worker {
     /// snapshots: doing this before answering means a query issued after
     /// a mutation response was sent always sees the mutated database.
     fn refresh_snapshot(&mut self) {
-        if self.shared.gate.current() != self.qp.db().generation() {
-            self.qp = self.shared.lock_master().clone();
+        if self.shared.gate.current() != self.session.processor().db().generation() {
+            self.session = self.shared.lock_master().clone();
         }
-    }
-
-    /// The per-request budget: server defaults, request overrides, and the
-    /// shutdown flag as a cancellation token.
-    fn budget(&self, timeout_ms: Option<u64>, max_tuples: Option<u64>) -> Budget {
-        let opts = &self.shared.opts;
-        let mut budget = Budget::unlimited().cancellable(Arc::clone(&self.shared.shutdown));
-        if let Some(t) = timeout_ms.map(Duration::from_millis).or(opts.default_timeout) {
-            budget = budget.timeout(t);
-        }
-        if let Some(n) = max_tuples.map(|n| n as usize).or(opts.default_max_tuples) {
-            budget = budget.tuples(n);
-        }
-        budget
     }
 
     /// Parks until the applied db generation reaches `target` or `limit`
@@ -132,22 +119,20 @@ impl Worker {
         min_generation: Option<u64>,
     ) -> String {
         self.refresh_snapshot();
-        let choice = match strategy.map(str::parse::<Strategy>) {
-            None => StrategyChoice::Auto,
-            Some(Ok(strategy)) => StrategyChoice::Force(strategy),
-            Some(Err(e)) => return render_error("bad_request", &e),
+        let choice = match Session::choice(strategy) {
+            Ok(choice) => choice,
+            Err(e) => return render_error("bad_request", &e),
         };
-        let budget = self.budget(timeout_ms, max_tuples);
+        let budget = self.session.budget(timeout_ms, max_tuples);
         // Generation-consistent reads: `"min_generation": G` parks the
         // request until the applied generation reaches G (read-your-writes
         // against a replica that is still catching up), bounded by the
         // request's deadline. The budget above was already started, so
         // wait time counts against the query's own deadline too.
         if let Some(target) = min_generation {
-            let limit = timeout_ms
-                .map(Duration::from_millis)
-                .or(self.shared.opts.default_timeout)
-                .unwrap_or(MIN_GENERATION_WAIT);
+            let limit = budget
+                .deadline
+                .map_or(MIN_GENERATION_WAIT, |d| d.saturating_duration_since(Instant::now()));
             let reached = self.await_generation(target, limit);
             if reached < target {
                 return respond::generation_timeout(target, reached);
@@ -156,13 +141,9 @@ impl Worker {
             // released waiter refreshes into a snapshot at or past G.
             self.refresh_snapshot();
         }
-        self.qp.set_exec_options(sepra_core::exec::ExecOptions {
-            budget,
-            ..sepra_core::exec::ExecOptions::default()
-        });
 
         let start = Instant::now();
-        match self.qp.query_with(query, choice) {
+        match self.session.query(query, choice, budget) {
             Ok(result) => {
                 self.shared.metrics.record_ok(
                     &result.strategy.to_string(),
@@ -174,7 +155,7 @@ impl Worker {
                     result.stats.plans_costed as u64,
                     result.stats.plan_fallbacks as u64,
                 );
-                respond::answer(&result, &self.qp)
+                respond::answer(&result, self.session.processor())
             }
             Err(e) => {
                 let budget_exceeded =
@@ -198,11 +179,11 @@ impl Worker {
         if let Some(primary) = &self.shared.opts.replica_of {
             return respond::read_only_replica(primary);
         }
-        let budget = self.budget(timeout_ms, max_tuples);
+        let budget = self.session.budget(timeout_ms, max_tuples);
         let inserts: Vec<&str> = inserts.iter().map(String::as_str).collect();
         let retracts: Vec<&str> = retracts.iter().map(String::as_str).collect();
         let start = Instant::now();
-        match commit(&self.shared, &mut self.qp, &inserts, &retracts, budget) {
+        match commit(&self.shared, &mut self.session, &inserts, &retracts, budget) {
             Ok(out) => {
                 self.shared.metrics.record_mutation(
                     out.inserted as u64,
@@ -212,7 +193,7 @@ impl Worker {
                 self.shared
                     .metrics
                     .record_planner(out.stats.plans_costed as u64, out.stats.plan_fallbacks as u64);
-                respond::mutation_ack(&out, self.qp.db().generation())
+                respond::mutation_ack(&out, self.session.processor().db().generation())
             }
             Err(refusal) => {
                 self.shared.metrics.record_mutation_failure();
@@ -260,6 +241,7 @@ mod tests {
     use crate::durability::{Durability, DurabilityOptions};
     use crate::json::{self, Json};
     use crate::server::ServeOptions;
+    use sepra_engine::QueryProcessor;
 
     fn processor() -> QueryProcessor {
         let mut qp = QueryProcessor::new();

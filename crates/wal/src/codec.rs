@@ -393,9 +393,7 @@ pub fn encode_database(db: &Database) -> Vec<u8> {
 /// into `db`'s symbol space) and returns the frame's commit generation.
 ///
 /// The caller decides what the generation means: recovery forces the
-/// database counter to it ([`Database::force_generation`]); an import like
-/// the REPL's `:load` ignores it and lets the inserts count as fresh
-/// mutations.
+/// database counter to it ([`Database::force_generation`]).
 pub fn decode_database_into(bytes: &[u8], db: &mut Database) -> Result<u64, CodecError> {
     let (generation, delta) = decode_database_as_inserts(bytes, db.interner_mut())?;
     // All-or-none: `apply_delta` validates arities up front, so a corrupt
@@ -414,11 +412,10 @@ pub fn decode_database_into(bytes: &[u8], db: &mut Database) -> Result<u64, Code
     Ok(generation)
 }
 
-/// Decodes an EDB frame as an insert-only [`EdbDelta`] against `interner`,
-/// returning the frame's commit generation alongside. This is what lets a
-/// *live* processor import a snapshot through its incremental-maintenance
-/// path instead of rebuilding from scratch.
-pub fn decode_database_as_inserts(
+/// Decodes a row-major EDB frame as an insert-only [`EdbDelta`] against
+/// `interner`, returning the frame's commit generation alongside: the
+/// half of [`decode_database_into`] that reads bytes.
+fn decode_database_as_inserts(
     bytes: &[u8],
     interner: &mut Interner,
 ) -> Result<(u64, EdbDelta), CodecError> {
