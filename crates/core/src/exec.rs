@@ -48,9 +48,11 @@ pub struct ExecOptions {
     /// the seed join over `seen_1`). `1` (the default) runs the exact
     /// serial Figure 2 loop; higher values shard the carry across that
     /// many workers at each iteration barrier, which preserves the answer
-    /// set because one iteration's expansions are independent. The index
-    /// ablation (`use_indexes: false`) always runs serially, since
-    /// workers index their shards and that would confound the ablation.
+    /// set because one iteration's expansions are independent. A shard is
+    /// a range of the carry's rows; every shard probes the indexes the
+    /// calling thread prepared for the iteration. The index ablation
+    /// (`use_indexes: false`) always runs serially, so that it differs
+    /// from the indexed run in the storage layer alone.
     pub threads: usize,
     /// Resource budget (deadline, tuple/iteration caps, cancellation)
     /// checked at every closure-iteration barrier. Unlimited by default.

@@ -7,10 +7,12 @@
 //! merge what was produced at a barrier. [`delta_round`] is that step, for
 //! all of them. It owns everything the step's callers used to copy:
 //!
-//! * **index preparation** — in the caller's persistent [`IndexCache`], on
-//!   the calling thread, for whichever ordering of each conjunction will
-//!   run, and dropping the frontiers' indexes when the round ends (next
-//!   round a frontier is a different relation);
+//! * **index preparation** — through the caller's persistent
+//!   [`IndexCache`], on the calling thread, for whichever ordering of each
+//!   conjunction will run: a handle on the index a stored relation keeps,
+//!   or the cache's own index of a working relation, and dropping the
+//!   frontiers' indexes when the round ends (next round a frontier is a
+//!   different relation);
 //! * **serial or sharded** — decided per plan from what the round can
 //!   observe: the thread count, the frontier's length, and whether the
 //!   plan scans its frontier exactly once;
@@ -53,8 +55,9 @@ use crate::store::{IndexCache, RelStore};
 const MIN_SHARD_TUPLES: usize = 512;
 
 // A sharded round shares plans, the relation store, and the prepared index
-// cache across worker threads by reference; none of them may grow interior
-// mutability without revisiting this module.
+// cache across worker threads by reference. The one interior mutability
+// among them, the lock behind a stored relation's kept indexes, is taken
+// only by `IndexCache::prepare` on the calling thread; workers only read.
 const _: () = {
     const fn assert_sync<T: Sync>() {}
     assert_sync::<Relation>();
@@ -152,8 +155,8 @@ type WorkerOutput = (Vec<RowBuf>, u64, Option<BudgetResource>);
 /// cache: the round prepares it, and on return has dropped the indexes
 /// over this round's frontiers, so the caller is free to rebind them.
 /// `None` runs every keyed scan as a filtered full scan on the calling
-/// thread — the storage-layer ablation, which shard-local indexing would
-/// confound.
+/// thread — the storage-layer ablation, kept serial so that it differs from
+/// an indexed round in the storage layer alone.
 ///
 /// With `threads > 1`, a plan whose frontier holds at least two shards'
 /// worth of tuples and which scans it exactly once runs sharded: the

@@ -1,5 +1,7 @@
 //! Relation binding and index caching for plan execution.
 
+use std::sync::Arc;
+
 use sepra_storage::{FxHashMap, Index, Relation};
 
 use crate::plan::{ConjPlan, RelKey};
@@ -30,15 +32,23 @@ impl<'a> RelStore<'a> {
     }
 }
 
-/// A cache of hash indexes keyed by `(relation key, key columns)`.
+/// The hash indexes one evaluation probes, keyed by `(relation key, key
+/// columns)`.
 ///
-/// Indexes over append-only relations (EDB, derived "full" relations, seen
-/// sets) are extended incrementally; evaluators must [`IndexCache::invalidate`]
-/// a key whenever they rebind it to a *different* relation object (deltas and
-/// carries), otherwise stale positions would be probed.
+/// Where an index lives follows its relation. A stored relation (a
+/// [`Database`](sepra_storage::Database)'s) keeps its own
+/// ([`Relation::index`]): the cache only holds a handle, and the index
+/// outlives the evaluation, so later queries, other snapshots sharing the
+/// relation and Magic's copy of the database probe it without building it.
+/// A working relation (carry, seen, a delta, a derived or support relation)
+/// keeps none: its index lives here, dies with the cache, and is extended
+/// incrementally while the relation only grows. Evaluators must
+/// [`IndexCache::invalidate`] a key whenever they rebind it to a
+/// *different* working relation (deltas and carries), otherwise stale
+/// positions would be probed.
 #[derive(Debug, Default)]
 pub struct IndexCache {
-    map: FxHashMap<(RelKey, Box<[usize]>), Index>,
+    map: FxHashMap<(RelKey, Box<[usize]>), Arc<Index>>,
 }
 
 impl IndexCache {
@@ -48,22 +58,38 @@ impl IndexCache {
     }
 
     /// Ensures an up-to-date index exists for every keyed scan of `plan`
-    /// against the relations currently bound in `store`.
+    /// against the relations currently bound in `store`. Call it on the
+    /// thread that owns the cache, before the plan runs: it is the only
+    /// place a stored relation's index lock is taken, and shard workers
+    /// only read what it prepared.
     pub fn prepare(&mut self, plan: &ConjPlan, store: &RelStore<'_>) {
         for (rel, cols) in plan.keyed_scans() {
             let Some(relation) = store.get(rel) else {
                 continue;
             };
-            self.map
-                .entry((rel, cols.into()))
-                .and_modify(|idx| idx.extend_to(relation))
-                .or_insert_with(|| Index::build(relation, cols.to_vec()));
+            let key = (rel, Box::from(cols));
+            let index = match self.map.remove(&key) {
+                Some(mut own) if !relation.keeps_indexes() => match Arc::get_mut(&mut own) {
+                    Some(index) => {
+                        index.extend_to(relation);
+                        own
+                    }
+                    None => relation.index(cols),
+                },
+                // This cache's handle on a kept index is dropped first, so
+                // that bringing the index up to date happens in place.
+                previous => {
+                    drop(previous);
+                    relation.index(cols)
+                }
+            };
+            self.map.insert(key, index);
         }
     }
 
     /// Fetches a prepared index.
     pub fn get(&self, rel: RelKey, cols: &[usize]) -> Option<&Index> {
-        self.map.get(&(rel, cols.into()) as &(RelKey, Box<[usize]>))
+        self.map.get(&(rel, cols.into()) as &(RelKey, Box<[usize]>)).map(Arc::as_ref)
     }
 
     /// Drops every index over `rel` (call when `rel` is rebound to a
@@ -112,8 +138,8 @@ mod tests {
         let r1 = rel_with(3);
         let r2 = rel_with(5);
         let mut cache = IndexCache::new();
-        cache.map.insert((RelKey::Aux(1), Box::from([0usize])), Index::build(&r1, vec![0]));
-        cache.map.insert((RelKey::Aux(2), Box::from([0usize])), Index::build(&r2, vec![0]));
+        cache.map.insert((RelKey::Aux(1), Box::from([0usize])), r1.index(&[0]));
+        cache.map.insert((RelKey::Aux(2), Box::from([0usize])), r2.index(&[0]));
         assert_eq!(cache.len(), 2);
         cache.invalidate(RelKey::Aux(1));
         assert_eq!(cache.len(), 1);

@@ -9,6 +9,14 @@
 //! column slices directly, so extending an index on `k` columns of a wide
 //! relation streams `k` contiguous arrays.
 //!
+//! Where an index lives follows the relation it indexes. A stored relation
+//! (one of a [`Database`](crate::Database)'s) keeps its indexes itself and
+//! hands out shared handles ([`Relation::index`]): they live as long as that
+//! version of the relation, across queries and across the snapshots that
+//! share it. A working relation of one evaluation (a carry, a delta, a
+//! derived relation) keeps none; its indexes live in the evaluator's cache
+//! and die with the evaluation.
+//!
 //! Live retraction is the one mutation that invalidates dense positions:
 //! [`Relation::remove_batch`] compacts storage and bumps the relation's
 //! compaction epoch. `extend_to` records the epoch it last saw and
@@ -21,7 +29,9 @@ use crate::hasher::FxHashMap;
 use crate::relation::{Relation, Row};
 use crate::value::Value;
 
-/// A hash index of a relation on a fixed set of key columns.
+/// A hash index of a relation on a fixed set of key columns. One built with
+/// [`Index::build`] belongs to its builder; one a stored relation keeps is
+/// shared through [`Relation::index`] and dropped with that relation.
 #[derive(Debug, Clone)]
 pub struct Index {
     /// The key columns, in key order.
@@ -51,6 +61,12 @@ impl Index {
     /// Number of tuples covered so far.
     pub fn covered(&self) -> usize {
         self.covered
+    }
+
+    /// Whether the index covers `relation` as it stands: nothing appended
+    /// and no compaction since it was last built or extended.
+    pub(crate) fn is_current(&self, relation: &Relation) -> bool {
+        self.epoch == relation.compaction_epoch() && self.covered == relation.len()
     }
 
     /// Indexes any tuples appended to `relation` since the last call. If

@@ -11,7 +11,8 @@
 //!   set with columnar (struct-of-arrays) dense storage behind an
 //!   open-addressing probe table, read through borrowed [`Row`] views,
 //!   with the delta slices needed by semi-naive evaluation;
-//! * [`index`] — hash indexes on column subsets, built and extended lazily;
+//! * [`index`] — hash indexes on column subsets, built and extended lazily,
+//!   and kept by the stored relations they index;
 //! * [`database`] — the extensional database: named relations plus the
 //!   shared symbol interner;
 //! * [`relstats`] — per-relation cardinality and distinct-count statistics,

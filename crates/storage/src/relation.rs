@@ -17,14 +17,16 @@
 //! retraction, maintenance and the superseded tuples of an aggregate merge)
 //! is a batch operation: it compacts the dense storage and bumps the
 //! relation's **compaction epoch** — any holder of positional state (an
-//! [`Index`](crate::Index)'s covered watermark, a `since` frontier) must
-//! reset when the epoch changes, because dense indices have shifted.
+//! [`Index`]'s covered watermark, a `since` frontier) must reset when the
+//! epoch changes, because dense indices have shifted.
 
 use std::fmt;
+use std::sync::{Arc, Mutex};
 
 use sepra_ast::Interner;
 
 use crate::hasher::hash_word_iter;
+use crate::index::Index;
 use crate::relstats::RelStats;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -80,8 +82,25 @@ fn slot_table(hashes: &[u64], slots: usize) -> Vec<u32> {
     table
 }
 
+/// The indexes a stored relation keeps, one per key-column list, behind one
+/// lock. A clone starts with none — a writer's copy-on-write copy is a new
+/// version of the relation, so no two versions ever share an index.
+#[derive(Default)]
+struct KeptIndexes(Mutex<Vec<Arc<Index>>>);
+
+impl Clone for KeptIndexes {
+    fn clone(&self) -> Self {
+        KeptIndexes::default()
+    }
+}
+
 /// A set of same-arity tuples with O(1) membership and stable insertion
 /// order, stored column-major.
+///
+/// A stored relation — one that maintains [`RelStats`], as every relation a
+/// [`Database`](crate::Database) holds does — keeps the hash indexes built
+/// over it ([`Relation::index`]) until it is dropped; a clone (the copy a
+/// writer's `Arc::make_mut` takes) starts without them.
 ///
 /// ```
 /// use sepra_ast::Sym;
@@ -117,19 +136,26 @@ pub struct Relation {
     /// fixpoint loops leave this `None`: they churn millions of tuples and
     /// the planner never consults them.
     stats: Option<Box<RelStats>>,
+    /// The indexes [`Relation::index`] built over this version of the
+    /// relation; empty unless it maintains `stats`.
+    indexes: KeptIndexes,
 }
 
 impl Relation {
     /// Creates an empty relation of the given arity.
     pub fn new(arity: usize) -> Self {
-        Relation {
-            arity,
-            cols: vec![Vec::new(); arity].into_boxed_slice(),
-            hashes: Vec::new(),
-            table: vec![EMPTY; 8],
-            epoch: 0,
-            stats: None,
-        }
+        Relation::from_parts(arity, vec![Vec::new(); arity].into(), Vec::new(), vec![EMPTY; 8])
+    }
+
+    /// A stats-less relation of the given columns, cached row hashes and
+    /// probe table.
+    fn from_parts(
+        arity: usize,
+        cols: Box<[Vec<Value>]>,
+        hashes: Vec<u64>,
+        table: Vec<u32>,
+    ) -> Self {
+        Relation { arity, cols, hashes, table, epoch: 0, stats: None, indexes: Default::default() }
     }
 
     /// Creates an empty relation that maintains [`RelStats`] across every
@@ -143,14 +169,12 @@ impl Relation {
 
     /// Creates an empty relation sized for roughly `capacity` tuples.
     pub fn with_capacity(arity: usize, capacity: usize) -> Self {
-        Relation {
+        Relation::from_parts(
             arity,
-            cols: (0..arity).map(|_| Vec::with_capacity(capacity)).collect(),
-            hashes: Vec::with_capacity(capacity),
-            table: vec![EMPTY; slots_for(capacity)],
-            epoch: 0,
-            stats: None,
-        }
+            (0..arity).map(|_| Vec::with_capacity(capacity)).collect(),
+            Vec::with_capacity(capacity),
+            vec![EMPTY; slots_for(capacity)],
+        )
     }
 
     /// Builds a relation directly from its columns (all the same length;
@@ -223,7 +247,7 @@ impl Relation {
                 })
                 .collect()
         };
-        let mut r = Relation { arity, cols, hashes, table, epoch: 0, stats: None };
+        let mut r = Relation::from_parts(arity, cols, hashes, table);
         if with_stats {
             r.stats = Some(Box::new(r.rebuild_stats()));
         }
@@ -281,6 +305,47 @@ impl Relation {
     #[inline]
     pub fn compaction_epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// Whether this is a stored relation, which keeps the indexes built
+    /// over it: one that maintains [`RelStats`].
+    pub fn keeps_indexes(&self) -> bool {
+        self.stats.is_some()
+    }
+
+    /// The hash index of this relation on `columns`.
+    ///
+    /// A stored relation ([`Relation::keeps_indexes`]) keeps the index for
+    /// as long as this version of it lives: the first request builds it, a
+    /// request on the unchanged relation returns the same handle, and one
+    /// after a change brings it up to date by [`Index::extend_to`]'s rules
+    /// (appends extend it, a compaction rebuilds it). The extension happens
+    /// in place when no other handle is alive, and beside the old index
+    /// otherwise. Requests take one lock, so threads asking at once share
+    /// one build. A working relation keeps nothing: every request builds a
+    /// new index, which lives as long as its handle.
+    pub fn index(&self, columns: &[usize]) -> Arc<Index> {
+        if !self.keeps_indexes() {
+            return Arc::new(Index::build(self, columns.to_vec()));
+        }
+        let mut kept = self.indexes.0.lock().unwrap_or_else(|poisoned| {
+            // A build that panicked may have left its index half extended.
+            let mut kept = poisoned.into_inner();
+            kept.clear();
+            kept
+        });
+        let Some(index) = kept.iter_mut().find(|index| index.columns() == columns) else {
+            let index = Arc::new(Index::build(self, columns.to_vec()));
+            kept.push(Arc::clone(&index));
+            return index;
+        };
+        if !index.is_current(self) {
+            match Arc::get_mut(index) {
+                Some(index) => index.extend_to(self),
+                None => *index = Arc::new(Index::build(self, columns.to_vec())),
+            }
+        }
+        Arc::clone(index)
     }
 
     #[inline]
@@ -383,7 +448,7 @@ impl Relation {
         let cols = self.cols.iter().map(|col| perm.iter().map(|&i| col[i as usize]).collect());
         let hashes: Vec<u64> = perm.iter().map(|&i| self.hashes[i as usize]).collect();
         let table = slot_table(&hashes, slots_for(hashes.len()));
-        Relation { arity: self.arity, cols: cols.collect(), hashes, table, epoch: 0, stats: None }
+        Relation::from_parts(self.arity, cols.collect(), hashes, table)
     }
 
     /// Builds a new relation from a contiguous range of this relation's
@@ -405,7 +470,7 @@ impl Relation {
             self.cols.iter().map(|col| col[range.clone()].to_vec()).collect();
         let hashes: Vec<u64> = self.hashes[range].to_vec();
         let table = slot_table(&hashes, slots_for(hashes.len()));
-        let mut sliced = Relation { arity: self.arity, cols, hashes, table, epoch: 0, stats: None };
+        let mut sliced = Relation::from_parts(self.arity, cols, hashes, table);
         if self.stats.is_some() {
             sliced.stats = Some(Box::new(sliced.rebuild_stats()));
         }
