@@ -27,10 +27,7 @@ use sepra_ast::{parse_program, parse_query, RecursiveDef};
 use sepra_core::bounded::analyze;
 use sepra_eval::{query_answers, seminaive_with_options, EvalOptions};
 use sepra_gen::graphs::add_random_digraph;
-use sepra_rewrite::{
-    bounded_evaluate_with_options, magic_evaluate_subsumptive_with_options,
-    magic_evaluate_supplementary_with_options,
-};
+use sepra_rewrite::{bounded_evaluate_with_options, magic_evaluate_as, Magic};
 use sepra_storage::Database;
 
 const SAMPLES: usize = 7;
@@ -167,17 +164,13 @@ fn run_once(pair: &Pair, variant: Variant) -> usize {
                 .answers
                 .len()
         }
-        Variant::MagicSup => {
-            magic_evaluate_supplementary_with_options(&program, &query, &db, &eval)
-                .expect("evaluates")
-                .answers
-                .len()
-        }
-        Variant::MagicSubsumptive => {
-            magic_evaluate_subsumptive_with_options(&program, &query, &db, &eval)
-                .expect("evaluates")
-                .answers
-                .len()
+        Variant::MagicSup | Variant::MagicSubsumptive => {
+            let magic = if variant == Variant::MagicSup {
+                Magic::Supplementary
+            } else {
+                Magic::Subsumptive
+            };
+            magic_evaluate_as(&program, &query, &db, magic, &eval).expect("evaluates").answers.len()
         }
     }
 }

@@ -269,7 +269,8 @@ fn class_plan(
     }
 }
 
-fn query_value_at(query: &Query, pos: usize) -> Result<Value, EvalError> {
+/// The query constant at position `pos`.
+pub fn query_value_at(query: &Query, pos: usize) -> Result<Value, EvalError> {
     match &query.atom.terms[pos] {
         Term::Const(c) => Ok(Value::from_const(*c)?),
         Term::Var(_) => {
@@ -280,7 +281,7 @@ fn query_value_at(query: &Query, pos: usize) -> Result<Value, EvalError> {
 
 /// Builds a full tuple from fixed `(position, value)` pairs plus the
 /// phase-2 row at `rest_cols`.
-fn assemble(
+pub fn assemble(
     arity: usize,
     fixed: &[(usize, Value)],
     rest_cols: &[usize],

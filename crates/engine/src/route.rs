@@ -15,9 +15,8 @@ use sepra_core::evaluate::SeparableEvaluator;
 use sepra_core::plan::{classify_selection, SelectionKind};
 use sepra_eval::{naive::naive_with_options, query_answers, seminaive_with_options};
 use sepra_rewrite::{
-    bounded_evaluate_with_options, counting_evaluate, hn_evaluate,
-    magic_evaluate_subsumptive_with_options, magic_evaluate_supplementary_with_options,
-    magic_evaluate_with_options, CountingOptions, HnOptions,
+    bounded_evaluate_with_options, counting_evaluate, hn_evaluate, magic_evaluate_as,
+    CountingOptions, HnOptions, Magic,
 };
 use sepra_storage::{EvalStats, Relation};
 
@@ -281,12 +280,12 @@ impl QueryProcessor {
                 finish(out.answers, out.stats)
             }
             Strategy::MagicSets | Strategy::MagicSupplementary | Strategy::MagicSubsumptive => {
-                let rewrite = match strategy {
-                    Strategy::MagicSets => magic_evaluate_with_options,
-                    Strategy::MagicSupplementary => magic_evaluate_supplementary_with_options,
-                    _ => magic_evaluate_subsumptive_with_options,
+                let magic = match strategy {
+                    Strategy::MagicSets => Magic::Basic,
+                    Strategy::MagicSupplementary => Magic::Supplementary,
+                    _ => Magic::Subsumptive,
                 };
-                let out = rewrite(&self.program, query, &self.db, &eval)?;
+                let out = magic_evaluate_as(&self.program, query, &self.db, magic, &eval)?;
                 finish(out.answers, out.stats)
             }
             Strategy::Counting => {
@@ -456,6 +455,25 @@ mod tests {
             .unwrap();
         assert_eq!(r.strategy, Strategy::MagicSubsumptive);
         assert_eq!(r.answers.len(), 2);
+    }
+
+    /// Regression: every forced Magic Sets strategy answered nothing for a
+    /// predicate that has no rules, where the bottom-up engines scan it.
+    #[test]
+    fn forced_magic_answers_a_predicate_without_rules_from_the_edb() {
+        let mut qp = QueryProcessor::new();
+        qp.load(EX_1_2).unwrap();
+        for query in ["friend(tom, Y)?", "perfectFor(joe, Y)?"] {
+            let expected = qp.query_with(query, StrategyChoice::Force(Strategy::SemiNaive));
+            let expected = expected.unwrap().answers;
+            assert_eq!(expected.len(), 1, "{query}");
+            for strategy in
+                [Strategy::MagicSets, Strategy::MagicSupplementary, Strategy::MagicSubsumptive]
+            {
+                let r = qp.query_with(query, StrategyChoice::Force(strategy)).unwrap();
+                assert_eq!(r.answers, expected, "{strategy}: {query}");
+            }
+        }
     }
 
     #[test]

@@ -221,22 +221,6 @@ impl ConjPlan {
         builder.finish(output)
     }
 
-    /// Compiles `body` like [`ConjPlan::compile`], but first greedily
-    /// reorders the atoms *bound-first*: at each step the executable literal
-    /// binding the most columns (constants or already-bound variables) is
-    /// chosen, which turns accidental cartesian prefixes into indexable
-    /// probes. Equality literals keep their hoisting behavior. The paper's
-    /// algorithms assume source order, so the engine uses this only where
-    /// order is not semantically meaningful.
-    pub fn compile_reordered(
-        inputs: &[Sym],
-        body: &[PlanLiteral],
-        output: &[Term],
-    ) -> Result<ConjPlan, EvalError> {
-        let reordered = reorder_bound_first(inputs, body);
-        ConjPlan::compile(inputs, &reordered, output)
-    }
-
     /// Executes the plan whole, calling `emit` once per result row — a
     /// per-row view of [`ConjPlan::run`] for callers that fold row by row.
     pub fn execute(
@@ -542,85 +526,6 @@ impl Kernel<'_> {
         self.out.hashes.extend((0..chunk.len).map(|i| row_hash(&values[i * arity..][..arity])));
         (self.sink)(&self.out);
     }
-}
-
-/// Greedily reorders literals bound-first (see
-/// [`ConjPlan::compile_reordered`]). Equality literals are left interleaved
-/// relative to the atoms they follow; only atoms are reordered.
-///
-/// This is the *zero-statistics fallback* of the cost-based planner: when
-/// [`crate::planner::Planner`] has no [`crate::planner::PlannerStats`] (or
-/// an empty snapshot), it delegates here, so this ordering must stay
-/// correct on its own. In particular, constants count as bound columns
-/// exactly like already-bound variables — an atom such as `q(c, X)` is a
-/// keyed probe even before any variable is bound, and an equality against
-/// a constant is executable immediately.
-pub fn reorder_bound_first(inputs: &[Sym], body: &[PlanLiteral]) -> Vec<PlanLiteral> {
-    let mut bound: Vec<Sym> = inputs.to_vec();
-    let mut remaining: Vec<&PlanLiteral> = body.iter().collect();
-    let mut out: Vec<PlanLiteral> = Vec::with_capacity(body.len());
-    while !remaining.is_empty() {
-        // Pick the best-scoring atom; an executable equality always goes
-        // first (it is a filter or a free binding).
-        let mut best: Option<(usize, i64)> = None;
-        for (i, lit) in remaining.iter().enumerate() {
-            let is_bound = |t: &Term| match t {
-                Term::Const(_) => true,
-                Term::Var(v) => bound.contains(v),
-            };
-            let score = match lit {
-                PlanLiteral::Eq(l, r) => {
-                    if is_bound(l) || is_bound(r) {
-                        i64::MAX
-                    } else {
-                        i64::MIN // not yet executable
-                    }
-                }
-                // A fully-bound negation is a cheap filter: run it as soon
-                // as possible. Unbound, it cannot execute (it never binds).
-                PlanLiteral::Neg(atom) => {
-                    if atom.terms.iter().all(is_bound) {
-                        i64::MAX
-                    } else {
-                        i64::MIN
-                    }
-                }
-                // A sum is executable once both operands are bound.
-                PlanLiteral::Sum(_, a, b) => {
-                    if is_bound(a) && is_bound(b) {
-                        i64::MAX
-                    } else {
-                        i64::MIN
-                    }
-                }
-                PlanLiteral::Atom(atom) => {
-                    let mut bound_cols = 0i64;
-                    for t in &atom.terms {
-                        match t {
-                            Term::Const(_) => bound_cols += 1,
-                            Term::Var(v) if bound.contains(v) => bound_cols += 1,
-                            Term::Var(_) => {}
-                        }
-                    }
-                    // Prefer more bound columns; among ties prefer fewer
-                    // free columns (smaller expected fanout).
-                    bound_cols * 16 - atom.terms.len() as i64
-                }
-            };
-            if best.is_none_or(|(_, s)| score > s) {
-                best = Some((i, score));
-            }
-        }
-        let (idx, _) = best.expect("remaining non-empty");
-        let lit = remaining.remove(idx);
-        for v in lit.vars_for_reorder() {
-            if !bound.contains(&v) {
-                bound.push(v);
-            }
-        }
-        out.push(lit.clone());
-    }
-    out
 }
 
 impl PlanLiteral {
@@ -1031,12 +936,17 @@ pub(crate) mod tests {
         assert_eq!(run_collect(&plan, &db, &[]).len(), 4);
     }
 
+    /// The planner's order with no statistics at all.
+    fn blind_order(body: &[PlanLiteral]) -> Vec<PlanLiteral> {
+        crate::planner::Planner::new(crate::planner::PlanMode::CostBased, None).order(&[], body, 0)
+    }
+
     #[test]
     fn reordering_moves_bound_atoms_first() {
         let mut db = Database::new();
         // big is large and unconstrained; probe is tiny and keyed by the
-        // constant. Source order scans big first (cartesian); reordered
-        // order probes first.
+        // constant. Source order scans big first (cartesian); the planner,
+        // even without statistics, probes first.
         for i in 0..200 {
             db.insert_named("big", &[&format!("u{i}"), &format!("v{i}")]).unwrap();
         }
@@ -1047,7 +957,7 @@ pub(crate) mod tests {
         let body: Vec<PlanLiteral> =
             rule.body.iter().map(|l| PlanLiteral::from_literal(l, &RelKey::Pred)).collect();
         let source_order = ConjPlan::compile(&[], &body, &rule.head.terms).unwrap();
-        let reordered = ConjPlan::compile_reordered(&[], &body, &rule.head.terms).unwrap();
+        let reordered = ConjPlan::compile(&[], &blind_order(&body), &rule.head.terms).unwrap();
         let run = |plan: &ConjPlan| -> (usize, u64) {
             let mut store = RelStore::new();
             for (pred, r) in db.relations() {
@@ -1095,7 +1005,7 @@ pub(crate) mod tests {
             }),
             PlanLiteral::Eq(Term::Var(y), Term::sym(i.intern("c"))),
         ];
-        let ordered = reorder_bound_first(&[], &body);
+        let ordered = blind_order(&body);
         assert!(
             matches!(ordered[0], PlanLiteral::Eq(..)),
             "constant equality is executable up front"
@@ -1119,7 +1029,7 @@ pub(crate) mod tests {
             PlanLiteral::Neg(PlanAtom { rel: RelKey::Pred(q), terms: vec![Term::Var(x)] }),
             PlanLiteral::Eq(Term::Var(x), Term::int(3)),
         ];
-        let ordered = reorder_bound_first(&[], &body);
+        let ordered = blind_order(&body);
         assert!(matches!(ordered[0], PlanLiteral::Eq(..)), "binding equality first");
         assert!(matches!(ordered[1], PlanLiteral::Neg(..)));
         // And the reordered body compiles and runs.
@@ -1128,7 +1038,7 @@ pub(crate) mod tests {
         let rows = run_collect(&plan, &db, &[]);
         assert_eq!(rows, vec![vec![Value::int(3).unwrap()]]);
         // An empty body reorders to an empty body without panicking.
-        assert!(reorder_bound_first(&[], &[]).is_empty());
+        assert!(blind_order(&[]).is_empty());
     }
 
     #[test]

@@ -16,9 +16,11 @@
 //!
 //! over the exact row/distinct counts that [`sepra_storage::RelStats`]
 //! maintains on every EDB mutation path. When no statistics exist (an
-//! empty database, or synthetic relations) the planner falls back to the
-//! static bound-first heuristic [`crate::plan::reorder_bound_first`] and
-//! counts the fallback, so servers can observe how often they plan blind.
+//! empty database, or synthetic relations) the same loop runs over an
+//! empty snapshot — every relation at the unknown-size estimate, so the
+//! subgoal with the most bound columns (constants included) goes first —
+//! and counts the fallback, so servers can observe how often they plan
+//! blind.
 //!
 //! Ordering is semantics-preserving — conjunctions of positive atoms,
 //! equalities, sums, and stratified negations commute (a negated literal
@@ -35,13 +37,13 @@ use std::cell::Cell;
 use sepra_ast::{Sym, Term};
 use sepra_storage::{Database, EvalStats, FxHashMap, FxHashSet, Relation};
 
-use crate::plan::{reorder_bound_first, ConjPlan, PlanAtom, PlanLiteral, RelKey, Step};
+use crate::plan::{ConjPlan, PlanAtom, PlanLiteral, RelKey, Step};
 
 /// How conjunction bodies are ordered before compilation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PlanMode {
     /// Greedy lowest-estimated-cardinality ordering from relation
-    /// statistics, falling back to the bound-first heuristic when no
+    /// statistics, planning blind (every relation of unknown size) when no
     /// statistics are available. The default.
     #[default]
     CostBased,
@@ -218,7 +220,7 @@ pub struct ScanEstimate {
 }
 
 /// Orders conjunction bodies for compilation, counting how often it ran
-/// and how often it fell back to the static heuristic.
+/// and how often it had no statistics to run on.
 #[derive(Debug)]
 pub struct Planner<'a> {
     mode: PlanMode,
@@ -273,11 +275,11 @@ impl<'a> Planner<'a> {
             out.push(lit.clone());
         }
         self.costed.set(self.costed.get() + 1);
-        let Some(stats) = self.stats.filter(|s| !s.is_empty()) else {
+        let blind = PlannerStats::default();
+        let stats = self.stats.filter(|s| !s.is_empty()).unwrap_or_else(|| {
             self.fallbacks.set(self.fallbacks.get() + 1);
-            out.extend(reorder_bound_first(&bound, &body[pinned..]));
-            return out;
-        };
+            &blind
+        });
         let mut remaining: Vec<&PlanLiteral> = body[pinned..].iter().collect();
         while !remaining.is_empty() {
             let mut best: Option<(usize, f64)> = None;

@@ -9,102 +9,79 @@
 //! version (`p@bf`), scheduling it for processing. This is the standard
 //! full left-to-right SIP of \[BR87\], which is also the information-passing
 //! order the paper's algorithms assume.
+//!
+//! *Subsumptive* adornment (Alviano et al.) answers a body demand `(p, a)`
+//! from an already-generated adornment `a'` whose bound positions are a
+//! subset of `a`'s, whenever one exists: the more general adorned copy
+//! computes a superset of the tuples the more specific demand needs, and
+//! the rule context filters the rest. This prunes the subsumed magic
+//! predicate, and the whole adorned rule copy family behind it.
+//!
+//! Every adorned rule carries the `(predicate, adornment)` pair of its head
+//! and of each IDB body literal, so no adorned name is ever read back.
 
 use std::collections::{BTreeSet, VecDeque};
 
 use sepra_ast::{Atom, Interner, Literal, Program, Query, Rule, Sym, Term};
 
 /// A binding pattern: `true` = bound.
-pub type Adornment = Vec<bool>;
+pub(crate) type Adornment = Vec<bool>;
 
-/// Renders an adornment as the conventional `bf` string.
-pub fn adornment_string(a: &Adornment) -> String {
-    a.iter().map(|&b| if b { 'b' } else { 'f' }).collect()
-}
+/// An original predicate under one adornment.
+pub(crate) type Adorned = (Sym, Adornment);
 
 /// The adorned name for `pred` under `adornment`, e.g. `buys@bf`.
 ///
 /// The `@` separator cannot appear in source identifiers, so adorned names
 /// never collide with user predicates.
-pub fn adorned_name(pred: Sym, adornment: &Adornment, interner: &mut Interner) -> Sym {
-    let name = format!("{}@{}", interner.resolve(pred), adornment_string(adornment));
+pub(crate) fn adorned_name(pred: Sym, adornment: &Adornment, interner: &mut Interner) -> Sym {
+    let letters: String = adornment.iter().map(|&b| if b { 'b' } else { 'f' }).collect();
+    let name = format!("{}@{letters}", interner.resolve(pred));
     interner.intern(&name)
 }
 
-/// An adorned program, ready for the magic rewrite.
-#[derive(Debug, Clone)]
-pub struct AdornedProgram {
-    /// The adorned rules (IDB predicates renamed to `p@ad` versions).
-    pub program: Program,
-    /// The query, renamed to its adorned predicate.
-    pub query: Query,
-    /// The adorned query predicate.
-    pub query_pred: Sym,
-    /// The adornment of the query predicate.
-    pub query_adornment: Adornment,
-    /// For each adorned rule, the bound head positions (used by the magic
-    /// rewrite to form magic-predicate arguments).
-    pub bound_head_positions: Vec<Vec<usize>>,
+/// One adorned rule: IDB predicates renamed to their `p@ad` versions, and
+/// what each renamed predicate stands for.
+pub(crate) struct AdornedRule {
+    /// The renamed rule.
+    pub(crate) rule: Rule,
+    /// The head's original predicate and adornment.
+    pub(crate) head: Adorned,
+    /// Per body literal, the demand it makes when it is an IDB atom.
+    pub(crate) demands: Vec<Option<Adorned>>,
 }
 
-/// Adorns `program` for `query`.
+/// Whether `t` is bound once the variables in `bound` are.
+fn is_bound(t: &Term, bound: &BTreeSet<Sym>) -> bool {
+    t.as_var().is_none_or(|v| bound.contains(&v))
+}
+
+/// Adorns the fact-free `program` for `query`, rewriting the predicates in
+/// `idb`; EDB predicates are left untouched. With `subsumptive`, each body
+/// demand collapses onto the most general adornment already generated that
+/// subsumes it.
 ///
-/// `is_idb` decides which predicates are rewritten (typically: predicates
-/// with at least one proper rule). EDB predicates are left untouched.
-pub fn adorn_program(
+/// Returns the adorned rules, in the order their demands were first
+/// reached, and the query's own demand, which the query constants seed.
+/// A query predicate with no rules makes no demand: its answers are EDB
+/// facts, and nothing is adorned.
+pub(crate) fn adorn(
     program: &Program,
     query: &Query,
     interner: &mut Interner,
-    is_idb: &impl Fn(Sym) -> bool,
-) -> AdornedProgram {
-    adorn_program_impl(program, query, interner, is_idb, false)
-}
-
-/// [`adorn_program`] with *subsumptive* demand collapsing (Alviano et al.):
-/// a body demand `(p, a)` is answered by an already-generated adornment
-/// `a'` whose bound positions are a subset of `a`'s, whenever one exists —
-/// the more general adorned copy computes a superset of the tuples the
-/// more specific demand needs, and the rule context filters the rest. This
-/// prunes the subsumed magic predicate (and the whole adorned rule copy
-/// family behind it) instead of materializing both.
-pub fn adorn_program_subsumptive(
-    program: &Program,
-    query: &Query,
-    interner: &mut Interner,
-    is_idb: &impl Fn(Sym) -> bool,
-) -> AdornedProgram {
-    adorn_program_impl(program, query, interner, is_idb, true)
-}
-
-/// Whether `weaker` binds a subset of the positions `stronger` binds (so
-/// the `weaker`-adorned copy can answer the `stronger` demand).
-fn adornment_subsumes(weaker: &Adornment, stronger: &Adornment) -> bool {
-    weaker.len() == stronger.len() && weaker.iter().zip(stronger).all(|(&w, &s)| !w || s)
-}
-
-fn adorn_program_impl(
-    program: &Program,
-    query: &Query,
-    interner: &mut Interner,
-    is_idb: &impl Fn(Sym) -> bool,
+    idb: &[Sym],
     subsumptive: bool,
-) -> AdornedProgram {
-    let query_adornment: Adornment = query.atom.terms.iter().map(Term::is_const).collect();
-    let mut out_rules: Vec<Rule> = Vec::new();
-    let mut bound_head_positions: Vec<Vec<usize>> = Vec::new();
-    let mut seen: BTreeSet<(Sym, Adornment)> = BTreeSet::new();
-    let mut work: VecDeque<(Sym, Adornment)> = VecDeque::new();
-
-    let start = (query.atom.pred, query_adornment.clone());
-    seen.insert(start.clone());
-    work.push_back(start);
+) -> (Vec<AdornedRule>, Option<Adorned>) {
+    if !idb.contains(&query.atom.pred) {
+        return (Vec::new(), None);
+    }
+    let start: Adorned = (query.atom.pred, query.atom.terms.iter().map(Term::is_const).collect());
+    let mut rules: Vec<AdornedRule> = Vec::new();
+    let mut seen: BTreeSet<Adorned> = BTreeSet::from([start.clone()]);
+    let mut work: VecDeque<Adorned> = VecDeque::from([start.clone()]);
 
     while let Some((pred, adornment)) = work.pop_front() {
         for rule in program.definition_of(pred) {
-            if rule.is_fact() {
-                // Facts of IDB predicates are hoisted by the caller; skip.
-                continue;
-            }
             let mut bound: BTreeSet<Sym> = rule
                 .head
                 .terms
@@ -112,94 +89,68 @@ fn adorn_program_impl(
                 .zip(&adornment)
                 .filter_map(|(t, &b)| if b { t.as_var() } else { None })
                 .collect();
-            let mut new_body: Vec<Literal> = Vec::new();
+            let mut body: Vec<Literal> = Vec::with_capacity(rule.body.len());
+            let mut demands: Vec<Option<Adorned>> = Vec::with_capacity(rule.body.len());
             for lit in &rule.body {
-                match lit {
-                    Literal::Atom(atom) if is_idb(atom.pred) => {
-                        let mut sub_ad: Adornment = atom
-                            .terms
-                            .iter()
-                            .map(|t| match t {
-                                Term::Const(_) => true,
-                                Term::Var(v) => bound.contains(v),
-                            })
-                            .collect();
+                let demand = match lit {
+                    Literal::Atom(atom) if idb.contains(&atom.pred) => {
+                        let mut sub_ad: Adornment =
+                            atom.terms.iter().map(|t| is_bound(t, &bound)).collect();
                         if subsumptive {
-                            // Collapse onto the most general existing
-                            // adornment that can answer this demand.
+                            // The most general adornment seen whose bound
+                            // positions are a subset of this demand's.
                             if let Some(general) = seen
                                 .iter()
-                                .filter(|(p, a)| *p == atom.pred && adornment_subsumes(a, &sub_ad))
+                                .filter(|(p, a)| {
+                                    *p == atom.pred && a.iter().zip(&sub_ad).all(|(&w, &s)| !w || s)
+                                })
                                 .map(|(_, a)| a.clone())
                                 .min_by_key(|a| a.iter().filter(|&&b| b).count())
                             {
                                 sub_ad = general;
                             }
                         }
-                        let key = (atom.pred, sub_ad.clone());
+                        let key = (atom.pred, sub_ad);
                         if seen.insert(key.clone()) {
-                            work.push_back(key);
+                            work.push_back(key.clone());
                         }
-                        let renamed = adorned_name(atom.pred, &sub_ad, interner);
-                        new_body.push(Literal::Atom(Atom::new(renamed, atom.terms.clone())));
-                        bound.extend(atom.vars());
+                        let renamed = adorned_name(atom.pred, &key.1, interner);
+                        body.push(Literal::Atom(Atom::new(renamed, atom.terms.clone())));
+                        Some(key)
                     }
-                    Literal::Atom(atom) => {
-                        new_body.push(lit.clone());
-                        bound.extend(atom.vars());
+                    _ => {
+                        body.push(lit.clone());
+                        None
                     }
-                    Literal::Eq(l, r) => {
-                        new_body.push(lit.clone());
-                        let l_bound = matches!(l, Term::Const(_))
-                            || l.as_var().is_some_and(|v| bound.contains(&v));
-                        let r_bound = matches!(r, Term::Const(_))
-                            || r.as_var().is_some_and(|v| bound.contains(&v));
-                        if l_bound || r_bound {
-                            for t in [l, r] {
-                                if let Term::Var(v) = t {
-                                    bound.insert(*v);
-                                }
-                            }
-                        }
+                };
+                demands.push(demand);
+                // What the literal binds once evaluated. The engine routes
+                // stratified programs (negation, aggregates) to direct
+                // stratum evaluation, so the demand rewrite never sees them;
+                // kept meaning-preserving regardless: a negated literal
+                // binds nothing (only safe, hence already-bound, variables
+                // occur in it), and a sum binds its target once the
+                // operands are bound.
+                match lit {
+                    Literal::Atom(atom) => bound.extend(atom.vars()),
+                    Literal::Eq(l, r) if is_bound(l, &bound) || is_bound(r, &bound) => {
+                        bound.extend([l, r].into_iter().filter_map(Term::as_var));
                     }
-                    // The engine routes stratified programs (negation,
-                    // aggregates) to direct stratum evaluation; the magic
-                    // rewrite never sees them. Kept meaning-preserving
-                    // regardless: a negated literal filters (binds nothing,
-                    // and only safe — hence already-bound — variables occur
-                    // in it), and a sum binds its target once the operands
-                    // are bound.
-                    Literal::Neg(_) => new_body.push(lit.clone()),
-                    Literal::Sum(d, a, b) => {
-                        new_body.push(lit.clone());
-                        let operand_bound = |t: &Term| {
-                            matches!(t, Term::Const(_))
-                                || t.as_var().is_some_and(|v| bound.contains(&v))
-                        };
-                        if operand_bound(a) && operand_bound(b) {
-                            if let Term::Var(v) = d {
-                                bound.insert(*v);
-                            }
-                        }
+                    Literal::Sum(d, a, b) if is_bound(a, &bound) && is_bound(b, &bound) => {
+                        bound.extend(d.as_var());
                     }
+                    _ => {}
                 }
             }
-            let head_pred = adorned_name(pred, &adornment, interner);
-            out_rules.push(Rule::new(Atom::new(head_pred, rule.head.terms.clone()), new_body));
-            bound_head_positions
-                .push(adornment.iter().enumerate().filter_map(|(i, &b)| b.then_some(i)).collect());
+            let head = Atom::new(adorned_name(pred, &adornment, interner), rule.head.terms.clone());
+            rules.push(AdornedRule {
+                rule: Rule::new(head, body),
+                head: (pred, adornment.clone()),
+                demands,
+            });
         }
     }
-
-    let query_pred = adorned_name(query.atom.pred, &query_adornment, interner);
-    let adorned_query = Query::new(Atom::new(query_pred, query.atom.terms.clone()));
-    AdornedProgram {
-        program: Program::new(out_rules),
-        query: adorned_query,
-        query_pred,
-        query_adornment,
-        bound_head_positions,
-    }
+    (rules, Some(start))
 }
 
 #[cfg(test)]
@@ -207,22 +158,25 @@ mod tests {
     use super::*;
     use sepra_ast::{parse_program, parse_query, pretty};
 
-    fn adorn(src: &str, query_src: &str) -> (AdornedProgram, Interner) {
+    type Adorning = (Vec<AdornedRule>, Option<Adorned>, String);
+
+    /// The adorned rules, the query's demand, and the rules rendered.
+    fn adorn_src(src: &str, query_src: &str, subsumptive: bool) -> Adorning {
         let mut i = Interner::new();
         let program = parse_program(src, &mut i).unwrap();
         let query = parse_query(query_src, &mut i).unwrap();
-        let idb: Vec<Sym> =
-            program.rules.iter().filter(|r| !r.is_fact()).map(|r| r.head.pred).collect();
-        let adorned = adorn_program(&program, &query, &mut i, &|p| idb.contains(&p));
-        (adorned, i)
+        let idb: Vec<Sym> = program.proper_rules().map(|r| r.head.pred).collect();
+        let (rules, seed) = adorn(&program, &query, &mut i, &idb, subsumptive);
+        let renamed = rules.iter().map(|r| r.rule.clone()).collect();
+        let rendered = pretty::program_to_string(&Program::new(renamed), &i);
+        (rules, seed, rendered)
     }
 
     #[test]
     fn transitive_closure_bf() {
-        let (ad, i) = adorn("t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).\n", "t(a, Y)?");
-        assert_eq!(i.resolve(ad.query_pred), "t@bf");
-        assert_eq!(ad.program.rules.len(), 2);
-        let rendered = pretty::program_to_string(&ad.program, &i);
+        let (rules, _, rendered) =
+            adorn_src("t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).\n", "t(a, Y)?", false);
+        assert_eq!(rules.len(), 2);
         // The recursive call is also bf: e(X, W) binds W before t(W, Y).
         assert!(rendered.contains("t@bf(W, Y)"), "{rendered}");
         assert!(rendered.contains("t@bf(X, Y) :- e(X, Y)."), "{rendered}");
@@ -232,41 +186,33 @@ mod tests {
     fn right_linear_produces_fb_via_persistence() {
         // t(X, Y) :- t(X, W), c(Y, W): with t(X, b)? the head binds Y;
         // walking left to right, the recursive t(X, W) sees X free, W free.
-        let (ad, i) = adorn("t(X, Y) :- t(X, W), c(Y, W).\nt(X, Y) :- p(X, Y).\n", "t(X, b)?");
-        assert_eq!(i.resolve(ad.query_pred), "t@fb");
-        let rendered = pretty::program_to_string(&ad.program, &i);
+        let (_, seed, rendered) =
+            adorn_src("t(X, Y) :- t(X, W), c(Y, W).\nt(X, Y) :- p(X, Y).\n", "t(X, b)?", false);
+        assert_eq!(seed.map(|(_, a)| a), Some(vec![false, true]));
         assert!(rendered.contains("t@ff"), "{rendered}");
     }
 
     #[test]
     fn multiple_adornments_generate_multiple_versions() {
-        let (ad, i) = adorn(
+        let (_, _, rendered) = adorn_src(
             "s(X, Y) :- t(X, Y).\n\
              s(X, Y) :- t(Y, X).\n\
              t(X, Y) :- e(X, Y).\n",
             "s(a, Y)?",
+            false,
         );
-        let rendered = pretty::program_to_string(&ad.program, &i);
         assert!(rendered.contains("t@bf"), "{rendered}");
         assert!(rendered.contains("t@fb"), "{rendered}");
     }
 
     #[test]
     fn eq_literals_propagate_bindings() {
-        let (ad, i) =
-            adorn("t(X, Y) :- q(X, W), Y2 = W, t(Y2, Y).\nt(X, Y) :- p(X, Y).\n", "t(a, Y)?");
-        let rendered = pretty::program_to_string(&ad.program, &i);
+        let (_, _, rendered) = adorn_src(
+            "t(X, Y) :- q(X, W), Y2 = W, t(Y2, Y).\nt(X, Y) :- p(X, Y).\n",
+            "t(a, Y)?",
+            false,
+        );
         assert!(rendered.contains("t@bf(Y2, Y)"), "{rendered}");
-    }
-
-    fn adorn_sub(src: &str, query_src: &str) -> (AdornedProgram, Interner) {
-        let mut i = Interner::new();
-        let program = parse_program(src, &mut i).unwrap();
-        let query = parse_query(query_src, &mut i).unwrap();
-        let idb: Vec<Sym> =
-            program.rules.iter().filter(|r| !r.is_fact()).map(|r| r.head.pred).collect();
-        let adorned = adorn_program_subsumptive(&program, &query, &mut i, &|p| idb.contains(&p));
-        (adorned, i)
     }
 
     const TWO_DEMAND: &str = "q(X, Y) :- t(X, Y).\n\
@@ -278,18 +224,16 @@ mod tests {
     fn subsumptive_collapses_stronger_demands() {
         // The second q-rule demands t@bb; subsumptively it reuses the
         // already-generated t@bf (bound {0} ⊆ {0, 1}).
-        let (standard, i) = adorn(TWO_DEMAND, "q(a, Y)?");
-        let rendered = pretty::program_to_string(&standard.program, &i);
+        let (standard, _, rendered) = adorn_src(TWO_DEMAND, "q(a, Y)?", false);
         assert!(rendered.contains("t@bb"), "standard adornment keeps both:\n{rendered}");
 
-        let (sub, i) = adorn_sub(TWO_DEMAND, "q(a, Y)?");
-        let rendered = pretty::program_to_string(&sub.program, &i);
+        let (sub, _, rendered) = adorn_src(TWO_DEMAND, "q(a, Y)?", true);
         assert!(!rendered.contains("t@bb"), "subsumed demand must collapse:\n{rendered}");
         assert!(
             rendered.contains("t@bf(Z, Y)"),
             "demand site reuses the general copy:\n{rendered}"
         );
-        assert!(sub.program.rules.len() < standard.program.rules.len());
+        assert!(sub.len() < standard.len());
     }
 
     #[test]
@@ -298,19 +242,22 @@ mod tests {
         let src = "s(X, Y) :- t(X, Y).\n\
              s(X, Y) :- t(Y, X).\n\
              t(X, Y) :- e(X, Y).\n";
-        let (standard, i) = adorn(src, "s(a, Y)?");
-        let (sub, i2) = adorn_sub(src, "s(a, Y)?");
-        assert_eq!(
-            pretty::program_to_string(&standard.program, &i),
-            pretty::program_to_string(&sub.program, &i2)
-        );
+        assert_eq!(adorn_src(src, "s(a, Y)?", false).2, adorn_src(src, "s(a, Y)?", true).2);
     }
 
     #[test]
-    fn bound_head_positions_follow_adornment() {
-        let (ad, _) = adorn("t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, W), t(W, Y).\n", "t(a, Y)?");
-        for positions in &ad.bound_head_positions {
-            assert_eq!(positions, &vec![0]);
-        }
+    fn demands_name_the_original_predicate_and_adornment() {
+        let (rules, _, _) = adorn_src(TWO_DEMAND, "q(a, Y)?", false);
+        let pin_rule = &rules[1];
+        assert_eq!(pin_rule.head.1, vec![true, false]);
+        assert_eq!(pin_rule.demands[0], None, "pin is EDB");
+        assert_eq!(pin_rule.demands[1].as_ref().map(|(_, a)| a.clone()), Some(vec![true, true]));
+        assert_eq!(pin_rule.demands[1].as_ref().map(|&(p, _)| p), Some(rules[2].head.0));
+    }
+
+    #[test]
+    fn a_query_predicate_without_rules_is_left_alone() {
+        let (rules, seed, _) = adorn_src(TWO_DEMAND, "e(a, Y)?", false);
+        assert!(rules.is_empty() && seed.is_none());
     }
 }

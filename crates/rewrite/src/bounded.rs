@@ -8,44 +8,15 @@
 //! relation. The rewritten program is nonrecursive in `t`, so the
 //! semi-naive engine evaluates its stratum in a single pass with **zero**
 //! fixpoint iterations; answers are identical to evaluating the original
-//! recursion to fixpoint.
+//! recursion to fixpoint. The private copy and the evaluation tail are the
+//! demand rewrite's.
 
 use sepra_ast::{Program, Query, Rule};
 use sepra_core::bounded::BoundedRecursion;
-use sepra_eval::{query_answers, seminaive_with_options, Derived, EvalError, EvalOptions};
-use sepra_storage::{Database, EvalStats, Relation};
+use sepra_eval::{EvalError, EvalOptions};
+use sepra_storage::Database;
 
-/// The result of a bounded evaluation; mirrors
-/// [`crate::magic::MagicOutcome`].
-#[derive(Debug)]
-pub struct BoundedOutcome {
-    /// Answers as full tuples of the query predicate.
-    pub answers: Relation,
-    /// Evaluation statistics of the rewritten program (its `iterations`
-    /// counter stays at zero for the bounded predicate's stratum — no
-    /// fixpoint ran).
-    pub stats: EvalStats,
-    /// The nonrecursive rewritten program, for inspection.
-    pub rewritten: Program,
-    /// All derived relations, for inspection.
-    pub derived: Derived,
-    /// The working database (a private copy of the caller's) whose
-    /// interner resolves the `t@edb` name.
-    pub db: Database,
-}
-
-/// Replaces the bounded predicate's rules with the nonrecursive chain.
-/// Facts and rules of other predicates pass through unchanged.
-pub fn bounded_rewrite(program: &Program, bounded: &BoundedRecursion) -> Program {
-    let mut rules: Vec<Rule> = program
-        .rules
-        .iter()
-        .filter(|r| r.is_fact() || r.head.pred != bounded.pred)
-        .cloned()
-        .collect();
-    rules.extend(bounded.rules.iter().cloned());
-    Program::new(rules)
-}
+use crate::magic::{evaluate, private_copy, MagicOutcome};
 
 /// Evaluates `query` by the nonrecursive rewrite with default options.
 pub fn bounded_evaluate(
@@ -53,30 +24,21 @@ pub fn bounded_evaluate(
     query: &Query,
     db: &Database,
     bounded: &BoundedRecursion,
-) -> Result<BoundedOutcome, EvalError> {
+) -> Result<MagicOutcome, EvalError> {
     bounded_evaluate_with_options(program, query, db, bounded, &EvalOptions::default())
 }
 
 /// [`bounded_evaluate`] with explicit [`EvalOptions`] for the semi-naive
-/// engine evaluating the rewritten program.
+/// engine evaluating the rewritten program. The outcome's `stats` keep
+/// `iterations` at zero for the bounded predicate's stratum.
 pub fn bounded_evaluate_with_options(
     program: &Program,
     query: &Query,
     db: &Database,
     bounded: &BoundedRecursion,
     eval: &EvalOptions,
-) -> Result<BoundedOutcome, EvalError> {
-    // Work on a private copy so program facts and the `t@edb` snapshot do
-    // not leak into the caller's EDB.
-    let mut db = db.clone();
-    for rule in &program.rules {
-        if rule.is_fact() {
-            db.insert_atom(&rule.head)
-                .map_err(|e| EvalError::Unsupported(format!("bad program fact: {e}")))?;
-        }
-    }
-    let rewritten = bounded_rewrite(program, bounded);
-
+) -> Result<MagicOutcome, EvalError> {
+    let mut db = private_copy(program, db)?;
     // Bind the analysis's opaque `t@edb` predicate to the facts directly
     // asserted for `t` (always materialized, possibly empty, so the plans
     // referencing it find a relation).
@@ -85,12 +47,16 @@ pub fn bounded_evaluate_with_options(
     if let Some(facts) = snapshot {
         edb.union_in_place(&facts);
     }
-
-    let derived = seminaive_with_options(&rewritten, &db, eval)?;
-    let answers = query_answers(query, &db, Some(&derived))?;
-    let mut stats = derived.stats.clone();
-    stats.record_size("ans", answers.len());
-    Ok(BoundedOutcome { answers, stats, rewritten, derived, db })
+    // The bounded predicate's rules give way to the nonrecursive chain;
+    // facts and rules of other predicates pass through unchanged.
+    let mut rules: Vec<Rule> = program
+        .rules
+        .iter()
+        .filter(|r| r.is_fact() || r.head.pred != bounded.pred)
+        .cloned()
+        .collect();
+    rules.extend(bounded.rules.iter().cloned());
+    evaluate(Program::new(rules), query, db, eval)
 }
 
 #[cfg(test)]
@@ -98,8 +64,10 @@ mod tests {
     use super::*;
     use sepra_ast::{parse_program, parse_query, RecursiveDef};
     use sepra_core::bounded::analyze;
+    use sepra_eval::{query_answers, seminaive_with_options};
+    use sepra_storage::Relation;
 
-    fn eval_both(program_src: &str, facts: &str, query_src: &str) -> (BoundedOutcome, Relation) {
+    fn eval_both(program_src: &str, facts: &str, query_src: &str) -> (MagicOutcome, Relation) {
         let mut db = Database::new();
         db.load_fact_text(facts).unwrap();
         let program = parse_program(program_src, db.interner_mut()).unwrap();

@@ -34,6 +34,7 @@
 
 use sepra_ast::Query;
 use sepra_core::detect::SeparableRecursion;
+use sepra_core::evaluate::{assemble, query_value_at};
 use sepra_core::exec::{run_seed_and_phase2, ExecOptions, ExtraRelations};
 use sepra_core::plan::{build_plan_with, classify_selection, PlanSelection, SelectionKind};
 use sepra_eval::{filter_by_query, EvalError, IndexCache, Planner, PlannerStats, RelKey, RelStore};
@@ -92,13 +93,12 @@ pub fn counting_evaluate(
     let extra = ExtraRelations::default();
 
     // count(0, 0, x0): seed from the query constants.
-    let mut seed_vals: Vec<Value> = Vec::with_capacity(width);
-    for &c in &phase1.columns {
-        let sepra_ast::Term::Const(konst) = query.atom.terms[c] else {
-            return Err(EvalError::Planning("full class selection expected constants".into()));
-        };
-        seed_vals.push(Value::from_const(konst)?);
-    }
+    let fixed: Vec<(usize, Value)> = phase1
+        .columns
+        .iter()
+        .map(|&c| Ok((c, query_value_at(query, c)?)))
+        .collect::<Result<_, EvalError>>()?;
+    let seed_vals: Vec<Value> = fixed.iter().map(|&(_, v)| v).collect();
 
     let mut count = Relation::new(2 + width);
     let mut frontier = Relation::new(1 + width); // (code, class values)
@@ -198,19 +198,9 @@ pub fn counting_evaluate(
     let seen2 =
         run_seed_and_phase2(&plan, db, &extra, Some(&seen1), &mut indexes, &opts.exec, &mut stats)?;
 
-    // Assemble answers exactly like the Separable evaluator.
-    let fixed: Vec<(usize, Value)> =
-        phase1.columns.iter().zip(&seed_vals).map(|(&c, &v)| (c, v)).collect();
     let mut full = Relation::new(sep.arity);
     for row in seen2.iter() {
-        let mut values = vec![Value::int(0).expect("zero fits"); sep.arity];
-        for &(pos, v) in &fixed {
-            values[pos] = v;
-        }
-        for (i, &pos) in plan.phase2.columns.iter().enumerate() {
-            values[pos] = row[i];
-        }
-        full.insert(Tuple::from(values));
+        full.insert(assemble(sep.arity, &fixed, &plan.phase2.columns, row));
     }
     let answers = filter_by_query(query, &full)?;
     stats.record_size("ans", answers.len());

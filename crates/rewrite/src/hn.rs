@@ -19,6 +19,7 @@
 
 use sepra_ast::Query;
 use sepra_core::detect::SeparableRecursion;
+use sepra_core::evaluate::{assemble, query_value_at};
 use sepra_core::exec::{run_seed_and_phase2, ExecOptions, ExtraRelations};
 use sepra_core::plan::{
     build_plan_with, classify_selection, PlanSelection, SelectionKind, AUX_CARRY1,
@@ -74,15 +75,13 @@ pub fn hn_evaluate(
     let extra = ExtraRelations::default();
 
     // The seed string: the selection constants.
-    let mut seed_vals: Vec<Value> = Vec::with_capacity(width);
-    for &c in &phase1.columns {
-        let sepra_ast::Term::Const(konst) = query.atom.terms[c] else {
-            return Err(EvalError::Planning("full class selection expected constants".into()));
-        };
-        seed_vals.push(Value::from_const(konst)?);
-    }
+    let fixed: Vec<(usize, Value)> = phase1
+        .columns
+        .iter()
+        .map(|&c| Ok((c, query_value_at(query, c)?)))
+        .collect::<Result<_, EvalError>>()?;
     let mut seed = Relation::new(width);
-    seed.insert(Tuple::new(seed_vals));
+    seed.insert(Tuple::from(fixed.iter().map(|&(_, v)| v).collect::<Vec<_>>()));
 
     // Every value vector reached by any string (fed to the answer phase).
     let mut reached = seed.clone();
@@ -152,28 +151,9 @@ pub fn hn_evaluate(
         &mut stats,
     )?;
 
-    let fixed: Vec<(usize, Value)> = phase1
-        .columns
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| {
-            let sepra_ast::Term::Const(konst) = query.atom.terms[c] else {
-                unreachable!("validated above");
-            };
-            let _ = i;
-            Ok((c, Value::from_const(konst)?))
-        })
-        .collect::<Result<_, EvalError>>()?;
     let mut full = Relation::new(sep.arity);
     for row in seen2.iter() {
-        let mut values = vec![Value::int(0).expect("zero fits"); sep.arity];
-        for &(pos, v) in &fixed {
-            values[pos] = v;
-        }
-        for (i, &pos) in plan.phase2.columns.iter().enumerate() {
-            values[pos] = row[i];
-        }
-        full.insert(Tuple::from(values));
+        full.insert(assemble(sep.arity, &fixed, &plan.phase2.columns, row));
     }
     let answers = filter_by_query(query, &full)?;
     stats.record_size("ans", answers.len());

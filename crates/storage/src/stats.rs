@@ -31,8 +31,8 @@ pub struct EvalStats {
     /// Conjunctions ordered by the cost-based planner during this run
     /// (includes the fallback orderings below).
     pub plans_costed: usize,
-    /// Conjunctions the planner had to order with the static bound-first
-    /// heuristic because no relation statistics were available.
+    /// Conjunctions the planner had to order blind, because no relation
+    /// statistics were available.
     pub plan_fallbacks: usize,
 }
 
