@@ -508,7 +508,7 @@ fn binding_plan(
     );
     let mut output: Vec<Term> = cols.iter().map(|&c| rule.head.terms[c]).collect();
     output.extend(cols.iter().map(|&c| rec.terms[c]));
-    ConjPlan::compile(&[], &planner.order(&[], &body, 0), &output)
+    planner.plan(&body, 0, &output)
 }
 
 #[cfg(test)]

@@ -235,7 +235,7 @@ fn carry_step(
     output.extend(produced);
     let mut body = vec![PlanLiteral::Atom(PlanAtom { rel: RelKey::Aux(carry), terms: scanned })];
     body.extend(nonrecursive_literals(sep, rule));
-    ConjPlan::compile(&[], &planner.order(&[], &body, 1), &output)
+    planner.plan(&body, 1, &output)
 }
 
 /// Compiles one seed plan (one exit rule): `seen_1` join (or baked-in
@@ -278,7 +278,7 @@ fn seed_step(
     // (guaranteed by `RecursiveDef::extract`).
     body.extend(rule.body.iter().map(|lit| PlanLiteral::from_literal(lit, &RelKey::Pred)));
     output.extend(head_terms_at(sep, rule, rest_cols));
-    ConjPlan::compile(&[], &planner.order(&[], &body, pinned), &output)
+    planner.plan(&body, pinned, &output)
 }
 
 fn value_to_term(value: Value) -> Term {

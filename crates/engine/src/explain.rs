@@ -183,7 +183,7 @@ impl QueryProcessor {
                         }
                     }
                     let _ = writeln!(out, "strategy: semi-naive, stratum by stratum");
-                    self.rule_conjunctions(&pstats, Some(&strat))
+                    self.rule_conjunctions(&pstats, Some(&strat))?
                 }
             },
             Route::Bounded(bounded) => {
@@ -199,7 +199,7 @@ impl QueryProcessor {
                     "strategy: bounded({}) — zero fixpoint iterations",
                     bounded.depth
                 );
-                self.rule_conjunctions(&pstats, None)
+                self.rule_conjunctions(&pstats, None)?
             }
             Route::Separable { sep, kind } => {
                 self.separable_schema(out, &query, sep, kind, &pstats)?
@@ -209,7 +209,7 @@ impl QueryProcessor {
                 let fallback =
                     if matches!(route, Route::Magic(_)) { "magic sets" } else { "semi-naive" };
                 let _ = writeln!(out, "strategy: {fallback}");
-                self.rule_conjunctions(&pstats, None)
+                self.rule_conjunctions(&pstats, None)?
             }
         };
         Ok(report)
@@ -240,7 +240,7 @@ impl QueryProcessor {
         let selection = match kind {
             SelectionKind::NoSelection => {
                 let _ = writeln!(out, "no selection constants; strategy: semi-naive");
-                return Ok(self.rule_conjunctions(pstats, None));
+                return self.rule_conjunctions(pstats, None).map_err(Into::into);
             }
             SelectionKind::Partial { class } => {
                 let _ = writeln!(
@@ -275,18 +275,19 @@ impl QueryProcessor {
             .map(|(ri, step)| (format!("phase 1, rule {ri}"), step))
             .chain(plan.seed.iter().enumerate().map(|(i, step)| (format!("seed {i}"), step)))
             .chain(plan.phase2.steps.iter().map(|(ri, s)| (format!("phase 2, rule {ri}"), s)));
-        Ok(steps.map(|(label, step)| self.conjunction(label, step, pstats)).collect())
+        Ok(steps.map(|(label, step)| self.conjunction(label, step)).collect())
     }
 
     /// The join orders the semi-naive engine would compile: one labelled
-    /// conjunction per non-fact rule, ordered by a planner over `pstats`.
-    /// With a stratification, rules are grouped by stratum, lowest first,
-    /// each labelled with the stratum evaluation computes it in.
+    /// conjunction per non-fact rule, planned over `pstats`. With a
+    /// stratification, rules are grouped by stratum, lowest first, each
+    /// labelled with the stratum evaluation computes it in. A rule no order
+    /// can plan is the error its query would return.
     fn rule_conjunctions(
         &self,
         pstats: &PlannerStats,
         strat: Option<&Stratification>,
-    ) -> Vec<PlanConj> {
+    ) -> Result<Vec<PlanConj>, EvalError> {
         let planner = Planner::new(self.exec_options.plan_mode, Some(pstats));
         let interner = self.db.interner();
         let levels = strat.map_or(1, Stratification::len);
@@ -299,25 +300,22 @@ impl QueryProcessor {
                 }
                 let body: Vec<PlanLiteral> =
                     rule.body.iter().map(|l| PlanLiteral::from_literal(l, &RelKey::Pred)).collect();
-                let Ok(plan) =
-                    ConjPlan::compile(&[], &planner.order(&[], &body, 0), &rule.head.terms)
-                else {
-                    continue;
-                };
+                let plan = planner.plan(&body, 0, &rule.head.terms)?;
                 let stratum =
                     if strat.is_some() { format!("stratum {level}, ") } else { "".into() };
                 let label = format!("{stratum}rule {i} ({})", interner.resolve(head));
-                out.push(self.conjunction(label, &plan, pstats));
+                out.push(self.conjunction(label, &plan));
             }
         }
-        out
+        Ok(out)
     }
 
-    fn conjunction(&self, label: String, plan: &ConjPlan, pstats: &PlannerStats) -> PlanConj {
+    /// The scans of `plan` with the estimates the planner chose them by.
+    fn conjunction(&self, label: String, plan: &ConjPlan) -> PlanConj {
         let interner = self.db.interner();
-        let scans = pstats
-            .estimate_scans(plan)
-            .into_iter()
+        let scans = plan
+            .scans
+            .iter()
             .map(|s| PlanScan {
                 rel: match s.rel {
                     RelKey::Pred(p) => interner.resolve(p).to_string(),
@@ -401,6 +399,21 @@ mod tests {
         let report = qp.plan_report("buys(X, Y)?").unwrap();
         assert_eq!(report.strategy, "seminaive");
         assert!(report.conjunctions.iter().any(|c| c.label.contains("buys")), "no rule conj");
+    }
+
+    /// A rule every query rejects is not hidden from the plan: explaining
+    /// it fails with the planning error the query fails with, for an
+    /// equality and for a sum over a variable nothing binds.
+    #[test]
+    fn explain_fails_where_the_query_fails() {
+        for rules in ["r(X, Y) :- e(X, Z), Y = W.\n", "r(X, S) :- e(X, Z), S = Z + Q.\n"] {
+            let mut qp = QueryProcessor::new();
+            qp.load(&format!("e(a, b).\n{rules}")).unwrap();
+            let queried = qp.query("r(X, Y)?").unwrap_err().to_string();
+            assert!(queried.contains("equality or sum literal over variables"), "{queried}");
+            assert_eq!(qp.explain("r(X, Y)?").unwrap_err().to_string(), queried, "{rules}");
+            assert_eq!(qp.plan_report("r(X, Y)?").unwrap_err().to_string(), queried, "{rules}");
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use error::EvalError;
 pub use incremental::maintain;
 pub use naive::{naive, naive_with_options};
 pub use plan::{ConjPlan, PlanAtom, PlanLiteral, RelKey, Step, TermSpec};
-pub use planner::{PlanMode, Planner, PlannerStats, RelEstimate, ScanEstimate};
+pub use planner::{Blocked, PlanMode, Planner, PlannerStats, ScanEstimate};
 pub use round::{delta_round, RoundPlan, RowBuf};
 pub use seminaive::{seminaive, seminaive_with_options, Derived, EvalOptions};
 pub use store::{IndexCache, RelStore};

@@ -9,7 +9,7 @@ use sepra_ast::{DependencyGraph, Literal, Program, Sym};
 use sepra_storage::{Database, EvalStats, FxHashMap, Relation, Tuple};
 
 use crate::error::EvalError;
-use crate::plan::{ConjPlan, PlanLiteral, RelKey};
+use crate::plan::{PlanLiteral, RelKey};
 use crate::planner::{Planner, PlannerStats};
 use crate::seminaive::{agg_specs, AggState, Derived, EvalOptions, VALUE_ITERATION_CAP};
 use crate::store::{IndexCache, RelStore};
@@ -66,10 +66,7 @@ pub fn naive_with_options(
             for rule in program.rules.iter().filter(|r| stratum_idb.contains(&r.head.pred)) {
                 let body: Vec<PlanLiteral> =
                     rule.body.iter().map(|l| PlanLiteral::from_literal(l, &RelKey::Pred)).collect();
-                plans.push((
-                    rule.head.pred,
-                    ConjPlan::compile(&[], &planner.order(&[], &body, 0), &rule.head.terms)?,
-                ));
+                plans.push((rule.head.pred, planner.plan(&body, 0, &rule.head.terms)?));
             }
             planner.record_into(&mut stats);
         }

@@ -1,5 +1,4 @@
-//! Compilation of conjunctions into executable join plans, and the batch
-//! kernel that runs them.
+//! Join plans, and the batch kernel that runs them.
 //!
 //! A [`ConjPlan`] evaluates a conjunction of atoms (plus equality, sum and
 //! negation literals) left to right, exactly as the paper's algorithms
@@ -7,12 +6,15 @@
 //! an index key, and unbound columns bind new variable slots. The same
 //! machinery drives ordinary rule bodies in the semi-naive engine, the
 //! magic-rewritten rules, and the carry-extension operators `f_1`/`f_2` of
-//! the Separable algorithm (Figure 2), which are compiled as conjunctions
+//! the Separable algorithm (Figure 2), which are planned as conjunctions
 //! whose first atom is a synthetic `carry` relation.
 //!
-//! Compilation decides what a row would otherwise re-decide: per scan,
-//! which columns form the key, which bind a slot, and which must agree
-//! with an earlier column of the same atom. Execution ([`ConjPlan::run`]) is **batch-at-a-time**:
+//! The plan is a value: [`crate::planner`]'s one loop emits its steps in
+//! order, with the estimate each scan was chosen by, and this module only
+//! consumes them. A step holds what a row would otherwise re-decide: per
+//! scan, which columns form the key, which bind a slot, and which must
+//! agree with an earlier column of the same atom. Execution
+//! ([`ConjPlan::run`]) is **batch-at-a-time**:
 //! partial matches live in struct-of-arrays *chunks* of at most `CHUNK`
 //! rows, one value column per slot. A scan expands a chunk into `(chunk row,
 //! relation position)` pairs through `Index::lookup` and gathers the next
@@ -29,6 +31,7 @@ use sepra_ast::{Literal, Sym, Term};
 use sepra_storage::{row_hash, Relation, Value};
 
 use crate::error::EvalError;
+use crate::planner::{Planner, ScanEstimate};
 use crate::round::RowBuf;
 use crate::store::{IndexCache, RelStore};
 
@@ -165,10 +168,12 @@ impl PlanLiteral {
 }
 
 /// A compiled conjunction.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConjPlan {
     /// The execution steps, in order.
     pub steps: Vec<Step>,
+    /// Per `Scan` step, in order: the estimate the planner chose it by.
+    pub scans: Vec<ScanEstimate>,
     /// Total number of variable slots.
     pub n_slots: usize,
     /// Number of leading slots that must be supplied by the caller at
@@ -181,44 +186,16 @@ pub struct ConjPlan {
 }
 
 impl ConjPlan {
-    /// Compiles `body` into a plan.
-    ///
-    /// * `inputs` — variables bound by the caller before execution (slots
-    ///   `0..inputs.len()` in input order);
-    /// * `body` — literals, evaluated in the given order (equalities are
-    ///   hoisted to the earliest point at which they are executable);
-    /// * `output` — terms (variables or constants) forming the emitted row.
-    ///
-    /// Fails if an output variable is never bound, or an equality involves
-    /// variables bound by no atom.
+    /// Compiles `body` in source order — [`Planner::plan`] with a
+    /// source-order planner, and `inputs` bound by the caller before
+    /// execution (slots `0..inputs.len()` in input order). `output` is the
+    /// emitted row.
     pub fn compile(
         inputs: &[Sym],
         body: &[PlanLiteral],
         output: &[Term],
     ) -> Result<ConjPlan, EvalError> {
-        let mut builder = Builder::new(inputs)?;
-        let mut pending = Pending::default();
-        builder.flush_pending(&mut pending)?;
-        for lit in body {
-            match lit {
-                PlanLiteral::Atom(atom) => builder.push_scan(atom)?,
-                PlanLiteral::Neg(atom) => pending.negs.push(atom.clone()),
-                PlanLiteral::Eq(l, r) => pending.eqs.push((*l, *r)),
-                PlanLiteral::Sum(d, a, b) => pending.sums.push((*d, *a, *b)),
-            }
-            builder.flush_pending(&mut pending)?;
-        }
-        if !pending.eqs.is_empty() || !pending.sums.is_empty() {
-            return Err(EvalError::Planning(
-                "equality or sum literal over variables that are never bound".into(),
-            ));
-        }
-        if !pending.negs.is_empty() {
-            return Err(EvalError::Planning(
-                "negated literal over variables that are never bound positively".into(),
-            ));
-        }
-        builder.finish(output)
+        Planner::source_order().place(inputs, body, 0)?.finish(body, output)
     }
 
     /// Executes the plan whole, calling `emit` once per result row — a
@@ -528,206 +505,6 @@ impl Kernel<'_> {
     }
 }
 
-impl PlanLiteral {
-    pub(crate) fn vars_for_reorder(&self) -> Vec<Sym> {
-        let of_terms = |terms: &[&Term]| {
-            terms
-                .iter()
-                .filter_map(|t| match t {
-                    Term::Var(v) => Some(*v),
-                    Term::Const(_) => None,
-                })
-                .collect()
-        };
-        match self {
-            // A negation binds nothing, but it is only ever picked once its
-            // variables are bound, so reporting them is harmless.
-            PlanLiteral::Atom(a) | PlanLiteral::Neg(a) => {
-                of_terms(&a.terms.iter().collect::<Vec<_>>())
-            }
-            PlanLiteral::Eq(l, r) => of_terms(&[l, r]),
-            PlanLiteral::Sum(d, a, b) => of_terms(&[d, a, b]),
-        }
-    }
-}
-
-/// Literals seen but not yet executable: equalities and sums wait for a
-/// bound side, negations wait for every variable to be bound.
-#[derive(Default)]
-struct Pending {
-    eqs: Vec<(Term, Term)>,
-    sums: Vec<(Term, Term, Term)>,
-    negs: Vec<PlanAtom>,
-}
-
-struct Builder {
-    steps: Vec<Step>,
-    var_names: Vec<Sym>,
-    bound: Vec<bool>,
-    n_inputs: usize,
-}
-
-impl Builder {
-    fn new(inputs: &[Sym]) -> Result<Self, EvalError> {
-        let mut b = Builder {
-            steps: Vec::new(),
-            var_names: Vec::new(),
-            bound: Vec::new(),
-            n_inputs: inputs.len(),
-        };
-        for &v in inputs {
-            if b.var_names.contains(&v) {
-                return Err(EvalError::Planning(format!("duplicate input variable slot for {v}")));
-            }
-            b.var_names.push(v);
-            b.bound.push(true);
-        }
-        Ok(b)
-    }
-
-    fn slot_of(&mut self, v: Sym) -> usize {
-        if let Some(i) = self.var_names.iter().position(|&n| n == v) {
-            return i;
-        }
-        self.var_names.push(v);
-        self.bound.push(false);
-        self.var_names.len() - 1
-    }
-
-    fn term_spec(&mut self, t: &Term) -> Result<TermSpec, EvalError> {
-        Ok(match t {
-            Term::Var(v) => TermSpec::Slot(self.slot_of(*v)),
-            Term::Const(c) => TermSpec::Const(Value::from_const(*c)?),
-        })
-    }
-
-    fn push_scan(&mut self, atom: &PlanAtom) -> Result<(), EvalError> {
-        let (mut key_cols, mut key, mut binds, mut same) = (vec![], vec![], vec![], vec![]);
-        for (c, term) in atom.terms.iter().enumerate() {
-            match self.term_spec(term)? {
-                TermSpec::Slot(s) if !self.bound[s] => {
-                    // Unbound before the scan: its first column in this atom
-                    // binds it, any further one must agree with that column.
-                    match binds.iter().find(|&&(_, bound)| bound == s) {
-                        Some(&(first, _)) => same.push((c, first)),
-                        None => binds.push((c, s)),
-                    }
-                }
-                spec => {
-                    key_cols.push(c);
-                    key.push(spec);
-                }
-            }
-        }
-        // Every slot mentioned becomes bound after the scan.
-        for &(_, s) in &binds {
-            self.bound[s] = true;
-        }
-        self.steps.push(Step::Scan { rel: atom.rel, key_cols, key, binds, same });
-        Ok(())
-    }
-
-    /// Emits every pending equality, sum, and negation that has become
-    /// executable; loops until a fixpoint since one binding can enable
-    /// another (an equality can bind a sum operand, a sum can bind a
-    /// negation's variable, and so on).
-    fn flush_pending(&mut self, pending: &mut Pending) -> Result<(), EvalError> {
-        loop {
-            let mut progressed = false;
-            let mut i = 0;
-            while i < pending.eqs.len() {
-                let (l, r) = pending.eqs[i];
-                let l_spec = self.term_spec(&l)?;
-                let r_spec = self.term_spec(&r)?;
-                let lb = self.spec_bound(&l_spec);
-                let rb = self.spec_bound(&r_spec);
-                if lb && rb {
-                    self.steps.push(Step::EqCheck { a: l_spec, b: r_spec });
-                } else if lb {
-                    let TermSpec::Slot(s) = r_spec else { unreachable!("unbound const") };
-                    self.bound[s] = true;
-                    self.steps.push(Step::EqBind { slot: s, from: l_spec });
-                } else if rb {
-                    let TermSpec::Slot(s) = l_spec else { unreachable!("unbound const") };
-                    self.bound[s] = true;
-                    self.steps.push(Step::EqBind { slot: s, from: r_spec });
-                } else {
-                    i += 1;
-                    continue;
-                }
-                pending.eqs.remove(i);
-                progressed = true;
-            }
-            let mut i = 0;
-            while i < pending.sums.len() {
-                let (d, a, b) = pending.sums[i];
-                let d_spec = self.term_spec(&d)?;
-                let a_spec = self.term_spec(&a)?;
-                let b_spec = self.term_spec(&b)?;
-                if !(self.spec_bound(&a_spec) && self.spec_bound(&b_spec)) {
-                    i += 1;
-                    continue;
-                }
-                if self.spec_bound(&d_spec) {
-                    self.steps.push(Step::SumCheck { dst: d_spec, a: a_spec, b: b_spec });
-                } else {
-                    let TermSpec::Slot(s) = d_spec else { unreachable!("unbound const") };
-                    self.bound[s] = true;
-                    self.steps.push(Step::SumBind { slot: s, a: a_spec, b: b_spec });
-                }
-                pending.sums.remove(i);
-                progressed = true;
-            }
-            let mut i = 0;
-            while i < pending.negs.len() {
-                let atom = pending.negs[i].clone();
-                let cols: Vec<TermSpec> =
-                    atom.terms.iter().map(|t| self.term_spec(t)).collect::<Result<_, _>>()?;
-                if !cols.iter().all(|c| self.spec_bound(c)) {
-                    i += 1;
-                    continue;
-                }
-                self.steps.push(Step::NegCheck { rel: atom.rel, cols });
-                pending.negs.remove(i);
-                progressed = true;
-            }
-            if !progressed {
-                return Ok(());
-            }
-        }
-    }
-
-    fn spec_bound(&self, spec: &TermSpec) -> bool {
-        match spec {
-            TermSpec::Const(_) => true,
-            TermSpec::Slot(s) => self.bound[*s],
-        }
-    }
-
-    fn finish(mut self, output: &[Term]) -> Result<ConjPlan, EvalError> {
-        let mut out = Vec::with_capacity(output.len());
-        for t in output {
-            let spec = self.term_spec(t)?;
-            if let TermSpec::Slot(s) = spec {
-                if !self.bound[s] {
-                    return Err(EvalError::Planning(format!(
-                        "output variable {} is never bound by the body",
-                        self.var_names[s]
-                    )));
-                }
-            }
-            out.push(spec);
-        }
-        Ok(ConjPlan {
-            steps: self.steps,
-            n_slots: self.var_names.len(),
-            n_inputs: self.n_inputs,
-            output: out,
-            var_names: self.var_names,
-        })
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use std::alloc::{GlobalAlloc, Layout, System};
@@ -936,9 +713,10 @@ pub(crate) mod tests {
         assert_eq!(run_collect(&plan, &db, &[]).len(), 4);
     }
 
-    /// The planner's order with no statistics at all.
-    fn blind_order(body: &[PlanLiteral]) -> Vec<PlanLiteral> {
-        crate::planner::Planner::new(crate::planner::PlanMode::CostBased, None).order(&[], body, 0)
+    /// The planner's plan with no statistics at all.
+    fn blind_plan(body: &[PlanLiteral], output: &[Term]) -> ConjPlan {
+        let planner = Planner::new(crate::planner::PlanMode::CostBased, None);
+        planner.plan(body, 0, output).unwrap()
     }
 
     #[test]
@@ -957,7 +735,7 @@ pub(crate) mod tests {
         let body: Vec<PlanLiteral> =
             rule.body.iter().map(|l| PlanLiteral::from_literal(l, &RelKey::Pred)).collect();
         let source_order = ConjPlan::compile(&[], &body, &rule.head.terms).unwrap();
-        let reordered = ConjPlan::compile(&[], &blind_order(&body), &rule.head.terms).unwrap();
+        let reordered = blind_plan(&body, &rule.head.terms);
         let run = |plan: &ConjPlan| -> (usize, u64) {
             let mut store = RelStore::new();
             for (pred, r) in db.relations() {
@@ -1005,15 +783,13 @@ pub(crate) mod tests {
             }),
             PlanLiteral::Eq(Term::Var(y), Term::sym(i.intern("c"))),
         ];
-        let ordered = blind_order(&body);
-        assert!(
-            matches!(ordered[0], PlanLiteral::Eq(..)),
-            "constant equality is executable up front"
-        );
-        let PlanLiteral::Atom(first) = &ordered[1] else { panic!("second literal is an atom") };
-        assert_eq!(first.rel, RelKey::Pred(keyed), "doubly-constant probe beats the open scan");
-        let PlanLiteral::Atom(last) = &ordered[2] else { panic!("third literal is an atom") };
-        assert_eq!(last.rel, RelKey::Pred(wide));
+        let plan = blind_plan(&body, &[]);
+        let [eq, first, last] = &plan.steps[..] else { panic!("{:?}", plan.steps) };
+        assert!(matches!(eq, Step::EqBind { .. }), "constant equality is executable up front");
+        let Step::Scan { rel, .. } = first else { panic!("second step is a scan") };
+        assert_eq!(*rel, RelKey::Pred(keyed), "doubly-constant probe beats the open scan");
+        let Step::Scan { rel, .. } = last else { panic!("third step is a scan") };
+        assert_eq!(*rel, RelKey::Pred(wide));
     }
 
     /// Regression: a body with zero positive atoms (possible once negation
@@ -1029,16 +805,15 @@ pub(crate) mod tests {
             PlanLiteral::Neg(PlanAtom { rel: RelKey::Pred(q), terms: vec![Term::Var(x)] }),
             PlanLiteral::Eq(Term::Var(x), Term::int(3)),
         ];
-        let ordered = blind_order(&body);
-        assert!(matches!(ordered[0], PlanLiteral::Eq(..)), "binding equality first");
-        assert!(matches!(ordered[1], PlanLiteral::Neg(..)));
-        // And the reordered body compiles and runs.
-        let plan = ConjPlan::compile(&[], &ordered, &[Term::Var(x)]).unwrap();
+        let plan = blind_plan(&body, &[Term::Var(x)]);
+        assert!(matches!(plan.steps[0], Step::EqBind { .. }), "binding equality first");
+        assert!(matches!(plan.steps[1], Step::NegCheck { .. }));
+        // And the plan runs.
         let db = Database::new();
         let rows = run_collect(&plan, &db, &[]);
         assert_eq!(rows, vec![vec![Value::int(3).unwrap()]]);
-        // An empty body reorders to an empty body without panicking.
-        assert!(blind_order(&[]).is_empty());
+        // An empty body plans to an empty plan without panicking.
+        assert!(blind_plan(&[], &[]).steps.is_empty());
     }
 
     #[test]

@@ -1,43 +1,47 @@
-//! Statistics-driven greedy join ordering.
+//! Join planning: one loop orders a conjunction, places its filters and
+//! compiles it, and the plan it emits carries its own estimates.
 //!
-//! Every evaluator in the workspace compiles rule bodies into left-to-right
-//! index-nested-loop joins ([`crate::plan::ConjPlan`]); the *order* of the
-//! subgoals decides how large the intermediate results get, which is
-//! exactly the paper's cost metric (Definition 4.2: algorithms are compared
-//! by the sizes of the relations they construct). This module picks that
-//! order from data rather than from the program text: at each step the
-//! [`Planner`] chooses the remaining subgoal with the smallest estimated
-//! output cardinality given the variables already bound, using the classic
-//! uniform-selectivity model
+//! Every evaluator in the workspace runs rule bodies as left-to-right
+//! index-nested-loop joins ([`ConjPlan`]); the *order* of the subgoals
+//! decides how large the intermediate results get, which is exactly the
+//! paper's cost metric (Definition 4.2: algorithms are compared by the
+//! sizes of the relations they construct). [`Planner::plan`] is one state
+//! machine over the body, in the shape of dialog-db's planner: it takes
+//! the pinned prefix first, then at each step the cheapest remaining
+//! literal, compiles it straight into its [`Step`], and updates the one set
+//! of bound slots. A ready equality, sum or negation costs −∞; an atom
+//! costs its estimated output cardinality given the variables already
+//! bound, under the uniform-selectivity model
 //!
 //! ```text
 //! estimate(atom) = rows(rel) / Π { distinct(rel, c) : column c bound }
 //! ```
 //!
-//! over the exact row/distinct counts that [`sepra_storage::RelStats`]
-//! maintains on every EDB mutation path. When no statistics exist (an
-//! empty database, or synthetic relations) the same loop runs over an
-//! empty snapshot — every relation at the unknown-size estimate, so the
-//! subgoal with the most bound columns (constants included) goes first —
-//! and counts the fallback, so servers can observe how often they plan
-//! blind.
+//! over the exact counts [`sepra_storage::RelStats`] maintains on every EDB
+//! mutation path; ties go to the earliest source position. In
+//! [`PlanMode::SourceOrder`] literals are taken in source position. A
+//! filter that is not ready waits until a binding makes it ready
+//! (equalities go out before sums, sums before negations); one that still
+//! waits at the end is the planning error ([`Planner::blocked`]). Each
+//! scan keeps the `(rows, estimate)` it was chosen by in
+//! [`ConjPlan::scans`], which is what `--explain` prints. Without
+//! statistics the same loop runs over an empty snapshot — every relation at
+//! the unknown-size estimate, so the subgoal with the most bound columns
+//! goes first — and counts the fallback.
 //!
-//! Ordering is semantics-preserving — conjunctions of positive atoms,
-//! equalities, sums, and stratified negations commute (a negated literal
-//! reads only *completed* lower strata, so moving it never changes what it
-//! observes; the compiler still requires its variables to be bound
-//! positively first) — so evaluators apply it freely; the only constraint
-//! is structural: plans that are sharded over their first scan (parallel
-//! delta rounds, the carry loops of the Separable executor) *pin* a prefix
-//! that the planner must not move, which callers express with the `pinned`
-//! argument of [`Planner::order`].
+//! Ordering is semantics-preserving — positive atoms, equalities, sums and
+//! stratified negations commute (a negation reads only *completed* lower
+//! strata) — so the only constraint is structural: plans sharded over
+//! their first scan (parallel delta rounds, the Separable carry loops)
+//! *pin* that prefix with the `pinned` argument of [`Planner::plan`].
 
 use std::cell::Cell;
 
 use sepra_ast::{Sym, Term};
-use sepra_storage::{Database, EvalStats, FxHashMap, FxHashSet, Relation};
+use sepra_storage::{Database, EvalStats, FxHashMap, FxHashSet, Relation, Value};
 
-use crate::plan::{ConjPlan, PlanAtom, PlanLiteral, RelKey, Step};
+use crate::error::EvalError;
+use crate::plan::{ConjPlan, PlanAtom, PlanLiteral, RelKey, Step, TermSpec};
 
 /// How conjunction bodies are ordered before compilation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -50,16 +54,6 @@ pub enum PlanMode {
     /// Compile bodies exactly as written (the paper's presentation, and
     /// the baseline the E13 benchmark compares against).
     SourceOrder,
-}
-
-/// Row count and per-column distinct counts for one relation, as the
-/// planner sees them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RelEstimate {
-    /// Number of stored tuples.
-    pub rows: f64,
-    /// Distinct values per column.
-    pub distinct: Vec<f64>,
 }
 
 /// Assumed selectivity divisor for a bound column whose distinct count is
@@ -91,7 +85,8 @@ const MIN_ESTIMATE: f64 = 1e-6;
 /// once as a fallback).
 #[derive(Debug, Clone, Default)]
 pub struct PlannerStats {
-    rels: FxHashMap<Sym, RelEstimate>,
+    /// Per relation: its row count and the distinct values per column.
+    rels: FxHashMap<Sym, (f64, Vec<f64>)>,
 }
 
 impl PlannerStats {
@@ -108,104 +103,40 @@ impl PlannerStats {
     /// maintained statistics when present and counting by scan otherwise.
     pub fn add_relation(&mut self, pred: Sym, rel: &Relation) {
         let est = match rel.stats() {
-            Some(rs) => RelEstimate {
-                rows: rs.rows() as f64,
-                distinct: (0..rel.arity()).map(|c| rs.distinct(c) as f64).collect(),
-            },
-            None => {
-                let mut seen: Vec<FxHashSet<sepra_storage::Value>> =
-                    vec![FxHashSet::default(); rel.arity()];
-                for (c, seen_col) in seen.iter_mut().enumerate() {
-                    seen_col.extend(rel.column(c).iter().copied());
-                }
-                RelEstimate {
-                    rows: rel.len() as f64,
-                    distinct: seen.iter().map(|s| s.len() as f64).collect(),
-                }
+            Some(rs) => {
+                (rs.rows() as f64, (0..rel.arity()).map(|c| rs.distinct(c) as f64).collect())
             }
+            None => (
+                rel.len() as f64,
+                (0..rel.arity())
+                    .map(|c| rel.column(c).iter().collect::<FxHashSet<&Value>>().len() as f64)
+                    .collect(),
+            ),
         };
         self.rels.insert(pred, est);
     }
 
-    /// Whether no relation has any statistics (planning would be blind).
-    pub fn is_empty(&self) -> bool {
-        self.rels.is_empty()
-    }
-
-    /// The estimate recorded for `pred`, if any.
-    pub fn get(&self, pred: Sym) -> Option<&RelEstimate> {
-        self.rels.get(&pred)
-    }
-
-    /// Assumed size for relations the snapshot knows nothing about — see
-    /// `UNKNOWN_ROWS` for why "unknown" implies "small".
-    pub fn unknown_rows(&self) -> f64 {
-        UNKNOWN_ROWS
-    }
-
-    /// `(rows, per-column distincts)` for an abstract relation key.
-    fn lookup(&self, rel: RelKey) -> (f64, Option<&[f64]>) {
-        match rel {
-            RelKey::Pred(p) => match self.rels.get(&p) {
-                Some(e) => (e.rows, Some(e.distinct.as_slice())),
-                None => (self.unknown_rows(), None),
-            },
-            RelKey::Delta(p) => match self.rels.get(&p) {
-                Some(e) => (e.rows * DELTA_FRACTION, Some(e.distinct.as_slice())),
-                None => (self.unknown_rows() * DELTA_FRACTION, None),
-            },
+    /// `(rows of rel, estimated rows a scan of it emits)` with the columns
+    /// `keyed` bound: the rows over the distinct count of each keyed column.
+    fn atom_estimate(&self, rel: RelKey, keyed: impl IntoIterator<Item = usize>) -> (f64, f64) {
+        let known = |p, fraction| match self.rels.get(&p) {
+            Some((rows, distinct)) => (rows * fraction, Some(distinct.as_slice())),
+            None => (UNKNOWN_ROWS * fraction, None),
+        };
+        let (rows, distinct) = match rel {
+            RelKey::Pred(p) => known(p, 1.0),
+            RelKey::Delta(p) => known(p, DELTA_FRACTION),
             RelKey::Aux(_) => (AUX_ROWS, None),
-        }
-    }
-
-    /// Estimated result rows of scanning `atom` with the variables in
-    /// `bound` already bound.
-    pub fn atom_estimate(&self, atom: &PlanAtom, bound: &[Sym]) -> f64 {
-        let (rows, distinct) = self.lookup(atom.rel);
+        };
         let mut est = rows.max(1.0);
-        for (c, t) in atom.terms.iter().enumerate() {
-            let is_bound = match t {
-                Term::Const(_) => true,
-                Term::Var(v) => bound.contains(v),
-            };
-            if is_bound {
-                let d = distinct.and_then(|d| d.get(c).copied()).unwrap_or(DEFAULT_DISTINCT);
-                est /= d.max(1.0);
-            }
+        for c in keyed {
+            est /= distinct.and_then(|d| d.get(c).copied()).unwrap_or(DEFAULT_DISTINCT).max(1.0);
         }
-        est.max(MIN_ESTIMATE)
-    }
-
-    /// Per-scan estimates of a compiled plan, in execution order — the
-    /// numbers `:plan` / `--explain` print. For each `Scan` step the
-    /// estimate divides the relation's rows by the distinct count of every
-    /// key column (the columns bound when the scan starts).
-    pub fn estimate_scans(&self, plan: &ConjPlan) -> Vec<ScanEstimate> {
-        plan.steps
-            .iter()
-            .filter_map(|s| match s {
-                Step::Scan { rel, key_cols, .. } => {
-                    let (rows, distinct) = self.lookup(*rel);
-                    let mut est = rows.max(1.0);
-                    for &c in key_cols {
-                        let d =
-                            distinct.and_then(|d| d.get(c).copied()).unwrap_or(DEFAULT_DISTINCT);
-                        est /= d.max(1.0);
-                    }
-                    Some(ScanEstimate {
-                        rel: *rel,
-                        rows,
-                        estimate: est.max(MIN_ESTIMATE),
-                        keyed_cols: key_cols.len(),
-                    })
-                }
-                _ => None,
-            })
-            .collect()
+        (rows, est.max(MIN_ESTIMATE))
     }
 }
 
-/// The cost estimate for one `Scan` step of a compiled plan.
+/// The cost estimate one `Scan` step of a plan was chosen by.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScanEstimate {
     /// The relation scanned.
@@ -219,8 +150,18 @@ pub struct ScanEstimate {
     pub keyed_cols: usize,
 }
 
-/// Orders conjunction bodies for compilation, counting how often it ran
-/// and how often it had no statistics to run on.
+/// A body literal that no join order can place: nothing binds what it
+/// needs. It is what the planning error of [`Planner::plan`] reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Blocked {
+    /// Its position in the body.
+    pub literal: usize,
+    /// A variable it needs that nothing binds.
+    pub var: Sym,
+}
+
+/// Plans conjunction bodies, counting how often it costed one and how
+/// often it had no statistics to cost it with.
 #[derive(Debug)]
 pub struct Planner<'a> {
     mode: PlanMode,
@@ -240,11 +181,6 @@ impl<'a> Planner<'a> {
         Planner::new(PlanMode::SourceOrder, None)
     }
 
-    /// The ordering mode.
-    pub fn mode(&self) -> PlanMode {
-        self.mode
-    }
-
     /// `(plans costed, fallbacks)` since construction.
     pub fn counters(&self) -> (usize, usize) {
         (self.costed.get(), self.fallbacks.get())
@@ -256,106 +192,312 @@ impl<'a> Planner<'a> {
         stats.plan_fallbacks += self.fallbacks.get();
     }
 
-    /// Returns `body` reordered for compilation.
+    /// Plans `body` into a [`ConjPlan`] emitting `output` per match.
     ///
-    /// The first `pinned` literals stay in place (their variables count as
-    /// bound for everything after them) — callers pin scans that sharding
-    /// relies on being outermost. `inputs` are the caller-bound variables
-    /// of [`ConjPlan::compile`]. In [`PlanMode::SourceOrder`], or when
-    /// nothing can move, the body is returned unchanged and uncounted.
-    pub fn order(&self, inputs: &[Sym], body: &[PlanLiteral], pinned: usize) -> Vec<PlanLiteral> {
+    /// The first `pinned` literals are taken first, in source order —
+    /// callers pin scans that sharding relies on being outermost.
+    /// A body is costed (and counted) only in [`PlanMode::CostBased`] and
+    /// with more than one literal after the pinned prefix; otherwise it
+    /// goes in source order. Fails if a literal can never run, or an
+    /// output variable is never bound.
+    pub fn plan(
+        &self,
+        body: &[PlanLiteral],
+        pinned: usize,
+        output: &[Term],
+    ) -> Result<ConjPlan, EvalError> {
+        self.place(&[], body, pinned)?.finish(body, output)
+    }
+
+    /// The literal of `body` that no order can place, if any: the one the
+    /// planning error of [`Planner::plan`] is about.
+    pub fn blocked(body: &[PlanLiteral]) -> Option<Blocked> {
+        Planner::source_order().place(&[], body, 0).ok()?.blocked(body)
+    }
+
+    /// The loop: takes every literal of `body`, cheapest first, into a plan
+    /// whose first slots are the `inputs` the caller binds before execution.
+    pub(crate) fn place(
+        &self,
+        inputs: &[Sym],
+        body: &[PlanLiteral],
+        pinned: usize,
+    ) -> Result<Builder, EvalError> {
+        let mut b = Builder::new(inputs)?;
         let pinned = pinned.min(body.len());
-        if self.mode == PlanMode::SourceOrder || body.len() <= pinned + 1 {
-            return body.to_vec();
+        let costed = self.mode == PlanMode::CostBased && body.len() > pinned + 1;
+        let stats = self.stats.filter(|s| !s.rels.is_empty());
+        if costed {
+            self.costed.set(self.costed.get() + 1);
+            self.fallbacks.set(self.fallbacks.get() + usize::from(stats.is_none()));
         }
-        let mut bound: Vec<Sym> = inputs.to_vec();
-        let mut out: Vec<PlanLiteral> = Vec::with_capacity(body.len());
-        for lit in &body[..pinned] {
-            bind_vars(&mut bound, lit);
-            out.push(lit.clone());
-        }
-        self.costed.set(self.costed.get() + 1);
         let blind = PlannerStats::default();
-        let stats = self.stats.filter(|s| !s.is_empty()).unwrap_or_else(|| {
-            self.fallbacks.set(self.fallbacks.get() + 1);
-            &blind
-        });
-        let mut remaining: Vec<&PlanLiteral> = body[pinned..].iter().collect();
-        while !remaining.is_empty() {
-            let mut best: Option<(usize, f64)> = None;
-            for (i, lit) in remaining.iter().enumerate() {
-                let is_bound = |t: &Term| match t {
-                    Term::Const(_) => true,
-                    Term::Var(v) => bound.contains(v),
+        let stats = stats.unwrap_or(&blind);
+        // Literals before `in_order` are taken in source position.
+        let in_order = if costed { pinned } else { body.len() };
+        let mut remaining: Vec<usize> = (0..body.len()).collect();
+        while let Some(&first) = remaining.first() {
+            let next = if first < in_order {
+                0
+            } else {
+                // A cost reads the variables the plan has named so far: the
+                // bound ones, and those of a pinned filter still waiting,
+                // which the caller put first to bind them.
+                let cost = |&i: &usize| match &body[i] {
+                    PlanLiteral::Atom(atom) => stats.atom_estimate(atom.rel, b.keyed(atom)).1,
+                    lit if ready(lit, terms(lit).map(|t| b.named(t))) => f64::NEG_INFINITY,
+                    _ => f64::INFINITY,
                 };
-                let cost = match lit {
-                    PlanLiteral::Eq(l, r) => {
-                        // An executable equality is a free filter/binding:
-                        // always next. An inexecutable one must wait.
-                        if is_bound(l) || is_bound(r) {
-                            f64::NEG_INFINITY
-                        } else {
-                            f64::INFINITY
-                        }
-                    }
-                    // A fully bound negation is a free filter; one with
-                    // unbound variables cannot run yet (negation binds
-                    // nothing, so it must wait for positive literals).
-                    PlanLiteral::Neg(atom) => {
-                        if atom.terms.iter().all(is_bound) {
-                            f64::NEG_INFINITY
-                        } else {
-                            f64::INFINITY
-                        }
-                    }
-                    // A sum is executable once both operands are bound.
-                    PlanLiteral::Sum(_, a, b) => {
-                        if is_bound(a) && is_bound(b) {
-                            f64::NEG_INFINITY
-                        } else {
-                            f64::INFINITY
-                        }
-                    }
-                    PlanLiteral::Atom(atom) => stats.atom_estimate(atom, &bound),
-                };
-                // Strict `<` keeps the earliest literal on ties, so the
-                // chosen order is deterministic.
-                if best.is_none_or(|(_, b)| cost < b) {
-                    best = Some((i, cost));
-                }
-            }
-            let (idx, _) = best.expect("remaining non-empty");
-            let lit = remaining.remove(idx);
-            bind_vars(&mut bound, lit);
-            out.push(lit.clone());
+                // `min_by` keeps the earliest of equal costs.
+                let costs = remaining.iter().map(cost).enumerate();
+                costs.min_by(|x, y| x.1.total_cmp(&y.1)).map_or(0, |(k, _)| k)
+            };
+            b.take(body, remaining.remove(next), stats)?;
         }
-        out
+        Ok(b)
     }
 }
 
-fn bind_vars(bound: &mut Vec<Sym>, lit: &PlanLiteral) {
-    for v in lit.vars_for_reorder() {
-        if !bound.contains(&v) {
-            bound.push(v);
+/// The terms of `lit`, in the order its step reads them.
+fn terms(lit: &PlanLiteral) -> impl Iterator<Item = &Term> {
+    let (cols, small): (&[Term], [Option<&Term>; 3]) = match lit {
+        PlanLiteral::Atom(atom) | PlanLiteral::Neg(atom) => (&atom.terms, [None; 3]),
+        PlanLiteral::Eq(l, r) => (&[], [Some(l), Some(r), None]),
+        PlanLiteral::Sum(d, a, b) => (&[], [Some(d), Some(a), Some(b)]),
+    };
+    cols.iter().chain(small.into_iter().flatten())
+}
+
+/// Whether `lit` can run, given which of its [`terms`] are bound: an atom
+/// always, an equality with one side bound, a sum with both addends, a
+/// negation with every column.
+fn ready(lit: &PlanLiteral, mut bound: impl Iterator<Item = bool>) -> bool {
+    match lit {
+        PlanLiteral::Atom(_) => true,
+        PlanLiteral::Eq(..) => bound.any(|b| b),
+        PlanLiteral::Sum(..) => bound.skip(1).all(|b| b),
+        PlanLiteral::Neg(_) => bound.all(|b| b),
+    }
+}
+
+/// The plan under construction (its slots are the variables named so
+/// far), which slots are bound, and the literals taken but not yet ready.
+#[derive(Default)]
+pub(crate) struct Builder {
+    plan: ConjPlan,
+    bound: Vec<bool>,
+    /// Taken literals that cannot run yet, with their terms' specs.
+    waiting: Vec<(usize, Vec<TermSpec>)>,
+}
+
+impl Builder {
+    fn new(inputs: &[Sym]) -> Result<Self, EvalError> {
+        let mut b = Builder::default();
+        b.plan.n_inputs = inputs.len();
+        for &v in inputs {
+            if b.plan.var_names.contains(&v) {
+                return Err(EvalError::Planning(format!("duplicate input variable slot for {v}")));
+            }
+            b.plan.var_names.push(v);
+            b.bound.push(true);
         }
+        Ok(b)
+    }
+
+    /// Whether `t` is a constant or a variable with a slot.
+    fn named(&self, t: &Term) -> bool {
+        !matches!(t, Term::Var(v) if !self.plan.var_names.contains(v))
+    }
+
+    /// The columns of `atom` a scan of it would key on now.
+    fn keyed<'t>(&'t self, atom: &'t PlanAtom) -> impl Iterator<Item = usize> + 't {
+        atom.terms.iter().enumerate().filter(|(_, t)| self.named(t)).map(|(c, _)| c)
+    }
+
+    fn term_spec(&mut self, t: &Term) -> Result<TermSpec, EvalError> {
+        Ok(match t {
+            Term::Var(v) => TermSpec::Slot(match self.plan.var_names.iter().position(|n| n == v) {
+                Some(s) => s,
+                None => {
+                    self.plan.var_names.push(*v);
+                    self.bound.push(false);
+                    self.plan.var_names.len() - 1
+                }
+            }),
+            Term::Const(c) => TermSpec::Const(Value::from_const(*c)?),
+        })
+    }
+
+    fn spec_bound(&self, spec: &TermSpec) -> bool {
+        match spec {
+            TermSpec::Const(_) => true,
+            TermSpec::Slot(s) => self.bound[*s],
+        }
+    }
+
+    /// Takes literal `i` of `body`, naming its variables, then emits every
+    /// taken literal that can run. The waiting literals are kept atoms
+    /// first, then equalities, sums and negations, each kind in the order
+    /// taken; a round is one pass in that order, and rounds repeat until
+    /// one emits nothing.
+    fn take(
+        &mut self,
+        body: &[PlanLiteral],
+        i: usize,
+        stats: &PlannerStats,
+    ) -> Result<(), EvalError> {
+        let specs: Vec<_> = terms(&body[i]).map(|t| self.term_spec(t)).collect::<Result<_, _>>()?;
+        // With nothing waiting, a literal that can run is the only one.
+        if self.waiting.is_empty() && ready(&body[i], specs.iter().map(|s| self.spec_bound(s))) {
+            self.emit(&body[i], specs, stats);
+            return Ok(());
+        }
+        let rank = |i: usize| match body[i] {
+            PlanLiteral::Atom(_) => 0,
+            PlanLiteral::Eq(..) => 1,
+            PlanLiteral::Sum(..) => 2,
+            PlanLiteral::Neg(_) => 3,
+        };
+        let at = self.waiting.partition_point(|&(j, _)| rank(j) <= rank(i));
+        self.waiting.insert(at, (i, specs));
+        let mut moved = true;
+        while std::mem::take(&mut moved) && !self.waiting.is_empty() {
+            let mut k = 0;
+            while let Some((i, specs)) = self.waiting.get(k) {
+                if ready(&body[*i], specs.iter().map(|s| self.spec_bound(s))) {
+                    let (i, specs) = self.waiting.remove(k);
+                    self.emit(&body[i], specs, stats);
+                    moved = true;
+                } else {
+                    k += 1;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Binds `spec`'s slot, which is unbound, and returns it.
+    fn bind(&mut self, spec: TermSpec) -> usize {
+        let TermSpec::Slot(s) = spec else { unreachable!("an unbound spec is a slot") };
+        self.bound[s] = true;
+        s
+    }
+
+    /// Emits the step of `lit`, which is ready, over its terms' `specs`.
+    fn emit(&mut self, lit: &PlanLiteral, specs: Vec<TermSpec>, stats: &PlannerStats) {
+        let step = match lit {
+            PlanLiteral::Atom(atom) => {
+                let (mut key_cols, mut key, mut binds, mut same) = (vec![], vec![], vec![], vec![]);
+                for (c, spec) in specs.into_iter().enumerate() {
+                    match spec {
+                        TermSpec::Slot(s) if !self.bound[s] => {
+                            // Unbound before the scan: its first column in
+                            // this atom binds it, a later one must agree.
+                            match binds.iter().find(|&&(_, bound)| bound == s) {
+                                Some(&(first, _)) => same.push((c, first)),
+                                None => binds.push((c, s)),
+                            }
+                        }
+                        spec => {
+                            key_cols.push(c);
+                            key.push(spec);
+                        }
+                    }
+                }
+                for &(_, s) in &binds {
+                    self.bound[s] = true;
+                }
+                let (rows, estimate) = stats.atom_estimate(atom.rel, key_cols.iter().copied());
+                let keyed_cols = key_cols.len();
+                self.plan.scans.push(ScanEstimate { rel: atom.rel, rows, estimate, keyed_cols });
+                Step::Scan { rel: atom.rel, key_cols, key, binds, same }
+            }
+            PlanLiteral::Eq(..) => {
+                let [a, b] = specs[..] else { unreachable!("an equality has two terms") };
+                match (self.spec_bound(&a), self.spec_bound(&b)) {
+                    (true, true) => Step::EqCheck { a, b },
+                    (true, false) => Step::EqBind { slot: self.bind(b), from: a },
+                    _ => Step::EqBind { slot: self.bind(a), from: b },
+                }
+            }
+            PlanLiteral::Sum(..) => {
+                let [dst, a, b] = specs[..] else { unreachable!("a sum has three terms") };
+                if self.spec_bound(&dst) {
+                    Step::SumCheck { dst, a, b }
+                } else {
+                    Step::SumBind { slot: self.bind(dst), a, b }
+                }
+            }
+            PlanLiteral::Neg(atom) => Step::NegCheck { rel: atom.rel, cols: specs },
+        };
+        self.plan.steps.push(step);
+    }
+
+    /// The waiting literal a planning error names — an equality or sum
+    /// before a negation, then the earliest — and a variable it needs.
+    fn blocked(&self, body: &[PlanLiteral]) -> Option<Blocked> {
+        let neg_last = |(i, _): &&(usize, _)| (matches!(body[*i], PlanLiteral::Neg(_)), *i);
+        let &(literal, ref specs) = self.waiting.iter().min_by_key(neg_last)?;
+        // A sum's destination is what it binds, not what it needs.
+        let mut needed =
+            specs.iter().skip(usize::from(matches!(body[literal], PlanLiteral::Sum(..))));
+        let var = needed.find_map(|spec| match spec {
+            TermSpec::Slot(s) if !self.bound[*s] => Some(self.plan.var_names[*s]),
+            _ => None,
+        })?;
+        Some(Blocked { literal, var })
+    }
+
+    /// The plan, emitting `output` per match — or the planning error of a
+    /// literal of `body` still waiting.
+    pub(crate) fn finish(
+        mut self,
+        body: &[PlanLiteral],
+        output: &[Term],
+    ) -> Result<ConjPlan, EvalError> {
+        if let Some(blocked) = self.blocked(body) {
+            return Err(EvalError::Planning(
+                match body[blocked.literal] {
+                    PlanLiteral::Neg(_) => {
+                        "negated literal over variables that are never bound positively"
+                    }
+                    _ => "equality or sum literal over variables that are never bound",
+                }
+                .into(),
+            ));
+        }
+        for t in output {
+            match self.term_spec(t)? {
+                TermSpec::Slot(s) if !self.bound[s] => {
+                    return Err(EvalError::Planning(format!(
+                        "output variable {} is never bound by the body",
+                        self.plan.var_names[s]
+                    )));
+                }
+                spec => self.plan.output.push(spec),
+            }
+        }
+        self.plan.n_slots = self.plan.var_names.len();
+        Ok(self.plan)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sepra_ast::parse_program;
+    use sepra_ast::parse_program_raw;
 
-    fn body_of(src: &str, db: &mut Database) -> Vec<PlanLiteral> {
-        let p = parse_program(src, db.interner_mut()).unwrap();
-        p.rules[0].body.iter().map(|l| PlanLiteral::from_literal(l, &RelKey::Pred)).collect()
+    /// The first rule of `src`: its body, and its head terms as the output.
+    fn rule_of(src: &str, db: &mut Database) -> (Vec<PlanLiteral>, Vec<Term>) {
+        let p = parse_program_raw(src, db.interner_mut()).unwrap();
+        let rule = &p.rules[0];
+        let body = rule.body.iter().map(|l| PlanLiteral::from_literal(l, &RelKey::Pred)).collect();
+        (body, rule.head.terms.clone())
     }
 
-    fn pred_of(lit: &PlanLiteral) -> RelKey {
-        match lit {
-            PlanLiteral::Atom(a) => a.rel,
-            _ => panic!("expected atom"),
-        }
+    /// The relation of each `Scan` step, in order.
+    fn scanned(plan: &ConjPlan) -> Vec<RelKey> {
+        plan.scans.iter().map(|s| s.rel).collect()
     }
 
     #[test]
@@ -365,17 +507,16 @@ mod tests {
             db.insert_named("big", &[&format!("u{i}"), &format!("v{i}")]).unwrap();
         }
         db.load_fact_text("probe(a, u5). q(v5, done).").unwrap();
-        let body = body_of("t(Y) :- big(W, Z), probe(a, W), q(Z, Y).\n", &mut db);
+        let (body, out) = rule_of("t(Y) :- big(W, Z), probe(a, W), q(Z, Y).\n", &mut db);
         let stats = PlannerStats::from_database(&db);
         let planner = Planner::new(PlanMode::CostBased, Some(&stats));
-        let ordered = planner.order(&[], &body, 0);
-        let probe = db.intern("probe");
-        let big = db.intern("big");
+        let plan = planner.plan(&body, 0, &out).unwrap();
+        let [probe, big, q] = ["probe", "big", "q"].map(|p| RelKey::Pred(db.intern(p)));
         // probe(a, W) has 1 row and a constant key: cheapest. With W bound,
         // big(W, Z) is keyed on its 500-distinct column (estimate 1) and no
         // longer starts a 500-row cartesian prefix.
-        assert_eq!(pred_of(&ordered[0]), RelKey::Pred(probe));
-        assert_eq!(pred_of(&ordered[1]), RelKey::Pred(big));
+        assert_eq!(scanned(&plan), [probe, big, q]);
+        assert_eq!((plan.scans[1].rows, plan.scans[1].estimate), (500.0, 1.0));
         assert_eq!(planner.counters(), (1, 0));
     }
 
@@ -386,38 +527,43 @@ mod tests {
             db.insert_named("big", &[&format!("u{i}"), &format!("v{i}")]).unwrap();
         }
         db.load_fact_text("tiny(a).").unwrap();
-        let body = body_of("t(W) :- big(W, Z), tiny(Z).\n", &mut db);
+        let (body, out) = rule_of("t(W) :- big(W, Z), tiny(Z).\n", &mut db);
         let stats = PlannerStats::from_database(&db);
         let planner = Planner::new(PlanMode::CostBased, Some(&stats));
-        let ordered = planner.order(&[], &body, 1);
+        let plan = planner.plan(&body, 1, &out).unwrap();
         let big = db.intern("big");
-        assert_eq!(pred_of(&ordered[0]), RelKey::Pred(big), "pinned scan stayed first");
+        assert_eq!(scanned(&plan)[0], RelKey::Pred(big), "pinned scan stayed first");
     }
 
     #[test]
     fn source_order_and_tiny_bodies_are_untouched_and_uncounted() {
         let mut db = Database::new();
         db.load_fact_text("e(a, b).").unwrap();
-        let body = body_of("t(X, Y) :- e(X, Y).\n", &mut db);
+        let (body, out) = rule_of("t(X, Y) :- e(X, Y).\n", &mut db);
         let stats = PlannerStats::from_database(&db);
         let cost = Planner::new(PlanMode::CostBased, Some(&stats));
-        assert_eq!(cost.order(&[], &body, 0), body);
+        assert_eq!(cost.plan(&body, 0, &out).unwrap().steps.len(), 1);
         assert_eq!(cost.counters(), (0, 0)); // single atom: nothing to do
         let src = Planner::source_order();
-        let two = body_of("t(X, Z) :- e(X, Y), e(Y, Z).\n", &mut db);
-        assert_eq!(src.order(&[], &two, 0), two);
+        let (two, out) = rule_of("t(X, Z) :- e(X, Y), e(Y, Z), X = a.\n", &mut db);
+        let plan = src.plan(&two, 0, &out).unwrap();
+        assert!(matches!(
+            plan.steps[..],
+            [Step::Scan { .. }, Step::Scan { .. }, Step::EqCheck { .. }]
+        ));
+        assert_eq!(plan, ConjPlan::compile(&[], &two, &out).unwrap());
         assert_eq!(src.counters(), (0, 0));
     }
 
     #[test]
     fn missing_stats_fall_back_to_bound_first() {
         let mut db = Database::new();
-        let body = body_of("t(Y) :- big(W, Z), probe(a, W), q(Z, Y).\n", &mut db);
+        let (body, out) = rule_of("t(Y) :- big(W, Z), probe(a, W), q(Z, Y).\n", &mut db);
         let planner = Planner::new(PlanMode::CostBased, None);
-        let ordered = planner.order(&[], &body, 0);
+        let plan = planner.plan(&body, 0, &out).unwrap();
         let probe = db.intern("probe");
         // The heuristic also starts from the constant-keyed probe.
-        assert_eq!(pred_of(&ordered[0]), RelKey::Pred(probe));
+        assert_eq!(scanned(&plan)[0], RelKey::Pred(probe));
         assert_eq!(planner.counters(), (1, 1));
         let mut es = EvalStats::new();
         planner.record_into(&mut es);
@@ -428,35 +574,54 @@ mod tests {
     fn executable_equalities_go_first_dangling_ones_last() {
         let mut db = Database::new();
         db.load_fact_text("e(a, b). e(b, c).").unwrap();
-        let body = body_of("t(X, Y) :- e(X, W), Y = W, X = a.\n", &mut db);
+        let (body, out) = rule_of("t(X, Y) :- e(X, W), Y = W, X = a.\n", &mut db);
         let stats = PlannerStats::from_database(&db);
-        let planner = Planner::new(PlanMode::CostBased, Some(&stats));
-        let ordered = planner.order(&[], &body, 0);
-        // X = a is executable immediately and must precede the scan;
-        // Y = W only becomes executable after e(X, W).
-        assert!(matches!(ordered[0], PlanLiteral::Eq(..)));
-        assert!(matches!(ordered[1], PlanLiteral::Atom(_)));
-        assert!(matches!(ordered[2], PlanLiteral::Eq(..)));
+        let plan = Planner::new(PlanMode::CostBased, Some(&stats)).plan(&body, 0, &out).unwrap();
+        // X = a is executable immediately and binds before the scan, which
+        // then keys on X; Y = W only becomes executable after e(X, W).
+        let [first, scan, last] = &plan.steps[..] else { panic!("{:?}", plan.steps) };
+        assert!(matches!(first, Step::EqBind { slot: 0, .. }));
+        assert!(matches!(scan, Step::Scan { key_cols, .. } if key_cols == &[0]));
+        assert!(matches!(last, Step::EqBind { .. }));
     }
 
     #[test]
-    fn estimate_scans_reflects_key_columns() {
+    fn scans_record_the_estimates_they_were_chosen_by() {
         let mut db = Database::new();
         for i in 0..100 {
             db.insert_named("e", &[&format!("u{i}"), &format!("v{}", i % 10)]).unwrap();
         }
-        let mut i = db.interner().clone();
-        let p = parse_program("t(X, Y) :- e(X, Y), e(Y, X).\n", &mut i).unwrap();
-        let body: Vec<PlanLiteral> =
-            p.rules[0].body.iter().map(|l| PlanLiteral::from_literal(l, &RelKey::Pred)).collect();
-        let plan = ConjPlan::compile(&[], &body, &p.rules[0].head.terms).unwrap();
+        let (body, out) = rule_of("t(X, Y) :- e(X, Y), e(Y, X).\n", &mut db);
         let stats = PlannerStats::from_database(&db);
-        let scans = stats.estimate_scans(&plan);
-        assert_eq!(scans.len(), 2);
-        assert_eq!(scans[0].keyed_cols, 0);
-        assert_eq!(scans[0].estimate, 100.0);
-        assert_eq!(scans[1].keyed_cols, 2);
+        let plan = Planner::new(PlanMode::SourceOrder, Some(&stats)).plan(&body, 0, &out).unwrap();
+        let [outer, inner] = &plan.scans[..] else { panic!("{:?}", plan.scans) };
+        assert_eq!((outer.keyed_cols, outer.estimate), (0, 100.0));
+        assert_eq!(inner.keyed_cols, 2);
         // 100 rows / (100 distinct in col 0 × 10 distinct in col 1) = 0.1.
-        assert!((scans[1].estimate - 0.1).abs() < 1e-9);
+        assert!((inner.estimate - 0.1).abs() < 1e-9);
+    }
+
+    /// The rules every query rejects name the literal and the variable
+    /// nothing binds, in both shapes: an equality and a sum.
+    #[test]
+    fn blocked_names_the_literal_and_the_unbound_variable() {
+        let mut db = Database::new();
+        for (src, var) in
+            [("r(X, Y) :- e(X, Z), Y = W.\n", "Y"), ("r(X, S) :- e(X, Z), S = Z + Q.\n", "Q")]
+        {
+            let (body, out) = rule_of(src, &mut db);
+            let var = db.intern(var);
+            assert_eq!(Planner::blocked(&body), Some(Blocked { literal: 1, var }), "{src}");
+            let err = Planner::source_order().plan(&body, 0, &out).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "planning error: equality or sum literal over variables that are never bound"
+            );
+        }
+        let (body, _) = rule_of("r(X) :- e(X, Z), !f(X, Q).\n", &mut db);
+        let q = db.intern("Q");
+        assert_eq!(Planner::blocked(&body), Some(Blocked { literal: 1, var: q }));
+        let (body, _) = rule_of("r(X) :- e(X, Z), Z = 3.\n", &mut db);
+        assert_eq!(Planner::blocked(&body), None);
     }
 }

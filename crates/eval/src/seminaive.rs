@@ -395,10 +395,10 @@ impl<'a> Rounds<'a> {
     }
 }
 
-/// Compiles one rule with body-atom occurrence `delta_occ` (the body index
-/// of a positive atom) reading the delta relation instead of the full one.
-/// The `planner` orders each body before compilation (a no-op in
-/// source-order mode).
+/// Plans one rule with body-atom occurrence `delta_occ` (the body index
+/// of a positive atom) reading the delta relation instead of the full one,
+/// each plan in one `planner` pass that orders and compiles the body; the
+/// delta-first variant pins the delta scan outermost for sharding.
 pub(crate) fn compile_variant(
     rule: &Rule,
     delta_occ: Option<usize>,
@@ -423,7 +423,7 @@ pub(crate) fn compile_variant(
         Literal::Atom(atom) => atom.pred,
         other => unreachable!("delta occurrence {occ} is not a positive atom: {other:?}"),
     });
-    let plan = ConjPlan::compile(&[], &planner.order(&[], &body, 0), &rule.head.terms)?;
+    let plan = planner.plan(&body, 0, &rule.head.terms)?;
     // Delta-first variant: rotate the delta occurrence to the front and pin
     // it there; the planner orders the rest.
     let par_plan = delta_occ
@@ -432,7 +432,7 @@ pub(crate) fn compile_variant(
             rotated.push(body[occ].clone());
             rotated
                 .extend(body.iter().enumerate().filter(|&(i, _)| i != occ).map(|(_, l)| l.clone()));
-            ConjPlan::compile(&[], &planner.order(&[], &rotated, 1), &rule.head.terms)
+            planner.plan(&rotated, 1, &rule.head.terms)
         })
         .transpose()?;
     Ok(Variant { head: rule.head.pred, delta, plan, par_plan })

@@ -28,6 +28,7 @@ use std::collections::BTreeMap;
 
 use sepra_ast::pretty::{atom_to_string, query_to_string, rule_to_string};
 use sepra_ast::{Atom, DependencyGraph, Interner, Literal, Program, Query, Span, Sym, Term};
+use sepra_eval::{Blocked, PlanLiteral, Planner, RelKey};
 
 use crate::boundedness::Boundedness;
 use crate::diagnostic::Diagnostic;
@@ -73,7 +74,9 @@ pub fn registry() -> Vec<Box<dyn Pass>> {
 
 /// LNT001: rules whose head variables are not bound by the body, and
 /// non-ground facts. These rules would be rejected by the validating
-/// parser; here they become structured diagnostics.
+/// parser; here they become structured diagnostics. So do rules that pass
+/// that check but hold an equality, sum or negation the planner can never
+/// place ([`Planner::blocked`]) — every query of them would fail.
 pub struct UnsafeRules;
 
 impl Pass for UnsafeRules {
@@ -84,6 +87,23 @@ impl Pass for UnsafeRules {
     fn run(&self, ctx: &ProgramContext<'_>, interner: &mut Interner, out: &mut Vec<Diagnostic>) {
         for rule in &ctx.program.rules {
             if rule.is_safe() {
+                let body: Vec<_> =
+                    rule.body.iter().map(|l| PlanLiteral::from_literal(l, &RelKey::Pred)).collect();
+                if let Some(Blocked { literal, var }) = Planner::blocked(&body) {
+                    let kind = match rule.body[literal] {
+                        Literal::Neg(_) => "negation",
+                        Literal::Sum(..) => "sum",
+                        _ => "equality",
+                    };
+                    let (name, pred) = (interner.resolve(var), interner.resolve(rule.head.pred));
+                    let message =
+                        format!("unsafe rule: variable `{name}` of `{pred}` is never bound");
+                    let label = format!("this {kind} waits for `{name}`, which nothing binds");
+                    let note = "an equality runs once one side is bound by a positive literal, \
+                                a sum once both addends are, a negation once every variable is";
+                    let diag = Diagnostic::error("LNT001", message).with_label(rule.span, label);
+                    out.push(diag.with_note(note));
+                }
                 continue;
             }
             // A negated literal filters bound rows; it never binds. Only
@@ -570,6 +590,25 @@ mod tests {
         assert!(lnt1[0].message.contains("`Y`"), "{}", lnt1[0].message);
         assert!(lnt1[1].message.contains("not ground"), "{}", lnt1[1].message);
         assert!(lnt1.iter().all(|d| d.primary_span().is_some()));
+    }
+
+    /// Rules `is_safe` accepts but every query rejects: an equality and a
+    /// sum over a variable nothing binds.
+    #[test]
+    fn unplaceable_equality_and_sum_are_unsafe() {
+        for (src, var, kind) in [
+            ("e(a, b).\nr(X, Y) :- e(X, Z), Y = W.\n", "`Y`", "equality"),
+            ("e(a, b).\nr(X, S) :- e(X, Z), S = Z + Q.\n", "`Q`", "sum"),
+        ] {
+            let diags = run_passes(src, None);
+            let lnt1: Vec<_> = diags.iter().filter(|d| d.code == "LNT001").collect();
+            assert_eq!(lnt1.len(), 1, "{diags:?}");
+            assert!(lnt1[0].message.contains(var), "{}", lnt1[0].message);
+            assert!(lnt1[0].labels[0].message.contains(kind), "{:?}", lnt1[0].labels);
+            assert_eq!(lnt1[0].primary_span().map(|s| s.start), Some(9));
+        }
+        let placed = run_passes("e(a, b).\nr(X, S) :- e(X, Z), S = Z + 1.\n", None);
+        assert!(!codes(&placed).contains(&"LNT001"), "{placed:?}");
     }
 
     #[test]

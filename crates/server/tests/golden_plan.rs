@@ -17,12 +17,15 @@ use std::process::Command;
 
 /// (golden name, fixture, query): a separable selection (carry/seen
 /// schema), a magic-sets selection with a three-literal body the planner
-/// reorders, and an unbound query that falls through to semi-naive rule
-/// conjunctions.
+/// reorders, an unbound query that falls through to semi-naive rule
+/// conjunctions, and stratified programs whose bodies hold a sum and a
+/// negation.
 const CASES: &[(&str, &str, &str)] = &[
     ("buys_bound", "buys", "buys(tom, Y)?"),
     ("sg_bound", "sg", "sg(a, Y)?"),
     ("sg_unbound", "sg", "sg(X, Y)?"),
+    ("str_shortest", "str_shortest", "short(Y, C)?"),
+    ("str_setdiff", "str_setdiff", "unreach(X, Y)?"),
 ];
 
 fn repo_root() -> PathBuf {
