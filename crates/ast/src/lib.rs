@@ -8,8 +8,9 @@
 //! * [`parse`] — a hand-written recursive-descent parser for Prolog-style
 //!   syntax (`buys(X, Y) :- friend(X, W), buys(W, Y).`);
 //! * [`pretty`] — display adapters that render AST nodes back to source text;
-//! * [`analysis`] — predicate dependency graphs, IDB/EDB classification,
-//!   strongly connected components, and extraction of linear recursive
+//! * [`analysis`] — the predicate dependency graph: IDB/EDB
+//!   classification, strongly connected components, stratification for
+//!   negation and aggregates, and extraction of linear recursive
 //!   definitions in the shape the paper assumes (Section 2);
 //! * [`rectify`] — rule rectification (distinct head variables, no head
 //!   constants), as required by the paper's Section 3.3;

@@ -39,6 +39,10 @@ impl fmt::Display for Sym {
 pub struct Interner {
     names: Vec<Box<str>>,
     map: HashMap<Box<str>, Sym>,
+    /// Per [`Interner::fresh`] base, the suffix its next probe starts at:
+    /// every `base_i` below it is already interned, and names are never
+    /// removed, so probing from 0 would return the same name.
+    next_suffix: HashMap<Box<str>, u64>,
 }
 
 impl Interner {
@@ -89,13 +93,13 @@ impl Interner {
         if self.get(base).is_none() {
             return self.intern(base);
         }
-        let mut i: u64 = 0;
+        let next = self.next_suffix.entry(base.into()).or_insert(0);
         loop {
-            let candidate = format!("{base}_{i}");
-            if self.get(&candidate).is_none() {
+            let candidate = format!("{base}_{next}");
+            *next += 1;
+            if !self.map.contains_key(candidate.as_str()) {
                 return self.intern(&candidate);
             }
-            i += 1;
         }
     }
 }
@@ -141,6 +145,35 @@ mod tests {
         assert_ne!(i.resolve(b), "v");
         let c = i.fresh("w");
         assert_eq!(i.resolve(c), "w");
+    }
+
+    #[test]
+    fn fresh_matches_a_probe_from_zero() {
+        // The reference: probe `base_0, base_1, ...` from 0 on every call.
+        fn probe(i: &mut Interner, base: &str) -> Sym {
+            if i.get(base).is_none() {
+                return i.intern(base);
+            }
+            (0..)
+                .map(|k| format!("{base}_{k}"))
+                .find(|c| i.get(c).is_none())
+                .map(|c| i.intern(&c))
+                .unwrap()
+        }
+        let mut fast = Interner::new();
+        let mut reference = Interner::new();
+        for step in 0..200u32 {
+            // Interleave plain interns of `base_k` names, ahead of and
+            // behind the fresh suffix, with fresh names of two bases.
+            let name = format!("{}_{}", ["v", "w"][step as usize % 2], (step * 7) % 23);
+            if step % 3 == 0 {
+                assert_eq!(fast.intern(&name), reference.intern(&name), "step {step}");
+            }
+            let base = if step % 5 == 0 { "w" } else { "v" };
+            let (a, b) = (fast.fresh(base), probe(&mut reference, base));
+            assert_eq!((a, fast.resolve(a)), (b, reference.resolve(b)), "step {step}");
+        }
+        assert_eq!(fast.len(), reference.len());
     }
 
     #[test]

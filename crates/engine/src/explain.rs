@@ -4,6 +4,7 @@
 
 use std::fmt::Write as _;
 
+use sepra_ast::analysis::{stratify, Stratification};
 use sepra_ast::{Query, Term};
 use sepra_core::detect::SeparableRecursion;
 use sepra_core::evaluate::SeparableEvaluator;
@@ -12,7 +13,6 @@ use sepra_core::plan::{
 };
 use sepra_eval::{ConjPlan, EvalError, PlanLiteral, PlanMode, Planner, PlannerStats, RelKey};
 use sepra_storage::Value;
-use sepra_strata::{stratify, Stratification};
 
 use crate::processor::{ProcessorError, QueryProcessor};
 use crate::route::{Route, Strategy, StrategyChoice};

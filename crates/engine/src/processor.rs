@@ -2,6 +2,7 @@
 //! points. Routing and execution live in `route.rs`, plan rendering in
 //! `explain.rs`, live mutations in `mutate.rs`.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -165,15 +166,11 @@ impl QueryProcessor {
     /// [`QueryProcessor::db_mut`] calls.
     pub fn prepare(&mut self) -> Result<(), ProcessorError> {
         let graph = DependencyGraph::build(&self.program);
-        let mut preds: Vec<Sym> = self.program.rules.iter().map(|r| r.head.pred).collect();
-        preds.sort_unstable_by_key(|p| p.0);
-        preds.dedup();
+        let heads = self.program.rules.iter().map(|r| r.head.pred);
+        let preds: BTreeSet<Sym> = heads.filter(|&p| graph.is_recursive(p)).collect();
         let mut prepared = Prepared::default();
         for pred in preds {
-            if !graph.is_recursive(pred) {
-                continue;
-            }
-            let mut recursion = self.analyze(pred, true);
+            let mut recursion = self.analyze(&graph, pred, true);
             if recursion.separable.is_ok() {
                 recursion.support = Some(self.support(pred, &recursion)?);
             }

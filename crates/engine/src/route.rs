@@ -8,7 +8,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use sepra_ast::{DependencyGraph, Query, RecursiveDef, Sym};
+use sepra_ast::{DependencyGraph, Query, Sym};
 use sepra_core::bounded::{analyze as analyze_bounded, BoundedRecursion};
 use sepra_core::detect::{detect, SeparableRecursion};
 use sepra_core::evaluate::SeparableEvaluator;
@@ -159,10 +159,11 @@ impl Recursion {
 }
 
 impl QueryProcessor {
-    /// Analyzes the recursive predicate `pred`: shape, separability and —
-    /// if asked — boundedness. Program-only: it never reads the EDB.
-    pub(crate) fn analyze(&mut self, pred: Sym, bounded: bool) -> Recursion {
-        let def = match RecursiveDef::extract(&self.program, pred, self.db.interner()) {
+    /// Analyzes the recursive predicate `p` of the program `graph` was built
+    /// from: shape, separability and — if asked — boundedness.
+    /// Program-only: it never reads the EDB.
+    pub(crate) fn analyze(&mut self, graph: &DependencyGraph, p: Sym, bounded: bool) -> Recursion {
+        let def = match graph.recursive_def(&self.program, p, self.db.interner()) {
             Ok(def) => def,
             Err(e) => return Recursion::none(format!("not in the paper's shape: {e}")),
         };
@@ -191,8 +192,9 @@ impl QueryProcessor {
         };
         let found = match &self.prepared {
             Some(prepared) => prepared.get(&pred).cloned(),
-            None if read && DependencyGraph::build(&self.program).is_recursive(pred) => {
-                Some(self.analyze(pred, bounded))
+            None if read => {
+                let graph = DependencyGraph::build(&self.program);
+                graph.is_recursive(pred).then(|| self.analyze(&graph, pred, bounded))
             }
             None => None,
         };

@@ -34,9 +34,9 @@ pub enum EvalError {
     },
     /// The program shape is outside what this algorithm supports.
     Unsupported(String),
-    /// The program mixes negation or aggregation with recursion in a way
-    /// that has no stratified model (see `sepra_strata::stratify`); no
-    /// engine may evaluate it.
+    /// Negation or aggregation in recursion with no stratified model, as
+    /// [`sepra_ast::analysis::StratError::describe`] words it; no engine
+    /// may evaluate such a program.
     Unstratifiable(String),
 }
 

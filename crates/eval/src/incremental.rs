@@ -47,7 +47,8 @@ use crate::error::EvalError;
 use crate::planner::{Planner, PlannerStats};
 use crate::round::{delta_round, RoundPlan};
 use crate::seminaive::{
-    agg_specs, build_store, compile_variant, eval_stratum, Derived, EvalOptions, Rounds, Variant,
+    agg_specs, build_store, compile_variant, eval_stratum, rule_strata, stratified_graph, Derived,
+    EvalOptions, Rounds, Variant,
 };
 use crate::store::IndexCache;
 
@@ -85,9 +86,10 @@ pub fn maintain(
     let planner_stats = PlannerStats::from_database(db_after);
     let planner = Planner::new(options.plan_mode, Some(&planner_stats));
     let mut derived = seed_derived(program, db_before, old);
+    let strata = rule_strata(&DependencyGraph::build(program), program);
     if delta.remove.values().any(|t| !t.is_empty()) {
         retract_phase(
-            program,
+            &strata,
             db_before,
             db_mid,
             old,
@@ -100,7 +102,7 @@ pub fn maintain(
     }
     if delta.insert.values().any(|t| !t.is_empty()) {
         insert_phase(
-            program,
+            &strata,
             db_after,
             &mut derived,
             &delta.insert,
@@ -135,10 +137,8 @@ fn maintain_stratified(
     options: &EvalOptions,
 ) -> Result<Derived, EvalError> {
     let mut stats = EvalStats::new();
-    sepra_strata::stratify(program)
-        .map_err(|e| EvalError::Unstratifiable(e.describe(db_after.interner())))?;
+    let graph = stratified_graph(program, db_after.interner())?;
     let mut planner_stats = PlannerStats::from_database(db_after);
-    let graph = DependencyGraph::build(program);
     let aggs = agg_specs(program);
 
     // Predicates whose contents differ from the pre-mutation state, seeded
@@ -151,14 +151,7 @@ fn maintain_stratified(
     }
 
     let mut derived = seed_derived(program, db_after, old);
-    for stratum in graph.strata() {
-        let stratum_idb: Vec<Sym> =
-            stratum.iter().copied().filter(|p| derived.contains_key(p)).collect();
-        if stratum_idb.is_empty() {
-            continue;
-        }
-        let rules: Vec<&Rule> =
-            program.rules.iter().filter(|r| stratum_idb.contains(&r.head.pred)).collect();
+    for (stratum_idb, rules) in rule_strata(&graph, program) {
         let affected = stratum_idb.iter().any(|p| changed.contains(p))
             || rules.iter().any(|r| {
                 r.body_atoms().any(|a| changed.contains(&a.pred))
@@ -281,7 +274,7 @@ fn delta_variants(
 /// Semi-naive insertion propagation. `db` is the post-insertion EDB;
 /// `inserted` the effective EDB insertions.
 fn insert_phase(
-    program: &Program,
+    strata: &[(Vec<Sym>, Vec<&Rule>)],
     db: &Database,
     derived: &mut FxHashMap<Sym, Relation>,
     inserted: &FxHashMap<Sym, Vec<Tuple>>,
@@ -289,7 +282,6 @@ fn insert_phase(
     planner: &Planner<'_>,
     stats: &mut EvalStats,
 ) -> Result<(), EvalError> {
-    let graph = DependencyGraph::build(program);
     // Seed the changed set. Insertions into a predicate that is also a rule
     // head land in its derived relation directly; tuples it had already
     // derived are not changes.
@@ -317,17 +309,10 @@ fn insert_phase(
         return Ok(());
     }
 
-    for stratum in graph.strata() {
-        let stratum_idb: Vec<Sym> =
-            stratum.iter().copied().filter(|p| derived.contains_key(p)).collect();
-        if stratum_idb.is_empty() {
-            continue;
-        }
-        let rules: Vec<&Rule> =
-            program.rules.iter().filter(|r| stratum_idb.contains(&r.head.pred)).collect();
+    for (stratum_idb, rules) in strata {
         let sv = delta_variants(
-            &rules,
-            &stratum_idb,
+            rules,
+            stratum_idb,
             |p| changed.get(&p).is_some_and(|r| !r.is_empty()),
             planner,
         )?;
@@ -383,7 +368,7 @@ fn insert_phase(
 /// effective EDB retractions.
 #[allow(clippy::too_many_arguments)] // one call site; the phases share this exact state
 fn retract_phase(
-    program: &Program,
+    strata: &[(Vec<Sym>, Vec<&Rule>)],
     db_before: &Database,
     db_after: &Database,
     old: &FxHashMap<Sym, Relation>,
@@ -393,7 +378,6 @@ fn retract_phase(
     planner: &Planner<'_>,
     stats: &mut EvalStats,
 ) -> Result<(), EvalError> {
-    let graph = DependencyGraph::build(program);
     // Net removals per predicate, consumed as deletion deltas by later
     // strata. EDB-only predicates contribute their retractions directly;
     // derived predicates contribute `Del \ rederived` once their stratum
@@ -411,17 +395,10 @@ fn retract_phase(
         removed_acc.insert(pred, r);
     }
 
-    for stratum in graph.strata() {
-        let stratum_idb: Vec<Sym> =
-            stratum.iter().copied().filter(|p| derived.contains_key(p)).collect();
-        if stratum_idb.is_empty() {
-            continue;
-        }
-        let rules: Vec<&Rule> =
-            program.rules.iter().filter(|r| stratum_idb.contains(&r.head.pred)).collect();
+    for (stratum_idb, rules) in strata {
         let sv = delta_variants(
-            &rules,
-            &stratum_idb,
+            rules,
+            stratum_idb,
             |p| removed_acc.get(&p).is_some_and(|r| !r.is_empty()),
             planner,
         )?;
@@ -430,7 +407,7 @@ fn retract_phase(
         // Seeded with retracted EDB facts of predicates this stratum
         // derives (they were part of the old materialization).
         let mut del: FxHashMap<Sym, Relation> = FxHashMap::default();
-        for &pred in &stratum_idb {
+        for &pred in stratum_idb {
             if let Some(tuples) = removed.get(&pred) {
                 let believed = &derived[&pred];
                 let mut seed = Relation::new(believed.arity());
@@ -533,7 +510,7 @@ fn retract_phase(
         }
         {
             let mut rederive: Vec<(Variant, &Relation)> = Vec::new();
-            for rule in &rules {
+            for rule in rules {
                 if let Some(marked) = del.get(&rule.head.pred).filter(|m| !m.is_empty()) {
                     rederive.push((compile_variant(rule, None, planner)?, marked));
                 }

@@ -5,13 +5,16 @@
 //! deep recursions; kept as the simplest possible ground truth for
 //! cross-validation and as the baseline in the iteration-strategy ablation.
 
-use sepra_ast::{DependencyGraph, Literal, Program, Sym};
+use sepra_ast::{Literal, Program, Sym};
 use sepra_storage::{Database, EvalStats, FxHashMap, Relation, Tuple};
 
 use crate::error::EvalError;
 use crate::plan::{PlanLiteral, RelKey};
 use crate::planner::{Planner, PlannerStats};
-use crate::seminaive::{agg_specs, AggState, Derived, EvalOptions, VALUE_ITERATION_CAP};
+use crate::seminaive::{
+    agg_specs, rule_strata, seed_from_edb, stratified_graph, AggState, Derived, EvalOptions,
+    VALUE_ITERATION_CAP,
+};
 use crate::store::{IndexCache, RelStore};
 
 /// Evaluates `program` over `db` naively.
@@ -30,40 +33,21 @@ pub fn naive_with_options(
     let mut stats = EvalStats::new();
     // Same up-front guard as the semi-naive engine: no fixpoint runs on a
     // program without a stratified model.
-    if program.uses_stratified_constructs() {
-        sepra_strata::stratify(program)
-            .map_err(|e| EvalError::Unstratifiable(e.describe(db.interner())))?;
-    }
+    let graph = stratified_graph(program, db.interner())?;
     // As in the semi-naive engine, statistics grow with completed strata so
     // derived predicates inform later strata's join orders.
     let mut planner_stats = PlannerStats::from_database(db);
-    let graph = DependencyGraph::build(program);
 
     let aggs = agg_specs(program);
-    let mut derived: FxHashMap<Sym, Relation> = FxHashMap::default();
-    for rule in &program.rules {
-        let pred = rule.head.pred;
-        derived.entry(pred).or_insert_with(|| {
-            if aggs.contains_key(&pred) {
-                // Aggregate heads are *recomputed* from contributions each
-                // iteration (EDB facts included); start empty.
-                Relation::new(rule.head.arity())
-            } else {
-                db.relation(pred).cloned().unwrap_or_else(|| Relation::new(rule.head.arity()))
-            }
-        });
-    }
+    // Aggregate heads start empty: naive evaluation recomputes them from
+    // every contribution (EDB facts included) each iteration.
+    let mut derived = seed_from_edb(program, db, &aggs);
 
-    for stratum in graph.strata() {
-        let stratum_idb: Vec<Sym> =
-            stratum.iter().copied().filter(|p| derived.contains_key(p)).collect();
-        if stratum_idb.is_empty() {
-            continue;
-        }
+    for (stratum_idb, rules) in rule_strata(&graph, program) {
         let mut plans = Vec::new();
         {
             let planner = Planner::new(options.plan_mode, Some(&planner_stats));
-            for rule in program.rules.iter().filter(|r| stratum_idb.contains(&r.head.pred)) {
+            for rule in &rules {
                 let body: Vec<PlanLiteral> =
                     rule.body.iter().map(|l| PlanLiteral::from_literal(l, &RelKey::Pred)).collect();
                 plans.push((rule.head.pred, planner.plan(&body, 0, &rule.head.terms)?));
@@ -73,10 +57,7 @@ pub fn naive_with_options(
         // Sums and aggregates can mint fresh values; cap those fixpoints
         // (mirrors the semi-naive engine's guard).
         let capped = stratum_idb.iter().any(|p| aggs.contains_key(p))
-            || program.rules.iter().any(|r| {
-                stratum_idb.contains(&r.head.pred)
-                    && r.body.iter().any(|l| matches!(l, Literal::Sum(..)))
-            });
+            || rules.iter().any(|r| r.body.iter().any(|l| matches!(l, Literal::Sum(..))));
         let mut indexes = IndexCache::new();
         let mut rounds = 0usize;
         loop {

@@ -18,7 +18,7 @@
 //! up front with [`EvalError::Unstratifiable`] — never silently
 //! mis-evaluated.
 
-use sepra_ast::{AggFunc, AggSpec, DependencyGraph, Literal, Program, Rule, Sym};
+use sepra_ast::{AggFunc, AggSpec, DependencyGraph, Interner, Literal, Program, Rule, Sym};
 use sepra_storage::{Database, EvalStats, FxHashMap, Relation, Tuple, Value};
 
 use crate::budget::Budget;
@@ -144,55 +144,15 @@ fn run(
 ) -> Result<FxHashMap<Sym, Relation>, EvalError> {
     // Negation/aggregation only have a meaning under a stratified model;
     // reject programs without one up front, before any fixpoint runs.
-    if program.uses_stratified_constructs() {
-        sepra_strata::stratify(program)
-            .map_err(|e| EvalError::Unstratifiable(e.describe(db.interner())))?;
-    }
+    let graph = stratified_graph(program, db.interner())?;
     // Statistics start from the EDB and grow as strata materialize: once a
     // stratum is complete, its relations' true sizes inform the join
     // orders of every later stratum — this is what lets a Magic-rewritten
     // program keep its (small, derived) guard predicates outermost.
     let mut planner_stats = PlannerStats::from_database(db);
-    let graph = DependencyGraph::build(program);
-    // Arity of every predicate (head first, then body, then EDB).
-    let mut arity: FxHashMap<Sym, usize> = FxHashMap::default();
-    for rule in &program.rules {
-        arity.entry(rule.head.pred).or_insert_with(|| rule.head.arity());
-        for atom in rule.body_atoms() {
-            arity.entry(atom.pred).or_insert_with(|| atom.arity());
-        }
-        for atom in rule.negated_atoms() {
-            arity.entry(atom.pred).or_insert_with(|| atom.arity());
-        }
-    }
-
     let aggs = agg_specs(program);
-    // IDB predicates: anything heading a rule (facts included — a ground
-    // fact seeds its predicate's derived relation). Aggregate heads start
-    // empty: their EDB facts are *contributions* to fold through the merge
-    // state (eval_stratum does that), not rows to copy verbatim.
-    let mut derived: FxHashMap<Sym, Relation> = FxHashMap::default();
-    for rule in &program.rules {
-        let pred = rule.head.pred;
-        derived.entry(pred).or_insert_with(|| {
-            if aggs.contains_key(&pred) {
-                Relation::new(arity[&pred])
-            } else {
-                // If the program derives into a predicate that also has EDB
-                // facts, start from those facts.
-                db.relation(pred).cloned().unwrap_or_else(|| Relation::new(arity[&pred]))
-            }
-        });
-    }
-
-    for stratum in graph.strata() {
-        let stratum_idb: Vec<Sym> =
-            stratum.iter().copied().filter(|p| derived.contains_key(p)).collect();
-        if stratum_idb.is_empty() {
-            continue;
-        }
-        let rules: Vec<&Rule> =
-            program.rules.iter().filter(|r| stratum_idb.contains(&r.head.pred)).collect();
+    let mut derived = seed_from_edb(program, db, &aggs);
+    for (stratum_idb, rules) in rule_strata(&graph, program) {
         eval_stratum(
             &rules,
             &stratum_idb,
@@ -209,6 +169,59 @@ fn run(
         }
     }
     Ok(derived)
+}
+
+/// The dependency graph `program` is evaluated in — or, when it uses
+/// negation or aggregates without a stratified model, why no engine may
+/// evaluate it.
+pub(crate) fn stratified_graph(
+    program: &Program,
+    interner: &Interner,
+) -> Result<DependencyGraph, EvalError> {
+    let graph = DependencyGraph::build(program);
+    if program.uses_stratified_constructs() {
+        graph.stratify(program).map_err(|e| EvalError::Unstratifiable(e.describe(interner)))?;
+    }
+    Ok(graph)
+}
+
+/// One relation per rule head (facts included — a ground fact seeds its
+/// predicate's derived relation), seeded for a from-scratch run with the
+/// predicate's EDB rows. Aggregate heads start empty: their EDB facts are
+/// *contributions* to fold (see [`eval_stratum`]), not rows to copy.
+pub(crate) fn seed_from_edb(
+    program: &Program,
+    db: &Database,
+    aggs: &FxHashMap<Sym, AggSpec>,
+) -> FxHashMap<Sym, Relation> {
+    let mut derived: FxHashMap<Sym, Relation> = FxHashMap::default();
+    for rule in &program.rules {
+        let pred = rule.head.pred;
+        derived.entry(pred).or_insert_with(|| match db.relation(pred) {
+            Some(rel) if !aggs.contains_key(&pred) => rel.clone(),
+            _ => Relation::new(rule.head.arity()),
+        });
+    }
+    derived
+}
+
+/// The components of `graph` that head a rule of `program`, in evaluation
+/// order: each one's rule heads, and the rules defining them in program
+/// order.
+pub(crate) fn rule_strata<'p>(
+    graph: &DependencyGraph,
+    program: &'p Program,
+) -> Vec<(Vec<Sym>, Vec<&'p Rule>)> {
+    let mut out = Vec::new();
+    for stratum in graph.strata() {
+        let rules: Vec<&Rule> =
+            program.rules.iter().filter(|r| stratum.contains(&r.head.pred)).collect();
+        let idb = stratum.into_iter().filter(|&p| rules.iter().any(|r| r.head.pred == p));
+        if !rules.is_empty() {
+            out.push((idb.collect(), rules));
+        }
+    }
+    out
 }
 
 /// The aggregate annotation of every aggregate head in `program`

@@ -345,7 +345,7 @@ mod tests {
                 "seed {seed}: no stratified construct\n{}",
                 scenario.program
             );
-            sepra_strata::stratify(&program)
+            sepra_ast::analysis::stratify(&program)
                 .unwrap_or_else(|e| panic!("seed {seed}: unstratifiable: {e:?}"));
             assert!(!scenario.queries.is_empty(), "seed {seed}");
             assert_eq!(scenario.steps.len(), 4, "seed {seed}");

@@ -18,7 +18,7 @@
 //! The analysis works on the definition's *source* rules directly (no
 //! rectification or expansion happens first), so
 //! [`sepra_core::bounded::BoundedRecursion::statuses`] indexes
-//! [`RecursiveDef::recursive_rules`] one-to-one and every span below
+//! [`RecursiveDef::recursive_rules`](sepra_ast::RecursiveDef::recursive_rules) one-to-one and every span below
 //! points into the file the user wrote — the `source_indices` mapping the
 //! SEP codes need is the identity here.
 //!
@@ -26,7 +26,7 @@
 //! answered by the nonrecursive rewrite with zero fixpoint iterations
 //! (`--explain` shows `bounded(k)`).
 
-use sepra_ast::{DependencyGraph, Interner, RecursiveDef};
+use sepra_ast::Interner;
 use sepra_core::bounded::{analyze, RuleStatus};
 
 use crate::diagnostic::Diagnostic;
@@ -41,15 +41,14 @@ impl Pass for Boundedness {
     }
 
     fn run(&self, ctx: &ProgramContext<'_>, interner: &mut Interner, out: &mut Vec<Diagnostic>) {
-        let graph = DependencyGraph::build(ctx.program);
-        for info in graph.classify(ctx.program) {
+        for info in ctx.graph.classify(ctx.program) {
             if !info.is_recursive {
                 continue;
             }
             // Out-of-class recursion (mutual, non-linear, no exit rule) is
             // already explained by SEP000; boundedness needs the same
             // linear shape, so stay silent here.
-            let Ok(def) = RecursiveDef::extract(ctx.program, info.pred, interner) else {
+            let Ok(def) = ctx.graph.recursive_def(ctx.program, info.pred, interner) else {
                 continue;
             };
             let Some(bounded) = analyze(&def, interner) else {

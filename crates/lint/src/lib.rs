@@ -133,7 +133,8 @@ pub fn check_program(
     query: Option<&Query>,
     interner: &mut Interner,
 ) -> Vec<Diagnostic> {
-    let ctx = ProgramContext { program, query };
+    let graph = sepra_ast::DependencyGraph::build(program);
+    let ctx = ProgramContext { program, graph: &graph, query };
     let mut out = Vec::new();
     for pass in registry() {
         pass.run(&ctx, interner, &mut out);

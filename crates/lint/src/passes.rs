@@ -39,6 +39,8 @@ use crate::stratification::StratificationPass;
 pub struct ProgramContext<'a> {
     /// The raw-parsed program.
     pub program: &'a Program,
+    /// The program's dependency graph, built once for every pass.
+    pub graph: &'a DependencyGraph,
     /// The query diagnostics are computed relative to, if any.
     pub query: Option<&'a Query>,
 }
@@ -337,8 +339,7 @@ impl Pass for UnreachableFromQuery {
             return;
         };
         let goal = query.atom.pred;
-        let graph = DependencyGraph::build(ctx.program);
-        let reachable = |p: Sym| p == goal || graph.depends_on(goal, p);
+        let reachable = |p: Sym| p == goal || ctx.graph.depends_on(goal, p);
         let mut seen: Vec<Sym> = Vec::new();
         for rule in &ctx.program.rules {
             let pred = rule.head.pred;
@@ -400,8 +401,7 @@ impl Pass for NonLinearRecursion {
             );
         }
         // Mutual recursion: any nontrivial strongly connected component.
-        let graph = DependencyGraph::build(ctx.program);
-        for group in graph.strata() {
+        for group in ctx.graph.strata() {
             if group.len() < 2 {
                 continue;
             }
@@ -570,7 +570,8 @@ mod tests {
         let mut interner = Interner::new();
         let program = parse_program_raw(src, &mut interner).unwrap();
         let query = query.map(|q| parse_query(q, &mut interner).unwrap());
-        let ctx = ProgramContext { program: &program, query: query.as_ref() };
+        let graph = DependencyGraph::build(&program);
+        let ctx = ProgramContext { program: &program, graph: &graph, query: query.as_ref() };
         let mut out = Vec::new();
         for pass in registry() {
             pass.run(&ctx, &mut interner, &mut out);

@@ -22,7 +22,7 @@
 //! source rule.
 
 use sepra_ast::pretty::term_to_string;
-use sepra_ast::{AstError, DependencyGraph, Interner, RecursiveDef, Rule};
+use sepra_ast::{AstError, Interner, RecursiveDef, Rule};
 use sepra_core::detect::{detect, NotSeparable, Violation};
 
 use crate::diagnostic::Diagnostic;
@@ -37,13 +37,12 @@ impl Pass for Separability {
     }
 
     fn run(&self, ctx: &ProgramContext<'_>, interner: &mut Interner, out: &mut Vec<Diagnostic>) {
-        let graph = DependencyGraph::build(ctx.program);
-        for info in graph.classify(ctx.program) {
+        for info in ctx.graph.classify(ctx.program) {
             if !info.is_recursive {
                 continue;
             }
             let name = interner.resolve(info.pred).to_string();
-            let def = match RecursiveDef::extract(ctx.program, info.pred, interner) {
+            let def = match ctx.graph.recursive_def(ctx.program, info.pred, interner) {
                 Ok(def) => def,
                 Err(e) => {
                     let reason = match &e {

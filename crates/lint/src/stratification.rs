@@ -4,8 +4,10 @@
 //! (`shortest(X, min<C>) :- ...`) only have a meaning when they stratify:
 //! every negated or aggregated predicate must be fully computed in a
 //! strictly lower stratum than the rules reading it (with the sanctioned
-//! exception of `min`/`max` direct self-recursion). The pass runs
-//! [`sepra_strata::stratify`] and reports:
+//! exception of `min`/`max` direct self-recursion). The pass stratifies
+//! the program through the dependency graph every pass shares
+//! ([`DependencyGraph::stratify`](sepra_ast::DependencyGraph::stratify))
+//! and reports:
 //!
 //! | code   | severity | meaning                                             |
 //! |--------|----------|-----------------------------------------------------|
@@ -21,8 +23,8 @@
 //! program is refused by every engine with `EvalError::Unstratifiable`, so
 //! an `STR` error here means the program will not run at all.
 
-use sepra_ast::{Interner, Span, Sym};
-use sepra_strata::{stratify, StratError, Stratification};
+use sepra_ast::analysis::{StratError, Stratification};
+use sepra_ast::{Interner, Span};
 
 use crate::diagnostic::Diagnostic;
 use crate::passes::{Pass, ProgramContext};
@@ -39,7 +41,7 @@ impl Pass for StratificationPass {
         if !ctx.program.uses_stratified_constructs() {
             return;
         }
-        match stratify(ctx.program) {
+        match ctx.graph.stratify(ctx.program) {
             Ok(strat) => out.push(summary(ctx, interner, &strat)),
             Err(err) => out.push(error(&err, interner)),
         }
@@ -85,16 +87,10 @@ fn first_boundary_site(ctx: &ProgramContext<'_>) -> Span {
     best.unwrap_or(Span::DUMMY)
 }
 
-fn cycle_text(cycle: &[Sym], interner: &Interner) -> String {
-    let mut parts: Vec<&str> = cycle.iter().map(|&p| interner.resolve(p)).collect();
-    parts.push(interner.resolve(cycle[0]));
-    parts.join(" -> ")
-}
-
 /// STR001/STR002: the program does not stratify; cite both offending rules.
 fn error(err: &StratError, interner: &Interner) -> Diagnostic {
     match err {
-        StratError::NegationInCycle { head, negated, site_span, back_span, cycle, .. } => {
+        StratError::NegationInCycle { head, negated, site_span, back_span, .. } => {
             let head = interner.resolve(*head).to_string();
             let neg = interner.resolve(*negated).to_string();
             Diagnostic::error(
@@ -103,10 +99,10 @@ fn error(err: &StratError, interner: &Interner) -> Diagnostic {
             )
             .with_label(*site_span, format!("`{neg}` is negated here"))
             .with_secondary(*back_span, format!("...and `{neg}` reaches `{head}` again through this rule"))
-            .with_note(format!("dependency cycle: {}", cycle_text(cycle, interner)))
+            .with_note(format!("dependency cycle: {}", err.cycle_text(interner)))
             .with_note("a negated predicate must be fully computed in a strictly lower stratum")
         }
-        StratError::AggregateInCycle { head, func, site_span, back_span, cycle, .. } => {
+        StratError::AggregateInCycle { head, func, site_span, back_span, .. } => {
             let head = interner.resolve(*head).to_string();
             Diagnostic::error(
                 "STR002",
@@ -117,7 +113,7 @@ fn error(err: &StratError, interner: &Interner) -> Diagnostic {
             )
             .with_label(*site_span, "this aggregate participates in the cycle")
             .with_secondary(*back_span, "...which closes through this rule")
-            .with_note(format!("dependency cycle: {}", cycle_text(cycle, interner)))
+            .with_note(format!("dependency cycle: {}", err.cycle_text(interner)))
             .with_note(
                 "only `min`/`max` keep least-fixpoint semantics under recursion, and only \
                  reading their own head back directly; `count`/`sum` must sit in a \

@@ -1,577 +1,11 @@
-//! Polarity-aware stratification analysis.
+//! Stratification now lives in [`sepra_ast::analysis`]: the dependency
+//! graph labels every edge with its [`Polarity`], and
+//! [`DependencyGraph::stratify`](sepra_ast::DependencyGraph::stratify) is a
+//! pass over the graph's components.
 //!
-//! Pure positive Datalog needs only a dependency *order* (strongly connected
-//! components, callees first). Negation and aggregation additionally need a
-//! *stratification*: a level assignment in which a negated or aggregated
-//! predicate is fully computed in a strictly lower stratum than every rule
-//! that reads it through the negation/aggregation, so the fixpoint never
-//! retracts what a higher stratum already consumed.
-//!
-//! This crate labels every dependency edge with a [`Polarity`], finds the
-//! strongly connected components, and either assigns stratum numbers
-//! (longest path over the condensation, bumping across negative and
-//! aggregate boundaries) or produces a cycle witness naming both offending
-//! rules. Monotonic aggregates follow Zaniolo et al. ("Fixpoint Semantics
-//! and Optimization of Recursive Datalog Programs with Aggregates"):
-//! `min`/`max` retain least-fixpoint semantics inside a self-recursion, so a
-//! predicate may read *itself* through `min`/`max`; `count`/`sum` grow with
-//! every contribution and are confined to non-recursive strata.
+//! This crate stays only because the end-to-end benchmark (`benchmark/`)
+//! calls its [`stratify`]; no crate of the workspace depends on it. The
+//! next change to the benchmark points it at [`sepra_ast::analysis`] and
+//! deletes this crate.
 
-use std::collections::BTreeMap;
-
-use sepra_ast::{AggFunc, Program, Span, Sym};
-
-/// How a rule body reaches a predicate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Polarity {
-    /// A plain positive atom.
-    Positive,
-    /// A negated atom (`!p(...)`).
-    Negative,
-    /// A positive atom read by a rule whose head aggregates with `AggFunc`.
-    Aggregate(AggFunc),
-}
-
-impl Polarity {
-    /// Whether crossing this edge forces a stratum boundary.
-    fn is_boundary(self) -> bool {
-        !matches!(self, Polarity::Positive)
-    }
-}
-
-/// One labeled dependency edge: the head predicate of `rule` reads `to`.
-#[derive(Debug, Clone)]
-struct Edge {
-    from: usize,
-    to: usize,
-    polarity: Polarity,
-    /// Span of the whole rule this edge comes from.
-    rule_span: Span,
-    /// Span of the body atom (for `Negative`) or of the aggregate
-    /// annotation (for `Aggregate`); the rule span otherwise.
-    site_span: Span,
-}
-
-/// A successful stratification.
-#[derive(Debug, Clone)]
-pub struct Stratification {
-    /// Stratum number of every predicate (EDB predicates sit in stratum 0).
-    pub stratum_of: BTreeMap<Sym, usize>,
-    /// Predicates grouped by stratum, lowest first; within a stratum,
-    /// first-occurrence order.
-    pub strata: Vec<Vec<Sym>>,
-}
-
-impl Stratification {
-    /// Number of strata (at least 1 for a non-empty program).
-    pub fn len(&self) -> usize {
-        self.strata.len()
-    }
-
-    /// Whether there are no predicates at all.
-    pub fn is_empty(&self) -> bool {
-        self.strata.is_empty()
-    }
-}
-
-/// Why a program cannot be stratified. Each variant cites the rule
-/// containing the offending construct *and* a rule on the dependency path
-/// that closes the cycle (the same rule twice for a self-cycle).
-#[derive(Debug, Clone)]
-pub enum StratError {
-    /// A negated predicate is reachable from the negating rule's head:
-    /// `p` reads `!q` while `q` (transitively) reads `p`.
-    NegationInCycle {
-        /// Head predicate of the negating rule.
-        head: Sym,
-        /// The negated predicate.
-        negated: Sym,
-        /// Span of the rule containing the negated literal.
-        rule_span: Span,
-        /// Span of the negated atom itself.
-        site_span: Span,
-        /// Span of a rule on the path from `negated` back to `head`.
-        back_span: Span,
-        /// The predicates on the cycle, starting at `head`.
-        cycle: Vec<Sym>,
-    },
-    /// Two proper rules for the same head disagree on the aggregate
-    /// annotation (different function, different position, or only one of
-    /// them aggregates) — evaluation would have to pick one arbitrarily.
-    /// Facts are exempt: a fact for an aggregate head is a contribution,
-    /// exactly like an EDB tuple.
-    MixedAggregate {
-        /// The predicate with conflicting definitions.
-        head: Sym,
-        /// Span of the later, disagreeing rule.
-        rule_span: Span,
-        /// Span of its annotation (the whole rule if it has none).
-        site_span: Span,
-        /// Span of the first rule that fixed the expected annotation.
-        back_span: Span,
-    },
-    /// An aggregate participates in recursion it cannot support: `count`
-    /// or `sum` in any cycle, or `min`/`max` in a cycle through *other*
-    /// predicates (only direct self-recursion keeps their least-fixpoint
-    /// reading).
-    AggregateInCycle {
-        /// Head predicate of the aggregating rule.
-        head: Sym,
-        /// The aggregate function.
-        func: AggFunc,
-        /// Span of the aggregating rule.
-        rule_span: Span,
-        /// Span of the aggregate annotation (`min<C>`).
-        site_span: Span,
-        /// Span of a rule on the path closing the cycle.
-        back_span: Span,
-        /// The predicates on the cycle, starting at `head`.
-        cycle: Vec<Sym>,
-    },
-}
-
-impl StratError {
-    /// Renders the error as one line with predicate names resolved —
-    /// evaluators embed this in their structured errors; `sepra check`
-    /// renders the spans instead.
-    pub fn describe(&self, interner: &sepra_ast::Interner) -> String {
-        let join = |cycle: &[Sym]| {
-            let mut parts: Vec<&str> = cycle.iter().map(|&p| interner.resolve(p)).collect();
-            parts.push(interner.resolve(cycle[0]));
-            parts.join(" -> ")
-        };
-        match self {
-            StratError::NegationInCycle { head, negated, cycle, .. } => format!(
-                "`{}` negates `{}`, but `{}` depends on `{}` (cycle: {}); \
-                 negation must read a strictly lower stratum",
-                interner.resolve(*head),
-                interner.resolve(*negated),
-                interner.resolve(*negated),
-                interner.resolve(*head),
-                join(cycle),
-            ),
-            StratError::MixedAggregate { head, .. } => format!(
-                "the rules defining `{}` disagree on its aggregate annotation; every \
-                 proper rule for an aggregate head must carry the same `func<Var>`",
-                interner.resolve(*head),
-            ),
-            StratError::AggregateInCycle { head, func, cycle, .. } => format!(
-                "`{}` aggregates with `{}` inside recursion (cycle: {}); only `min`/`max` \
-                 may read their own head back, and only through direct self-recursion",
-                interner.resolve(*head),
-                func.keyword(),
-                join(cycle),
-            ),
-        }
-    }
-}
-
-/// Stratifies `program`, or explains why it cannot be stratified.
-///
-/// The returned strata are *levels*, not evaluation units: evaluation still
-/// proceeds SCC-by-SCC (see `sepra_ast::DependencyGraph::strata`), but every
-/// SCC lies entirely within one level, negated/aggregated predicates lie in
-/// strictly lower levels than their readers (except the sanctioned
-/// `min`/`max` self-recursion), and the level of a predicate only depends
-/// on predicates at its own or lower levels.
-pub fn stratify(program: &Program) -> Result<Stratification, StratError> {
-    // Aggregate annotations must agree across every proper rule of a head:
-    // evaluation keeps exactly one stored tuple per group, so two rules
-    // pulling in different directions have no coherent reading. (Facts are
-    // contributions, like EDB tuples, and carry no annotation anyway.)
-    let mut agg_of: BTreeMap<Sym, &sepra_ast::Rule> = BTreeMap::new();
-    for rule in program.proper_rules() {
-        let Some(first) = agg_of.get(&rule.head.pred) else {
-            agg_of.insert(rule.head.pred, rule);
-            continue;
-        };
-        if first.agg != rule.agg {
-            return Err(StratError::MixedAggregate {
-                head: rule.head.pred,
-                rule_span: rule.span(),
-                site_span: rule.agg.as_ref().map_or(rule.span(), |a| a.span),
-                back_span: first.span(),
-            });
-        }
-    }
-
-    let preds = program.predicates();
-    let index: BTreeMap<Sym, usize> = preds.iter().enumerate().map(|(i, &p)| (p, i)).collect();
-
-    let mut edges: Vec<Edge> = Vec::new();
-    for rule in &program.rules {
-        let from = index[&rule.head.pred];
-        for atom in rule.body_atoms() {
-            let polarity = match &rule.agg {
-                Some(spec) => Polarity::Aggregate(spec.func),
-                None => Polarity::Positive,
-            };
-            let site_span = match &rule.agg {
-                Some(spec) => spec.span,
-                None => rule.span(),
-            };
-            edges.push(Edge {
-                from,
-                to: index[&atom.pred],
-                polarity,
-                rule_span: rule.span(),
-                site_span,
-            });
-        }
-        for atom in rule.negated_atoms() {
-            edges.push(Edge {
-                from,
-                to: index[&atom.pred],
-                polarity: Polarity::Negative,
-                rule_span: rule.span(),
-                site_span: atom.span,
-            });
-        }
-    }
-
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); preds.len()];
-    for (i, e) in edges.iter().enumerate() {
-        adj[e.from].push(i);
-    }
-    let (scc_of, scc_count) = tarjan(preds.len(), &adj, &edges);
-
-    // Reject boundary edges inside a cycle.
-    for edge in &edges {
-        if !edge.polarity.is_boundary() || scc_of[edge.from] != scc_of[edge.to] {
-            continue;
-        }
-        // `min`/`max` may close a *direct* self-recursion: the SCC is the
-        // head predicate alone, reading itself through the aggregate.
-        if let Polarity::Aggregate(func) = edge.polarity {
-            let scc = scc_of[edge.from];
-            let scc_size = scc_of.iter().filter(|&&c| c == scc).count();
-            if func.monotonic_in_recursion() && scc_size == 1 {
-                continue;
-            }
-        }
-        let (back_span, cycle) = cycle_witness(edge, &adj, &edges, &scc_of, &preds);
-        return Err(match edge.polarity {
-            Polarity::Negative => StratError::NegationInCycle {
-                head: preds[edge.from],
-                negated: preds[edge.to],
-                rule_span: edge.rule_span,
-                site_span: edge.site_span,
-                back_span,
-                cycle,
-            },
-            Polarity::Aggregate(func) => StratError::AggregateInCycle {
-                head: preds[edge.from],
-                func,
-                rule_span: edge.rule_span,
-                site_span: edge.site_span,
-                back_span,
-                cycle,
-            },
-            Polarity::Positive => unreachable!("positive edges are never boundaries"),
-        });
-    }
-
-    // Assign stratum numbers: longest path over the condensation. Tarjan
-    // numbers components in reverse topological order (callees first), so a
-    // single forward sweep over components sees every dependency resolved.
-    let mut scc_stratum = vec![0usize; scc_count];
-    let mut order: Vec<usize> = (0..preds.len()).collect();
-    order.sort_by_key(|&n| scc_of[n]);
-    for &node in &order {
-        for &ei in &adj[node] {
-            let edge = &edges[ei];
-            if scc_of[edge.from] == scc_of[edge.to] {
-                continue; // sanctioned self-recursion, no bump
-            }
-            let bump = usize::from(edge.polarity.is_boundary());
-            let wanted = scc_stratum[scc_of[edge.to]] + bump;
-            let own = &mut scc_stratum[scc_of[edge.from]];
-            *own = (*own).max(wanted);
-        }
-    }
-
-    let mut stratum_of = BTreeMap::new();
-    let mut n_strata = 0usize;
-    for (i, &p) in preds.iter().enumerate() {
-        let s = scc_stratum[scc_of[i]];
-        stratum_of.insert(p, s);
-        n_strata = n_strata.max(s + 1);
-    }
-    let mut strata = vec![Vec::new(); n_strata];
-    for &p in &preds {
-        strata[stratum_of[&p]].push(p);
-    }
-    Ok(Stratification { stratum_of, strata })
-}
-
-/// Finds a dependency path from `edge.to` back to `edge.from` inside their
-/// shared SCC, returning the span of the first rule on that path and the
-/// full predicate cycle starting at `edge.from`. A self-loop (the rule
-/// negates/aggregates its own head) cites the offending rule itself.
-fn cycle_witness(
-    edge: &Edge,
-    adj: &[Vec<usize>],
-    edges: &[Edge],
-    scc_of: &[usize],
-    preds: &[Sym],
-) -> (Span, Vec<Sym>) {
-    if edge.from == edge.to {
-        return (edge.rule_span, vec![preds[edge.from]]);
-    }
-    let scc = scc_of[edge.from];
-    // BFS from edge.to to edge.from over same-SCC edges, recording the edge
-    // that discovered each node.
-    let mut prev: Vec<Option<usize>> = vec![None; adj.len()];
-    let mut queue = std::collections::VecDeque::from([edge.to]);
-    let mut seen = vec![false; adj.len()];
-    seen[edge.to] = true;
-    while let Some(node) = queue.pop_front() {
-        if node == edge.from {
-            break;
-        }
-        for &ei in &adj[node] {
-            let e = &edges[ei];
-            if scc_of[e.to] != scc || seen[e.to] {
-                continue;
-            }
-            seen[e.to] = true;
-            prev[e.to] = Some(ei);
-            queue.push_back(e.to);
-        }
-    }
-    // Walk back from edge.from to edge.to collecting the path.
-    let mut path_edges = Vec::new();
-    let mut node = edge.from;
-    while node != edge.to {
-        let Some(ei) = prev[node] else { break };
-        path_edges.push(ei);
-        node = edges[ei].from;
-    }
-    path_edges.reverse();
-    let back_span = path_edges.first().map_or(edge.rule_span, |&ei| edges[ei].rule_span);
-    let mut cycle = vec![preds[edge.from], preds[edge.to]];
-    for &ei in &path_edges {
-        let p = preds[edges[ei].to];
-        if *cycle.last().unwrap() != p && cycle[0] != p {
-            cycle.push(p);
-        }
-    }
-    (back_span, cycle)
-}
-
-/// Iterative Tarjan SCC over the edge-list representation. Components are
-/// numbered in reverse topological order: callees get smaller ids.
-fn tarjan(n: usize, adj: &[Vec<usize>], edges: &[Edge]) -> (Vec<usize>, usize) {
-    let mut index_of = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut scc_of = vec![usize::MAX; n];
-    let mut next_index = 0usize;
-    let mut scc_count = 0usize;
-
-    for root in 0..n {
-        if index_of[root] != usize::MAX {
-            continue;
-        }
-        let mut frames: Vec<(usize, usize)> = vec![(root, 0)];
-        index_of[root] = next_index;
-        low[root] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root] = true;
-
-        while let Some(frame) = frames.last_mut() {
-            let node = frame.0;
-            if let Some(&ei) = adj[node].get(frame.1) {
-                frame.1 += 1;
-                let next = edges[ei].to;
-                if index_of[next] == usize::MAX {
-                    index_of[next] = next_index;
-                    low[next] = next_index;
-                    next_index += 1;
-                    stack.push(next);
-                    on_stack[next] = true;
-                    frames.push((next, 0));
-                } else if on_stack[next] {
-                    low[node] = low[node].min(index_of[next]);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(parent, _)) = frames.last() {
-                    low[parent] = low[parent].min(low[node]);
-                }
-                if low[node] == index_of[node] {
-                    loop {
-                        let member = stack.pop().expect("scc stack underflow");
-                        on_stack[member] = false;
-                        scc_of[member] = scc_count;
-                        if member == node {
-                            break;
-                        }
-                    }
-                    scc_count += 1;
-                }
-            }
-        }
-    }
-    (scc_of, scc_count)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sepra_ast::{parse_program_raw, Interner};
-
-    fn strat(src: &str) -> (Result<Stratification, StratError>, Interner) {
-        let mut i = Interner::new();
-        let p = parse_program_raw(src, &mut i).unwrap();
-        (stratify(&p), i)
-    }
-
-    #[test]
-    fn pure_positive_is_one_stratum() {
-        let (s, mut i) = strat(
-            "t(X, Y) :- e(X, Y).\n\
-             t(X, Y) :- e(X, W), t(W, Y).\n",
-        );
-        let s = s.unwrap();
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.stratum_of[&i.intern("t")], 0);
-        assert_eq!(s.stratum_of[&i.intern("e")], 0);
-    }
-
-    #[test]
-    fn negation_bumps_a_stratum() {
-        let (s, mut i) = strat(
-            "t(X, Y) :- e(X, Y).\n\
-             t(X, Y) :- e(X, W), t(W, Y).\n\
-             unreach(X, Y) :- node(X), node(Y), !t(X, Y).\n",
-        );
-        let s = s.unwrap();
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.stratum_of[&i.intern("t")], 0);
-        assert_eq!(s.stratum_of[&i.intern("unreach")], 1);
-    }
-
-    #[test]
-    fn negation_in_cycle_is_rejected_with_both_rules() {
-        let src = "p(X) :- a(X), !q(X).\n\
-                   q(X) :- b(X), p(X).\n";
-        let (s, mut i) = strat(src);
-        let Err(StratError::NegationInCycle { head, negated, rule_span, back_span, cycle, .. }) = s
-        else {
-            panic!("expected NegationInCycle, got {s:?}");
-        };
-        assert_eq!(head, i.intern("p"));
-        assert_eq!(negated, i.intern("q"));
-        let text = |sp: Span| &src[sp.start as usize..sp.end as usize];
-        assert_eq!(text(rule_span), "p(X) :- a(X), !q(X).");
-        assert_eq!(text(back_span), "q(X) :- b(X), p(X).");
-        assert_eq!(cycle, vec![i.intern("p"), i.intern("q")]);
-    }
-
-    #[test]
-    fn self_negation_cites_the_rule_twice() {
-        let src = "p(X) :- a(X), !p(X).\n";
-        let (s, _) = strat(src);
-        let Err(StratError::NegationInCycle { rule_span, back_span, cycle, .. }) = s else {
-            panic!("expected NegationInCycle, got {s:?}");
-        };
-        assert_eq!(rule_span, back_span);
-        assert_eq!(cycle.len(), 1);
-    }
-
-    #[test]
-    fn min_self_recursion_is_allowed() {
-        let (s, mut i) = strat(
-            "shortest(Y, min<C>) :- source(X), edge(X, Y, C).\n\
-             shortest(Y, min<C>) :- shortest(X, D), edge(X, Y, W), C = D + W.\n",
-        );
-        let s = s.unwrap();
-        // Aggregation over edge/source forces a boundary below `shortest`.
-        assert_eq!(s.stratum_of[&i.intern("shortest")], 1);
-        assert_eq!(s.stratum_of[&i.intern("edge")], 0);
-    }
-
-    #[test]
-    fn count_in_recursion_is_rejected() {
-        let src = "reach(X, count<C>) :- reach(Y, C), e(Y, X).\n";
-        let (s, _) = strat(src);
-        let Err(StratError::AggregateInCycle { func, rule_span, back_span, .. }) = s else {
-            panic!("expected AggregateInCycle, got {s:?}");
-        };
-        assert_eq!(func, AggFunc::Count);
-        assert_eq!(rule_span, back_span);
-    }
-
-    #[test]
-    fn min_through_mutual_recursion_is_rejected() {
-        let src = "p(X, min<C>) :- q(X, C).\n\
-                   q(X, C) :- p(X, C), e(X).\n";
-        let (s, mut i) = strat(src);
-        let Err(StratError::AggregateInCycle { func, head, cycle, .. }) = s else {
-            panic!("expected AggregateInCycle, got {s:?}");
-        };
-        assert_eq!(func, AggFunc::Min);
-        assert_eq!(head, i.intern("p"));
-        assert!(cycle.contains(&i.intern("q")));
-    }
-
-    #[test]
-    fn strata_levels_chain() {
-        let (s, mut i) = strat(
-            "a(X) :- e(X).\n\
-             b(X) :- a(X), !f(X).\n\
-             c(X) :- a(X), !b(X).\n\
-             d(X) :- c(X).\n",
-        );
-        let s = s.unwrap();
-        assert_eq!(s.stratum_of[&i.intern("a")], 0);
-        assert_eq!(s.stratum_of[&i.intern("b")], 1);
-        assert_eq!(s.stratum_of[&i.intern("c")], 2);
-        assert_eq!(s.stratum_of[&i.intern("d")], 2);
-        assert_eq!(s.len(), 3);
-    }
-
-    #[test]
-    fn count_outside_recursion_is_allowed() {
-        let (s, mut i) = strat(
-            "t(X, Y) :- e(X, Y).\n\
-             t(X, Y) :- e(X, W), t(W, Y).\n\
-             reach(X, count<Y>) :- t(X, Y).\n",
-        );
-        let s = s.unwrap();
-        assert_eq!(s.stratum_of[&i.intern("reach")], 1);
-    }
-
-    #[test]
-    fn mixed_aggregate_annotations_are_rejected() {
-        // Different function.
-        let src = "best(X, min<C>) :- w(X, C).\nbest(X, max<C>) :- v(X, C).\n";
-        let (s, mut i) = strat(src);
-        let Err(StratError::MixedAggregate { head, rule_span, back_span, .. }) = s else {
-            panic!("expected MixedAggregate, got {s:?}");
-        };
-        assert_eq!(head, i.intern("best"));
-        let text = |sp: Span| &src[sp.start as usize..sp.end as usize];
-        assert_eq!(text(back_span), "best(X, min<C>) :- w(X, C).");
-        assert_eq!(text(rule_span), "best(X, max<C>) :- v(X, C).");
-        // Annotated and plain rules for the same head.
-        let (s, _) = strat("best(X, min<C>) :- w(X, C).\nbest(X, C) :- v(X, C).\n");
-        assert!(matches!(s, Err(StratError::MixedAggregate { .. })), "{s:?}");
-    }
-
-    #[test]
-    fn facts_for_aggregate_heads_are_contributions_not_conflicts() {
-        let (s, mut i) = strat("best(a, 3).\nbest(X, min<C>) :- w(X, C).\n");
-        let s = s.unwrap();
-        assert_eq!(s.stratum_of[&i.intern("best")], 1);
-    }
-
-    #[test]
-    fn empty_program_is_empty() {
-        let (s, _) = strat("");
-        assert!(s.unwrap().is_empty());
-    }
-}
+pub use sepra_ast::analysis::{stratify, Polarity, StratError, Stratification};

@@ -48,6 +48,7 @@
 //! paper-vs-measured record of every Section 4 comparison.
 
 pub use sepra_ast as ast;
+pub use sepra_ast::analysis as strata;
 pub use sepra_core as core;
 pub use sepra_engine as engine;
 pub use sepra_eval as eval;
@@ -55,7 +56,6 @@ pub use sepra_gen as gen;
 pub use sepra_rewrite as rewrite;
 pub use sepra_server as server;
 pub use sepra_storage as storage;
-pub use sepra_strata as strata;
 
 pub use sepra_ast::{Interner, Program, Query};
 pub use sepra_core::{detect::SeparableRecursion, evaluate::SeparableEvaluator, ExecOptions};
