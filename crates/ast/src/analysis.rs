@@ -147,25 +147,19 @@ impl DependencyGraph {
         DependencyGraph { preds, index, edges, out, scc_of, components }
     }
 
-    /// Whether `p` depends (directly or transitively) on `q`.
-    pub fn depends_on(&self, p: Sym, q: Sym) -> bool {
-        let (Some(&pi), Some(&qi)) = (self.index.get(&p), self.index.get(&q)) else {
-            return false;
-        };
+    /// The cone below `roots`: the roots and every predicate they read,
+    /// directly or transitively, positively or not. Roots outside the
+    /// graph are left out.
+    pub fn cone(&self, roots: impl IntoIterator<Item = Sym>) -> BTreeSet<Sym> {
         let mut seen = vec![false; self.preds.len()];
-        let mut stack = vec![pi];
+        let mut stack: Vec<usize> =
+            roots.into_iter().filter_map(|p| self.index.get(&p)).copied().collect();
         while let Some(n) = stack.pop() {
-            for &e in &self.out[n] {
-                let m = self.edges[e].to;
-                if m == qi {
-                    return true;
-                }
-                if !std::mem::replace(&mut seen[m], true) {
-                    stack.push(m);
-                }
+            if !std::mem::replace(&mut seen[n], true) {
+                stack.extend(self.out[n].iter().map(|&e| self.edges[e].to));
             }
         }
-        false
+        self.preds.iter().zip(seen).filter_map(|(&p, seen)| seen.then_some(p)).collect()
     }
 
     /// Whether `p` is recursive: its component has another member, or it
@@ -665,8 +659,8 @@ mod tests {
         let a = i.intern("a");
         assert!(g.is_recursive(t));
         assert!(!g.is_recursive(a));
-        assert!(g.depends_on(t, a));
-        assert!(!g.depends_on(a, t));
+        assert_eq!(g.cone([t]), BTreeSet::from([t, a, i.intern("t0")]));
+        assert_eq!(g.cone([a]), BTreeSet::from([a]));
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!   answers are the union of the two branches — each of which is a *full*
 //!   selection, evaluated with the specialized algorithm.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use sepra_ast::{Query, Term};
+use sepra_ast::{Query, Sym, Term};
 use sepra_eval::{
     filter_by_query, ConjPlan, EvalError, IndexCache, PlanLiteral, Planner, PlannerStats, RelKey,
 };
@@ -22,7 +23,7 @@ use sepra_storage::{Database, EvalStats, FxHashMap, Relation, Tuple, Value};
 
 use crate::cache::PlanCache;
 use crate::detect::{EquivClass, SeparableRecursion};
-use crate::exec::{execute_plan, ExecOptions, ExtraRelations};
+use crate::exec::{base_store, execute_plan, ExecOptions, ExtraRelations};
 use crate::justify::{Justification, JustificationTracker};
 use crate::plan::{
     build_plan, build_plan_with, classify_selection, PlanSelection, SelectionKind, SeparablePlan,
@@ -60,6 +61,25 @@ pub struct SeparableOutcome {
     pub stats: EvalStats,
     /// How the query was evaluated.
     pub strategy: StrategyNote,
+}
+
+/// The statistics an evaluation of `sep` plans by: the EDB's, and those of
+/// the `extra` relations its rules read other than its own. An `extra`
+/// relation keeps none, so each is counted by a scan: once, and only these.
+pub fn planner_stats(
+    sep: &SeparableRecursion,
+    db: &Database,
+    extra: &ExtraRelations,
+) -> PlannerStats {
+    let mut pstats = PlannerStats::from_database(db);
+    let rules = sep.recursive_rules.iter().chain(&sep.exit_rules);
+    let read: BTreeSet<Sym> = rules.flat_map(|r| r.body_atoms()).map(|a| a.pred).collect();
+    for p in read.into_iter().filter(|&p| p != sep.pred) {
+        if let Some(r) = extra.get(&p) {
+            pstats.add_relation(p, r);
+        }
+    }
+    pstats
 }
 
 /// Evaluates selections on one detected separable recursion.
@@ -112,11 +132,6 @@ impl SeparableEvaluator {
         self
     }
 
-    /// The detected recursion structure.
-    pub fn recursion(&self) -> &SeparableRecursion {
-        &self.sep
-    }
-
     /// Evaluates `query` against `db` (plus any pre-materialized `extra`
     /// relations for non-recursive IDB base predicates).
     pub fn evaluate(
@@ -131,12 +146,7 @@ impl SeparableEvaluator {
         if query.atom.arity() != self.sep.arity {
             return Err(EvalError::Planning("query arity does not match recursion".into()));
         }
-        // One statistics snapshot per evaluation: the EDB plus the
-        // materialized non-recursive IDB relations the engine supplies.
-        let mut pstats = PlannerStats::from_database(db);
-        for (&p, r) in extra {
-            pstats.add_relation(p, r);
-        }
+        let pstats = planner_stats(&self.sep, db, extra);
         let planner = Planner::new(self.opts.plan_mode, Some(&pstats));
         let mut outcome = evaluate_inner(
             &self.sep,
@@ -439,13 +449,7 @@ fn evaluate_partial(
         // Evaluate the binding plan once over the database.
         let mut pairs: Vec<(Tuple, Tuple)> = Vec::new();
         {
-            let mut store = sepra_eval::RelStore::new();
-            for (p, r) in db.relations() {
-                store.bind(RelKey::Pred(p), r);
-            }
-            for (&p, r) in extra {
-                store.bind(RelKey::Pred(p), r);
-            }
+            let store = base_store(db, extra, [&binding_plan]);
             let mut indexes = IndexCache::new();
             indexes.prepare(&binding_plan, &store);
             binding_plan.execute(&store, &indexes, &[], &mut |row| {

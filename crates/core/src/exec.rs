@@ -24,6 +24,7 @@
 use sepra_ast::Sym;
 use sepra_eval::{
     delta_round, Budget, ConjPlan, EvalError, IndexCache, PlanMode, RelKey, RelStore, RoundPlan,
+    Step,
 };
 use sepra_storage::{Database, EvalStats, FxHashMap, Relation, Tuple, Value};
 
@@ -213,7 +214,7 @@ fn seed_and_phase2(
     let frontier = seen1.map(|_| RelKey::Aux(AUX_SEEN1));
     let mut carry2_init = Relation::new(plan.phase2.columns.len());
     {
-        let mut store = base_store(db, extra);
+        let mut store = base_store(db, extra, seed_plans);
         if let Some(seen1) = seen1 {
             store.bind(RelKey::Aux(AUX_SEEN1), seen1);
         }
@@ -268,13 +269,20 @@ fn seed_and_phase2(
     )
 }
 
-fn base_store<'a>(db: &'a Database, extra: &'a ExtraRelations) -> RelStore<'a> {
+/// The relations `plans` scan, from `extra` where materialized there and
+/// from `db` otherwise: only those, so a store does not grow with the program.
+pub(crate) fn base_store<'a, 'p>(
+    db: &'a Database,
+    extra: &'a ExtraRelations,
+    plans: impl IntoIterator<Item = &'p ConjPlan>,
+) -> RelStore<'a> {
     let mut store = RelStore::new();
-    for (p, r) in db.relations() {
-        store.bind(RelKey::Pred(p), r);
-    }
-    for (&p, r) in extra {
-        store.bind(RelKey::Pred(p), r);
+    for step in plans.into_iter().flat_map(|plan| &plan.steps) {
+        if let Step::Scan { rel: RelKey::Pred(p), .. } = step {
+            if let Some(r) = extra.get(p).or_else(|| db.relation(*p)) {
+                store.bind(RelKey::Pred(*p), r);
+            }
+        }
     }
     store
 }
@@ -328,7 +336,7 @@ fn run_closure(
         // carry := f(carry) — the union of the per-rule join plans.
         let mut produced = Relation::new(arity);
         {
-            let mut store = base_store(db, extra);
+            let mut store = base_store(db, extra, steps.iter().map(|(_, plan)| plan));
             store.bind(carry_key, &carry);
             let scanned = delta_round(
                 &plans,

@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 use sepra_ast::analysis::{stratify, Stratification};
 use sepra_ast::{Query, Term};
 use sepra_core::detect::SeparableRecursion;
-use sepra_core::evaluate::SeparableEvaluator;
+use sepra_core::evaluate::{planner_stats, SeparableEvaluator};
 use sepra_core::plan::{
     build_plan_with, PlanSelection, SelectionKind, AUX_CARRY1, AUX_CARRY2, AUX_SEEN1,
 };
@@ -76,7 +76,7 @@ impl QueryProcessor {
         let found = self.recursion(pred, StrategyChoice::Force(Strategy::Separable));
         let sep = found.separable.as_ref();
         let sep = sep.map_err(|r| ProcessorError::StrategyUnavailable(r.to_string()))?;
-        let extra = self.support(pred, &found)?.relations;
+        let extra = self.support(pred)?;
         let evaluator = SeparableEvaluator::with_options(sep.clone(), self.exec_options.clone());
         let (outcome, justifications) =
             evaluator.evaluate_with_justifications(&query, &self.db, &extra)?;
@@ -128,15 +128,13 @@ impl QueryProcessor {
         let pred = query.atom.pred;
         let found = self.recursion(pred, StrategyChoice::Auto);
         let route = self.route(&query, &found);
-        // Prepared supporting strata are real relations with real sizes;
-        // an unprepared processor plans them from the default guess rather
+        // A prepared support holds real relations with real sizes; an
+        // unprepared processor plans them from the default guess rather
         // than evaluate anything here.
-        let mut pstats = PlannerStats::from_database(&self.db);
-        if let Some(support) = &found.support {
-            for (&p, r) in support.relations.iter() {
-                pstats.add_relation(p, r);
-            }
-        }
+        let pstats = match (&found.separable, &self.prepared) {
+            (Ok(sep), Some(prepared)) => planner_stats(sep, &self.db, &prepared.support),
+            _ => PlannerStats::from_database(&self.db),
+        };
         let mut report = PlanReport {
             query: sepra_ast::pretty::query_to_string(&query, self.db.interner()),
             strategy: route.strategy().to_string(),

@@ -11,8 +11,8 @@
 //! 2. a provably bounded recursion is replaced by its nonrecursive
 //!    unfolding and evaluated with no fixpoint at all;
 //! 3. a separable recursion with a usable selection runs the compiled
-//!    Separable algorithm over the pre-materialized supporting
-//!    (non-recursive-with-`t`) IDB predicates;
+//!    Separable algorithm over the lower strata it reads, materialized
+//!    once for every separable predicate;
 //! 4. anything else falls back to Generalized Magic Sets (for selections)
 //!    or plain semi-naive evaluation.
 //!

@@ -1,6 +1,5 @@
 //! Live EDB mutations: staged on copy-on-write snapshots, committed
-//! all-or-none, with the prepared supporting strata maintained
-//! incrementally.
+//! all-or-none, with the one prepared support maintained incrementally.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -9,7 +8,7 @@ use sepra_ast::parse_program;
 use sepra_eval::maintain;
 use sepra_storage::{EdbDelta, EvalStats};
 
-use crate::processor::{Prepared, ProcessorError, QueryProcessor};
+use crate::processor::{ProcessorError, QueryProcessor};
 
 /// The result of one [`QueryProcessor::apply_mutation`] call.
 #[derive(Debug)]
@@ -47,7 +46,7 @@ impl QueryProcessor {
     /// the shared plan cache is revalidated, so no query — on this
     /// processor or any clone sharing the cache — can hit a pre-mutation
     /// plan. Detection outcomes survive (they depend only on the program);
-    /// supporting strata are maintained incrementally, not recomputed.
+    /// the one support is maintained incrementally, once, not recomputed.
     pub fn apply_mutation(
         &mut self,
         inserts: &[&str],
@@ -120,33 +119,26 @@ impl QueryProcessor {
         // An ineffective mutation changes nothing: it keeps the prepared
         // state and the current generation.
         if retracted + inserted > 0 {
-            // Incrementally maintain each prepared supporting-strata
-            // materialization across the effective delta.
-            let mut new_prepared = None;
-            if let Some(prepared) = &self.prepared {
-                let mut next = Prepared::clone(prepared);
-                for support in next.values_mut().filter_map(|r| r.support.as_mut()) {
-                    if support.program.rules.is_empty() {
-                        continue;
-                    }
-                    let derived = maintain(
-                        &support.program,
-                        &db_before,
-                        &db_mid,
-                        &db,
-                        &support.relations,
-                        &effective,
-                        &self.eval_options(),
-                    )?;
-                    stats.merge(&derived.stats);
-                    support.relations = Arc::new(derived.relations);
-                }
-                new_prepared = Some(Arc::new(next));
+            // Incrementally maintain the one prepared support across the
+            // effective delta.
+            let mut prepared = self.prepared.clone();
+            if let Some(p) = prepared.as_mut().filter(|p| !p.support_rules.rules.is_empty()) {
+                let derived = maintain(
+                    &p.support_rules,
+                    &db_before,
+                    &db_mid,
+                    &db,
+                    &p.support,
+                    &effective,
+                    &self.eval_options(),
+                )?;
+                stats.merge(&derived.stats);
+                Arc::make_mut(p).support = Arc::new(derived.relations);
             }
 
             // Commit.
             self.db = db;
-            self.prepared = new_prepared;
+            self.prepared = prepared;
             self.generation += 1;
             // The program is unchanged here — only the EDB moved — so
             // cached plans stay valid as long as the relations they scan
@@ -186,8 +178,17 @@ mod tests {
                              knows(n0, n1). knows(n1, n2). knows(n3, n2).\n\
                              perfectFor(n2, gift). perfectFor(n0, card).\n";
 
+    /// A separable recursion over another one: the one support holds the
+    /// lower separable predicate's own relation, which every mutation of
+    /// `e` has to maintain.
+    const STACKED: &str = "low(X, Y) :- e(X, W), low(W, Y).\n\
+                           low(X, Y) :- e(X, Y).\n\
+                           up(X, Y) :- f(X, W), up(W, Y).\n\
+                           up(X, Y) :- low(X, Y).\n\
+                           e(n0, n1). e(n1, n2). f(n3, n0). f(n4, n3).\n";
+
     /// Everything a mutation can change, in comparable form: the EDB, the
-    /// prepared supporting relations, and the answers to `queries`.
+    /// prepared support's relations, and the answers to `queries`.
     fn observable(qp: &mut QueryProcessor, queries: &[String]) -> Vec<String> {
         let mut seen = Vec::new();
         for (pred, relation) in qp.db.relations() {
@@ -195,11 +196,11 @@ mod tests {
             rows.sort();
             seen.push(format!("edb {pred:?} {rows:?}"));
         }
-        for (pred, recursion) in qp.prepared.as_deref().into_iter().flatten() {
-            for (derived, relation) in recursion.support.iter().flat_map(|s| s.relations.iter()) {
+        if let Some(prepared) = &qp.prepared {
+            for (derived, relation) in prepared.support.iter() {
                 let mut rows: Vec<Tuple> = relation.iter().map(|t| t.to_tuple()).collect();
                 rows.sort();
-                seen.push(format!("support of {pred:?}: {derived:?} {rows:?}"));
+                seen.push(format!("support: {derived:?} {rows:?}"));
             }
         }
         seen.sort();
@@ -306,6 +307,12 @@ mod tests {
             );
             let queries = ["buys(n0, Y)?".into(), "buys(X, gift)?".into(), "friend(X, Y)?".into()];
             assert_every_split_agrees(SUPPORTED, &pool, &queries, seed);
+
+            // Separable over separable, sharing the one support.
+            let mut pool = facts(STACKED);
+            pool.extend(["e(n2, n3).", "e(n4, n0).", "f(n2, n4)."].map(String::from));
+            let queries = ["up(n4, Y)?".into(), "up(X, n2)?".into(), "low(n0, Y)?".into()];
+            assert_every_split_agrees(STACKED, &pool, &queries, seed);
 
             // Stratified (negation, count, recursive min): the generated
             // program, with its own script's facts added to the pool.

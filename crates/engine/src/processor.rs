@@ -69,25 +69,22 @@ impl From<EvalError> for ProcessorError {
     }
 }
 
-/// The supporting strata of one separable predicate: every rule that
-/// does not define it, and those rules' fixpoint over the current EDB —
-/// the relations the specialized evaluators read as if they were base
-/// relations.
-#[derive(Debug, Clone)]
-pub(crate) struct Support {
-    /// The rules, built once per [`QueryProcessor::prepare`]; live
-    /// mutations maintain `relations` against it.
-    pub(crate) program: Arc<Program>,
-    /// The materialized IDB relations of `program`.
-    pub(crate) relations: Arc<ExtraRelations>,
-}
-
 /// Everything [`QueryProcessor::prepare`] computes up front: per recursive
-/// predicate, the detection outcome and — when separable — the
-/// materialized supporting strata. Shared read-only across processor
+/// predicate its detection outcome, and one support for all the separable
+/// ones (the lower strata they read). Shared read-only across processor
 /// clones, so a query server pays for detection and support evaluation
 /// once, not per worker.
-pub(crate) type Prepared = FxHashMap<Sym, Recursion>;
+#[derive(Debug, Clone)]
+pub(crate) struct Prepared {
+    pub(crate) recursions: FxHashMap<Sym, Recursion>,
+    /// The rules of every predicate in the cone below the separable
+    /// predicates' rule bodies; live mutations maintain `support` by them.
+    pub(crate) support_rules: Arc<Program>,
+    /// Their fixpoint over the current EDB. Built without statistics, it
+    /// keeps no indexes between queries: that is parked until the benchmark
+    /// harness stops charging its own per-op samples to `peak_rss_mb`.
+    pub(crate) support: Arc<ExtraRelations>,
+}
 
 /// A program + database pair that answers queries.
 ///
@@ -156,27 +153,24 @@ impl QueryProcessor {
         Ok(())
     }
 
-    /// Runs recursion detection and support materialization for every
-    /// recursive predicate up front, and enables the shared plan cache.
+    /// Runs recursion detection for every recursive predicate up front,
+    /// materializes the one support of the separable ones, and enables the
+    /// shared plan cache.
     ///
     /// Call this once after loading and before cloning the processor to
-    /// worker threads: queries then skip per-call detection, share one
-    /// supporting-strata materialization, and reuse compiled plans. The
-    /// prepared state is invalidated by further [`QueryProcessor::load`] or
-    /// [`QueryProcessor::db_mut`] calls.
+    /// worker threads: queries then skip per-call detection, read the lower
+    /// strata without evaluating them, and reuse compiled plans; a mutation
+    /// maintains the support once. The prepared state is invalidated by
+    /// further [`QueryProcessor::load`] or [`QueryProcessor::db_mut`] calls.
     pub fn prepare(&mut self) -> Result<(), ProcessorError> {
         let graph = DependencyGraph::build(&self.program);
         let heads = self.program.rules.iter().map(|r| r.head.pred);
         let preds: BTreeSet<Sym> = heads.filter(|&p| graph.is_recursive(p)).collect();
-        let mut prepared = Prepared::default();
-        for pred in preds {
-            let mut recursion = self.analyze(&graph, pred, true);
-            if recursion.separable.is_ok() {
-                recursion.support = Some(self.support(pred, &recursion)?);
-            }
-            prepared.insert(pred, recursion);
-        }
-        self.prepared = Some(Arc::new(prepared));
+        let recursions: FxHashMap<Sym, Recursion> =
+            preds.into_iter().map(|pred| (pred, self.analyze(&graph, pred, true))).collect();
+        let separable = recursions.iter().filter(|(_, r)| r.separable.is_ok()).map(|(&p, _)| p);
+        let (support_rules, support) = self.materialize(&graph, &separable.collect())?;
+        self.prepared = Some(Arc::new(Prepared { recursions, support_rules, support }));
         // Cached plans from an earlier generation must not survive into
         // this one. The program itself may have changed since they were
         // built, so no statistics drift check applies — drop them all
@@ -280,22 +274,36 @@ impl QueryProcessor {
         self.run_query(&query, choice)
     }
 
-    /// The supporting strata of a separable `pred` — every IDB predicate
-    /// other than `pred`, materialized so the specialized evaluators can
-    /// treat them as base relations: what `prepare` stored (and mutations
-    /// have maintained since), or the same materialization on the spot.
-    pub(crate) fn support(&self, pred: Sym, found: &Recursion) -> Result<Support, ProcessorError> {
-        if let Some(support) = &found.support {
-            return Ok(support.clone());
+    /// The lower strata a separable `pred` reads: the one support `prepare`
+    /// built (and mutations have maintained since), or, on an unprepared
+    /// processor, `pred`'s own cone materialized on the spot.
+    pub(crate) fn support(&self, pred: Sym) -> Result<Arc<ExtraRelations>, ProcessorError> {
+        if let Some(prepared) = &self.prepared {
+            return Ok(Arc::clone(&prepared.support));
         }
-        let rules = self.program.rules.iter().filter(|r| r.head.pred != pred).cloned().collect();
-        let program = Program::new(rules);
+        let graph = DependencyGraph::build(&self.program);
+        Ok(self.materialize(&graph, &BTreeSet::from([pred]))?.1)
+    }
+
+    /// What the separable `preds` read, as rules and their fixpoint: the
+    /// cone below their rules' body atoms, each rule's own head left out.
+    fn materialize(
+        &self,
+        graph: &DependencyGraph,
+        preds: &BTreeSet<Sym>,
+    ) -> Result<(Arc<Program>, Arc<ExtraRelations>), EvalError> {
+        let rules = self.program.rules.iter().filter(|r| preds.contains(&r.head.pred));
+        let read =
+            rules.flat_map(|r| r.body_atoms().map(|a| a.pred).filter(move |&p| p != r.head.pred));
+        let cone = graph.cone(read);
+        let rules = self.program.rules.iter().filter(|r| cone.contains(&r.head.pred));
+        let program = Program::new(rules.cloned().collect());
         let relations = if program.rules.is_empty() {
             ExtraRelations::default()
         } else {
             seminaive_with_options(&program, &self.db, &self.eval_options())?.relations
         };
-        Ok(Support { program: Arc::new(program), relations: Arc::new(relations) })
+        Ok((Arc::new(program), Arc::new(relations)))
     }
 
     /// Produces a diagnostic report over everything loaded so far: the
@@ -364,6 +372,38 @@ mod tests {
         let r = qp.query("reach(a, Y)?").unwrap();
         assert_eq!(r.strategy, Strategy::Separable);
         assert_eq!(r.answers.len(), 2); // b and c
+    }
+
+    /// Regression: a separable predicate's support was every other rule of
+    /// the program, so a budget spent on a component the query never reads
+    /// failed the query, and failed `prepare` too.
+    #[test]
+    fn a_budget_spent_on_an_unread_component_blocks_no_query() {
+        let mut src = String::from(
+            "knows(X, Y) :- friend(X, Y).\n\
+             reach(X, Y) :- knows(X, W), reach(W, Y).\n\
+             reach(X, Y) :- knows(X, Y).\n\
+             big(X, Y) :- link(X, Y).\n\
+             big(X, Y) :- link(X, W), big(W, Y).\n\
+             friend(a, b). friend(b, c).\n",
+        );
+        for i in 0..40 {
+            src.push_str(&format!("link(l{i}, l{}).\n", i + 1));
+        }
+        for prepare in [false, true] {
+            let mut qp = QueryProcessor::new();
+            qp.load(&src).unwrap();
+            qp.set_exec_options(ExecOptions {
+                budget: sepra_eval::Budget::default().tuples(200),
+                ..ExecOptions::default()
+            });
+            if prepare {
+                qp.prepare().unwrap();
+            }
+            let r = qp.query("reach(a, Y)?").unwrap();
+            assert_eq!(r.strategy, Strategy::Separable, "prepare={prepare}");
+            assert_eq!(r.answers.len(), 2, "prepare={prepare}"); // b and c
+        }
     }
 
     #[test]

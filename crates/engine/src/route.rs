@@ -20,7 +20,7 @@ use sepra_rewrite::{
 };
 use sepra_storage::{EvalStats, Relation};
 
-use crate::processor::{ProcessorError, QueryProcessor, QueryResult, Support};
+use crate::processor::{ProcessorError, QueryProcessor, QueryResult};
 
 /// The evaluation strategies the processor can run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,9 +112,6 @@ pub(crate) struct Recursion {
     /// The separable recursion, or the line `--explain` gives for why
     /// there is none.
     pub(crate) separable: Result<Arc<SeparableRecursion>, Arc<str>>,
-    /// The supporting strata of a separable predicate, once `prepare` has
-    /// materialized them; see [`QueryProcessor::support`].
-    pub(crate) support: Option<Support>,
 }
 
 /// How automatic selection answers a query. Fallbacks carry the reason
@@ -154,7 +151,7 @@ impl Route {
 impl Recursion {
     /// Nothing to run a specialized strategy on, for `reason`.
     fn none(reason: impl Into<Arc<str>>) -> Self {
-        Recursion { bounded: None, separable: Err(reason.into()), support: None }
+        Recursion { bounded: None, separable: Err(reason.into()) }
     }
 }
 
@@ -171,7 +168,6 @@ impl QueryProcessor {
         Recursion {
             bounded: bounded.then(|| analyze_bounded(&def, interner)).flatten().map(Arc::new),
             separable: detect(&def, interner).map(Arc::new).map_err(|ns| ns.to_string().into()),
-            support: None,
         }
     }
 
@@ -191,7 +187,7 @@ impl QueryProcessor {
             StrategyChoice::Force(_) => (false, false),
         };
         let found = match &self.prepared {
-            Some(prepared) => prepared.get(&pred).cloned(),
+            Some(prepared) => prepared.recursions.get(&pred).cloned(),
             None if read => {
                 let graph = DependencyGraph::build(&self.program);
                 graph.is_recursive(pred).then(|| self.analyze(&graph, pred, bounded))
@@ -271,7 +267,7 @@ impl QueryProcessor {
                     let reason = "query has no selection constants";
                     return Err(unavailable("separable algorithm", reason));
                 }
-                let support = self.support(query.atom.pred, &found)?.relations;
+                let support = self.support(query.atom.pred)?;
                 let mut evaluator = SeparableEvaluator::with_options(Arc::clone(sep), exec);
                 if self.prepared.is_some() {
                     // The cache is only sound once `prepare` has interned

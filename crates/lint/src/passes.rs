@@ -339,11 +339,11 @@ impl Pass for UnreachableFromQuery {
             return;
         };
         let goal = query.atom.pred;
-        let reachable = |p: Sym| p == goal || ctx.graph.depends_on(goal, p);
+        let reachable = ctx.graph.cone([goal]);
         let mut seen: Vec<Sym> = Vec::new();
         for rule in &ctx.program.rules {
             let pred = rule.head.pred;
-            if seen.contains(&pred) || reachable(pred) {
+            if seen.contains(&pred) || reachable.contains(&pred) {
                 continue;
             }
             seen.push(pred);
