@@ -65,6 +65,20 @@ impl Polarity {
     }
 }
 
+/// Where negation and aggregation sit relative to a predicate — what
+/// [`DependencyGraph::scope`] reads off the graph, and what decides which
+/// evaluation strategies may answer a query on the predicate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scope {
+    /// No rule of the predicate's cone negates or aggregates.
+    PositiveCone,
+    /// The predicate's own component is positive, but a component below it
+    /// negates or aggregates: the lower strata are relations to read.
+    StrataBelow,
+    /// A rule of the predicate's own component negates or aggregates.
+    StratifiedComponent,
+}
+
 /// One labelled dependency edge: the head predicate of a rule reads `to`.
 #[derive(Debug, Clone)]
 struct Edge {
@@ -96,6 +110,10 @@ pub struct DependencyGraph {
     /// The components' members by ascending node, numbered in reverse
     /// topological order (callees before callers).
     components: Vec<Vec<usize>>,
+    /// For each component, where negation and aggregation sit.
+    scopes: Vec<Scope>,
+    /// Why the program does not stratify, if it does not.
+    refusal: Option<StratError>,
 }
 
 impl DependencyGraph {
@@ -110,8 +128,30 @@ impl DependencyGraph {
             })
         };
         let mut edges = Vec::new();
+        // Heads with a rule that negates or aggregates (an aggregate rule
+        // whose body has no atom records no edge).
+        let mut stratified = Vec::new();
+        // Aggregate annotations must agree across every proper rule of a
+        // head: evaluation keeps exactly one stored tuple per group, so two
+        // rules pulling in different directions have no coherent reading.
+        // (Facts are contributions, like EDB tuples, and carry no
+        // annotation anyway.)
+        let mut first_of: BTreeMap<Sym, &Rule> = BTreeMap::new();
+        let mut refusal = None;
         for rule in &program.rules {
             let (from, rule_span) = (node(rule.head.pred), rule.span());
+            if rule.agg.is_some() || rule.negated_atoms().next().is_some() {
+                stratified.push(from);
+            }
+            let first = (!rule.is_fact()).then(|| *first_of.entry(rule.head.pred).or_insert(rule));
+            if let Some(first) = first.filter(|first| first.agg != rule.agg && refusal.is_none()) {
+                refusal = Some(StratError::MixedAggregate {
+                    head: rule.head.pred,
+                    rule_span,
+                    site_span: rule.agg.as_ref().map_or(rule_span, |a| a.span),
+                    back_span: first.span(),
+                });
+            }
             let (polarity, site_span) = match &rule.agg {
                 Some(spec) => (Polarity::Aggregate(spec.func), spec.span),
                 None => (Polarity::Positive, rule_span),
@@ -144,7 +184,27 @@ impl DependencyGraph {
         for (i, &c) in scc_of.iter().enumerate() {
             components[c].push(i);
         }
-        DependencyGraph { preds, index, edges, out, scc_of, components }
+        let mut own = vec![false; components.len()];
+        for n in stratified {
+            own[scc_of[n]] = true;
+        }
+        // Components are numbered callees first, so one forward sweep sees
+        // the scope of every component a component reads.
+        let mut scopes = Vec::with_capacity(components.len());
+        for (c, members) in components.iter().enumerate() {
+            let below = members.iter().flat_map(|&n| &out[n]).map(|&e| scc_of[edges[e].to]);
+            scopes.push(if own[c] {
+                Scope::StratifiedComponent
+            } else if below.filter(|&to| to != c).any(|to| scopes[to] != Scope::PositiveCone) {
+                Scope::StrataBelow
+            } else {
+                Scope::PositiveCone
+            });
+        }
+        let mut graph =
+            DependencyGraph { preds, index, edges, out, scc_of, components, scopes, refusal };
+        graph.refusal = graph.refusal.take().or_else(|| graph.cycle_refusal());
+        graph
     }
 
     /// The cone below `roots`: the roots and every predicate they read,
@@ -160,6 +220,17 @@ impl DependencyGraph {
             }
         }
         self.preds.iter().zip(seen).filter_map(|(&p, seen)| seen.then_some(p)).collect()
+    }
+
+    /// Where negation and aggregation sit relative to `p`: nowhere in its
+    /// cone, only in components below its own, or in its own component —
+    /// as for every predicate of a program that does not stratify. A
+    /// predicate outside the graph has a positive cone.
+    pub fn scope(&self, p: Sym) -> Scope {
+        self.index.get(&p).map_or(Scope::PositiveCone, |&pi| match self.refusal {
+            Some(_) => Scope::StratifiedComponent,
+            None => self.scopes[self.scc_of[pi]],
+        })
     }
 
     /// Whether `p` is recursive: its component has another member, or it
@@ -203,8 +274,8 @@ impl DependencyGraph {
             .collect()
     }
 
-    /// Stratifies `program` (the program this graph was built from), or
-    /// explains why it cannot be stratified.
+    /// Stratifies the program this graph was built from, or explains why
+    /// it cannot be stratified.
     ///
     /// The returned strata are *levels*, not evaluation units: evaluation
     /// still proceeds component by component ([`DependencyGraph::strata`]),
@@ -213,66 +284,10 @@ impl DependencyGraph {
     /// their readers (except the sanctioned `min`/`max` self-recursion),
     /// and the level of a predicate only depends on predicates at its own
     /// or lower levels.
-    pub fn stratify(&self, program: &Program) -> Result<Stratification, StratError> {
-        // Aggregate annotations must agree across every proper rule of a
-        // head: evaluation keeps exactly one stored tuple per group, so two
-        // rules pulling in different directions have no coherent reading.
-        // (Facts are contributions, like EDB tuples, and carry no
-        // annotation anyway.)
-        let mut agg_of: BTreeMap<Sym, &Rule> = BTreeMap::new();
-        for rule in program.proper_rules() {
-            let Some(first) = agg_of.get(&rule.head.pred) else {
-                agg_of.insert(rule.head.pred, rule);
-                continue;
-            };
-            if first.agg != rule.agg {
-                return Err(StratError::MixedAggregate {
-                    head: rule.head.pred,
-                    rule_span: rule.span(),
-                    site_span: rule.agg.as_ref().map_or(rule.span(), |a| a.span),
-                    back_span: first.span(),
-                });
-            }
+    pub fn stratify(&self) -> Result<Stratification, StratError> {
+        if let Some(refusal) = &self.refusal {
+            return Err(refusal.clone());
         }
-
-        // Reject boundary edges inside a component.
-        for edge in &self.edges {
-            let scc = self.scc_of[edge.from];
-            if !edge.polarity.is_boundary() || scc != self.scc_of[edge.to] {
-                continue;
-            }
-            // `min`/`max` may close a *direct* self-recursion: the component
-            // is the head predicate alone, reading itself through the
-            // aggregate.
-            if let Polarity::Aggregate(func) = edge.polarity {
-                if func.monotonic_in_recursion() && self.components[scc].len() == 1 {
-                    continue;
-                }
-            }
-            let (back_span, cycle) = self.cycle_witness(edge);
-            let (head, rule_span, site_span) =
-                (self.preds[edge.from], edge.rule_span, edge.site_span);
-            return Err(match edge.polarity {
-                Polarity::Negative => StratError::NegationInCycle {
-                    head,
-                    negated: self.preds[edge.to],
-                    rule_span,
-                    site_span,
-                    back_span,
-                    cycle,
-                },
-                Polarity::Aggregate(func) => StratError::AggregateInCycle {
-                    head,
-                    func,
-                    rule_span,
-                    site_span,
-                    back_span,
-                    cycle,
-                },
-                Polarity::Positive => unreachable!("positive edges are never boundaries"),
-            });
-        }
-
         // Levels: the longest path over the condensation. Components are
         // numbered callees first, so one forward sweep sees every dependency
         // resolved.
@@ -293,6 +308,48 @@ impl DependencyGraph {
             strata[stratum_of[&p]].push(p);
         }
         Ok(Stratification { stratum_of, strata })
+    }
+
+    /// The first negation or aggregate that closes a cycle, other than a
+    /// `min`/`max` self-recursion.
+    fn cycle_refusal(&self) -> Option<StratError> {
+        for edge in &self.edges {
+            let scc = self.scc_of[edge.from];
+            if !edge.polarity.is_boundary() || scc != self.scc_of[edge.to] {
+                continue;
+            }
+            // `min`/`max` may close a *direct* self-recursion: the component
+            // is the head predicate alone, reading itself through the
+            // aggregate.
+            if let Polarity::Aggregate(func) = edge.polarity {
+                if func.monotonic_in_recursion() && self.components[scc].len() == 1 {
+                    continue;
+                }
+            }
+            let (back_span, cycle) = self.cycle_witness(edge);
+            let (head, rule_span, site_span) =
+                (self.preds[edge.from], edge.rule_span, edge.site_span);
+            return Some(match edge.polarity {
+                Polarity::Negative => StratError::NegationInCycle {
+                    head,
+                    negated: self.preds[edge.to],
+                    rule_span,
+                    site_span,
+                    back_span,
+                    cycle,
+                },
+                Polarity::Aggregate(func) => StratError::AggregateInCycle {
+                    head,
+                    func,
+                    rule_span,
+                    site_span,
+                    back_span,
+                    cycle,
+                },
+                Polarity::Positive => unreachable!("positive edges are never boundaries"),
+            });
+        }
+        None
     }
 
     /// Finds a dependency path from `edge.to` back to `edge.from` inside
@@ -476,7 +533,7 @@ fn tarjan(succ: &[Vec<usize>]) -> Vec<usize> {
 /// Stratifies `program`, or explains why it cannot be stratified: builds
 /// its [`DependencyGraph`] and runs [`DependencyGraph::stratify`].
 pub fn stratify(program: &Program) -> Result<Stratification, StratError> {
-    DependencyGraph::build(program).stratify(program)
+    DependencyGraph::build(program).stratify()
 }
 
 /// A successful stratification.
@@ -661,6 +718,33 @@ mod tests {
         assert!(!g.is_recursive(a));
         assert_eq!(g.cone([t]), BTreeSet::from([t, a, i.intern("t0")]));
         assert_eq!(g.cone([a]), BTreeSet::from([a]));
+    }
+
+    #[test]
+    fn scope_places_negation_and_aggregation_relative_to_a_predicate() {
+        let (_, g, mut i) = graph_of(
+            "safe(X, Y) :- e(X, Y), !blocked(Y).\n\
+             reach(X, Y) :- safe(X, W), reach(W, Y).\n\
+             reach(X, Y) :- safe(X, Y).\n\
+             t(X, Y) :- e(X, Y).\n\
+             t(X, Y) :- e(X, W), t(W, Y).\n\
+             p(X) :- a(X), q(X).\n\
+             q(X) :- b(X), p(X).\n\
+             q(X) :- c(X, n), !d(X).\n\
+             low(min<C>) :- C = 3.\n\
+             over(C) :- low(C).\n",
+        );
+        let mut scope = |name: &str| g.scope(i.intern(name));
+        assert_eq!(scope("t"), Scope::PositiveCone);
+        assert_eq!(scope("e"), Scope::PositiveCone);
+        assert_eq!(scope("ghost"), Scope::PositiveCone);
+        assert_eq!(scope("reach"), Scope::StrataBelow);
+        assert_eq!(scope("safe"), Scope::StratifiedComponent);
+        // `p` negates nothing itself, but shares its component with `q`.
+        assert_eq!(scope("p"), Scope::StratifiedComponent);
+        // An aggregate rule whose body has no atom records no edge.
+        assert_eq!(scope("low"), Scope::StratifiedComponent);
+        assert_eq!(scope("over"), Scope::StrataBelow);
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod span;
 pub mod symbol;
 pub mod term;
 
-pub use analysis::{DependencyGraph, PredicateInfo, RecursiveDef};
+pub use analysis::{DependencyGraph, PredicateInfo, RecursiveDef, Scope};
 pub use atom::Atom;
 pub use error::AstError;
 pub use parse::{parse_program, parse_program_raw, parse_query, Parser};

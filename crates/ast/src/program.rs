@@ -54,20 +54,10 @@ impl Program {
         out
     }
 
-    /// Whether any rule body contains a negated literal.
-    pub fn uses_negation(&self) -> bool {
-        self.rules.iter().any(|r| r.negated_atoms().next().is_some())
-    }
-
-    /// Whether any rule head carries an aggregate annotation.
-    pub fn uses_aggregates(&self) -> bool {
-        self.rules.iter().any(|r| r.agg.is_some())
-    }
-
     /// Whether the program uses any stratification-requiring construct
     /// (negation or aggregation).
     pub fn uses_stratified_constructs(&self) -> bool {
-        self.uses_negation() || self.uses_aggregates()
+        self.rules.iter().any(|r| r.agg.is_some() || r.negated_atoms().next().is_some())
     }
 
     /// Appends another program's rules.

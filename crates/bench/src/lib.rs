@@ -93,7 +93,8 @@ pub fn run_magic(inst: &Instance) -> Result<Measurement, EvalError> {
 pub fn run_counting(inst: &Instance) -> Result<Measurement, EvalError> {
     let (db, _program, query, sep) = detect_instance(inst);
     let start = Instant::now();
-    let out = counting_evaluate(&sep, &query, &db, &CountingOptions::default())?;
+    let out =
+        counting_evaluate(&sep, &query, &db, &Default::default(), &CountingOptions::default())?;
     let elapsed = start.elapsed();
     Ok(measurement("counting", out.stats, out.answers.len(), elapsed))
 }
@@ -102,7 +103,7 @@ pub fn run_counting(inst: &Instance) -> Result<Measurement, EvalError> {
 pub fn run_hn(inst: &Instance) -> Result<Measurement, EvalError> {
     let (db, _program, query, sep) = detect_instance(inst);
     let start = Instant::now();
-    let out = hn_evaluate(&sep, &query, &db, &HnOptions::default())?;
+    let out = hn_evaluate(&sep, &query, &db, &Default::default(), &HnOptions::default())?;
     let elapsed = start.elapsed();
     Ok(measurement("hn", out.stats, out.answers.len(), elapsed))
 }

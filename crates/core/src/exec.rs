@@ -271,7 +271,7 @@ fn seed_and_phase2(
 
 /// The relations `plans` scan, from `extra` where materialized there and
 /// from `db` otherwise: only those, so a store does not grow with the program.
-pub(crate) fn base_store<'a, 'p>(
+pub fn base_store<'a, 'p>(
     db: &'a Database,
     extra: &'a ExtraRelations,
     plans: impl IntoIterator<Item = &'p ConjPlan>,

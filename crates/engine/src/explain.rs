@@ -15,7 +15,7 @@ use sepra_eval::{ConjPlan, EvalError, PlanLiteral, PlanMode, Planner, PlannerSta
 use sepra_storage::Value;
 
 use crate::processor::{ProcessorError, QueryProcessor};
-use crate::route::{Route, Strategy, StrategyChoice};
+use crate::route::{admit, Route, Strategy, StrategyChoice};
 
 /// One scanned relation of a compiled conjunction, with the planner's
 /// estimates — the numbers `:plan` / `--explain` print.
@@ -71,9 +71,10 @@ impl QueryProcessor {
     pub fn why(&mut self, src: &str) -> Result<String, ProcessorError> {
         let query = self.parse_query(src)?;
         let pred = query.atom.pred;
-        // The same lookup a forced `separable` makes: only the separable
-        // recursion is read.
+        // The same lookup and admission a forced `separable` makes: only
+        // the separable recursion is read.
         let found = self.recursion(pred, StrategyChoice::Force(Strategy::Separable));
+        admit(found.scope, Strategy::Separable)?;
         let sep = found.separable.as_ref();
         let sep = sep.map_err(|r| ProcessorError::StrategyUnavailable(r.to_string()))?;
         let extra = self.support(pred)?;

@@ -6,15 +6,16 @@
 //! replace them. This crate is that processor: it holds a program and a
 //! database, and routes each query — one decision, owned by `route.rs`:
 //!
-//! 1. a program with negation or aggregates runs on stratified semi-naive,
-//!    the only engine (besides naive) that evaluates them;
+//! 1. a query predicate whose own component negates or aggregates (or a
+//!    program that does not stratify) runs on stratified semi-naive, the
+//!    only engine (besides naive) that evaluates them;
 //! 2. a provably bounded recursion is replaced by its nonrecursive
 //!    unfolding and evaluated with no fixpoint at all;
 //! 3. a separable recursion with a usable selection runs the compiled
-//!    Separable algorithm over the lower strata it reads, materialized
-//!    once for every separable predicate;
-//! 4. anything else falls back to Generalized Magic Sets (for selections)
-//!    or plain semi-naive evaluation.
+//!    Separable algorithm over the lower strata it reads — negated or
+//!    aggregated ones too — materialized once for every separable predicate;
+//! 4. anything else falls back to Generalized Magic Sets (for selections
+//!    whose cone is positive) or plain semi-naive evaluation.
 //!
 //! Every result carries the strategy used, the answer relation, wall-clock
 //! time, and the paper's relation-size statistics; [`QueryProcessor::explain`]

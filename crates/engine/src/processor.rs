@@ -69,11 +69,11 @@ impl From<EvalError> for ProcessorError {
     }
 }
 
-/// Everything [`QueryProcessor::prepare`] computes up front: per recursive
-/// predicate its detection outcome, and one support for all the separable
-/// ones (the lower strata they read). Shared read-only across processor
-/// clones, so a query server pays for detection and support evaluation
-/// once, not per worker.
+/// Everything [`QueryProcessor::prepare`] computes up front: per predicate
+/// a rule mentions its scope and detection outcome, and one support for
+/// all the separable ones (the lower strata they read). Shared read-only
+/// across processor clones, so a query server pays for detection and
+/// support evaluation once, not per worker.
 #[derive(Debug, Clone)]
 pub(crate) struct Prepared {
     pub(crate) recursions: FxHashMap<Sym, Recursion>,
@@ -96,10 +96,6 @@ pub(crate) struct Prepared {
 pub struct QueryProcessor {
     pub(crate) db: Database,
     pub(crate) program: Program,
-    /// Whether `program` uses negation or aggregates, which only the
-    /// stratum-aware engines (semi-naive, naive) evaluate. Kept by
-    /// [`QueryProcessor::load`], the one place the program grows.
-    pub(crate) stratified: bool,
     pub(crate) exec_options: ExecOptions,
     /// Everything loaded through [`QueryProcessor::load`], concatenated.
     /// The lint driver re-parses this text so its diagnostics carry spans
@@ -143,7 +139,6 @@ impl QueryProcessor {
             }
         }
         self.program.rules.extend(rules);
-        self.stratified = self.program.uses_stratified_constructs();
         self.source.push_str(src);
         if !src.ends_with('\n') {
             self.source.push('\n');
@@ -153,9 +148,9 @@ impl QueryProcessor {
         Ok(())
     }
 
-    /// Runs recursion detection for every recursive predicate up front,
-    /// materializes the one support of the separable ones, and enables the
-    /// shared plan cache.
+    /// Analyzes every predicate a rule mentions up front (its scope, and for
+    /// a recursive one its detection outcome), materializes the one support
+    /// of the separable ones, and enables the shared plan cache.
     ///
     /// Call this once after loading and before cloning the processor to
     /// worker threads: queries then skip per-call detection, read the lower
@@ -164,8 +159,7 @@ impl QueryProcessor {
     /// further [`QueryProcessor::load`] or [`QueryProcessor::db_mut`] calls.
     pub fn prepare(&mut self) -> Result<(), ProcessorError> {
         let graph = DependencyGraph::build(&self.program);
-        let heads = self.program.rules.iter().map(|r| r.head.pred);
-        let preds: BTreeSet<Sym> = heads.filter(|&p| graph.is_recursive(p)).collect();
+        let preds: BTreeSet<Sym> = graph.strata().into_iter().flatten().collect();
         let recursions: FxHashMap<Sym, Recursion> =
             preds.into_iter().map(|pred| (pred, self.analyze(&graph, pred, true))).collect();
         let separable = recursions.iter().filter(|(_, r)| r.separable.is_ok()).map(|(&p, _)| p);
@@ -357,21 +351,32 @@ mod tests {
         assert_eq!(r.answers.len(), 1);
     }
 
+    /// Regression: forced Counting and Henschen-Naqvi read the EDB only,
+    /// and answered nothing over a derived subgoal.
     #[test]
     fn support_predicates_are_materialized() {
         // `knows` is a non-recursive IDB predicate used by the recursion.
-        let mut qp = QueryProcessor::new();
-        qp.load(
-            "knows(X, Y) :- friend(X, Y).\n\
-             knows(X, Y) :- colleague(X, Y).\n\
-             reach(X, Y) :- knows(X, W), reach(W, Y).\n\
-             reach(X, Y) :- knows(X, Y).\n\
-             friend(a, b). colleague(b, c).\n",
-        )
-        .unwrap();
-        let r = qp.query("reach(a, Y)?").unwrap();
-        assert_eq!(r.strategy, Strategy::Separable);
-        assert_eq!(r.answers.len(), 2); // b and c
+        for prepare in [false, true] {
+            let mut qp = QueryProcessor::new();
+            qp.load(
+                "knows(X, Y) :- friend(X, Y).\n\
+                 knows(X, Y) :- colleague(X, Y).\n\
+                 reach(X, Y) :- knows(X, W), reach(W, Y).\n\
+                 reach(X, Y) :- knows(X, Y).\n\
+                 friend(a, b). colleague(b, c).\n",
+            )
+            .unwrap();
+            if prepare {
+                qp.prepare().unwrap();
+            }
+            let r = qp.query("reach(a, Y)?").unwrap();
+            assert_eq!(r.strategy, Strategy::Separable);
+            assert_eq!(r.answers.len(), 2); // b and c
+            for strategy in [Strategy::Counting, Strategy::HenschenNaqvi] {
+                let forced = qp.query_with("reach(a, Y)?", StrategyChoice::Force(strategy));
+                assert_eq!(forced.unwrap().answers, r.answers, "{strategy}, prepare={prepare}");
+            }
+        }
     }
 
     /// Regression: a separable predicate's support was every other rule of

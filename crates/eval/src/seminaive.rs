@@ -180,7 +180,7 @@ pub(crate) fn stratified_graph(
 ) -> Result<DependencyGraph, EvalError> {
     let graph = DependencyGraph::build(program);
     if program.uses_stratified_constructs() {
-        graph.stratify(program).map_err(|e| EvalError::Unstratifiable(e.describe(interner)))?;
+        graph.stratify().map_err(|e| EvalError::Unstratifiable(e.describe(interner)))?;
     }
     Ok(graph)
 }

@@ -77,16 +77,10 @@ impl Pass for Separability {
                     )
                     .with_label(
                         def.recursive_rules[0].span(),
-                        // A separable recursion inside a program that uses
-                        // negation or aggregates still evaluates stratum by
-                        // stratum on semi-naive: the specialized engine is
-                        // refused for the whole program, not per predicate.
-                        if ctx.program.uses_stratified_constructs() {
-                            "separable in isolation, but the program's negation/aggregates \
-                             route it to stratified semi-naive"
-                        } else {
-                            "compiled with the specialized separable algorithm"
-                        },
+                        // A detected recursion's own rules are positive, and
+                        // routing is decided per query cone: whatever its
+                        // lower strata negate or aggregate, it compiles.
+                        "compiled with the specialized separable algorithm",
                     );
                     for (i, class) in sep.classes.iter().enumerate() {
                         diag = diag.with_note(format!(

@@ -41,7 +41,7 @@ impl Pass for StratificationPass {
         if !ctx.program.uses_stratified_constructs() {
             return;
         }
-        match ctx.graph.stratify(ctx.program) {
+        match ctx.graph.stratify() {
             Ok(strat) => out.push(summary(ctx, interner, &strat)),
             Err(err) => out.push(error(&err, interner)),
         }

@@ -124,13 +124,13 @@ pub(crate) fn adorn(
                     }
                 };
                 demands.push(demand);
-                // What the literal binds once evaluated. The engine routes
-                // stratified programs (negation, aggregates) to direct
-                // stratum evaluation, so the demand rewrite never sees them;
-                // kept meaning-preserving regardless: a negated literal
-                // binds nothing (only safe, hence already-bound, variables
-                // occur in it), and a sum binds its target once the
-                // operands are bound.
+                // What the literal binds once evaluated. The engine forces
+                // the demand rewrite only on a query whose cone neither
+                // negates nor aggregates, so it never sees a negated
+                // literal; kept meaning-preserving regardless: a negated
+                // literal binds nothing (only safe, hence already-bound,
+                // variables occur in it), and a sum binds its target once
+                // the operands are bound.
                 match lit {
                     Literal::Atom(atom) => bound.extend(atom.vars()),
                     Literal::Eq(l, r) if is_bound(l, &bound) || is_bound(r, &bound) => {

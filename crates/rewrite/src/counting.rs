@@ -34,10 +34,10 @@
 
 use sepra_ast::Query;
 use sepra_core::detect::SeparableRecursion;
-use sepra_core::evaluate::{assemble, query_value_at};
-use sepra_core::exec::{run_seed_and_phase2, ExecOptions, ExtraRelations};
+use sepra_core::evaluate::{assemble, planner_stats, query_value_at};
+use sepra_core::exec::{base_store, run_seed_and_phase2, ExecOptions, ExtraRelations};
 use sepra_core::plan::{build_plan_with, classify_selection, PlanSelection, SelectionKind};
-use sepra_eval::{filter_by_query, EvalError, IndexCache, Planner, PlannerStats, RelKey, RelStore};
+use sepra_eval::{filter_by_query, EvalError, IndexCache, Planner, RelKey};
 use sepra_storage::{Database, EvalStats, Relation, Tuple, Value};
 
 /// Options for the Counting evaluation.
@@ -63,7 +63,10 @@ pub struct CountingOutcome {
     pub count: Relation,
 }
 
-/// Evaluates `query` with the Generalized Counting Method.
+/// Evaluates `query` with the Generalized Counting Method, reading the
+/// nonrecursive subgoals from `extra` where materialized there and from
+/// `db` otherwise (as [`sepra_core::evaluate::SeparableEvaluator::evaluate`]
+/// does).
 ///
 /// The recursion must be separable-shaped (the paper benchmarks Counting on
 /// exactly such programs) and the query must fully bind one class.
@@ -71,6 +74,7 @@ pub fn counting_evaluate(
     sep: &SeparableRecursion,
     query: &Query,
     db: &Database,
+    extra: &ExtraRelations,
     opts: &CountingOptions,
 ) -> Result<CountingOutcome, EvalError> {
     let SelectionKind::FullClass { class } = classify_selection(sep, query) else {
@@ -78,7 +82,7 @@ pub fn counting_evaluate(
             "counting baseline supports selections that fully bind one equivalence class".into(),
         ));
     };
-    let pstats = PlannerStats::from_database(db);
+    let pstats = planner_stats(sep, db, extra);
     let planner = Planner::new(opts.exec.plan_mode, Some(&pstats));
     let plan = build_plan_with(sep, &PlanSelection::Class(class), &planner)?;
     let phase1 = plan.phase1.as_ref().expect("class plan has phase 1");
@@ -90,7 +94,6 @@ pub fn counting_evaluate(
 
     let mut stats = EvalStats::new();
     planner.record_into(&mut stats);
-    let extra = ExtraRelations::default();
 
     // count(0, 0, x0): seed from the query constants.
     let fixed: Vec<(usize, Value)> = phase1
@@ -137,10 +140,7 @@ pub fn counting_evaluate(
                 carry.insert(vals.clone());
                 codes_of.entry(vals).or_default().push(code);
             }
-            let mut store = RelStore::new();
-            for (p, r) in db.relations() {
-                store.bind(RelKey::Pred(p), r);
-            }
+            let mut store = base_store(db, extra, phase1.steps.iter().map(|(_, step)| step));
             store.bind(RelKey::Aux(sepra_core::plan::AUX_CARRY1), &carry);
             for (j, (_, step)) in phase1.steps.iter().enumerate() {
                 indexes.prepare(step, &store);
@@ -151,10 +151,7 @@ pub fn counting_evaluate(
                 for (vals, codes) in &codes_of {
                     let mut single = Relation::new(width);
                     single.insert(vals.clone());
-                    let mut sub_store = RelStore::new();
-                    for (p, r) in db.relations() {
-                        sub_store.bind(RelKey::Pred(p), r);
-                    }
+                    let mut sub_store = base_store(db, extra, [step]);
                     sub_store.bind(RelKey::Aux(sepra_core::plan::AUX_CARRY1), &single);
                     let mut emitted: Vec<Tuple> = Vec::new();
                     step.execute(&sub_store, &indexes, &[], &mut |row| {
@@ -196,7 +193,7 @@ pub fn counting_evaluate(
     }
     stats.record_size("seen_1", seen1.len());
     let seen2 =
-        run_seed_and_phase2(&plan, db, &extra, Some(&seen1), &mut indexes, &opts.exec, &mut stats)?;
+        run_seed_and_phase2(&plan, db, extra, Some(&seen1), &mut indexes, &opts.exec, &mut stats)?;
 
     let mut full = Relation::new(sep.arity);
     for row in seen2.iter() {
@@ -238,7 +235,9 @@ mod tests {
         let facts = "friend(a, b). friend(b, c). idol(a, c). idol(c, d).\n\
                      perfectFor(d, widget). perfectFor(c, gadget).";
         let (sep, query, db, program) = setup(EX_1_1, facts, "buys", "buys(a, Y)?");
-        let out = counting_evaluate(&sep, &query, &db, &CountingOptions::default()).unwrap();
+        let out =
+            counting_evaluate(&sep, &query, &db, &Default::default(), &CountingOptions::default())
+                .unwrap();
         let derived = seminaive(&program, &db).unwrap();
         let expected = query_answers(&query, &db, Some(&derived)).unwrap();
         assert_eq!(out.answers, expected);
@@ -256,7 +255,9 @@ mod tests {
         }
         facts.push_str(&format!("perfectFor(v{n}, widget)."));
         let (sep, query, db, _) = setup(EX_1_1, &facts, "buys", "buys(v0, Y)?");
-        let out = counting_evaluate(&sep, &query, &db, &CountingOptions::default()).unwrap();
+        let out =
+            counting_evaluate(&sep, &query, &db, &Default::default(), &CountingOptions::default())
+                .unwrap();
         // Sum over i of 2^i = 2^(n+1) - 1 count tuples.
         assert_eq!(out.count.len(), (1 << (n + 1)) - 1);
         assert_eq!(out.answers.len(), 1);
@@ -270,7 +271,9 @@ mod tests {
             facts.push_str(&format!("e(v{i}, v{}). ", i + 1));
         }
         let (sep, query, db, program) = setup(tc, &facts, "t", "t(v0, Y)?");
-        let out = counting_evaluate(&sep, &query, &db, &CountingOptions::default()).unwrap();
+        let out =
+            counting_evaluate(&sep, &query, &db, &Default::default(), &CountingOptions::default())
+                .unwrap();
         assert_eq!(out.count.len(), 21); // one tuple per level
         let derived = seminaive(&program, &db).unwrap();
         let expected = query_answers(&query, &db, Some(&derived)).unwrap();
@@ -282,7 +285,9 @@ mod tests {
         let tc = "t(X, Y) :- e(X, W), t(W, Y).\nt(X, Y) :- e(X, Y).\n";
         let facts = "e(a, b). e(b, a).";
         let (sep, query, db, _) = setup(tc, facts, "t", "t(a, Y)?");
-        let err = counting_evaluate(&sep, &query, &db, &CountingOptions::default()).unwrap_err();
+        let err =
+            counting_evaluate(&sep, &query, &db, &Default::default(), &CountingOptions::default())
+                .unwrap_err();
         assert!(matches!(err, EvalError::Diverged { .. }), "{err}");
     }
 
@@ -294,7 +299,9 @@ mod tests {
         let facts = "friend(tom, sue). friend(sue, joe).\n\
                      perfectFor(joe, widget). cheaper(bargain, widget). cheaper(steal, bargain).";
         let (sep, query, db, program) = setup(p, facts, "buys", "buys(tom, Y)?");
-        let out = counting_evaluate(&sep, &query, &db, &CountingOptions::default()).unwrap();
+        let out =
+            counting_evaluate(&sep, &query, &db, &Default::default(), &CountingOptions::default())
+                .unwrap();
         let derived = seminaive(&program, &db).unwrap();
         let expected = query_answers(&query, &db, Some(&derived)).unwrap();
         assert_eq!(out.answers, expected);
@@ -311,7 +318,7 @@ mod tests {
         let facts = "e(a, b). e(b, a).";
         let (sep, query, db, _) = setup(tc, facts, "t", "t(a, Y)?");
         let opts = CountingOptions { max_depth: Some(200), ..Default::default() };
-        let err = counting_evaluate(&sep, &query, &db, &opts).unwrap_err();
+        let err = counting_evaluate(&sep, &query, &db, &Default::default(), &opts).unwrap_err();
         assert!(matches!(err, EvalError::Value(_)), "expected overflow, got {err}");
     }
 
@@ -319,7 +326,9 @@ mod tests {
     fn persistent_selection_is_unsupported() {
         let facts = "friend(a, b). perfectFor(b, w).";
         let (sep, query, db, _) = setup(EX_1_1, facts, "buys", "buys(X, w)?");
-        let err = counting_evaluate(&sep, &query, &db, &CountingOptions::default()).unwrap_err();
+        let err =
+            counting_evaluate(&sep, &query, &db, &Default::default(), &CountingOptions::default())
+                .unwrap_err();
         assert!(matches!(err, EvalError::Unsupported(_)));
     }
 }

@@ -19,12 +19,12 @@
 
 use sepra_ast::Query;
 use sepra_core::detect::SeparableRecursion;
-use sepra_core::evaluate::{assemble, query_value_at};
-use sepra_core::exec::{run_seed_and_phase2, ExecOptions, ExtraRelations};
+use sepra_core::evaluate::{assemble, planner_stats, query_value_at};
+use sepra_core::exec::{base_store, run_seed_and_phase2, ExecOptions, ExtraRelations};
 use sepra_core::plan::{
     build_plan_with, classify_selection, PlanSelection, SelectionKind, AUX_CARRY1,
 };
-use sepra_eval::{filter_by_query, EvalError, IndexCache, Planner, PlannerStats, RelKey, RelStore};
+use sepra_eval::{filter_by_query, EvalError, IndexCache, Planner, RelKey};
 use sepra_storage::{Database, EvalStats, Relation, Tuple, Value};
 
 /// Options for the Henschen–Naqvi evaluation.
@@ -48,7 +48,9 @@ pub struct HnOutcome {
     pub stats: EvalStats,
 }
 
-/// Evaluates `query` with the Henschen–Naqvi string-at-a-time strategy.
+/// Evaluates `query` with the Henschen–Naqvi string-at-a-time strategy,
+/// reading the nonrecursive subgoals from `extra` where materialized there
+/// and from `db` otherwise.
 ///
 /// Requires a full selection on one equivalence class, like the Counting
 /// baseline.
@@ -56,6 +58,7 @@ pub fn hn_evaluate(
     sep: &SeparableRecursion,
     query: &Query,
     db: &Database,
+    extra: &ExtraRelations,
     opts: &HnOptions,
 ) -> Result<HnOutcome, EvalError> {
     let SelectionKind::FullClass { class } = classify_selection(sep, query) else {
@@ -63,7 +66,7 @@ pub fn hn_evaluate(
             "the Henschen-Naqvi baseline supports selections that fully bind one class".into(),
         ));
     };
-    let pstats = PlannerStats::from_database(db);
+    let pstats = planner_stats(sep, db, extra);
     let planner = Planner::new(opts.exec.plan_mode, Some(&pstats));
     let plan = build_plan_with(sep, &PlanSelection::Class(class), &planner)?;
     let phase1 = plan.phase1.as_ref().expect("class plan has phase 1");
@@ -72,7 +75,6 @@ pub fn hn_evaluate(
 
     let mut stats = EvalStats::new();
     planner.record_into(&mut stats);
-    let extra = ExtraRelations::default();
 
     // The seed string: the selection constants.
     let fixed: Vec<(usize, Value)> = phase1
@@ -112,10 +114,7 @@ pub fn hn_evaluate(
         let mut next: Vec<Relation> = Vec::with_capacity(active.len() * phase1.steps.len());
         for frontier in &active {
             for (_, step) in &phase1.steps {
-                let mut store = RelStore::new();
-                for (p, r) in db.relations() {
-                    store.bind(RelKey::Pred(p), r);
-                }
+                let mut store = base_store(db, extra, [step]);
                 store.bind(RelKey::Aux(AUX_CARRY1), frontier);
                 if opts.exec.use_indexes {
                     indexes.prepare(step, &store);
@@ -144,7 +143,7 @@ pub fn hn_evaluate(
     let seen2 = run_seed_and_phase2(
         &plan,
         db,
-        &extra,
+        extra,
         Some(&reached),
         &mut indexes,
         &opts.exec,
@@ -191,7 +190,8 @@ mod tests {
         let facts = "friend(a, b). friend(b, c). idol(a, c). idol(c, d).\n\
                      perfectFor(d, widget). perfectFor(b, gadget).";
         let (sep, query, db, program) = setup(EX_1_1, facts, "buys", "buys(a, Y)?");
-        let out = hn_evaluate(&sep, &query, &db, &HnOptions::default()).unwrap();
+        let out =
+            hn_evaluate(&sep, &query, &db, &Default::default(), &HnOptions::default()).unwrap();
         let derived = seminaive(&program, &db).unwrap();
         let expected = query_answers(&query, &db, Some(&derived)).unwrap();
         assert_eq!(out.answers, expected);
@@ -208,7 +208,8 @@ mod tests {
         }
         facts.push_str(&format!("perfectFor(v{n}, widget)."));
         let (sep, query, db, _) = setup(EX_1_1, &facts, "buys", "buys(v0, Y)?");
-        let out = hn_evaluate(&sep, &query, &db, &HnOptions::default()).unwrap();
+        let out =
+            hn_evaluate(&sep, &query, &db, &Default::default(), &HnOptions::default()).unwrap();
         assert_eq!(out.stats.relation_sizes["hn_work"], (1 << (n + 1)) - 1);
         assert_eq!(out.stats.relation_sizes["hn_strings"], 1 << n);
         assert_eq!(out.answers.len(), 1);
@@ -218,7 +219,8 @@ mod tests {
     fn hn_diverges_on_cyclic_data() {
         let facts = "friend(a, b). friend(b, a). perfectFor(a, w).";
         let (sep, query, db, _) = setup(EX_1_1, facts, "buys", "buys(a, Y)?");
-        let err = hn_evaluate(&sep, &query, &db, &HnOptions::default()).unwrap_err();
+        let err =
+            hn_evaluate(&sep, &query, &db, &Default::default(), &HnOptions::default()).unwrap_err();
         assert!(matches!(err, EvalError::Diverged { .. }), "{err}");
     }
 
@@ -230,7 +232,8 @@ mod tests {
             facts.push_str(&format!("e(v{i}, v{}). ", i + 1));
         }
         let (sep, query, db, program) = setup(tc, &facts, "t", "t(v0, Y)?");
-        let out = hn_evaluate(&sep, &query, &db, &HnOptions::default()).unwrap();
+        let out =
+            hn_evaluate(&sep, &query, &db, &Default::default(), &HnOptions::default()).unwrap();
         assert_eq!(out.stats.relation_sizes["hn_work"], 31);
         assert_eq!(out.stats.relation_sizes["hn_strings"], 1);
         let derived = seminaive(&program, &db).unwrap();
@@ -243,7 +246,7 @@ mod tests {
         let facts = "friend(a, b). perfectFor(b, w).";
         let (sep, query, db, _) = setup(EX_1_1, facts, "buys", "buys(X, w)?");
         assert!(matches!(
-            hn_evaluate(&sep, &query, &db, &HnOptions::default()),
+            hn_evaluate(&sep, &query, &db, &Default::default(), &HnOptions::default()),
             Err(EvalError::Unsupported(_))
         ));
     }

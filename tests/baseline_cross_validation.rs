@@ -25,7 +25,7 @@ fn check_baselines(seed: u64) -> Result<(), TestCaseError> {
     let sep = detect_in_program(&program, query.atom.pred, db2.interner_mut())
         .unwrap_or_else(|e| panic!("seed {seed}: not separable: {e}"));
 
-    match counting_evaluate(&sep, &query, &db2, &CountingOptions::default()) {
+    match counting_evaluate(&sep, &query, &db2, &Default::default(), &CountingOptions::default()) {
         Ok(out) => prop_assert_eq!(
             &out.answers,
             &expected,
@@ -39,7 +39,7 @@ fn check_baselines(seed: u64) -> Result<(), TestCaseError> {
         Err(EvalError::Unsupported(_)) => {}
         Err(e) => panic!("seed {seed}: counting failed: {e}\n{}", scenario.program),
     }
-    match hn_evaluate(&sep, &query, &db2, &HnOptions::default()) {
+    match hn_evaluate(&sep, &query, &db2, &Default::default(), &HnOptions::default()) {
         Ok(out) => prop_assert_eq!(
             &out.answers,
             &expected,
@@ -83,11 +83,11 @@ fn baselines_report_divergence_on_cycles() {
     let query = parse_query("t(v0, Y)?", db.interner_mut()).unwrap();
     let sep = detect_in_program(&program, query.atom.pred, db.interner_mut()).unwrap();
     assert!(matches!(
-        counting_evaluate(&sep, &query, &db, &CountingOptions::default()),
+        counting_evaluate(&sep, &query, &db, &Default::default(), &CountingOptions::default()),
         Err(EvalError::Diverged { .. })
     ));
     assert!(matches!(
-        hn_evaluate(&sep, &query, &db, &HnOptions::default()),
+        hn_evaluate(&sep, &query, &db, &Default::default(), &HnOptions::default()),
         Err(EvalError::Diverged { .. })
     ));
     // The Separable algorithm handles the same query fine.

@@ -164,12 +164,16 @@ fn counting_and_hn_descents_honour_the_budget() {
     let exec = ExecOptions { budget: Budget::unlimited().iterations(1), ..ExecOptions::default() };
     let counting = CountingOptions { exec: exec.clone(), ..CountingOptions::default() };
     assert_exceeded(
-        counting_evaluate(&sep, &query, &db, &counting),
+        counting_evaluate(&sep, &query, &db, &Default::default(), &counting),
         BudgetResource::Iterations,
         "counting",
     );
     let hn = HnOptions { exec, ..HnOptions::default() };
-    assert_exceeded(hn_evaluate(&sep, &query, &db, &hn), BudgetResource::Iterations, "hn");
+    assert_exceeded(
+        hn_evaluate(&sep, &query, &db, &Default::default(), &hn),
+        BudgetResource::Iterations,
+        "hn",
+    );
 }
 
 /// A budget error must not poison anything: re-running the identical
