@@ -274,6 +274,12 @@ impl DependencyGraph {
             .collect()
     }
 
+    /// Why the program this graph was built from does not stratify, if it
+    /// does not: found when the graph is built, with no levels computed.
+    pub fn refusal(&self) -> Option<&StratError> {
+        self.refusal.as_ref()
+    }
+
     /// Stratifies the program this graph was built from, or explains why
     /// it cannot be stratified.
     ///
@@ -285,7 +291,7 @@ impl DependencyGraph {
     /// and the level of a predicate only depends on predicates at its own
     /// or lower levels.
     pub fn stratify(&self) -> Result<Stratification, StratError> {
-        if let Some(refusal) = &self.refusal {
+        if let Some(refusal) = self.refusal() {
             return Err(refusal.clone());
         }
         // Levels: the longest path over the condensation. Components are

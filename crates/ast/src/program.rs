@@ -54,12 +54,6 @@ impl Program {
         out
     }
 
-    /// Whether the program uses any stratification-requiring construct
-    /// (negation or aggregation).
-    pub fn uses_stratified_constructs(&self) -> bool {
-        self.rules.iter().any(|r| r.agg.is_some() || r.negated_atoms().next().is_some())
-    }
-
     /// Appends another program's rules.
     pub fn extend(&mut self, other: Program) {
         self.rules.extend(other.rules);

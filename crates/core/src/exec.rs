@@ -21,6 +21,8 @@
 //! `max_iterations` instead of looping — demonstrating that the `seen`
 //! difference is exactly what Lemma 3.4's termination proof uses.
 
+use std::sync::Arc;
+
 use sepra_ast::Sym;
 use sepra_eval::{
     delta_round, Budget, ConjPlan, EvalError, IndexCache, PlanMode, RelKey, RelStore, RoundPlan,
@@ -91,7 +93,8 @@ pub struct RawOutcome {
 
 /// Extra relations visible to plan execution in addition to the EDB —
 /// used by the engine to supply materialized non-recursive IDB predicates.
-pub type ExtraRelations = FxHashMap<Sym, Relation>;
+/// Each is a shared handle, as a [`Database`] holds its relations.
+pub type ExtraRelations = FxHashMap<Sym, Arc<Relation>>;
 
 /// Executes a compiled plan.
 ///
@@ -279,7 +282,7 @@ pub fn base_store<'a, 'p>(
     let mut store = RelStore::new();
     for step in plans.into_iter().flat_map(|plan| &plan.steps) {
         if let Step::Scan { rel: RelKey::Pred(p), .. } = step {
-            if let Some(r) = extra.get(p).or_else(|| db.relation(*p)) {
+            if let Some(r) = extra.get(p).map(|r| &**r).or_else(|| db.relation(*p)) {
                 store.bind(RelKey::Pred(*p), r);
             }
         }

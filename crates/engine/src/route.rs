@@ -688,6 +688,35 @@ mod tests {
         assert_eq!(qp.query("reach(a, Y)?").unwrap().answers, expected);
     }
 
+    /// Regression: Counting and Henschen-Naqvi bounded their descent by the
+    /// EDB's distinct constants alone. Here the EDB holds one constant and
+    /// the support four more, so both gave up after one level.
+    #[test]
+    fn the_descent_bound_counts_the_supports_constants() {
+        let program = "link(a, n1) :- base(a).\n\
+                       link(n1, n2) :- base(a).\n\
+                       link(n2, n3) :- base(a).\n\
+                       link(n3, n4) :- base(a).\n\
+                       reach(X, Y) :- link(X, W), reach(W, Y).\n\
+                       reach(X, Y) :- link(X, Y).\n\
+                       base(a).\n";
+        for prepare in [false, true] {
+            let mut qp = QueryProcessor::new();
+            qp.load(program).unwrap();
+            if prepare {
+                qp.prepare().unwrap();
+            }
+            let run = |qp: &mut QueryProcessor, strategy| {
+                qp.query_with("reach(a, Y)?", StrategyChoice::Force(strategy)).unwrap().answers
+            };
+            let expected = run(&mut qp, Strategy::Separable);
+            assert_eq!(expected.len(), 4, "n1 to n4");
+            for strategy in [Strategy::Counting, Strategy::HenschenNaqvi] {
+                assert_eq!(run(&mut qp, strategy), expected, "{strategy}, prepare={prepare}");
+            }
+        }
+    }
+
     /// A bounded recursion over a negated lower stratum: bounded
     /// elimination's semi-naive tail evaluates the negation itself.
     #[test]

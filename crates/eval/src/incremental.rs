@@ -4,24 +4,39 @@
 //! Given the fixpoint already computed for a program (the `old` relations
 //! of a previous [`seminaive`](crate::seminaive::seminaive) run) and an
 //! *effective* EDB delta, [`maintain`] produces the fixpoint of the mutated
-//! database without recomputing from scratch:
+//! database without recomputing from scratch. It is one walk over the
+//! components of the program's dependency graph, callees first. A
+//! component reads the net change of the predicates below it — the rows
+//! each lost and the rows each gained against `old` — and publishes its
+//! own. A component no change reaches costs nothing: its relations stay
+//! the handles `old` holds, neither copied nor scanned.
 //!
-//! * **Insertions** are propagated by a semi-naive continuation: for every
-//!   body-atom occurrence of a changed predicate, a delta-rule variant
-//!   fires with the new tuples in the delta position and the *full current*
-//!   relations everywhere else. Because every newly derived tuple gets its
-//!   own delta turn (stratum by stratum, round by round), each rule
-//!   instantiation involving at least one new tuple is enumerated at least
-//!   once, which is exactly the semi-naive completeness argument.
-//! * **Retractions** use delete-and-rederive (DRed). Per stratum: an
-//!   over-deletion fixpoint marks every tuple that loses *some* derivation
-//!   (delta rules over the **pre-mutation** state, so instantiations
-//!   pairing two removed tuples are not missed); the marked tuples are
-//!   removed; one full evaluation round over the surviving state — plus a
-//!   check against the surviving EDB facts for predicates that are both
-//!   stored and derived — puts back every deleted tuple with a remaining
-//!   derivation; put-backs then propagate semi-naively. Net removals feed
-//!   the deletion deltas of later strata.
+//! * A component whose own rules negate or aggregate
+//!   ([`Scope::StratifiedComponent`]) is not derivation-monotone, so it is
+//!   recomputed from its seed by the same `eval_stratum` the from-scratch
+//!   engine runs, and its diff against `old` is what it publishes. A
+//!   recomputation that lands on the old value publishes nothing, and the
+//!   cascade stops there.
+//! * Every other component is positive and runs tuple-granular phases over
+//!   its own rules:
+//!   - **Retractions** use delete-and-rederive (DRed): an over-deletion
+//!     fixpoint marks every tuple that loses *some* derivation (delta rules
+//!     over the **pre-mutation** state, so instantiations pairing two
+//!     removed tuples are not missed); the marked tuples are removed; one
+//!     full evaluation round over the surviving state — plus a check
+//!     against the surviving EDB facts for predicates that are both stored
+//!     and derived — puts back every deleted tuple with a remaining
+//!     derivation; put-backs then propagate semi-naively.
+//!   - **Insertions** are propagated by a semi-naive continuation: for
+//!     every body-atom occurrence of a changed predicate, a delta-rule
+//!     variant fires with the new tuples in the delta position and the
+//!     *full current* relations everywhere else, so each rule
+//!     instantiation involving at least one new tuple is enumerated at
+//!     least once — the semi-naive completeness argument.
+//!
+//!   What it publishes comes from the phases' own sets, not from a scan:
+//!   the marked tuples that did not come back, and the inserted tuples
+//!   that were not marked (a marked tuple was in `old`).
 //!
 //! Every round of both phases is a [`delta_round`] — the same step the
 //! from-scratch engines take, with the same index handling, sharding of
@@ -29,26 +44,24 @@
 //! own: insertion and put-back rounds merge like semi-naive
 //! (`Rounds::step`), over-deletion rounds *mark* instead of inserting,
 //! and the rederivation round keeps only marked tuples. The loops check the
-//! caller's [`Budget`](crate::budget::Budget) at every barrier. The
+//! caller's [`Budget`](crate::budget::Budget) at every barrier. Relations
+//! are shared handles, and a phase copies only a relation it changes. The
 //! result is *identical* to re-running semi-naive on the mutated database —
-//! `tests` and `tests/incremental_parity.rs` at the workspace root assert
-//! this for every interleaving of inserts and retracts they generate.
-//!
-//! Programs with negation or aggregates take a third, coarser path
-//! (`maintain_stratified`): strata whose inputs are untouched keep their
-//! old relations; affected strata are recomputed from their seed with the
-//! same routine the from-scratch engine uses. `tests/stratified_parity.rs`
-//! asserts the same parity for those programs.
+//! `tests` here, and `tests/incremental_parity.rs` and
+//! `tests/stratified_parity.rs` at the workspace root, assert this for
+//! every interleaving of inserts and retracts they generate.
 
-use sepra_ast::{DependencyGraph, Literal, Program, Rule, Sym};
-use sepra_storage::{Database, EdbDelta, EvalStats, FxHashMap, FxHashSet, Relation, Tuple};
+use std::sync::Arc;
+
+use sepra_ast::{AggSpec, Literal, Program, Rule, Scope, Sym};
+use sepra_storage::{Database, EdbDelta, EvalStats, FxHashMap, Relation, Tuple};
 
 use crate::error::EvalError;
 use crate::planner::{Planner, PlannerStats};
 use crate::round::{delta_round, RoundPlan};
 use crate::seminaive::{
-    agg_specs, build_store, compile_variant, eval_stratum, rule_strata, stratified_graph, Derived,
-    EvalOptions, Rounds, Variant,
+    agg_specs, build_store, compile_variant, eval_stratum, rule_strata, seed, stratified_graph,
+    Derived, EvalOptions, Rounds, Variant,
 };
 use crate::store::IndexCache;
 
@@ -68,154 +81,403 @@ pub fn maintain(
     db_before: &Database,
     db_mid: &Database,
     db_after: &Database,
-    old: &FxHashMap<Sym, Relation>,
+    old: &FxHashMap<Sym, Arc<Relation>>,
     delta: &EdbDelta,
     options: &EvalOptions,
 ) -> Result<Derived, EvalError> {
-    // Negation and aggregation are not derivation-monotone, so the
-    // tuple-granular DRed/continuation machinery below (which assumes every
-    // derived tuple has a positive derivation tree) does not apply. Such
-    // programs take the stratum-granular path instead; pure positive
-    // programs keep the existing fine-grained phases untouched.
-    if program.uses_stratified_constructs() {
-        return maintain_stratified(program, db_after, old, delta, options);
-    }
+    let graph = stratified_graph(program, db_after.interner())?;
     let mut stats = EvalStats::new();
     // Plan against the post-mutation EDB: that is what every join in both
     // phases (rederivation included) actually runs over.
     let planner_stats = PlannerStats::from_database(db_after);
-    let planner = Planner::new(options.plan_mode, Some(&planner_stats));
-    let mut derived = seed_derived(program, db_before, old);
-    let strata = rule_strata(&DependencyGraph::build(program), program);
-    if delta.remove.values().any(|t| !t.is_empty()) {
-        retract_phase(
-            &strata,
-            db_before,
-            db_mid,
-            old,
-            &mut derived,
-            &delta.remove,
-            options,
-            &planner,
-            &mut stats,
-        )?;
+    let walk = Walk {
+        db_before,
+        db_mid,
+        db_after,
+        old,
+        delta,
+        options,
+        aggs: agg_specs(program),
+        planner: Planner::new(options.plan_mode, Some(&planner_stats)),
+    };
+    // Every head starts as a handle on its old relation.
+    let mut derived: FxHashMap<Sym, Arc<Relation>> = FxHashMap::default();
+    for rule in &program.rules {
+        let (pred, arity) = (rule.head.pred, rule.head.arity());
+        derived.entry(pred).or_insert_with(|| match old.get(&pred) {
+            Some(rel) => Arc::clone(rel),
+            None => seed(db_before, pred, arity, &walk.aggs),
+        });
     }
-    if delta.insert.values().any(|t| !t.is_empty()) {
-        insert_phase(
-            &strata,
-            db_after,
-            &mut derived,
-            &delta.insert,
-            options,
-            &planner,
-            &mut stats,
-        )?;
+    // The net change of every predicate below the component being walked:
+    // a stored-only predicate's from the delta, a derived one's as its
+    // component publishes it. A derived predicate's own stored facts enter
+    // with its component.
+    let mut changes = Changes::default();
+    for (side, edb) in [(&mut changes.removed, &delta.remove), (&mut changes.added, &delta.insert)]
+    {
+        for (&pred, tuples) in edb.iter().filter(|(p, _)| !derived.contains_key(p)) {
+            let Some(first) = tuples.first() else { continue };
+            let rel = side.entry(pred).or_insert_with(|| Relation::new(first.arity()));
+            for t in tuples {
+                rel.insert(t.clone());
+            }
+        }
+    }
+    let stored = |p: &Sym| {
+        [&delta.remove, &delta.insert].iter().any(|d| d.get(p).is_some_and(|t| !t.is_empty()))
+    };
+    for (idb, rules) in rule_strata(&graph, program) {
+        if !idb.iter().any(stored)
+            && !reads(&rules, &changes.removed)
+            && !reads(&rules, &changes.added)
+        {
+            continue;
+        }
+        let comp = (idb.as_slice(), rules.as_slice());
+        if graph.scope(idb[0]) == Scope::StratifiedComponent {
+            walk.recompute(comp, &mut derived, &mut changes, &mut stats)?;
+            continue;
+        }
+        let marked = walk.retract(comp, &mut derived, &changes, &mut stats)?;
+        let gained = walk.insert(comp, &mut derived, &changes, &mut stats)?;
+        for &p in &idb {
+            let none = Relation::new(derived[&p].arity());
+            let marked = marked.get(&p).unwrap_or(&none);
+            changes.publish(
+                p,
+                minus(marked, &derived[&p]),
+                minus(gained.get(&p).unwrap_or(&none), marked),
+            );
+        }
     }
     for (&pred, rel) in &derived {
         stats.record_size(db_after.interner().resolve(pred), rel.len());
     }
-    planner.record_into(&mut stats);
+    walk.planner.record_into(&mut stats);
     Ok(Derived { relations: derived, stats })
 }
 
-/// Stratum-granular maintenance for programs with negation or aggregates.
-///
-/// Honest about its granularity: it does not chase individual tuples.
-/// Instead it walks the SCC strata in dependency order, keeps every stratum
-/// whose inputs (positive, negated, and aggregated dependencies, plus the
-/// stratum's own EDB facts) are untouched by the mutation, and recomputes an
-/// affected stratum from its seed with the *same* [`eval_stratum`] routine
-/// the from-scratch engine runs — so maintenance cannot drift from
-/// from-scratch semantics by construction. A recomputed stratum that lands
-/// on its old value stops the cascade: downstream strata see no change and
-/// are kept as well.
-fn maintain_stratified(
-    program: &Program,
-    db_after: &Database,
-    old: &FxHashMap<Sym, Relation>,
-    delta: &EdbDelta,
-    options: &EvalOptions,
-) -> Result<Derived, EvalError> {
-    let mut stats = EvalStats::new();
-    let graph = stratified_graph(program, db_after.interner())?;
-    let mut planner_stats = PlannerStats::from_database(db_after);
-    let aggs = agg_specs(program);
+/// The rows each predicate lost and gained against `old`, for those whose
+/// change is not empty.
+#[derive(Default)]
+struct Changes {
+    removed: FxHashMap<Sym, Relation>,
+    added: FxHashMap<Sym, Relation>,
+}
 
-    // Predicates whose contents differ from the pre-mutation state, seeded
-    // by the effective EDB delta.
-    let mut changed: FxHashSet<Sym> = FxHashSet::default();
-    for (&p, tuples) in delta.remove.iter().chain(delta.insert.iter()) {
-        if !tuples.is_empty() {
-            changed.insert(p);
+impl Changes {
+    fn publish(&mut self, pred: Sym, removed: Relation, added: Relation) {
+        for (side, rel) in [(&mut self.removed, removed), (&mut self.added, added)] {
+            if !rel.is_empty() {
+                side.insert(pred, rel);
+            }
         }
     }
+}
 
-    let mut derived = seed_derived(program, db_after, old);
-    for (stratum_idb, rules) in rule_strata(&graph, program) {
-        let affected = stratum_idb.iter().any(|p| changed.contains(p))
-            || rules.iter().any(|r| {
-                r.body_atoms().any(|a| changed.contains(&a.pred))
-                    || r.negated_atoms().any(|a| changed.contains(&a.pred))
-            });
-        if !affected {
-            for &p in &stratum_idb {
-                planner_stats.add_relation(p, &derived[&p]);
+/// Whether a rule of `rules` reads, positively or negated, a predicate of
+/// `changed`.
+fn reads(rules: &[&Rule], changed: &FxHashMap<Sym, Relation>) -> bool {
+    rules
+        .iter()
+        .any(|r| r.body_atoms().chain(r.negated_atoms()).any(|a| changed.contains_key(&a.pred)))
+}
+
+/// The rows of `a` that `b` does not hold.
+fn minus(a: &Relation, b: &Relation) -> Relation {
+    let mut out = Relation::new(a.arity());
+    for row in a.iter().filter(|row| !b.contains_row(*row)) {
+        out.insert_from(row);
+    }
+    out
+}
+
+/// One component: the predicates it derives, and their rules.
+type Component<'c, 'p> = (&'c [Sym], &'c [&'p Rule]);
+
+/// What every component of one walk reads.
+struct Walk<'a> {
+    db_before: &'a Database,
+    db_mid: &'a Database,
+    db_after: &'a Database,
+    old: &'a FxHashMap<Sym, Arc<Relation>>,
+    delta: &'a EdbDelta,
+    options: &'a EvalOptions,
+    aggs: FxHashMap<Sym, AggSpec>,
+    /// Plans every positive component's phases.
+    planner: Planner<'a>,
+}
+
+impl Walk<'_> {
+    /// Recomputes a component that negates or aggregates from its seed, over
+    /// the maintained components below, and publishes its diff against
+    /// `old`.
+    fn recompute(
+        &self,
+        (idb, rules): Component<'_, '_>,
+        derived: &mut FxHashMap<Sym, Arc<Relation>>,
+        changes: &mut Changes,
+        stats: &mut EvalStats,
+    ) -> Result<(), EvalError> {
+        // Plan, as the from-scratch engine does, with the true sizes of the
+        // derived relations the component reads.
+        let mut planner_stats = PlannerStats::from_database(self.db_after);
+        for atom in rules.iter().flat_map(|r| r.body_atoms().chain(r.negated_atoms())) {
+            if let Some(rel) = derived.get(&atom.pred).filter(|_| !idb.contains(&atom.pred)) {
+                planner_stats.add_relation(atom.pred, rel);
             }
-            continue;
         }
-        // Reset the stratum to its from-scratch seed and re-run it over the
-        // maintained lower strata.
-        for &p in &stratum_idb {
+        let mut before = Vec::with_capacity(idb.len());
+        for &p in idb {
             let arity = derived[&p].arity();
-            let seed = if aggs.contains_key(&p) {
-                Relation::new(arity)
-            } else {
-                db_after.relation(p).cloned().unwrap_or_else(|| Relation::new(arity))
-            };
-            derived.insert(p, seed);
+            before
+                .push(derived.insert(p, seed(self.db_after, p, arity, &self.aggs)).expect("head"));
         }
         eval_stratum(
-            &rules,
-            &stratum_idb,
-            db_after,
-            &mut derived,
-            &aggs,
-            options,
-            &mut stats,
+            rules,
+            idb,
+            self.db_after,
+            derived,
+            &self.aggs,
+            self.options,
+            stats,
             &planner_stats,
         )?;
-        for &p in &stratum_idb {
+        for (&p, before) in idb.iter().zip(before) {
             let now = &derived[&p];
-            if !old.get(&p).is_some_and(|before| before == now) {
-                changed.insert(p);
-            }
-            planner_stats.add_relation(p, now);
+            changes.publish(p, minus(&before, now), minus(now, &before));
         }
+        Ok(())
     }
-    for (&pred, rel) in &derived {
-        stats.record_size(db_after.interner().resolve(pred), rel.len());
-    }
-    Ok(Derived { relations: derived, stats })
-}
 
-/// One relation per rule-head predicate, starting from the old fixpoint.
-fn seed_derived(
-    program: &Program,
-    db: &Database,
-    old: &FxHashMap<Sym, Relation>,
-) -> FxHashMap<Sym, Relation> {
-    let mut derived: FxHashMap<Sym, Relation> = FxHashMap::default();
-    for rule in &program.rules {
-        let pred = rule.head.pred;
-        if derived.contains_key(&pred) {
-            continue;
+    /// Delete-and-rederive over one positive component: over-deletion
+    /// against `old`, the rederivation round over the surviving state and
+    /// the put-backs' propagation. Returns every tuple it marked, per
+    /// predicate — each was in `old`, and some are back.
+    fn retract(
+        &self,
+        (idb, rules): Component<'_, '_>,
+        derived: &mut FxHashMap<Sym, Arc<Relation>>,
+        changes: &Changes,
+        stats: &mut EvalStats,
+    ) -> Result<FxHashMap<Sym, Relation>, EvalError> {
+        // Everything marked for deletion, per predicate, seeded with the
+        // component's retracted stored facts (they were part of `old`).
+        let mut del: FxHashMap<Sym, Relation> = FxHashMap::default();
+        for &pred in idb {
+            let Some(tuples) = self.delta.remove.get(&pred) else { continue };
+            let believed = &derived[&pred];
+            let mut seed = Relation::new(believed.arity());
+            for t in tuples.iter().filter(|t| believed.contains(t)) {
+                seed.insert(t.clone());
+            }
+            if !seed.is_empty() {
+                del.insert(pred, seed);
+            }
         }
-        let rel = old.get(&pred).cloned().unwrap_or_else(|| {
-            db.relation(pred).cloned().unwrap_or_else(|| Relation::new(rule.head.arity()))
-        });
-        derived.insert(pred, rel);
+        if del.is_empty() && !reads(rules, &changes.removed) {
+            return Ok(del);
+        }
+        let sv = delta_variants(rules, idb, |p| changes.removed.contains_key(&p), &self.planner)?;
+
+        // --- Over-deletion fixpoint, entirely over the OLD state: a rule
+        // instantiation that paired two removed tuples must still be seen,
+        // so every non-delta position reads pre-mutation values. ---
+        let mut delta: FxHashMap<Sym, Relation> = FxHashMap::default();
+        for &i in &sv.ext {
+            let pred = sv.variants[i].delta.expect("delta variant");
+            delta.entry(pred).or_insert_with(|| changes.removed[&pred].clone());
+        }
+        for (&pred, seed) in &del {
+            delta.insert(pred, seed.clone());
+        }
+        let mut indexes = IndexCache::new();
+        let mut first = true;
+        while !delta.is_empty() {
+            let what = "incremental over-deletion";
+            stats.record_iteration();
+            self.options.budget.check(what, stats.iterations, stats.tuples_inserted)?;
+            let fire = sv.live(first, &delta);
+            first = false;
+            let plans: Vec<RoundPlan<'_>> = fire.iter().map(|v| v.fire()).collect();
+            let believed: Vec<&Relation> = fire.iter().map(|v| &*derived[&v.head]).collect();
+            let mut new_delta: FxHashMap<Sym, Relation> = FxHashMap::default();
+            // The merge of an over-deletion round: a produced tuple the
+            // materialization believes is marked, once.
+            let scanned = delta_round(
+                &plans,
+                &build_store(self.db_before, self.old, &delta),
+                Some(&mut indexes),
+                self.options.threads,
+                &self.options.budget,
+                what,
+                &mut |i, rows| {
+                    let head = fire[i].head;
+                    for row in rows.rows().filter(|row| believed[i].contains_values(row)) {
+                        let marked = del
+                            .entry(head)
+                            .or_insert_with(|| Relation::new(row.len()))
+                            .insert_row(row);
+                        stats.record_insert(marked);
+                        if marked {
+                            new_delta
+                                .entry(head)
+                                .or_insert_with(|| Relation::new(row.len()))
+                                .insert_row(row);
+                        }
+                    }
+                },
+            )?;
+            stats.record_scanned(scanned as usize);
+            delta = new_delta;
+        }
+        drop(indexes);
+
+        if del.values().all(Relation::is_empty) {
+            return Ok(del);
+        }
+
+        // --- Apply the over-deletion. ---
+        for (&pred, marked) in &del {
+            let tuples: Vec<Tuple> = marked.iter().map(|t| t.to_tuple()).collect();
+            Arc::make_mut(derived.get_mut(&pred).expect("component head")).remove_batch(&tuples);
+        }
+
+        // --- Rederivation: deleted tuples that survive as EDB facts, or
+        // that one full evaluation round over the surviving state still
+        // produces, go back in. ---
+        let mut putbacks: FxHashMap<Sym, Relation> = FxHashMap::default();
+        for (&pred, marked) in &del {
+            if let Some(edb) = self.db_mid.relation(pred) {
+                for t in marked.iter().filter(|t| edb.contains_row(*t)) {
+                    putbacks
+                        .entry(pred)
+                        .or_insert_with(|| Relation::new(marked.arity()))
+                        .insert_from(t);
+                }
+            }
+        }
+        {
+            let mut rederive: Vec<(Variant, &Relation)> = Vec::new();
+            for rule in rules {
+                if let Some(marked) = del.get(&rule.head.pred).filter(|m| !m.is_empty()) {
+                    rederive.push((compile_variant(rule, None, &self.planner)?, marked));
+                }
+            }
+            let plans: Vec<RoundPlan<'_>> = rederive.iter().map(|(v, _)| v.fire()).collect();
+            let scanned = delta_round(
+                &plans,
+                &build_store(self.db_mid, derived, &FxHashMap::default()),
+                Some(&mut IndexCache::new()),
+                self.options.threads,
+                &self.options.budget,
+                "incremental rederivation",
+                &mut |i, rows| {
+                    let (variant, marked) = &rederive[i];
+                    for row in rows.rows().filter(|row| marked.contains_values(row)) {
+                        putbacks
+                            .entry(variant.head)
+                            .or_insert_with(|| Relation::new(row.len()))
+                            .insert_row(row);
+                    }
+                },
+            )?;
+            stats.record_scanned(scanned as usize);
+        }
+        self.options.budget.check(
+            "incremental rederivation",
+            stats.iterations,
+            stats.tuples_inserted,
+        )?;
+
+        // --- Put-backs re-enter the materialization and propagate like
+        // insertions over the surviving state. ---
+        let mut delta: FxHashMap<Sym, Relation> = FxHashMap::default();
+        for (&pred, r) in &putbacks {
+            let rel = Arc::make_mut(derived.get_mut(&pred).expect("component head"));
+            let mut fresh = Relation::new(r.arity());
+            for t in r.iter() {
+                if rel.insert_from(t) {
+                    stats.record_insert(true);
+                    fresh.insert_from(t);
+                }
+            }
+            if !fresh.is_empty() {
+                delta.insert(pred, fresh);
+            }
+        }
+        let mut rounds = Rounds::new(self.db_mid, self.options, "incremental rederivation");
+        while !delta.is_empty() && !sv.rec.is_empty() {
+            stats.record_iteration();
+            self.options.budget.check(rounds.what, stats.iterations, stats.tuples_inserted)?;
+            let mut new_delta: FxHashMap<Sym, Relation> = FxHashMap::default();
+            rounds.step(&sv.live(false, &delta), derived, &delta, stats, Some(&mut new_delta))?;
+            delta = new_delta;
+        }
+        Ok(del)
     }
-    derived
+
+    /// Semi-naive insertion propagation over one positive component, from
+    /// its own inserted stored facts and what the components below gained.
+    /// Returns every tuple it inserted, per predicate.
+    fn insert(
+        &self,
+        (idb, rules): Component<'_, '_>,
+        derived: &mut FxHashMap<Sym, Arc<Relation>>,
+        changes: &Changes,
+        stats: &mut EvalStats,
+    ) -> Result<FxHashMap<Sym, Relation>, EvalError> {
+        // Stored facts inserted into a predicate the component derives land
+        // in its relation directly; tuples it had already derived are not
+        // changes.
+        let mut gained: FxHashMap<Sym, Relation> = FxHashMap::default();
+        for &pred in idb {
+            let Some(tuples) = self.delta.insert.get(&pred) else { continue };
+            let rel = derived.get_mut(&pred).expect("component head");
+            let mut fresh = Relation::new(rel.arity());
+            for t in tuples.iter().filter(|t| !rel.contains(t)) {
+                fresh.insert(t.clone());
+            }
+            if !fresh.is_empty() {
+                let rel = Arc::make_mut(rel);
+                for t in fresh.iter() {
+                    stats.record_insert(rel.insert_from(t));
+                }
+                gained.insert(pred, fresh);
+            }
+        }
+        if gained.is_empty() && !reads(rules, &changes.added) {
+            return Ok(gained);
+        }
+        let sv = delta_variants(rules, idb, |p| changes.added.contains_key(&p), &self.planner)?;
+
+        // Round 1 deltas: what the components below gained, plus the
+        // component's own inserted facts.
+        let mut delta: FxHashMap<Sym, Relation> = FxHashMap::default();
+        for &i in sv.ext.iter().chain(&sv.rec) {
+            let pred = sv.variants[i].delta.expect("delta variant");
+            if let Some(r) = changes.added.get(&pred).or_else(|| gained.get(&pred)) {
+                delta.entry(pred).or_insert_with(|| r.clone());
+            }
+        }
+        let mut rounds = Rounds::new(self.db_after, self.options, "incremental insert maintenance");
+        let mut first = true;
+        while !delta.is_empty() {
+            stats.record_iteration();
+            self.options.budget.check(rounds.what, stats.iterations, stats.tuples_inserted)?;
+            let fire = sv.live(first, &delta);
+            first = false;
+            let mut new_delta: FxHashMap<Sym, Relation> = FxHashMap::default();
+            rounds.step(&fire, derived, &delta, stats, Some(&mut new_delta))?;
+            new_delta.retain(|_, r| !r.is_empty());
+            for (&pred, r) in &new_delta {
+                gained.entry(pred).or_insert_with(|| Relation::new(r.arity())).union_in_place(r);
+            }
+            delta = new_delta;
+        }
+        Ok(gained)
+    }
 }
 
 /// The delta-rule variants of one stratum, split by what their delta reads:
@@ -269,318 +531,6 @@ fn delta_variants(
         }
     }
     Ok(sv)
-}
-
-/// Semi-naive insertion propagation. `db` is the post-insertion EDB;
-/// `inserted` the effective EDB insertions.
-fn insert_phase(
-    strata: &[(Vec<Sym>, Vec<&Rule>)],
-    db: &Database,
-    derived: &mut FxHashMap<Sym, Relation>,
-    inserted: &FxHashMap<Sym, Vec<Tuple>>,
-    options: &EvalOptions,
-    planner: &Planner<'_>,
-    stats: &mut EvalStats,
-) -> Result<(), EvalError> {
-    // Seed the changed set. Insertions into a predicate that is also a rule
-    // head land in its derived relation directly; tuples it had already
-    // derived are not changes.
-    let mut changed: FxHashMap<Sym, Relation> = FxHashMap::default();
-    for (&pred, tuples) in inserted {
-        let Some(first) = tuples.first() else { continue };
-        let mut fresh = Relation::new(first.arity());
-        if let Some(rel) = derived.get_mut(&pred) {
-            for t in tuples {
-                if rel.insert(t.clone()) {
-                    stats.record_insert(true);
-                    fresh.insert(t.clone());
-                }
-            }
-        } else {
-            for t in tuples {
-                fresh.insert(t.clone());
-            }
-        }
-        if !fresh.is_empty() {
-            changed.insert(pred, fresh);
-        }
-    }
-    if changed.is_empty() {
-        return Ok(());
-    }
-
-    for (stratum_idb, rules) in strata {
-        let sv = delta_variants(
-            rules,
-            stratum_idb,
-            |p| changed.get(&p).is_some_and(|r| !r.is_empty()),
-            planner,
-        )?;
-        if sv.variants.is_empty() {
-            continue;
-        }
-
-        // Round 1 deltas: external changes (EDB insertions and earlier
-        // strata) plus in-stratum tuples already changed (EDB insertions
-        // into predicates this stratum derives).
-        let mut delta: FxHashMap<Sym, Relation> = FxHashMap::default();
-        for &i in sv.ext.iter().chain(sv.rec.iter()) {
-            let pred = sv.variants[i].delta.expect("delta variant");
-            if let Some(r) = changed.get(&pred) {
-                if !r.is_empty() {
-                    delta.entry(pred).or_insert_with(|| r.clone());
-                }
-            }
-        }
-        if delta.is_empty() {
-            continue;
-        }
-
-        let mut rounds = Rounds::new(db, options, "incremental insert maintenance");
-        let mut first = true;
-        loop {
-            stats.record_iteration();
-            options.budget.check(rounds.what, stats.iterations, stats.tuples_inserted)?;
-            let fire = sv.live(first, &delta);
-            first = false;
-            let mut new_delta: FxHashMap<Sym, Relation> = FxHashMap::default();
-            rounds.step(&fire, derived, &delta, stats, Some(&mut new_delta))?;
-            for (&pred, r) in &new_delta {
-                if !r.is_empty() {
-                    changed
-                        .entry(pred)
-                        .or_insert_with(|| Relation::new(r.arity()))
-                        .union_in_place(r);
-                }
-            }
-            if new_delta.values().all(Relation::is_empty) {
-                break;
-            }
-            delta = new_delta;
-        }
-    }
-    Ok(())
-}
-
-/// Delete-and-rederive. `db_before`/`db_after` are the EDB before/after the
-/// retractions (insertions not yet applied); `old` is the pre-mutation
-/// fixpoint (used read-only as the over-deletion state); `removed` the
-/// effective EDB retractions.
-#[allow(clippy::too_many_arguments)] // one call site; the phases share this exact state
-fn retract_phase(
-    strata: &[(Vec<Sym>, Vec<&Rule>)],
-    db_before: &Database,
-    db_after: &Database,
-    old: &FxHashMap<Sym, Relation>,
-    derived: &mut FxHashMap<Sym, Relation>,
-    removed: &FxHashMap<Sym, Vec<Tuple>>,
-    options: &EvalOptions,
-    planner: &Planner<'_>,
-    stats: &mut EvalStats,
-) -> Result<(), EvalError> {
-    // Net removals per predicate, consumed as deletion deltas by later
-    // strata. EDB-only predicates contribute their retractions directly;
-    // derived predicates contribute `Del \ rederived` once their stratum
-    // completes.
-    let mut removed_acc: FxHashMap<Sym, Relation> = FxHashMap::default();
-    for (&pred, tuples) in removed {
-        let Some(first) = tuples.first() else { continue };
-        if derived.contains_key(&pred) {
-            continue;
-        }
-        let mut r = Relation::new(first.arity());
-        for t in tuples {
-            r.insert(t.clone());
-        }
-        removed_acc.insert(pred, r);
-    }
-
-    for (stratum_idb, rules) in strata {
-        let sv = delta_variants(
-            rules,
-            stratum_idb,
-            |p| removed_acc.get(&p).is_some_and(|r| !r.is_empty()),
-            planner,
-        )?;
-
-        // Everything marked for deletion in this stratum, per predicate.
-        // Seeded with retracted EDB facts of predicates this stratum
-        // derives (they were part of the old materialization).
-        let mut del: FxHashMap<Sym, Relation> = FxHashMap::default();
-        for &pred in stratum_idb {
-            if let Some(tuples) = removed.get(&pred) {
-                let believed = &derived[&pred];
-                let mut seed = Relation::new(believed.arity());
-                for t in tuples {
-                    if believed.contains(t) {
-                        seed.insert(t.clone());
-                    }
-                }
-                if !seed.is_empty() {
-                    del.insert(pred, seed);
-                }
-            }
-        }
-        if sv.ext.is_empty() && del.is_empty() {
-            continue; // nothing upstream changed and no EDB facts retracted
-        }
-
-        // --- Over-deletion fixpoint, entirely over the OLD state: a rule
-        // instantiation that paired two removed tuples must still be seen,
-        // so every non-delta position reads pre-mutation values. ---
-        let mut delta: FxHashMap<Sym, Relation> = FxHashMap::default();
-        for &i in &sv.ext {
-            let pred = sv.variants[i].delta.expect("delta variant");
-            if let Some(r) = removed_acc.get(&pred) {
-                if !r.is_empty() {
-                    delta.entry(pred).or_insert_with(|| r.clone());
-                }
-            }
-        }
-        for (&pred, seed) in &del {
-            delta.insert(pred, seed.clone());
-        }
-        let mut indexes = IndexCache::new();
-        let mut first = true;
-        while !delta.is_empty() {
-            let what = "incremental over-deletion";
-            stats.record_iteration();
-            options.budget.check(what, stats.iterations, stats.tuples_inserted)?;
-            let fire = sv.live(first, &delta);
-            first = false;
-            let plans: Vec<RoundPlan<'_>> = fire.iter().map(|v| v.fire()).collect();
-            let believed: Vec<&Relation> = fire.iter().map(|v| &derived[&v.head]).collect();
-            let mut new_delta: FxHashMap<Sym, Relation> = FxHashMap::default();
-            // The merge of an over-deletion round: a produced tuple the
-            // materialization believes is marked, once.
-            let scanned = delta_round(
-                &plans,
-                &build_store(db_before, old, &delta),
-                Some(&mut indexes),
-                options.threads,
-                &options.budget,
-                what,
-                &mut |i, rows| {
-                    let head = fire[i].head;
-                    for row in rows.rows().filter(|row| believed[i].contains_values(row)) {
-                        let marked = del
-                            .entry(head)
-                            .or_insert_with(|| Relation::new(row.len()))
-                            .insert_row(row);
-                        stats.record_insert(marked);
-                        if marked {
-                            new_delta
-                                .entry(head)
-                                .or_insert_with(|| Relation::new(row.len()))
-                                .insert_row(row);
-                        }
-                    }
-                },
-            )?;
-            stats.record_scanned(scanned as usize);
-            delta = new_delta;
-        }
-        drop(indexes);
-
-        if del.values().all(Relation::is_empty) {
-            continue;
-        }
-
-        // --- Apply the over-deletion. ---
-        for (&pred, marked) in &del {
-            let tuples: Vec<Tuple> = marked.iter().map(|t| t.to_tuple()).collect();
-            derived.get_mut(&pred).expect("stratum head").remove_batch(&tuples);
-        }
-
-        // --- Rederivation: deleted tuples that survive as EDB facts, or
-        // that one full evaluation round over the surviving state still
-        // produces, go back in. ---
-        let mut putbacks: FxHashMap<Sym, Relation> = FxHashMap::default();
-        for (&pred, marked) in &del {
-            if let Some(edb) = db_after.relation(pred) {
-                for t in marked.iter() {
-                    if edb.contains_row(t) {
-                        putbacks
-                            .entry(pred)
-                            .or_insert_with(|| Relation::new(marked.arity()))
-                            .insert_from(t);
-                    }
-                }
-            }
-        }
-        {
-            let mut rederive: Vec<(Variant, &Relation)> = Vec::new();
-            for rule in rules {
-                if let Some(marked) = del.get(&rule.head.pred).filter(|m| !m.is_empty()) {
-                    rederive.push((compile_variant(rule, None, planner)?, marked));
-                }
-            }
-            let plans: Vec<RoundPlan<'_>> = rederive.iter().map(|(v, _)| v.fire()).collect();
-            let scanned = delta_round(
-                &plans,
-                &build_store(db_after, derived, &FxHashMap::default()),
-                Some(&mut IndexCache::new()),
-                options.threads,
-                &options.budget,
-                "incremental rederivation",
-                &mut |i, rows| {
-                    let (variant, marked) = &rederive[i];
-                    for row in rows.rows().filter(|row| marked.contains_values(row)) {
-                        putbacks
-                            .entry(variant.head)
-                            .or_insert_with(|| Relation::new(row.len()))
-                            .insert_row(row);
-                    }
-                },
-            )?;
-            stats.record_scanned(scanned as usize);
-        }
-        options.budget.check(
-            "incremental rederivation",
-            stats.iterations,
-            stats.tuples_inserted,
-        )?;
-
-        // --- Put-backs re-enter the materialization and propagate like
-        // insertions over the surviving state. ---
-        let mut delta: FxHashMap<Sym, Relation> = FxHashMap::default();
-        for (&pred, r) in &putbacks {
-            let rel = derived.get_mut(&pred).expect("stratum head");
-            let mut fresh = Relation::new(r.arity());
-            for t in r.iter() {
-                if rel.insert_from(t) {
-                    stats.record_insert(true);
-                    fresh.insert_from(t);
-                }
-            }
-            if !fresh.is_empty() {
-                delta.insert(pred, fresh);
-            }
-        }
-        let mut rounds = Rounds::new(db_after, options, "incremental rederivation");
-        while !delta.is_empty() && !sv.rec.is_empty() {
-            stats.record_iteration();
-            options.budget.check(rounds.what, stats.iterations, stats.tuples_inserted)?;
-            let mut new_delta: FxHashMap<Sym, Relation> = FxHashMap::default();
-            rounds.step(&sv.live(false, &delta), derived, &delta, stats, Some(&mut new_delta))?;
-            delta = new_delta;
-        }
-
-        // --- Net removals feed deletion deltas of later strata. ---
-        for (&pred, marked) in &del {
-            let rel = &derived[&pred];
-            let mut net = Relation::new(marked.arity());
-            for t in marked.iter() {
-                if !rel.contains_row(t) {
-                    net.insert_from(t);
-                }
-            }
-            if !net.is_empty() {
-                removed_acc.insert(pred, net);
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -5,6 +5,8 @@
 //! deep recursions; kept as the simplest possible ground truth for
 //! cross-validation and as the baseline in the iteration-strategy ablation.
 
+use std::sync::Arc;
+
 use sepra_ast::{Literal, Program, Sym};
 use sepra_storage::{Database, EvalStats, FxHashMap, Relation, Tuple};
 
@@ -100,12 +102,12 @@ pub fn naive_with_options(
                     state.merge(edb, &mut fresh, &mut stats, None);
                     state.merge(tuples.iter().map(Tuple::values), &mut fresh, &mut stats, None);
                     let rel = derived.get_mut(&pred).expect("derived exists");
-                    if fresh != *rel {
+                    if fresh != **rel {
                         any_new = true;
-                        *rel = fresh;
+                        *rel = Arc::new(fresh);
                     }
                 } else {
-                    let rel = derived.get_mut(&pred).expect("derived exists");
+                    let rel = Arc::make_mut(derived.get_mut(&pred).expect("derived exists"));
                     for t in tuples {
                         let was_new = rel.insert(t);
                         stats.record_insert(was_new);

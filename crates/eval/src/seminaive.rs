@@ -18,6 +18,8 @@
 //! up front with [`EvalError::Unstratifiable`] — never silently
 //! mis-evaluated.
 
+use std::sync::Arc;
+
 use sepra_ast::{AggFunc, AggSpec, DependencyGraph, Interner, Literal, Program, Rule, Sym};
 use sepra_storage::{Database, EvalStats, FxHashMap, Relation, Tuple, Value};
 
@@ -55,8 +57,9 @@ impl Default for EvalOptions {
 /// plus the cost statistics the paper compares algorithms by.
 #[derive(Debug)]
 pub struct Derived {
-    /// Final contents of every IDB predicate.
-    pub relations: FxHashMap<Sym, Relation>,
+    /// Final contents of every IDB predicate, each behind a shared handle
+    /// as a [`Database`] holds its relations.
+    pub relations: FxHashMap<Sym, Arc<Relation>>,
     /// Evaluation statistics.
     pub stats: EvalStats,
 }
@@ -64,7 +67,7 @@ pub struct Derived {
 impl Derived {
     /// The derived relation for `pred`, if it was computed.
     pub fn relation(&self, pred: Sym) -> Option<&Relation> {
-        self.relations.get(&pred)
+        self.relations.get(&pred).map(|r| &**r)
     }
 }
 
@@ -141,7 +144,7 @@ fn run(
     db: &Database,
     options: &EvalOptions,
     stats: &mut EvalStats,
-) -> Result<FxHashMap<Sym, Relation>, EvalError> {
+) -> Result<FxHashMap<Sym, Arc<Relation>>, EvalError> {
     // Negation/aggregation only have a meaning under a stratified model;
     // reject programs without one up front, before any fixpoint runs.
     let graph = stratified_graph(program, db.interner())?;
@@ -179,30 +182,40 @@ pub(crate) fn stratified_graph(
     interner: &Interner,
 ) -> Result<DependencyGraph, EvalError> {
     let graph = DependencyGraph::build(program);
-    if program.uses_stratified_constructs() {
-        graph.stratify().map_err(|e| EvalError::Unstratifiable(e.describe(interner)))?;
+    match graph.refusal() {
+        Some(e) => Err(EvalError::Unstratifiable(e.describe(interner))),
+        None => Ok(graph),
     }
-    Ok(graph)
 }
 
 /// One relation per rule head (facts included — a ground fact seeds its
-/// predicate's derived relation), seeded for a from-scratch run with the
-/// predicate's EDB rows. Aggregate heads start empty: their EDB facts are
-/// *contributions* to fold (see [`eval_stratum`]), not rows to copy.
+/// predicate's derived relation), each at its from-scratch [`seed`].
 pub(crate) fn seed_from_edb(
     program: &Program,
     db: &Database,
     aggs: &FxHashMap<Sym, AggSpec>,
-) -> FxHashMap<Sym, Relation> {
-    let mut derived: FxHashMap<Sym, Relation> = FxHashMap::default();
+) -> FxHashMap<Sym, Arc<Relation>> {
+    let mut derived = FxHashMap::default();
     for rule in &program.rules {
-        let pred = rule.head.pred;
-        derived.entry(pred).or_insert_with(|| match db.relation(pred) {
-            Some(rel) if !aggs.contains_key(&pred) => rel.clone(),
-            _ => Relation::new(rule.head.arity()),
-        });
+        let (pred, arity) = (rule.head.pred, rule.head.arity());
+        derived.entry(pred).or_insert_with(|| seed(db, pred, arity, aggs));
     }
     derived
+}
+
+/// Where `pred`'s derived relation starts: a handle on its EDB rows, or
+/// empty for an aggregate head, whose EDB facts are *contributions* to fold
+/// (see [`eval_stratum`]), not rows to copy.
+pub(crate) fn seed(
+    db: &Database,
+    pred: Sym,
+    arity: usize,
+    aggs: &FxHashMap<Sym, AggSpec>,
+) -> Arc<Relation> {
+    match db.shared_relation(pred) {
+        Some(rel) if !aggs.contains_key(&pred) => Arc::clone(rel),
+        _ => Arc::new(Relation::new(arity)),
+    }
 }
 
 /// The components of `graph` that head a rule of `program`, in evaluation
@@ -237,14 +250,15 @@ pub(crate) fn agg_specs(program: &Program) -> FxHashMap<Sym, AggSpec> {
 /// for `stratum_idb` itself: EDB rows for plain predicates, **empty** for
 /// aggregate heads (their EDB facts are folded as contributions here).
 /// Callers are responsible for ordering: the strata loop in [`run`], and
-/// stratum-granular recomputation in [`crate::incremental`], which re-runs
-/// this very function so maintenance cannot drift from from-scratch.
+/// the recomputation of a component that negates or aggregates in
+/// [`crate::incremental`], which re-runs this very function so
+/// maintenance cannot drift from from-scratch.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn eval_stratum(
     rules: &[&Rule],
     stratum_idb: &[Sym],
     db: &Database,
-    derived: &mut FxHashMap<Sym, Relation>,
+    derived: &mut FxHashMap<Sym, Arc<Relation>>,
     aggs: &FxHashMap<Sym, AggSpec>,
     options: &EvalOptions,
     stats: &mut EvalStats,
@@ -283,7 +297,7 @@ pub(crate) fn eval_stratum(
     let mut rounds = Rounds::new(db, options, "semi-naive fixpoint");
     for &p in stratum_idb {
         let Some(spec) = aggs.get(&p) else { continue };
-        let rel = derived.get_mut(&p).expect("derived relation exists");
+        let rel = Arc::make_mut(derived.get_mut(&p).expect("derived relation exists"));
         let mut state = AggState::new(spec, rel.arity());
         if let Some(edb) = db.relation(p) {
             state.merge(edb.iter().map(|row| row.to_vec()), rel, stats, None);
@@ -301,7 +315,7 @@ pub(crate) fn eval_stratum(
 
     // Initial deltas = everything known so far for the stratum.
     let mut delta: FxHashMap<Sym, Relation> =
-        stratum_idb.iter().map(|&p| (p, derived[&p].clone())).collect();
+        stratum_idb.iter().map(|&p| (p, Relation::clone(&derived[&p]))).collect();
 
     if rec_plans.is_empty() {
         return Ok(());
@@ -351,11 +365,12 @@ impl<'a> Rounds<'a> {
     /// head's relation — a set insert, or a fold through the head's
     /// [`AggState`]. The merge waits for the barrier because the round's
     /// store borrows `derived`; tuples that changed a relation also join
-    /// `new_delta` when one is given.
+    /// `new_delta` when one is given. A head nothing was produced for is
+    /// left alone, so a relation shared with a snapshot is not copied.
     pub(crate) fn step(
         &mut self,
         variants: &[&Variant],
-        derived: &mut FxHashMap<Sym, Relation>,
+        derived: &mut FxHashMap<Sym, Arc<Relation>>,
         delta: &FxHashMap<Sym, Relation>,
         stats: &mut EvalStats,
         mut new_delta: Option<&mut FxHashMap<Sym, Relation>>,
@@ -374,9 +389,9 @@ impl<'a> Rounds<'a> {
         stats.record_scanned(scanned as usize);
         // Where each plain head's relation ended before this step's merge.
         let mut grown: Vec<(Sym, usize)> = Vec::new();
-        for (variant, rows) in variants.iter().zip(&produced) {
+        for (variant, rows) in variants.iter().zip(&produced).filter(|(_, rows)| !rows.is_empty()) {
             let head = variant.head;
-            let rel = derived.get_mut(&head).expect("derived relation exists");
+            let rel = Arc::make_mut(derived.get_mut(&head).expect("derived relation exists"));
             if let Some(state) = self.aggs.get_mut(&head) {
                 let arity = rel.arity();
                 let changed = new_delta.as_deref_mut();
@@ -453,7 +468,7 @@ pub(crate) fn compile_variant(
 
 pub(crate) fn build_store<'a>(
     db: &'a Database,
-    derived: &'a FxHashMap<Sym, Relation>,
+    derived: &'a FxHashMap<Sym, Arc<Relation>>,
     delta: &'a FxHashMap<Sym, Relation>,
 ) -> RelStore<'a> {
     let mut store = RelStore::new();
@@ -935,15 +950,16 @@ mod tests {
         let options = EvalOptions::default();
         let mut rounds = Rounds::new(&db, &options, "test");
         let mut stats = EvalStats::new();
-        let mut derived: FxHashMap<Sym, Relation> =
-            [(t, db.relation(e).unwrap().clone())].into_iter().collect();
-        let mut delta = derived.clone();
+        let mut derived: FxHashMap<Sym, Arc<Relation>> =
+            [(t, Arc::clone(db.shared_relation(e).unwrap()))].into_iter().collect();
+        let mut delta: FxHashMap<Sym, Relation> =
+            derived.iter().map(|(&p, r)| (p, Relation::clone(r))).collect();
         let rows = |r: &Relation| r.iter().map(|row| row.to_vec()).collect::<Vec<_>>();
         let mut productive_rounds = 0;
         while !delta.is_empty() {
             // The merge as it was: every produced row offered to the head,
             // every new one inserted a second time into the delta.
-            let (mut head, mut twice) = (derived[&t].clone(), Relation::new(2));
+            let (mut head, mut twice) = (Relation::clone(&derived[&t]), Relation::new(2));
             let plans: Vec<RoundPlan<'_>> = fire.iter().map(|v| v.fire()).collect();
             delta_round(
                 &plans,

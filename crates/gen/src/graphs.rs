@@ -108,7 +108,7 @@ mod tests {
         add_chain(&mut db, "e", "v", 10);
         let e = db.intern("e");
         assert_eq!(db.relation(e).unwrap().len(), 10);
-        assert_eq!(db.distinct_constant_count(), 11);
+        assert_eq!(db.distinct_constant_count([]), 11);
     }
 
     #[test]
@@ -117,7 +117,7 @@ mod tests {
         add_cycle(&mut db, "e", "v", 5);
         let e = db.intern("e");
         assert_eq!(db.relation(e).unwrap().len(), 5);
-        assert_eq!(db.distinct_constant_count(), 5);
+        assert_eq!(db.distinct_constant_count([]), 5);
     }
 
     #[test]

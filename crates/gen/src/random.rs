@@ -340,8 +340,12 @@ mod tests {
             let mut interner = sepra_ast::Interner::new();
             let program = parse_program(&scenario.program, &mut interner)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{}", scenario.program));
+            let graph = sepra_ast::DependencyGraph::build(&program);
             assert!(
-                program.uses_stratified_constructs(),
+                program
+                    .rules
+                    .iter()
+                    .any(|r| graph.scope(r.head.pred) == sepra_ast::Scope::StratifiedComponent),
                 "seed {seed}: no stratified construct\n{}",
                 scenario.program
             );

@@ -24,7 +24,7 @@
 //! an `STR` error here means the program will not run at all.
 
 use sepra_ast::analysis::{StratError, Stratification};
-use sepra_ast::{Interner, Span};
+use sepra_ast::{Interner, Scope, Span};
 
 use crate::diagnostic::Diagnostic;
 use crate::passes::{Pass, ProgramContext};
@@ -38,7 +38,8 @@ impl Pass for StratificationPass {
     }
 
     fn run(&self, ctx: &ProgramContext<'_>, interner: &mut Interner, out: &mut Vec<Diagnostic>) {
-        if !ctx.program.uses_stratified_constructs() {
+        let own = |p| ctx.graph.scope(p) == Scope::StratifiedComponent;
+        if !ctx.program.rules.iter().any(|r| own(r.head.pred)) {
             return;
         }
         match ctx.graph.stratify() {

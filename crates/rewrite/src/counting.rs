@@ -44,8 +44,9 @@ use sepra_storage::{Database, EvalStats, Relation, Tuple, Value};
 #[derive(Debug, Clone, Default)]
 pub struct CountingOptions {
     /// Maximum descent depth. Defaults to the number of distinct constants
-    /// in the database (any deeper level must repeat a value on some path,
-    /// i.e. the data is cyclic and Counting does not terminate).
+    /// in the database and the materialized support together (any deeper
+    /// level must repeat a value on some path, i.e. the data is cyclic and
+    /// Counting does not terminate).
     pub max_depth: Option<usize>,
     /// Execution options for the answer phase.
     pub exec: ExecOptions,
@@ -90,7 +91,8 @@ pub fn counting_evaluate(
     let n_rules = phase1.steps.len();
     let base = (n_rules as i64) + 1;
 
-    let max_depth = opts.max_depth.unwrap_or_else(|| db.distinct_constant_count().max(1));
+    let support = extra.values().map(|r| &**r);
+    let max_depth = opts.max_depth.unwrap_or_else(|| db.distinct_constant_count(support).max(1));
 
     let mut stats = EvalStats::new();
     planner.record_into(&mut stats);

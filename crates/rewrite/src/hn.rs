@@ -31,7 +31,8 @@ use sepra_storage::{Database, EvalStats, Relation, Tuple, Value};
 #[derive(Debug, Clone, Default)]
 pub struct HnOptions {
     /// Maximum string length. Defaults to the number of distinct constants
-    /// (longer strings must repeat a value, i.e. the data is cyclic and the
+    /// in the database and the materialized support together (longer
+    /// strings must repeat a value, i.e. the data is cyclic and the
     /// enumeration does not terminate).
     pub max_depth: Option<usize>,
     /// Execution options for the answer phase.
@@ -71,7 +72,8 @@ pub fn hn_evaluate(
     let plan = build_plan_with(sep, &PlanSelection::Class(class), &planner)?;
     let phase1 = plan.phase1.as_ref().expect("class plan has phase 1");
     let width = phase1.columns.len();
-    let max_depth = opts.max_depth.unwrap_or_else(|| db.distinct_constant_count().max(1));
+    let support = extra.values().map(|r| &**r);
+    let max_depth = opts.max_depth.unwrap_or_else(|| db.distinct_constant_count(support).max(1));
 
     let mut stats = EvalStats::new();
     planner.record_into(&mut stats);

@@ -178,6 +178,12 @@ impl Database {
         self.relations.get(&pred).map(|r| &**r)
     }
 
+    /// The shared handle of `pred`'s relation: a copy of the handle is a
+    /// snapshot that costs no row copy until one side is written.
+    pub fn shared_relation(&self, pred: Sym) -> Option<&Arc<Relation>> {
+        self.relations.get(&pred)
+    }
+
     /// The relation for `pred`, creating an empty one of `arity` if absent.
     ///
     /// If the relation is shared with a snapshot clone, this copies it
@@ -238,11 +244,15 @@ impl Database {
         self.relations.values().map(|r| r.len()).sum()
     }
 
-    /// The number of distinct constants appearing in all relations — the
-    /// paper's `n` in its `O(f(n))` statements.
-    pub fn distinct_constant_count(&self) -> usize {
+    /// The number of distinct constants appearing in all relations, and in
+    /// `more` (relations derived over this database) — the paper's `n` in
+    /// its `O(f(n))` statements.
+    pub fn distinct_constant_count<'a>(
+        &'a self,
+        more: impl IntoIterator<Item = &'a Relation>,
+    ) -> usize {
         let mut seen = crate::hasher::FxHashSet::default();
-        for r in self.relations.values() {
+        for r in self.relations.values().map(|r| &**r).chain(more) {
             for c in 0..r.arity() {
                 for &v in r.column(c) {
                     seen.insert(v);
@@ -432,7 +442,7 @@ mod tests {
         let friend = db.intern("friend");
         assert_eq!(db.relation(friend).unwrap().len(), 2);
         assert_eq!(db.total_tuples(), 2);
-        assert_eq!(db.distinct_constant_count(), 3);
+        assert_eq!(db.distinct_constant_count([]), 3);
     }
 
     #[test]

@@ -131,7 +131,12 @@ fn the_plan_names_what_runs_prepared_or_not() {
     for (name, text, given) in programs() {
         let mut plain = processor(&text, false);
         let mut prepared = processor(&text, true);
-        let stratified = plain.program().uses_stratified_constructs();
+        let graph = DependencyGraph::build(plain.program());
+        let stratified = plain
+            .program()
+            .rules
+            .iter()
+            .any(|r| graph.scope(r.head.pred) == Scope::StratifiedComponent);
         for query in queries_for(&plain, &given) {
             let context = format!("{name}: {query}");
             let (planned, ran, why) = observe(&mut plain, &query);
