@@ -5,7 +5,7 @@
 use std::fmt::Write as _;
 
 use sepra_ast::analysis::{stratify, Stratification};
-use sepra_ast::{Query, Term};
+use sepra_ast::{Program, Query, Term};
 use sepra_core::detect::SeparableRecursion;
 use sepra_core::evaluate::{planner_stats, SeparableEvaluator};
 use sepra_core::plan::{
@@ -73,19 +73,18 @@ impl QueryProcessor {
         let pred = query.atom.pred;
         // The same lookup and admission a forced `separable` makes: only
         // the separable recursion is read.
-        let found = self.recursion(pred, StrategyChoice::Force(Strategy::Separable));
+        let (graph, found) = self.recursion(pred, StrategyChoice::Force(Strategy::Separable));
         admit(found.scope, Strategy::Separable)?;
         let sep = found.separable.as_ref();
         let sep = sep.map_err(|r| ProcessorError::StrategyUnavailable(r.to_string()))?;
-        let extra = self.support(pred)?;
+        let (extra, _) = self.support(&graph, pred)?;
         let evaluator = SeparableEvaluator::with_options(sep.clone(), self.exec_options.clone());
         let (outcome, justifications) =
             evaluator.evaluate_with_justifications(&query, &self.db, &extra)?;
+        let interner = self.db.interner();
         let mut lines: Vec<(String, String)> = justifications
             .iter()
-            .map(|(t, j)| {
-                (t.display(self.db.interner()).to_string(), j.render(sep, self.db.interner()))
-            })
+            .map(|(t, j)| (t.display(interner).to_string(), j.render(sep, interner)))
             .collect();
         lines.sort();
         let mut out = String::new();
@@ -109,11 +108,8 @@ impl QueryProcessor {
             for conj in &report.conjunctions {
                 let _ = writeln!(out, "  {}:", conj.label);
                 for s in &conj.scans {
-                    let _ = writeln!(
-                        out,
-                        "    {}  rows {:.0}, keyed {}, est {:.2}",
-                        s.rel, s.rows, s.keyed_cols, s.estimate
-                    );
+                    let (rel, rows, keyed, est) = (&s.rel, s.rows, s.keyed_cols, s.estimate);
+                    let _ = writeln!(out, "    {rel}  rows {rows:.0}, keyed {keyed}, est {est:.2}");
                 }
             }
         }
@@ -123,12 +119,14 @@ impl QueryProcessor {
     /// The structured form of [`QueryProcessor::explain`]: which strategy
     /// would run, in which plan mode, and — for every conjunction the
     /// strategy would compile — the chosen join order with per-scan cost
-    /// estimates from the current relation statistics.
+    /// estimates from the current relation statistics, over the rules of
+    /// the query's cone.
     pub fn plan_report(&mut self, src: &str) -> Result<PlanReport, ProcessorError> {
         let query = self.parse_query(src)?;
         let pred = query.atom.pred;
-        let found = self.recursion(pred, StrategyChoice::Auto);
-        let route = self.route(&query, &found);
+        let (graph, found) = self.recursion(pred, StrategyChoice::Auto);
+        let route = self.route(&query, &found, &graph);
+        let rules = self.rules_of(&graph.cone([pred]));
         // A prepared support holds real relations with real sizes; an
         // unprepared processor plans them from the default guess rather
         // than evaluate anything here.
@@ -154,9 +152,9 @@ impl QueryProcessor {
                 report.strategy = "edb-scan".into();
                 Vec::new()
             }
-            // One plan section per stratum, lowest first — the order
-            // evaluation runs them in.
-            Route::Stratified => match stratify(&self.program) {
+            // One plan section per stratum of the cone, lowest first — the
+            // order evaluation runs them in — unless the program is refused.
+            Route::Stratified => match graph.stratify().and_then(|_| stratify(&rules)) {
                 Err(e) => {
                     let _ =
                         writeln!(out, "unstratifiable program: {}", e.describe(self.db.interner()));
@@ -174,7 +172,7 @@ impl QueryProcessor {
                     for (level, preds) in strat.strata.iter().enumerate() {
                         let idb: Vec<&str> = preds
                             .iter()
-                            .filter(|p| self.program.rules.iter().any(|r| r.head.pred == **p))
+                            .filter(|p| rules.rules.iter().any(|r| r.head.pred == **p))
                             .map(|&p| self.db.interner().resolve(p))
                             .collect();
                         if !idb.is_empty() {
@@ -182,33 +180,28 @@ impl QueryProcessor {
                         }
                     }
                     let _ = writeln!(out, "strategy: semi-naive, stratum by stratum");
-                    self.rule_conjunctions(&pstats, Some(&strat))?
+                    self.rule_conjunctions(&rules, &pstats, Some(&strat))?
                 }
             },
             Route::Bounded(bounded) => {
+                let (depth, n) = (bounded.depth, bounded.rules.len());
                 let _ = writeln!(
                     out,
-                    "bounded recursion detected: every derivation needs at most {} recursive \
-                     step(s); recursion replaced by {} nonrecursive rule(s)",
-                    bounded.depth,
-                    bounded.rules.len()
+                    "bounded recursion detected: every derivation needs at most {depth} recursive \
+                     step(s); recursion replaced by {n} nonrecursive rule(s)"
                 );
-                let _ = writeln!(
-                    out,
-                    "strategy: bounded({}) — zero fixpoint iterations",
-                    bounded.depth
-                );
-                self.rule_conjunctions(&pstats, None)?
+                let _ = writeln!(out, "strategy: bounded({depth}) — zero fixpoint iterations");
+                self.rule_conjunctions(&rules, &pstats, None)?
             }
             Route::Separable { sep, kind } => {
-                self.separable_schema(out, &query, sep, kind, &pstats)?
+                self.separable_schema(out, &query, sep, kind, &rules, &pstats)?
             }
             Route::Magic(reason) | Route::SemiNaive(reason) => {
                 let _ = writeln!(out, "{reason}");
                 let fallback =
                     if matches!(route, Route::Magic(_)) { "magic sets" } else { "semi-naive" };
                 let _ = writeln!(out, "strategy: {fallback}");
-                self.rule_conjunctions(&pstats, None)?
+                self.rule_conjunctions(&rules, &pstats, None)?
             }
         };
         Ok(report)
@@ -223,6 +216,7 @@ impl QueryProcessor {
         query: &Query,
         sep: &SeparableRecursion,
         kind: &SelectionKind,
+        rules: &Program,
         pstats: &PlannerStats,
     ) -> Result<Vec<PlanConj>, ProcessorError> {
         let _ = writeln!(out, "separable recursion detected:");
@@ -239,7 +233,7 @@ impl QueryProcessor {
         let selection = match kind {
             SelectionKind::NoSelection => {
                 let _ = writeln!(out, "no selection constants; strategy: semi-naive");
-                return self.rule_conjunctions(pstats, None).map_err(Into::into);
+                return self.rule_conjunctions(rules, pstats, None).map_err(Into::into);
             }
             SelectionKind::Partial { class } => {
                 let _ = writeln!(
@@ -278,12 +272,13 @@ impl QueryProcessor {
     }
 
     /// The join orders the semi-naive engine would compile: one labelled
-    /// conjunction per non-fact rule, planned over `pstats`. With a
-    /// stratification, rules are grouped by stratum, lowest first, each
-    /// labelled with the stratum evaluation computes it in. A rule no order
-    /// can plan is the error its query would return.
+    /// conjunction per non-fact rule of `rules`, planned over `pstats`.
+    /// With a stratification, rules are grouped by stratum, lowest first,
+    /// each labelled with the stratum evaluation computes it in. A rule no
+    /// order can plan is the error its query would return.
     fn rule_conjunctions(
         &self,
+        rules: &Program,
         pstats: &PlannerStats,
         strat: Option<&Stratification>,
     ) -> Result<Vec<PlanConj>, EvalError> {
@@ -292,7 +287,7 @@ impl QueryProcessor {
         let levels = strat.map_or(1, Stratification::len);
         let mut out = Vec::new();
         for level in 0..levels {
-            for (i, rule) in self.program.rules.iter().enumerate() {
+            for (i, rule) in rules.rules.iter().enumerate() {
                 let head = rule.head.pred;
                 if rule.is_fact() || strat.is_some_and(|s| !s.strata[level].contains(&head)) {
                     continue;
@@ -453,6 +448,31 @@ mod tests {
         // The explain text embeds the same sections.
         let text = qp.explain("unreach(X, Y)?").unwrap();
         assert!(text.contains("stratum by stratum"), "{text}");
+    }
+
+    /// A query's plan shows the rules it evaluates: those of its cone.
+    #[test]
+    fn plan_report_renders_only_the_cone() {
+        let program = "big(X, Y) :- link(X, Y).\n\
+                       big(X, Y) :- link(X, W), big(W, Y).\n\
+                       r(X, Y) :- e(X, Y).\n\
+                       r(X, Y) :- e(X, W), r(W, Y).\n\
+                       u(X) :- g(X, Y), !f(X, Y).\n\
+                       link(l0, l1). e(p, q). g(a, b). g(c, d). f(a, b).\n";
+        for prepare in [false, true] {
+            let mut qp = QueryProcessor::new();
+            qp.load(program).unwrap();
+            if prepare {
+                qp.prepare().unwrap();
+            }
+            for (query, head) in [("u(X)?", "(u)"), ("r(X, Y)?", "(r)")] {
+                let report = qp.plan_report(query).unwrap();
+                assert_eq!(report.strategy, "seminaive", "{query}");
+                let labels: Vec<&str> = report.conjunctions.iter().map(|c| &*c.label).collect();
+                assert!(labels.iter().all(|l| l.ends_with(head)), "{query}: {labels:?}");
+                assert!(!report.text.contains("big"), "{query}: {}", report.text);
+            }
+        }
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! to detect and much cheaper to evaluate, the specialized algorithm should
 //! *supplement* general algorithms inside a query processor rather than
 //! replace them. This crate is that processor: it holds a program and a
-//! database, and routes each query — one decision, owned by `route.rs`:
+//! database, and routes each query — one decision, owned by `route.rs` —
+//! to a strategy that evaluates only the rules of the query's cone:
 //!
-//! 1. a query predicate whose own component negates or aggregates (or a
-//!    program that does not stratify) runs on stratified semi-naive, the
-//!    only engine (besides naive) that evaluates them;
+//! 1. a query predicate whose own component negates or aggregates runs on
+//!    stratified semi-naive, the only engine (besides naive) that evaluates
+//!    them; a program that does not stratify is refused whole;
 //! 2. a provably bounded recursion is replaced by its nonrecursive
 //!    unfolding and evaluated with no fixpoint at all;
 //! 3. a separable recursion with a usable selection runs the compiled

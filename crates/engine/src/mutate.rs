@@ -76,7 +76,9 @@ impl QueryProcessor {
                 }
             }
         }
-        self.apply_delta_from(start, delta)
+        let mut outcome = self.apply_delta_mutation(delta)?;
+        outcome.elapsed = start.elapsed();
+        Ok(outcome)
     }
 
     /// [`apply_mutation`](Self::apply_mutation) minus the parsing: applies
@@ -88,17 +90,7 @@ impl QueryProcessor {
         &mut self,
         delta: EdbDelta,
     ) -> Result<MutationOutcome, ProcessorError> {
-        self.apply_delta_from(Instant::now(), delta)
-    }
-
-    /// The shared tail of both mutation entry points. `start` is when the
-    /// caller began its part of the work — [`apply_mutation`](Self::apply_mutation)
-    /// passes its pre-parse timestamp so `elapsed` covers parsing too.
-    fn apply_delta_from(
-        &mut self,
-        start: Instant,
-        delta: EdbDelta,
-    ) -> Result<MutationOutcome, ProcessorError> {
+        let start = Instant::now();
         // Stage on a snapshot: `self.db` → retractions → `db_mid` →
         // insertions → `db`, with `self.db` the pre-mutation state the DRed
         // over-deletion reads. The clones are copy-on-write; `db_mid` is one

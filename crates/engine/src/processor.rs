@@ -2,6 +2,7 @@
 //! points. Routing and execution live in `route.rs`, plan rendering in
 //! `explain.rs`, live mutations in `mutate.rs`.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
@@ -49,8 +50,7 @@ impl std::fmt::Display for ProcessorError {
         match self {
             ProcessorError::Ast(e) => write!(f, "{e}"),
             ProcessorError::Eval(e) => write!(f, "{e}"),
-            ProcessorError::Facts(e) => write!(f, "{e}"),
-            ProcessorError::StrategyUnavailable(e) => write!(f, "{e}"),
+            ProcessorError::Facts(e) | ProcessorError::StrategyUnavailable(e) => f.write_str(e),
         }
     }
 }
@@ -69,13 +69,14 @@ impl From<EvalError> for ProcessorError {
     }
 }
 
-/// Everything [`QueryProcessor::prepare`] computes up front: per predicate
-/// a rule mentions its scope and detection outcome, and one support for
-/// all the separable ones (the lower strata they read). Shared read-only
-/// across processor clones, so a query server pays for detection and
-/// support evaluation once, not per worker.
+/// Everything [`QueryProcessor::prepare`] computes up front: the program's
+/// dependency graph; per predicate a rule mentions its scope and detection
+/// outcome; and one support for all the separable ones (the lower strata
+/// they read). Shared read-only across processor clones, so a query server
+/// pays for them once, not per worker.
 #[derive(Debug, Clone)]
 pub(crate) struct Prepared {
+    pub(crate) graph: Arc<DependencyGraph>,
     pub(crate) recursions: FxHashMap<Sym, Recursion>,
     /// The rules of every predicate in the cone below the separable
     /// predicates' rule bodies; live mutations maintain `support` by them.
@@ -85,6 +86,9 @@ pub(crate) struct Prepared {
     /// harness stops charging its own per-op samples to `peak_rss_mb`.
     pub(crate) support: Arc<ExtraRelations>,
 }
+
+/// The lower strata a separable query reads, and what materializing them cost.
+type Support = (Arc<ExtraRelations>, EvalStats);
 
 /// A program + database pair that answers queries.
 ///
@@ -158,13 +162,13 @@ impl QueryProcessor {
     /// maintains the support once. The prepared state is invalidated by
     /// further [`QueryProcessor::load`] or [`QueryProcessor::db_mut`] calls.
     pub fn prepare(&mut self) -> Result<(), ProcessorError> {
-        let graph = DependencyGraph::build(&self.program);
+        let graph = Arc::new(DependencyGraph::build(&self.program));
         let preds: BTreeSet<Sym> = graph.strata().into_iter().flatten().collect();
         let recursions: FxHashMap<Sym, Recursion> =
             preds.into_iter().map(|pred| (pred, self.analyze(&graph, pred, true))).collect();
         let separable = recursions.iter().filter(|(_, r)| r.separable.is_ok()).map(|(&p, _)| p);
-        let (support_rules, support) = self.materialize(&graph, &separable.collect())?;
-        self.prepared = Some(Arc::new(Prepared { recursions, support_rules, support }));
+        let (support_rules, (support, _)) = self.materialize(&graph, &separable.collect())?;
+        self.prepared = Some(Arc::new(Prepared { graph, recursions, support_rules, support }));
         // Cached plans from an earlier generation must not survive into
         // this one. The program itself may have changed since they were
         // built, so no statistics drift check applies — drop them all
@@ -268,36 +272,45 @@ impl QueryProcessor {
         self.run_query(&query, choice)
     }
 
-    /// The lower strata a separable `pred` reads: the one support `prepare`
-    /// built (and mutations have maintained since), or, on an unprepared
-    /// processor, `pred`'s own cone materialized on the spot.
-    pub(crate) fn support(&self, pred: Sym) -> Result<Arc<ExtraRelations>, ProcessorError> {
-        if let Some(prepared) = &self.prepared {
-            return Ok(Arc::clone(&prepared.support));
+    /// The rules of the predicates in `cone` — all that evaluating them
+    /// reads, for a [`DependencyGraph::cone`] — borrowed when that is every
+    /// rule. Every route that evaluates rules takes them from here.
+    pub(crate) fn rules_of(&self, cone: &BTreeSet<Sym>) -> Cow<'_, Program> {
+        if self.program.rules.iter().all(|r| cone.contains(&r.head.pred)) {
+            return Cow::Borrowed(&self.program);
         }
-        let graph = DependencyGraph::build(&self.program);
-        Ok(self.materialize(&graph, &BTreeSet::from([pred]))?.1)
+        let rules = self.program.rules.iter().filter(|r| cone.contains(&r.head.pred));
+        Cow::Owned(Program::new(rules.cloned().collect()))
     }
 
-    /// What the separable `preds` read, as rules and their fixpoint: the
-    /// cone below their rules' body atoms, each rule's own head left out.
+    /// The lower strata a separable `pred` reads, and what they cost the
+    /// query: the one support `prepare` built (and mutations maintain), for
+    /// nothing; or, unprepared, `pred`'s own cone materialized on the spot.
+    pub(crate) fn support(&self, graph: &DependencyGraph, pred: Sym) -> Result<Support, EvalError> {
+        if let Some(prepared) = &self.prepared {
+            return Ok((Arc::clone(&prepared.support), EvalStats::new()));
+        }
+        Ok(self.materialize(graph, &BTreeSet::from([pred]))?.1)
+    }
+
+    /// What the separable `preds` read — the cone below their rules' body
+    /// atoms, each rule's own head left out — as rules, fixpoint and cost.
     fn materialize(
         &self,
         graph: &DependencyGraph,
         preds: &BTreeSet<Sym>,
-    ) -> Result<(Arc<Program>, Arc<ExtraRelations>), EvalError> {
+    ) -> Result<(Arc<Program>, Support), EvalError> {
         let rules = self.program.rules.iter().filter(|r| preds.contains(&r.head.pred));
         let read =
             rules.flat_map(|r| r.body_atoms().map(|a| a.pred).filter(move |&p| p != r.head.pred));
-        let cone = graph.cone(read);
-        let rules = self.program.rules.iter().filter(|r| cone.contains(&r.head.pred));
-        let program = Program::new(rules.cloned().collect());
-        let relations = if program.rules.is_empty() {
-            ExtraRelations::default()
+        let program = self.rules_of(&graph.cone(read)).into_owned();
+        let (relations, stats) = if program.rules.is_empty() {
+            (ExtraRelations::default(), EvalStats::new())
         } else {
-            seminaive_with_options(&program, &self.db, &self.eval_options())?.relations
+            let derived = seminaive_with_options(&program, &self.db, &self.eval_options())?;
+            (derived.relations, derived.stats)
         };
-        Ok((Arc::new(program), Arc::new(relations)))
+        Ok((Arc::new(program), (Arc::new(relations), stats)))
     }
 
     /// Produces a diagnostic report over everything loaded so far: the
@@ -408,6 +421,41 @@ mod tests {
             let r = qp.query("reach(a, Y)?").unwrap();
             assert_eq!(r.strategy, Strategy::Separable, "prepare={prepare}");
             assert_eq!(r.answers.len(), 2, "prepare={prepare}"); // b and c
+        }
+    }
+
+    /// An unprepared query materializes the support it reads, and its
+    /// statistics count that work; a prepared one reads the shared support,
+    /// which no query pays for.
+    #[test]
+    fn an_unprepared_query_counts_its_support() {
+        let mut src = String::from(
+            "friend(X, Y) :- knows(X, Y).\n\
+             buys(X, Y) :- friend(X, W), buys(W, Y).\n\
+             buys(X, Y) :- perfectFor(X, Y).\n\
+             knows(tom, sue). knows(sue, joe). perfectFor(joe, widget).\n",
+        );
+        for i in 0..20 {
+            src.push_str(&format!("knows(k{i}, k{}).\n", i + 1));
+        }
+        for prepare in [false, true] {
+            let mut qp = QueryProcessor::new();
+            qp.load(&src).unwrap();
+            if prepare {
+                qp.prepare().unwrap();
+            }
+            for strategy in [Strategy::Separable, Strategy::Counting, Strategy::HenschenNaqvi] {
+                let r = qp.query_with("buys(tom, Y)?", StrategyChoice::Force(strategy)).unwrap();
+                assert_eq!(r.answers.len(), 1, "{strategy}, prepare={prepare}");
+                let (friend, peak) =
+                    (r.stats.relation_sizes.get("friend"), r.stats.max_relation_size());
+                if prepare {
+                    assert!(friend.is_none() && peak < 22, "{strategy}: {:?}", r.stats);
+                } else {
+                    assert_eq!(friend, Some(&22), "{strategy}: {:?}", r.stats);
+                    assert!(peak >= 22, "{strategy}: {:?}", r.stats);
+                }
+            }
         }
     }
 

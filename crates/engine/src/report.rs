@@ -7,14 +7,7 @@ use sepra_storage::Relation;
 /// lexicographically by rendered text (deterministic output for the CLI and
 /// golden tests).
 pub fn render_answers(answers: &Relation, interner: &Interner) -> String {
-    let mut lines: Vec<String> = answers.iter().map(|t| t.display(interner).to_string()).collect();
-    lines.sort();
-    let mut out = String::new();
-    for line in &lines {
-        out.push_str(line);
-        out.push('\n');
-    }
-    out
+    sorted_lines(answers.iter().map(|t| t.display(interner).to_string()))
 }
 
 /// Renders answers as CSV (one tuple per line, values comma-separated,
@@ -28,22 +21,16 @@ pub fn render_answers_csv(answers: &Relation, interner: &Interner) -> String {
             s.to_string()
         }
     };
-    let mut lines: Vec<String> = answers
-        .iter()
-        .map(|t| {
-            t.values()
-                .map(|v| escape(&v.display(interner).to_string()))
-                .collect::<Vec<_>>()
-                .join(",")
-        })
-        .collect();
+    sorted_lines(answers.iter().map(|t| {
+        t.values().map(|v| escape(&v.display(interner).to_string())).collect::<Vec<_>>().join(",")
+    }))
+}
+
+/// `lines` in sorted order, each ending in a newline.
+fn sorted_lines(lines: impl Iterator<Item = String>) -> String {
+    let mut lines: Vec<String> = lines.collect();
     lines.sort();
-    let mut out = String::new();
-    for line in &lines {
-        out.push_str(line);
-        out.push('\n');
-    }
-    out
+    lines.into_iter().map(|line| line + "\n").collect()
 }
 
 /// Renders answers as a JSON array of arrays of strings (sorted, stable).

@@ -1,9 +1,10 @@
 //! The routing decision — which strategy answers a query — and its
 //! execution. [`QueryProcessor::recursion`] looks a predicate's analysis
-//! up (prepared, or run on the spot), [`QueryProcessor::route`] turns it
-//! into a [`Route`], and [`admit`] says which strategies its scope lets
-//! run; automatic evaluation, forced strategies, `--explain` and `:why`
-//! all read those three — nothing else re-derives the policy.
+//! and the program's graph up (prepared, or built on the spot),
+//! [`QueryProcessor::route`] turns them into a [`Route`], and [`admit`]
+//! says which strategies its scope lets run; automatic evaluation, forced
+//! strategies, `--explain` and `:why` all read those three. Whatever runs
+//! reads only the query's cone, from [`QueryProcessor::rules_of`].
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -13,7 +14,7 @@ use sepra_core::bounded::{analyze as analyze_bounded, BoundedRecursion};
 use sepra_core::detect::{detect, SeparableRecursion};
 use sepra_core::evaluate::SeparableEvaluator;
 use sepra_core::plan::{classify_selection, SelectionKind};
-use sepra_eval::{naive::naive_with_options, query_answers, seminaive_with_options};
+use sepra_eval::{naive::naive_with_options, query_answers, seminaive_with_options, EvalError};
 use sepra_rewrite::{
     bounded_evaluate_with_options, counting_evaluate, hn_evaluate, magic_evaluate_as,
     CountingOptions, HnOptions, Magic,
@@ -90,11 +91,12 @@ impl std::str::FromStr for Strategy {
 /// Either a caller-forced strategy or automatic selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StrategyChoice {
-    /// Let the processor pick by the query predicate's scope: semi-naive
-    /// when its own component negates or aggregates (or the program does
-    /// not stratify); else bounded elimination when the recursion is
-    /// provably bounded, else Separable when it applies to the selection,
-    /// else Magic Sets for a selection in a positive cone, else semi-naive.
+    /// Let the processor pick by the query predicate's scope: bounded
+    /// elimination when the recursion is provably bounded, else Separable
+    /// when it applies to the selection; else semi-naive, stratum by
+    /// stratum, when its own component negates or aggregates, Magic Sets
+    /// for a selection in a positive cone, else semi-naive. Each evaluates
+    /// the query's cone; a program that does not stratify is refused whole.
     #[default]
     Auto,
     /// Force a specific strategy (fails if it does not apply).
@@ -121,10 +123,10 @@ pub(crate) struct Recursion {
 /// the compiled algorithms were passed over, as `--explain` prints it.
 #[derive(Debug)]
 pub(crate) enum Route {
-    /// No rule defines the predicate: its answers are a scan of the EDB.
+    /// The query's cone holds no rule: its answers are a scan of the EDB.
     EdbScan,
     /// The query predicate's own component negates or aggregates (or the
-    /// program does not stratify): the general engine runs, stratum by stratum.
+    /// program does not stratify): semi-naive runs, stratum by stratum.
     Stratified,
     /// Bounded elimination wins over everything: no fixpoint at all.
     Bounded(Arc<BoundedRecursion>),
@@ -198,20 +200,26 @@ impl QueryProcessor {
         }
     }
 
-    /// The analysis lookup: what [`QueryProcessor::prepare`] stored for
-    /// `pred`, or the same analysis run on the spot when unprepared — and
-    /// then only the part `choice` can read. Magic Sets and the bottom-up
-    /// engines read the scope alone; boundedness, the one costly analysis
-    /// (unfoldings and containment checks), is skipped for the forced
-    /// strategies that run on the separable recursion.
-    pub(crate) fn recursion(&mut self, pred: Sym, choice: StrategyChoice) -> Recursion {
+    /// The analysis lookup, with the graph the query's cone is read from:
+    /// what [`QueryProcessor::prepare`] stored for `pred`, or the same
+    /// analysis run on the spot when unprepared — and then only the part
+    /// `choice` can read. Magic Sets and the bottom-up engines read the
+    /// scope alone; boundedness, the one costly analysis (unfoldings and
+    /// containment checks), is skipped for the forced strategies that run
+    /// on the separable recursion.
+    pub(crate) fn recursion(
+        &mut self,
+        pred: Sym,
+        choice: StrategyChoice,
+    ) -> (Arc<DependencyGraph>, Recursion) {
         use Strategy::{Bounded, Counting, HenschenNaqvi, Separable};
         if let Some(prepared) = &self.prepared {
-            let found = prepared.recursions.get(&pred).cloned();
-            return found.unwrap_or_else(|| Recursion::none(Scope::PositiveCone, NOT_RECURSIVE));
+            let none = || Recursion::none(Scope::PositiveCone, NOT_RECURSIVE);
+            let found = prepared.recursions.get(&pred).cloned().unwrap_or_else(none);
+            return (Arc::clone(&prepared.graph), found);
         }
-        let graph = DependencyGraph::build(&self.program);
-        match choice {
+        let graph = Arc::new(DependencyGraph::build(&self.program));
+        let found = match choice {
             StrategyChoice::Auto | StrategyChoice::Force(Bounded) => {
                 self.analyze(&graph, pred, true)
             }
@@ -219,24 +227,21 @@ impl QueryProcessor {
                 self.analyze(&graph, pred, false)
             }
             StrategyChoice::Force(_) => Recursion::none(graph.scope(pred), NOT_RECURSIVE),
-        }
+        };
+        (graph, found)
     }
 
-    /// Decides how automatic selection answers `query`.
-    pub(crate) fn route(&self, query: &Query, found: &Recursion) -> Route {
-        let pred = query.atom.pred;
-        if !self.program.rules.iter().any(|r| r.head.pred == pred) {
-            return Route::EdbScan;
-        }
-        if found.scope == Scope::StratifiedComponent {
-            return Route::Stratified;
-        }
+    /// Decides how automatic selection answers `query`: only a fallback
+    /// reads the query's cone, as a bounded or separable recursion has rules.
+    pub(crate) fn route(&self, query: &Query, found: &Recursion, graph: &DependencyGraph) -> Route {
         let demand = query.has_selection() && found.scope == Scope::PositiveCone;
         match (&found.bounded, &found.separable) {
             (Some(bounded), _) => Route::Bounded(Arc::clone(bounded)),
             (None, Ok(sep)) => {
                 Route::Separable { sep: Arc::clone(sep), kind: classify_selection(sep, query) }
             }
+            _ if self.rules_of(&graph.cone([query.atom.pred])).rules.is_empty() => Route::EdbScan,
+            _ if found.scope == Scope::StratifiedComponent => Route::Stratified,
             (None, Err(reason)) if demand => Route::Magic(Arc::clone(reason)),
             (None, Err(reason)) => Route::SemiNaive(Arc::clone(reason)),
         }
@@ -248,9 +253,10 @@ impl QueryProcessor {
         query: &Query,
         choice: StrategyChoice,
     ) -> Result<QueryResult, ProcessorError> {
-        let found = self.recursion(query.atom.pred, choice);
+        let pred = query.atom.pred;
+        let (graph, found) = self.recursion(pred, choice);
         let strategy = match choice {
-            StrategyChoice::Auto => self.route(query, &found).strategy(),
+            StrategyChoice::Auto => self.route(query, &found, &graph).strategy(),
             StrategyChoice::Force(strategy) => strategy,
         };
         admit(found.scope, strategy)?;
@@ -264,6 +270,7 @@ impl QueryProcessor {
         // sorting into memory that state has just freed is measurably
         // slower (closure_batch: +4 % per query).
         let finish = |answers, stats| finish(answers, strategy, stats, start);
+        let rules = || self.rules_of(&graph.cone([pred]));
         let result = match strategy {
             // The rewritten program is nonrecursive in the predicate, so
             // the run reports zero fixpoint iterations for its stratum.
@@ -271,8 +278,7 @@ impl QueryProcessor {
                 let bounded = found.bounded.as_ref().ok_or_else(|| {
                     unavailable("bounded elimination", "query predicate is not provably bounded")
                 })?;
-                let out =
-                    bounded_evaluate_with_options(&self.program, query, &self.db, bounded, &eval)?;
+                let out = bounded_evaluate_with_options(&rules(), query, &self.db, bounded, &eval)?;
                 finish(out.answers, out.stats)
             }
             Strategy::Separable => {
@@ -282,14 +288,15 @@ impl QueryProcessor {
                     let reason = "query has no selection constants";
                     return Err(unavailable("separable algorithm", reason));
                 }
-                let support = self.support(query.atom.pred)?;
+                let (support, cost) = self.support(&graph, pred)?;
                 let mut evaluator = SeparableEvaluator::with_options(Arc::clone(sep), exec);
                 if self.prepared.is_some() {
                     // The cache is only sound once `prepare` has interned
                     // every plan symbol into the pre-clone symbol space.
                     evaluator = evaluator.with_plan_cache(Arc::clone(&self.plan_cache));
                 }
-                let out = evaluator.evaluate(query, &self.db, &support)?;
+                let mut out = evaluator.evaluate(query, &self.db, &support)?;
+                out.stats.merge(&cost);
                 finish(out.answers, out.stats)
             }
             Strategy::MagicSets | Strategy::MagicSupplementary | Strategy::MagicSubsumptive => {
@@ -298,28 +305,34 @@ impl QueryProcessor {
                     Strategy::MagicSupplementary => Magic::Supplementary,
                     _ => Magic::Subsumptive,
                 };
-                let out = magic_evaluate_as(&self.program, query, &self.db, magic, &eval)?;
+                let out = magic_evaluate_as(&rules(), query, &self.db, magic, &eval)?;
                 finish(out.answers, out.stats)
             }
             Strategy::Counting | Strategy::HenschenNaqvi => {
                 let sep = found.separable.as_ref();
                 let sep = sep.map_err(|r| ProcessorError::StrategyUnavailable(r.to_string()))?;
-                let support = self.support(query.atom.pred)?;
+                let (support, cost) = self.support(&graph, pred)?;
                 if strategy == Strategy::Counting {
                     let opts = CountingOptions { exec, ..CountingOptions::default() };
-                    let out = counting_evaluate(sep, query, &self.db, &support, &opts)?;
+                    let mut out = counting_evaluate(sep, query, &self.db, &support, &opts)?;
+                    out.stats.merge(&cost);
                     finish(out.answers, out.stats)
                 } else {
                     let opts = HnOptions { exec, ..HnOptions::default() };
-                    let out = hn_evaluate(sep, query, &self.db, &support, &opts)?;
+                    let mut out = hn_evaluate(sep, query, &self.db, &support, &opts)?;
+                    out.stats.merge(&cost);
                     finish(out.answers, out.stats)
                 }
             }
             Strategy::SemiNaive | Strategy::Naive => {
+                // A program that does not stratify is refused whole.
+                if let Some(e) = graph.refusal() {
+                    return Err(EvalError::Unstratifiable(e.describe(self.db.interner())).into());
+                }
                 let derived = if strategy == Strategy::SemiNaive {
-                    seminaive_with_options(&self.program, &self.db, &eval)?
+                    seminaive_with_options(&rules(), &self.db, &eval)?
                 } else {
-                    naive_with_options(&self.program, &self.db, &eval)?
+                    naive_with_options(&rules(), &self.db, &eval)?
                 };
                 finish(query_answers(query, &self.db, Some(&derived))?, derived.stats)
             }
@@ -342,7 +355,6 @@ fn finish(answers: Relation, strategy: Strategy, stats: EvalStats, start: Instan
 #[cfg(test)]
 mod tests {
     use sepra_core::exec::ExecOptions;
-    use sepra_eval::EvalError;
 
     use super::*;
     use crate::processor::fixtures::*;
@@ -631,6 +643,25 @@ mod tests {
         // A positive cone in a program that does not stratify elsewhere.
         let unstratifiable = format!("{EX_1_2}p(X) :- a(X), !q(X).\nq(X) :- p(X).\na(m).\n");
         assert_refused_by_every_specialized_strategy(&unstratifiable, "buys(tom, Y)?");
+        // The cone of `buys` stratifies, but the program is refused whole.
+        for prepare in [false, true] {
+            let mut qp = QueryProcessor::new();
+            qp.load(&unstratifiable).unwrap();
+            if prepare {
+                qp.prepare().unwrap();
+            }
+            for choice in [
+                StrategyChoice::Auto,
+                StrategyChoice::Force(Strategy::SemiNaive),
+                StrategyChoice::Force(Strategy::Naive),
+            ] {
+                let err = qp.query_with("buys(tom, Y)?", choice).unwrap_err();
+                let ProcessorError::Eval(EvalError::Unstratifiable(msg)) = err else {
+                    panic!("{choice:?}, prepare={prepare}: expected Unstratifiable, got {err}");
+                };
+                assert!(msg.contains("`p`") && msg.contains("`q`"), "{msg}");
+            }
+        }
     }
 
     /// A positive recursion over a negated lower stratum: `reach` reads

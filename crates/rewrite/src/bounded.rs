@@ -8,8 +8,10 @@
 //! relation. The rewritten program is nonrecursive in `t`, so the
 //! semi-naive engine evaluates its stratum in a single pass with **zero**
 //! fixpoint iterations; answers are identical to evaluating the original
-//! recursion to fixpoint. The private copy and the evaluation tail are the
-//! demand rewrite's.
+//! recursion to fixpoint. Every other rule of the given program is
+//! evaluated alongside, so a caller hands over only what `t` reads (the
+//! query processor passes the rules of `t`'s cone). The private copy and
+//! the evaluation tail are the demand rewrite's.
 
 use sepra_ast::{Program, Query, Rule};
 use sepra_core::bounded::BoundedRecursion;
@@ -48,13 +50,9 @@ pub fn bounded_evaluate_with_options(
         edb.union_in_place(&facts);
     }
     // The bounded predicate's rules give way to the nonrecursive chain;
-    // facts and rules of other predicates pass through unchanged.
-    let mut rules: Vec<Rule> = program
-        .rules
-        .iter()
-        .filter(|r| r.is_fact() || r.head.pred != bounded.pred)
-        .cloned()
-        .collect();
+    // facts and the rules of the predicates it reads are evaluated as given.
+    let kept = program.rules.iter().filter(|r| r.is_fact() || r.head.pred != bounded.pred);
+    let mut rules: Vec<Rule> = kept.cloned().collect();
     rules.extend(bounded.rules.iter().cloned());
     evaluate(Program::new(rules), query, db, eval)
 }
