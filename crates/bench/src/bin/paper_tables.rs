@@ -466,12 +466,6 @@ fn main() {
          (Definition 4.2). Shapes to check: who wins, by what growth rate, \
          not absolute times."
     );
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    println!(
-        "\nEnvironment: {cores} CPU core{} available; parallel fixpoint stages \
-         default to that worker count.",
-        if cores == 1 { "" } else { "s" }
-    );
     e1(quick);
     e2(quick);
     e3(quick);

@@ -47,23 +47,13 @@ pub struct ExecOptions {
     /// much of the algorithm's speed comes from the storage layer rather
     /// than from the compilation itself.
     pub use_indexes: bool,
-    /// Number of worker threads used to expand each iteration's carry (and
-    /// the seed join over `seen_1`). `1` (the default) runs the exact
-    /// serial Figure 2 loop; higher values shard the carry across that
-    /// many workers at each iteration barrier, which preserves the answer
-    /// set because one iteration's expansions are independent. A shard is
-    /// a range of the carry's rows; every shard probes the indexes the
-    /// calling thread prepared for the iteration. The index ablation
-    /// (`use_indexes: false`) always runs serially, so that it differs
-    /// from the indexed run in the storage layer alone.
-    pub threads: usize,
     /// Resource budget (deadline, tuple/iteration caps, cancellation)
     /// checked at every closure-iteration barrier. Unlimited by default.
     pub budget: Budget,
     /// How the nonrecursive conjunctions of compiled plans are ordered
     /// (see [`sepra_eval::planner`]): cost-based from relation statistics
     /// by default, or exactly as written for the E13 baseline. The carry /
-    /// seen scan that sharding relies on stays pinned first either way.
+    /// seen scan stays pinned first either way, as Figure 2 reads it.
     pub plan_mode: PlanMode,
 }
 
@@ -73,7 +63,6 @@ impl Default for ExecOptions {
             dedup: true,
             max_iterations: 1_000_000,
             use_indexes: true,
-            threads: 1,
             budget: Budget::default(),
             plan_mode: PlanMode::default(),
         }
@@ -222,12 +211,11 @@ fn seed_and_phase2(
             store.bind(RelKey::Aux(AUX_SEEN1), seen1);
         }
         let plans: Vec<RoundPlan<'_>> =
-            seed_plans.iter().map(|plan| RoundPlan { plan, sharded: None, frontier }).collect();
+            seed_plans.iter().map(|plan| RoundPlan { plan, frontier }).collect();
         let scanned = delta_round(
             &plans,
             &store,
             opts.use_indexes.then_some(&mut *indexes),
-            opts.threads,
             &opts.budget,
             "seed join",
             &mut |exit_rule, rows| {
@@ -319,10 +307,8 @@ fn run_closure(
     let (carry_name, seen_name) = names;
     let what = format!("{carry_name} loop");
     let carry_key = RelKey::Aux(carry_key_id);
-    let plans: Vec<RoundPlan<'_>> = steps
-        .iter()
-        .map(|(_, plan)| RoundPlan { plan, sharded: None, frontier: Some(carry_key) })
-        .collect();
+    let plans: Vec<RoundPlan<'_>> =
+        steps.iter().map(|(_, plan)| RoundPlan { plan, frontier: Some(carry_key) }).collect();
     let mut seen = init.clone();
     let mut carry = init;
     stats.record_size(carry_name, carry.len());
@@ -345,7 +331,6 @@ fn run_closure(
                 &plans,
                 &store,
                 opts.use_indexes.then_some(&mut *indexes),
-                opts.threads,
                 &opts.budget,
                 &what,
                 &mut |step, rows| {
@@ -501,10 +486,10 @@ mod tests {
         let sep = detect_in_program(&program, t, db.interner_mut()).unwrap();
         let plan = build_plan(&sep, &PlanSelection::Class(0)).unwrap();
         let n0 = db.intern("n0");
-        let run = |threads: usize| {
+        let run = || {
             let mut init = Relation::new(1);
             init.insert(Tuple::from([Value::sym(n0)]));
-            let opts = ExecOptions { threads, ..ExecOptions::default() };
+            let opts = ExecOptions::default();
             let mut stats = EvalStats::new();
             execute_plan(
                 &plan,
@@ -517,16 +502,14 @@ mod tests {
             )
             .unwrap()
         };
-        let serial = run(1);
-        for threads in [2, 4, 8] {
-            let par = run(threads);
-            assert_eq!(par.seen1, serial.seen1, "seen_1 diverged at {threads} threads");
-            assert_eq!(par.seen2, serial.seen2, "seen_2 diverged at {threads} threads");
-        }
-        // Determinism: two runs at the same thread count produce the same
-        // insertion order, not just the same set.
-        let a = run(4);
-        let b = run(4);
+        let serial = run();
+        let par = run();
+        assert_eq!(par.seen1, serial.seen1, "seen_1 diverged");
+        assert_eq!(par.seen2, serial.seen2, "seen_2 diverged");
+        // Determinism: two runs produce the same insertion order, not just
+        // the same set.
+        let a = run();
+        let b = run();
         assert!(a.seen2.iter().eq(b.seen2.iter()), "insertion order diverged");
     }
 
@@ -566,7 +549,6 @@ mod tests {
         // run — one insert attempt, not two.
         let flag = Arc::new(AtomicBool::new(false));
         let opts = ExecOptions {
-            threads: 3,
             budget: Budget::unlimited().cancellable(flag.clone()),
             ..ExecOptions::default()
         };
@@ -590,8 +572,8 @@ mod tests {
     }
 
     /// No barrier check precedes the seed join, so with the budget already
-    /// cancelled its shard workers are the first to notice. A seed they all
-    /// skipped is empty, and an empty carry_2 would end phase 2 at once: the
+    /// cancelled the round's own probe is the first to notice. A skipped
+    /// seed is empty, and an empty carry_2 would end phase 2 at once: the
     /// truncated join would pass for an empty answer.
     #[test]
     fn a_cancelled_sharded_seed_join_is_an_error_not_an_empty_answer() {
@@ -605,13 +587,11 @@ mod tests {
         let t = db.intern("t");
         let sep = detect_in_program(&program, t, db.interner_mut()).unwrap();
         let plan = build_plan(&sep, &PlanSelection::Class(0)).unwrap();
-        // Three shards' worth of seen_1.
         let seen1 = Relation::from_tuples(
             1,
             (0..1536).map(|i| Tuple::from([Value::sym(db.intern(&format!("n{i}")))])),
         );
         let opts = ExecOptions {
-            threads: 3,
             budget: Budget::unlimited().cancellable(Arc::new(AtomicBool::new(true))),
             ..ExecOptions::default()
         };

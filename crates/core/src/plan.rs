@@ -169,7 +169,7 @@ pub fn build_plan(
 
 /// Instantiates the Figure 2 schema, letting `planner` order each
 /// nonrecursive conjunction before compilation. The carry/seen scan of
-/// every step stays pinned first — phase execution shards over it.
+/// every step stays pinned first, in Figure 2's order.
 pub fn build_plan_with(
     sep: &SeparableRecursion,
     selection: &PlanSelection,
@@ -271,8 +271,9 @@ fn seed_step(
             }
         }
     }
-    // Pin the prefix: the seed join is sharded over `seen_1`, and the
-    // selection equalities of a persistent plan bind before anything else.
+    // Pin the prefix: the seed join reads `seen_1` first, as Figure 2's
+    // line 8 does, and the selection equalities of a persistent plan bind
+    // before anything else.
     let pinned = body.len();
     // Exit rules of a separable recursion are pure positive conjunctions
     // (guaranteed by `RecursiveDef::extract`).

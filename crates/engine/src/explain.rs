@@ -125,7 +125,7 @@ impl QueryProcessor {
         let query = self.parse_query(src)?;
         let pred = query.atom.pred;
         let (graph, found) = self.recursion(pred, StrategyChoice::Auto);
-        let route = self.route(&query, &found, &graph);
+        let route = self.route(&query, &found);
         let rules = self.rules_of(&graph.cone([pred]));
         // A prepared support holds real relations with real sizes; an
         // unprepared processor plans them from the default guess rather
@@ -382,7 +382,7 @@ mod tests {
         assert!(labels.iter().any(|l| l.starts_with("phase 1")), "{labels:?}");
         assert!(labels.iter().any(|l| l.starts_with("seed")), "{labels:?}");
         assert!(labels.iter().any(|l| l.starts_with("phase 2")), "{labels:?}");
-        // Sharded execution relies on the carry scan staying outermost.
+        // Figure 2 reads the carry first: its scan stays outermost.
         for c in report.conjunctions.iter().filter(|c| c.label.starts_with("phase 1")) {
             assert_eq!(c.scans[0].rel, "carry_1", "{:?}", c.scans);
         }

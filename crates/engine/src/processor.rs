@@ -237,7 +237,7 @@ impl QueryProcessor {
         &self.program
     }
 
-    /// Overrides executor options (dedup / iteration bound / threads).
+    /// Overrides executor options (dedup / iteration bound / budget).
     pub fn set_exec_options(&mut self, opts: ExecOptions) {
         self.exec_options = opts;
     }
@@ -246,9 +246,9 @@ impl QueryProcessor {
     /// the strategies that run on the semi-naive engine.
     pub(crate) fn eval_options(&self) -> EvalOptions {
         EvalOptions {
-            threads: self.exec_options.threads,
             budget: self.exec_options.budget.clone(),
             plan_mode: self.exec_options.plan_mode,
+            ..EvalOptions::default()
         }
     }
 

@@ -231,16 +231,16 @@ impl QueryProcessor {
         (graph, found)
     }
 
-    /// Decides how automatic selection answers `query`: only a fallback
-    /// reads the query's cone, as a bounded or separable recursion has rules.
-    pub(crate) fn route(&self, query: &Query, found: &Recursion, graph: &DependencyGraph) -> Route {
+    /// Decides how automatic selection answers `query`: a predicate that
+    /// heads no rule reads nothing, so its query is an EDB scan.
+    pub(crate) fn route(&self, query: &Query, found: &Recursion) -> Route {
         let demand = query.has_selection() && found.scope == Scope::PositiveCone;
         match (&found.bounded, &found.separable) {
             (Some(bounded), _) => Route::Bounded(Arc::clone(bounded)),
             (None, Ok(sep)) => {
                 Route::Separable { sep: Arc::clone(sep), kind: classify_selection(sep, query) }
             }
-            _ if self.rules_of(&graph.cone([query.atom.pred])).rules.is_empty() => Route::EdbScan,
+            _ if self.program.definition_of(query.atom.pred).is_empty() => Route::EdbScan,
             _ if found.scope == Scope::StratifiedComponent => Route::Stratified,
             (None, Err(reason)) if demand => Route::Magic(Arc::clone(reason)),
             (None, Err(reason)) => Route::SemiNaive(Arc::clone(reason)),
@@ -256,7 +256,7 @@ impl QueryProcessor {
         let pred = query.atom.pred;
         let (graph, found) = self.recursion(pred, choice);
         let strategy = match choice {
-            StrategyChoice::Auto => self.route(query, &found, &graph).strategy(),
+            StrategyChoice::Auto => self.route(query, &found).strategy(),
             StrategyChoice::Force(strategy) => strategy,
         };
         admit(found.scope, strategy)?;

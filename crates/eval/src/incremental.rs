@@ -39,8 +39,8 @@
 //!   that were not marked (a marked tuple was in `old`).
 //!
 //! Every round of both phases is a [`delta_round`] — the same step the
-//! from-scratch engines take, with the same index handling, sharding of
-//! large deltas and budget probes — and only the merge is maintenance's
+//! from-scratch engines take, with the same index handling and budget
+//! probes — and only the merge is maintenance's
 //! own: insertion and put-back rounds merge like semi-naive
 //! (`Rounds::step`), over-deletion rounds *mark* instead of inserting,
 //! and the rederivation round keeps only marked tuples. The loops check the
@@ -309,7 +309,6 @@ impl Walk<'_> {
                 &plans,
                 &build_store(self.db_before, self.old, &delta),
                 Some(&mut indexes),
-                self.options.threads,
                 &self.options.budget,
                 what,
                 &mut |i, rows| {
@@ -370,7 +369,6 @@ impl Walk<'_> {
                 &plans,
                 &build_store(self.db_mid, derived, &FxHashMap::default()),
                 Some(&mut IndexCache::new()),
-                self.options.threads,
                 &self.options.budget,
                 "incremental rederivation",
                 &mut |i, rows| {
@@ -547,7 +545,7 @@ mod tests {
 
     /// Applies `delta` in two stages (retract, then insert) and checks that
     /// [`maintain`] over the effective delta matches a from-scratch
-    /// semi-naive run on the mutated database, for 1 and 3 threads.
+    /// semi-naive run on the mutated database.
     fn assert_parity(program_src: &str, facts: &str, build: impl Fn(&mut Database) -> EdbDelta) {
         let mut db = Database::new();
         db.load_fact_text(facts).unwrap();
@@ -564,23 +562,13 @@ mod tests {
         effective.insert = db.apply_delta(&insert_only).unwrap().insert;
 
         let scratch = seminaive(&program, &db).unwrap();
-        for threads in [1, 3] {
-            let options = EvalOptions { threads, ..Default::default() };
-            let incr =
-                maintain(&program, &db_before, &db_mid, &db, &old.relations, &effective, &options)
-                    .unwrap();
-            assert_eq!(
-                incr.relations.len(),
-                scratch.relations.len(),
-                "threads={threads}: predicate sets differ"
-            );
-            for (pred, rel) in &scratch.relations {
-                assert_eq!(
-                    incr.relations.get(pred),
-                    Some(rel),
-                    "threads={threads} diverged on {pred:?}"
-                );
-            }
+        let options = EvalOptions::default();
+        let incr =
+            maintain(&program, &db_before, &db_mid, &db, &old.relations, &effective, &options)
+                .unwrap();
+        assert_eq!(incr.relations.len(), scratch.relations.len(), "predicate sets differ");
+        for (pred, rel) in &scratch.relations {
+            assert_eq!(incr.relations.get(pred), Some(rel), "diverged on {pred:?}");
         }
     }
 
@@ -832,20 +820,18 @@ mod tests {
         let insert_only = EdbDelta { insert: delta.insert.clone(), ..Default::default() };
         effective.insert = db.apply_delta(&insert_only).unwrap().insert;
         let scratch = seminaive_with_options(&program, &db, &EvalOptions::default()).unwrap();
-        for threads in [2, 4] {
-            let incr = maintain(
-                &program,
-                &db_before,
-                &db_mid,
-                &db,
-                &old.relations,
-                &effective,
-                &EvalOptions { threads, ..Default::default() },
-            )
-            .unwrap();
-            for (pred, rel) in &scratch.relations {
-                assert_eq!(incr.relations.get(pred), Some(rel), "threads={threads}");
-            }
+        let incr = maintain(
+            &program,
+            &db_before,
+            &db_mid,
+            &db,
+            &old.relations,
+            &effective,
+            &EvalOptions::default(),
+        )
+        .unwrap();
+        for (pred, rel) in &scratch.relations {
+            assert_eq!(incr.relations.get(pred), Some(rel));
         }
     }
 }

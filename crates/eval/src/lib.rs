@@ -18,8 +18,7 @@
 //! * [`round`] — **the one delta round**, [`delta_round`]: fire compiled
 //!   plans over a frontier (a semi-naive delta, a Figure 2 `carry`, a DRed
 //!   deletion delta) and hand the rows to the caller's sink. The round owns
-//!   index preparation, the serial-or-sharded decision, which ordering of a
-//!   conjunction runs, budget probes between plans, `rows_scanned`
+//!   index preparation, budget probes between plans, `rows_scanned`
 //!   accounting and the emission order; callers own only the merge. Every
 //!   engine below except the oracle, and the Separable closures in
 //!   `sepra-core`, advance by calling it;

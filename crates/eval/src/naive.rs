@@ -24,8 +24,7 @@ pub fn naive(program: &Program, db: &Database) -> Result<Derived, EvalError> {
     naive_with_options(program, db, &EvalOptions::default())
 }
 
-/// [`naive`] with explicit [`EvalOptions`]. The engine is inherently
-/// serial (`threads` is ignored), but the budget is honoured: the
+/// [`naive`] with explicit [`EvalOptions`]. The budget is honoured: the
 /// re-derivation loop checks it once per iteration.
 pub fn naive_with_options(
     program: &Program,

@@ -25,8 +25,6 @@
 //! emitted — and tuples counted as scanned — in exactly the order of the
 //! nested loops the plan denotes.
 
-use std::ops::Range;
-
 use sepra_ast::{Literal, Sym, Term};
 use sepra_storage::{row_hash, Relation, Value};
 
@@ -207,7 +205,7 @@ impl ConjPlan {
         init: &[Value],
         emit: &mut dyn FnMut(&[Value]),
     ) {
-        self.run(store, indexes, init, None, &mut |rows| rows.rows().for_each(&mut *emit));
+        self.run(store, indexes, init, &mut |rows| rows.rows().for_each(&mut *emit));
     }
 
     /// Runs the plan, handing result rows to `sink` a chunk at a time (in
@@ -216,16 +214,13 @@ impl ConjPlan {
     ///
     /// `init` supplies values for the input slots (`init.len()` must equal
     /// [`ConjPlan::n_inputs`]). A keyed scan whose index was not prepared
-    /// ([`IndexCache::prepare`]) filters a full scan. `within` confines every
-    /// scan of one relation to a range of its rows: a sharded round hands
-    /// each worker a range of the frontier this way, with no copy of it.
-    /// The chunk buffers are allocated here, once, and reused by every chunk.
+    /// ([`IndexCache::prepare`]) filters a full scan. The chunk buffers are
+    /// allocated here, once, and reused by every chunk.
     pub fn run(
         &self,
         store: &RelStore<'_>,
         indexes: &IndexCache,
         init: &[Value],
-        within: Option<(RelKey, Range<usize>)>,
         sink: &mut dyn FnMut(&RowBuf),
     ) -> u64 {
         assert_eq!(init.len(), self.n_inputs, "wrong number of input values");
@@ -241,18 +236,8 @@ impl ConjPlan {
             slot.push(v);
         }
         let (rows, positions, values, out) = Default::default();
-        let mut kernel = Kernel {
-            plan: self,
-            store,
-            indexes,
-            within,
-            sink,
-            scanned: 0,
-            rows,
-            positions,
-            values,
-            out,
-        };
+        let mut kernel =
+            Kernel { plan: self, store, indexes, sink, scanned: 0, rows, positions, values, out };
         kernel.advance(0, &mut chunks);
         kernel.scanned
     }
@@ -266,16 +251,6 @@ impl ConjPlan {
             }
             _ => None,
         })
-    }
-
-    /// Number of `Scan` steps consulting `rel`.
-    ///
-    /// Parallel rounds shard a plan over a relation only when the plan scans
-    /// it exactly once: with one occurrence, partitioning the relation
-    /// partitions the plan's result rows, whereas a self-join of the sharded
-    /// relation would lose the cross-shard pairs.
-    pub fn scans_of(&self, rel: RelKey) -> usize {
-        self.steps.iter().filter(|s| matches!(s, Step::Scan { rel: r, .. } if *r == rel)).count()
     }
 }
 
@@ -347,7 +322,6 @@ struct Kernel<'a> {
     plan: &'a ConjPlan,
     store: &'a RelStore<'a>,
     indexes: &'a IndexCache,
-    within: Option<(RelKey, Range<usize>)>,
     sink: &'a mut dyn FnMut(&RowBuf),
     scanned: u64,
     /// The selection a scan builds before it gathers: the chunk row and the
@@ -375,27 +349,17 @@ impl Kernel<'_> {
                         return; // absent relation: no tuples
                     };
                     let index = self.indexes.get(*rel, key_cols);
-                    let range = match &self.within {
-                        Some((confined, range)) if confined == rel => range.clone(),
-                        _ => 0..relation.len(),
-                    };
-                    let range = range.start as u32..range.end as u32;
                     let (mut probe, mut matching) =
                         (std::mem::take(&mut chunk.key), std::mem::take(&mut chunk.matching));
                     for i in 0..chunk.len {
                         probe.clear();
                         probe.extend(key.iter().map(|spec| chunk.value(spec, i)));
                         // What this match could join with, in relation
-                        // order: the index's answer (positions ascend, so a
-                        // range of rows is a sub-slice of it) or, with no
-                        // index, a filtered scan — the same for every match
-                        // when the scan has no key.
+                        // order: the index's answer or, with no index, a
+                        // filtered scan — the same for every match when the
+                        // scan has no key.
                         let candidates: &[u32] = match index {
-                            Some(index) => {
-                                let hits = index.lookup(&probe);
-                                let cut = |at: u32| hits.partition_point(|&pos| pos < at);
-                                &hits[cut(range.start)..cut(range.end)]
-                            }
+                            Some(index) => index.lookup(&probe),
                             None => {
                                 if i == 0 || !key.is_empty() {
                                     let keyed = |&pos: &u32| {
@@ -403,7 +367,7 @@ impl Kernel<'_> {
                                         key_cols.iter().map(at).eq(probe.iter().copied())
                                     };
                                     matching.clear();
-                                    matching.extend(range.clone().filter(keyed));
+                                    matching.extend((0..relation.len() as u32).filter(keyed));
                                 }
                                 &matching
                             }
@@ -520,7 +484,7 @@ pub(crate) mod tests {
     }
 
     /// The system allocator, counting per thread — the test harness runs
-    /// tests on parallel threads, and each measures only its own.
+    /// tests side by side, and each measures only its own.
     struct Counting;
 
     // SAFETY: every operation is `System`'s, unchanged. The counter is a
@@ -744,7 +708,7 @@ pub(crate) mod tests {
             let mut indexes = IndexCache::new();
             indexes.prepare(plan, &store);
             let mut rows = 0usize;
-            let scanned = plan.run(&store, &indexes, &[], None, &mut |buf| rows += buf.len());
+            let scanned = plan.run(&store, &indexes, &[], &mut |buf| rows += buf.len());
             (rows, scanned)
         };
         let (rows_a, scanned_a) = run(&source_order);

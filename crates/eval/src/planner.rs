@@ -31,8 +31,8 @@
 //!
 //! Ordering is semantics-preserving — positive atoms, equalities, sums and
 //! stratified negations commute (a negation reads only *completed* lower
-//! strata) — so the only constraint is structural: plans sharded over
-//! their first scan (parallel delta rounds, the Separable carry loops)
+//! strata) — so the only constraint is structural: the Separable carry
+//! loops and seed joins, which read carry or seen first as Figure 2 does,
 //! *pin* that prefix with the `pinned` argument of [`Planner::plan`].
 
 use std::cell::Cell;
@@ -195,7 +195,7 @@ impl<'a> Planner<'a> {
     /// Plans `body` into a [`ConjPlan`] emitting `output` per match.
     ///
     /// The first `pinned` literals are taken first, in source order —
-    /// callers pin scans that sharding relies on being outermost.
+    /// callers pin the scans their algorithm puts outermost.
     /// A body is costed (and counted) only in [`PlanMode::CostBased`] and
     /// with more than one literal after the pinned prefix; otherwise it
     /// goes in source order. Fails if a literal can never run, or an

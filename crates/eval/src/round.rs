@@ -4,90 +4,48 @@
 //! conjunctions over a *frontier* — a semi-naive delta, a `carry` of the
 //! paper's Figure 2, the `seen_1` of its seed join, a deletion delta of
 //! DRed — against relations that do not change while the step runs, then
-//! merge what was produced at a barrier. [`delta_round`] is that step, for
-//! all of them. It owns everything the step's callers used to copy:
+//! merge what was produced. [`delta_round`] is that step, for all of them,
+//! on the calling thread. It owns everything the step's callers used to
+//! copy:
 //!
 //! * **index preparation** — through the caller's persistent
-//!   [`IndexCache`], on the calling thread, for whichever ordering of each
-//!   conjunction will run: a handle on the index a stored relation keeps,
-//!   or the cache's own index of a working relation, and dropping the
-//!   frontiers' indexes when the round ends (next round a frontier is a
-//!   different relation);
-//! * **serial or sharded** — decided per plan from what the round can
-//!   observe: the thread count, the frontier's length, and whether the
-//!   plan scans its frontier exactly once;
-//! * **which ordering of a conjunction runs** — the cost-ordered plan on
-//!   the calling thread, the frontier-first one on shards;
-//! * **the budget** — probed between plans, and an interrupted round is an
-//!   error *of the round*, so its truncated output can never be read as
+//!   [`IndexCache`]: a handle on the index a stored relation keeps, or the
+//!   cache's own index of a working relation, and dropping the frontiers'
+//!   indexes when the round ends (next round a frontier is a different
+//!   relation);
+//! * **the budget** — probed before every plan, and an interrupted round is
+//!   an error *of the round*, so its truncated output can never be read as
 //!   convergence;
 //! * **`scanned` accounting and emission order** — rows reach the caller's
-//!   sink a [`RowBuf`] at a time (a chunk of the batch kernel, or a shard
-//!   worker's whole buffer), plan-major and shard-minor, which for a given
-//!   thread count is a fixed interleaving of the serial production order.
+//!   sink a [`RowBuf`] (a chunk of the batch kernel) at a time, plan by
+//!   plan, each plan's in the order of the nested loops it denotes.
 //!
 //! Callers keep what genuinely differs, the merge: set insertion or an
 //! aggregate fold (semi-naive), over-deletion marks and put-backs
 //! (incremental maintenance), `carry − seen` (Figure 2), justification
 //! recording (`why`).
-//!
-//! Sharding is sound only for plans that scan the frontier exactly once:
-//! partitioning the single occurrence partitions the result rows. A plan
-//! scanning it twice (the delta self-join of a non-linear rule) would lose
-//! the cross-shard pairs, so such plans run on the calling thread over the
-//! whole frontier, like plans with no frontier at all.
-
-use std::ops::Range;
 
 use sepra_storage::{Relation, Value};
 
-use crate::budget::{Budget, BudgetResource};
+use crate::budget::Budget;
 use crate::error::EvalError;
 use crate::plan::{ConjPlan, RelKey};
 use crate::store::{IndexCache, RelStore};
 
-/// Minimum shard size, in frontier tuples per worker.
-///
-/// Spawning a thread and merging its buffer at the barrier cost on the
-/// order of an index probe over a few hundred tuples, so a frontier runs on
-/// at most `len / MIN_SHARD_TUPLES` workers — below two shards' worth, on
-/// the calling thread.
-const MIN_SHARD_TUPLES: usize = 512;
-
-// A sharded round shares plans, the relation store, and the prepared index
-// cache across worker threads by reference. The one interior mutability
-// among them, the lock behind a stored relation's kept indexes, is taken
-// only by `IndexCache::prepare` on the calling thread; workers only read.
-const _: () = {
-    const fn assert_sync<T: Sync>() {}
-    assert_sync::<Relation>();
-    assert_sync::<ConjPlan>();
-    assert_sync::<IndexCache>();
-    assert_sync::<RelStore<'static>>();
-};
-
 /// One conjunction to fire in a round.
 #[derive(Debug, Clone, Copy)]
 pub struct RoundPlan<'a> {
-    /// The plan as its compiler ordered it; runs whenever the conjunction
-    /// runs on the calling thread.
+    /// The plan, as its compiler ordered it.
     pub plan: &'a ConjPlan,
-    /// The same conjunction with the frontier scan outermost, when `plan`
-    /// is not already that; runs on shards. Sharding the frontier only
-    /// partitions the join's work if the frontier is the outermost scan —
-    /// sharding an inner scan would leave every worker repeating the full
-    /// outer one.
-    pub sharded: Option<&'a ConjPlan>,
-    /// The relation this plan expands, which a sharded round partitions
-    /// across workers. `None` for conjunctions over completed relations
-    /// only (base rules, rederivation).
+    /// The relation this plan expands, whose indexes the round drops when
+    /// it ends. `None` for conjunctions over completed relations only (base
+    /// rules, rederivation).
     pub frontier: Option<RelKey>,
 }
 
 /// Result rows on their way from production to merge: what the kernel
-/// hands a sink per chunk, what a shard worker fills until the barrier, and
-/// what a caller buffers while the round's store still borrows its merge
-/// target. Flat row-major values, each row's
+/// hands a sink per chunk, and what a caller buffers while the round's
+/// store still borrows its merge target. Flat row-major values, each row's
 /// [`row_hash`](sepra_storage::row_hash) beside them (the hash count is the
 /// row count, which keeps zero-arity rows countable).
 #[derive(Debug, Clone, Default)]
@@ -131,159 +89,49 @@ impl RowBuf {
     }
 }
 
-/// A plan that runs sharded: its frontier-first ordering, once per range of
-/// the frontier's rows.
-struct Sharded<'a> {
-    /// Index into the round's plans.
-    at: usize,
-    plan: &'a ConjPlan,
-    frontier: RelKey,
-    ranges: Vec<Range<usize>>,
-}
-
-/// What one shard worker hands back at the barrier: a buffer per sharded
-/// plan, the tuples its joins considered, and the interrupt that stopped
-/// it, if any.
-type WorkerOutput = (Vec<RowBuf>, u64, Option<BudgetResource>);
-
 /// Runs `plans` once over `store`, handing the produced rows to `sink` as
-/// `(index into plans, rows)` — a kernel chunk or a shard's buffer at a
-/// time, never an empty one — and returns how many tuples the joins
-/// considered (the `rows_scanned` metric).
+/// `(index into plans, rows)` — a kernel chunk at a time, never an empty
+/// one — and returns how many tuples the joins considered (the
+/// `rows_scanned` metric).
 ///
 /// `store` must bind every frontier. `indexes` is the caller's persistent
 /// cache: the round prepares it, and on return has dropped the indexes
 /// over this round's frontiers, so the caller is free to rebind them.
-/// `None` runs every keyed scan as a filtered full scan on the calling
-/// thread — the storage-layer ablation, kept serial so that it differs from
-/// an indexed round in the storage layer alone.
+/// `None` runs every keyed scan as a filtered full scan — the
+/// storage-layer ablation. Rows are emitted plan by plan and are *not*
+/// deduplicated; the caller's merge does that.
 ///
-/// With `threads > 1`, a plan whose frontier holds at least two shards'
-/// worth of tuples and which scans it exactly once runs sharded: the
-/// frontier's rows are cut into contiguous ranges, each expanded on its own
-/// OS thread (`std::thread::scope`) — the same kernel, confined to the
-/// range ([`ConjPlan::run`]) — into a private buffer. Everything else
-/// runs on the calling thread and streams straight into `sink`. Rows are
-/// emitted plan by plan, shards in range order — concatenated, a sharded
-/// plan's rows are exactly what it would have produced serially. They are
-/// *not* deduplicated; the caller's merge does that.
-///
-/// `budget` is probed before every plan, on every thread. Once it reports
-/// an interrupt the round stops and returns [`EvalError::BudgetExceeded`]
-/// for `what`; rows already emitted are the caller's to discard.
+/// `budget` is probed before every plan. Once it reports an interrupt the
+/// round stops and returns [`EvalError::BudgetExceeded`] for `what`; rows
+/// already emitted are the caller's to discard.
 pub fn delta_round(
     plans: &[RoundPlan<'_>],
     store: &RelStore<'_>,
     mut indexes: Option<&mut IndexCache>,
-    threads: usize,
     budget: &Budget,
     what: &str,
     sink: &mut dyn FnMut(usize, &RowBuf),
 ) -> Result<u64, EvalError> {
     #[cfg(test)]
     tests::at_round_start();
-    let interrupt = |resource| EvalError::BudgetExceeded { what: what.to_string(), resource };
-
-    let sharded = match indexes {
-        Some(_) if threads > 1 => shard(plans, store, threads),
-        _ => Vec::new(),
-    };
-    let running = |i: usize| sharded.iter().find(|s| s.at == i).map_or(plans[i].plan, |s| s.plan);
     if let Some(indexes) = indexes.as_deref_mut() {
-        (0..plans.len()).for_each(|i| indexes.prepare(running(i), store));
+        plans.iter().for_each(|p| indexes.prepare(p.plan, store));
     }
     let unindexed = IndexCache::new();
-    let shared = indexes.as_deref().unwrap_or(&unindexed);
+    let prepared = indexes.as_deref().unwrap_or(&unindexed);
 
     let mut scanned = 0u64;
-    let workers = sharded.iter().map(|s| s.ranges.len()).max().unwrap_or(0);
-    let outputs: Vec<WorkerOutput> = if workers == 0 {
-        Vec::new()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let sharded = &sharded;
-                    scope.spawn(move || expand_shards(w, sharded, store, shared, budget))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("delta expansion worker panicked"))
-                .collect()
-        })
-    };
-    for (_, worker_scanned, stopped) in &outputs {
-        scanned += worker_scanned;
-        if let Some(resource) = *stopped {
-            return Err(interrupt(resource));
-        }
-    }
-
-    let mut next_shard = 0;
     for (i, p) in plans.iter().enumerate() {
-        if sharded.get(next_shard).is_some_and(|s| s.at == i) {
-            for (bufs, ..) in &outputs {
-                if !bufs[next_shard].is_empty() {
-                    sink(i, &bufs[next_shard]);
-                }
-            }
-            next_shard += 1;
-            continue;
-        }
         if let Some(resource) = budget.interrupted() {
-            return Err(interrupt(resource));
+            return Err(EvalError::BudgetExceeded { what: what.to_string(), resource });
         }
-        scanned += p.plan.run(store, shared, &[], None, &mut |rows| sink(i, rows));
+        scanned += p.plan.run(store, prepared, &[], &mut |rows| sink(i, rows));
     }
 
     if let Some(indexes) = indexes {
         plans.iter().filter_map(|p| p.frontier).for_each(|key| indexes.invalidate(key));
     }
     Ok(scanned)
-}
-
-/// Decides which plans run sharded and cuts their frontiers' rows into
-/// ranges; in plan order.
-fn shard<'a>(plans: &[RoundPlan<'a>], store: &RelStore<'_>, threads: usize) -> Vec<Sharded<'a>> {
-    let cut = |(at, p): (usize, &RoundPlan<'a>)| {
-        let frontier = p.frontier?;
-        let len = store.get(frontier)?.len();
-        let plan = p.sharded.unwrap_or(p.plan);
-        // Grain guard: never hand a worker fewer than MIN_SHARD_TUPLES.
-        let workers = threads.min(len / MIN_SHARD_TUPLES);
-        if workers < 2 || plan.scans_of(frontier) != 1 {
-            return None;
-        }
-        // Contiguous ranges preserve within-shard insertion order, so
-        // shard-order concatenation is the serial row order.
-        let chunk = len.div_ceil(workers);
-        let ranges = (0..len).step_by(chunk).map(|start| start..(start + chunk).min(len));
-        Some(Sharded { at, plan, frontier, ranges: ranges.collect() })
-    };
-    plans.iter().enumerate().filter_map(cut).collect()
-}
-
-/// Worker `w` of a sharded round: expands range `w` of every sharded plan's
-/// frontier that has one.
-fn expand_shards(
-    w: usize,
-    sharded: &[Sharded<'_>],
-    store: &RelStore<'_>,
-    shared: &IndexCache,
-    budget: &Budget,
-) -> WorkerOutput {
-    let mut bufs = vec![RowBuf::default(); sharded.len()];
-    let mut scanned = 0u64;
-    for (shard, buf) in sharded.iter().zip(&mut bufs) {
-        let Some(range) = shard.ranges.get(w) else { continue };
-        if let Some(resource) = budget.interrupted() {
-            return (bufs, scanned, Some(resource));
-        }
-        let within = Some((shard.frontier, range.clone()));
-        scanned += shard.plan.run(store, shared, &[], within, &mut |rows| buf.extend(rows));
-    }
-    (bufs, scanned, None)
 }
 
 #[cfg(test)]
@@ -293,6 +141,7 @@ pub(crate) mod tests {
     use std::sync::Arc;
 
     use super::*;
+    use crate::budget::BudgetResource;
     use crate::incremental::maintain;
     use crate::plan::{PlanAtom, PlanLiteral};
     use crate::planner::PlanMode;
@@ -368,7 +217,7 @@ pub(crate) mod tests {
     }
 
     fn expanding(plan: &ConjPlan) -> RoundPlan<'_> {
-        RoundPlan { plan, sharded: None, frontier: Some(FRONTIER) }
+        RoundPlan { plan, frontier: Some(FRONTIER) }
     }
 
     type Emitted = Vec<(usize, Vec<Value>)>;
@@ -378,7 +227,6 @@ pub(crate) mod tests {
         plans: &[RoundPlan<'_>],
         frontier: &Relation,
         e: &Relation,
-        threads: usize,
         budget: &Budget,
     ) -> Result<(Emitted, u64), EvalError> {
         let mut store = RelStore::new();
@@ -386,15 +234,10 @@ pub(crate) mod tests {
         store.bind(EDGES, e);
         let mut rows = Vec::new();
         let mut indexes = IndexCache::new();
-        let scanned = delta_round(
-            plans,
-            &store,
-            Some(&mut indexes),
-            threads,
-            budget,
-            "test",
-            &mut |i, buf| rows.extend(buf.rows().map(|row| (i, row.to_vec()))),
-        )?;
+        let scanned =
+            delta_round(plans, &store, Some(&mut indexes), budget, "test", &mut |i, buf| {
+                rows.extend(buf.rows().map(|row| (i, row.to_vec())))
+            })?;
         assert!(
             plans
                 .iter()
@@ -405,50 +248,32 @@ pub(crate) mod tests {
         Ok((rows, scanned))
     }
 
-    fn rows_at(
-        plans: &[RoundPlan<'_>],
-        frontier: &Relation,
-        e: &Relation,
-        threads: usize,
-    ) -> Emitted {
-        round(plans, frontier, e, threads, &Budget::default()).unwrap().0
+    fn rows_at(plans: &[RoundPlan<'_>], frontier: &Relation, e: &Relation) -> Emitted {
+        round(plans, frontier, e, &Budget::default()).unwrap().0
     }
 
     #[test]
     fn sharded_rounds_emit_the_serial_row_sequence() {
         let mut i = Interner::new();
         let plan = linear_plan(&mut i);
-        // Eight shards' worth: 2, 3 and 8 threads all really shard.
-        let frontier = chain(8 * MIN_SHARD_TUPLES as u32);
+        let frontier = chain(4096);
         let e = chain(frontier.len() as u32 + 1);
-        let serial = rows_at(&[expanding(&plan)], &frontier, &e, 1);
+        let serial = rows_at(&[expanding(&plan)], &frontier, &e);
         assert_eq!(serial.len(), frontier.len());
-        for threads in [2, 3, 8] {
-            // Concatenating contiguous shards in order reproduces the
-            // serial row stream exactly, duplicates included — run twice,
-            // it is also the same stream both times.
-            for _ in 0..2 {
-                let sharded = rows_at(&[expanding(&plan)], &frontier, &e, threads);
-                assert_eq!(sharded, serial, "threads={threads}");
-            }
-        }
     }
 
     #[test]
     fn self_joins_stay_whole_and_emission_is_plan_major() {
         let mut i = Interner::new();
         let (self_join, linear) = (self_join_plan(&mut i), linear_plan(&mut i));
-        assert_eq!(self_join.scans_of(FRONTIER), 2);
-        let frontier = chain(4 * MIN_SHARD_TUPLES as u32);
+        let frontier = chain(2048);
         let e = chain(frontier.len() as u32 + 1);
-        // Sharded naively, the composed pairs that straddle a shard
-        // boundary would be lost; and the sharded plan between the two
-        // whole ones must still emit in its place.
+        // The self-join composes every pair of the frontier, and the plan
+        // between the two self-joins emits in its place.
         let plans = [expanding(&self_join), expanding(&linear), expanding(&self_join)];
-        let serial = rows_at(&plans, &frontier, &e, 1);
+        let serial = rows_at(&plans, &frontier, &e);
         assert_eq!(serial.len(), 3 * frontier.len() - 2);
         assert!(serial.windows(2).all(|w| w[0].0 <= w[1].0), "plan-major");
-        assert_eq!(rows_at(&plans, &frontier, &e, 4), serial);
     }
 
     #[test]
@@ -459,39 +284,37 @@ pub(crate) mod tests {
         // orders and scan different numbers of tuples.
         let plan = conj(&mut i, [(EDGES, ["X", "Y"]), (FRONTIER, ["Y", "Z"])]);
         let rotated = conj(&mut i, [(FRONTIER, ["Y", "Z"]), (EDGES, ["X", "Y"])]);
-        let fire = [RoundPlan { plan: &plan, sharded: Some(&rotated), frontier: Some(FRONTIER) }];
+        let fire = [RoundPlan { plan: &plan, frontier: Some(FRONTIER) }];
         let small = chain(40);
         let e = Relation::from_tuples(2, (0..400).map(|i| t2(1000 + i, i % 41)));
-        let serial = round(&fire, &small, &e, 1, &Budget::default()).unwrap();
-        for threads in [4, 64] {
-            assert_eq!(round(&fire, &small, &e, threads, &Budget::default()).unwrap(), serial);
-        }
-        // Above it, the rotation runs: same rows as a set, other work.
-        let big = chain(2 * MIN_SHARD_TUPLES as u32);
-        let (serial_rows, serial_scanned) = round(&fire, &big, &e, 1, &Budget::default()).unwrap();
-        let (sharded_rows, sharded_scanned) =
-            round(&fire, &big, &e, 2, &Budget::default()).unwrap();
-        assert_ne!(sharded_scanned, serial_scanned);
+        round(&fire, &small, &e, &Budget::default()).unwrap();
+        // At any frontier size the round runs the plan it was given, not
+        // its rotation: same rows as a set, other work.
+        let big = chain(1024);
+        let (serial_rows, serial_scanned) = round(&fire, &big, &e, &Budget::default()).unwrap();
+        let rotation = [RoundPlan { plan: &rotated, frontier: Some(FRONTIER) }];
+        let (rotated_rows, rotated_scanned) =
+            round(&rotation, &big, &e, &Budget::default()).unwrap();
+        assert_ne!(rotated_scanned, serial_scanned);
         let sorted = |mut rows: Emitted| {
             rows.sort();
             rows
         };
-        assert_eq!(sorted(sharded_rows), sorted(serial_rows));
+        assert_eq!(sorted(rotated_rows), sorted(serial_rows));
     }
 
     #[test]
     fn an_empty_frontier_produces_no_rows() {
         let mut i = Interner::new();
         let plan = linear_plan(&mut i);
-        assert!(rows_at(&[expanding(&plan)], &Relation::new(2), &chain(3), 4).is_empty());
+        assert!(rows_at(&[expanding(&plan)], &Relation::new(2), &chain(3)).is_empty());
     }
 
     #[test]
     fn without_a_cache_keyed_scans_filter_full_scans() {
         let mut i = Interner::new();
         let plan = linear_plan(&mut i);
-        let (frontier, e) =
-            (chain(2 * MIN_SHARD_TUPLES as u32), chain(2 * MIN_SHARD_TUPLES as u32));
+        let (frontier, e) = (chain(1024), chain(1024));
         let mut store = RelStore::new();
         store.bind(FRONTIER, &frontier);
         store.bind(EDGES, &e);
@@ -500,13 +323,12 @@ pub(crate) mod tests {
             &[expanding(&plan)],
             &store,
             None,
-            4,
             &Budget::default(),
             "test",
             &mut |i, buf| rows.extend(buf.rows().map(|row| (i, row.to_vec()))),
         )
         .unwrap();
-        assert_eq!(rows, rows_at(&[expanding(&plan)], &frontier, &e, 1));
+        assert_eq!(rows, rows_at(&[expanding(&plan)], &frontier, &e));
     }
 
     fn assert_cancelled<T: std::fmt::Debug>(result: Result<T, EvalError>, what: &str) {
@@ -522,14 +344,14 @@ pub(crate) mod tests {
     fn an_interrupted_round_is_an_error_on_shards_and_on_the_calling_thread() {
         let mut i = Interner::new();
         let plan = linear_plan(&mut i);
-        let frontier = chain(3 * MIN_SHARD_TUPLES as u32);
+        let frontier = chain(1536);
         let e = chain(frontier.len() as u32 + 1);
         let plans = [expanding(&plan), expanding(&plan)];
-        // Workers probe before their first plan: nothing is produced, and
+        // The round probes before its first plan: nothing is produced, and
         // "nothing produced" must not come back as a successful round.
         let flag = Arc::new(AtomicBool::new(true));
         let budget = Budget::unlimited().cancellable(flag.clone());
-        assert_cancelled(round(&plans, &frontier, &e, 3, &budget), "test");
+        assert_cancelled(round(&plans, &frontier, &e, &budget), "test");
         // On the calling thread the first plan's rows reach the sink, and
         // the sink cancels: the second plan must not run.
         flag.store(false, Ordering::Relaxed);
@@ -541,7 +363,6 @@ pub(crate) mod tests {
             &plans,
             &store,
             Some(&mut IndexCache::new()),
-            1,
             &budget,
             "test",
             &mut |i, _| {
@@ -554,11 +375,11 @@ pub(crate) mod tests {
     }
 
     /// A digraph dense enough that `e`, and so the first delta of its
-    /// closure, is two shards' worth of tuples.
+    /// closure, holds over a thousand tuples.
     fn dense_edges() -> Vec<[String; 2]> {
         let n = 48;
         (0..n)
-            .flat_map(|a| (1..=(2 * MIN_SHARD_TUPLES).div_ceil(n)).map(move |d| (a, (a + d) % n)))
+            .flat_map(|a| (1..=1024usize.div_ceil(n)).map(move |d| (a, (a + d) % n)))
             .map(|(a, b)| [format!("n{a}"), format!("n{b}")])
             .collect()
     }
@@ -593,7 +414,6 @@ pub(crate) mod tests {
         let effective = db.apply_delta(&delta).unwrap();
         let mid = if retract { &db } else { &before };
         let options = EvalOptions {
-            threads: 3,
             budget: Budget::unlimited().cancellable(flag.clone()),
             ..Default::default()
         };
@@ -604,9 +424,9 @@ pub(crate) mod tests {
 
     #[test]
     fn a_round_cancelled_midway_never_reads_as_convergence_through_any_caller() {
-        // Every worker of the cancelled round skips every plan, so the
-        // round produces nothing — which each of these loops would take
-        // for its fixpoint if the round did not report the interrupt.
+        // The cancelled round skips every plan, so it produces nothing —
+        // which each of these loops would take for its fixpoint if the
+        // round did not report the interrupt.
         let flag = Arc::new(AtomicBool::new(false));
         let mut db = Database::new();
         for [a, b] in dense_edges() {
@@ -614,7 +434,6 @@ pub(crate) mod tests {
         }
         let program = parse_program(TC, db.interner_mut()).unwrap();
         let options = EvalOptions {
-            threads: 3,
             budget: Budget::unlimited().cancellable(flag.clone()),
             ..Default::default()
         };
@@ -635,18 +454,15 @@ pub(crate) mod tests {
     #[test]
     fn small_frontiers_scan_the_same_rows_at_any_thread_count() {
         // In source order the recursive rule scans e outermost, its delta
-        // innermost; the delta-first rotation scans differently. Frontiers
-        // this small never shard, so four threads must do exactly the
-        // single-threaded work.
+        // innermost: two runs do exactly the same work.
         let mut db = Database::new();
         db.load_fact_text("e(a, b). e(b, c). e(c, d). e(d, a). e(b, e5). e(x, y).").unwrap();
         let program = parse_program(TC, db.interner_mut()).unwrap();
-        let run = |threads| {
-            let options =
-                EvalOptions { threads, plan_mode: PlanMode::SourceOrder, ..Default::default() };
+        let run = || {
+            let options = EvalOptions { plan_mode: PlanMode::SourceOrder, ..Default::default() };
             seminaive_with_options(&program, &db, &options).unwrap()
         };
-        let (one, four) = (run(1), run(4));
+        let (one, four) = (run(), run());
         assert_eq!(four.relations, one.relations);
         assert_eq!(four.stats, one.stats);
     }

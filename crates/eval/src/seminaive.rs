@@ -31,13 +31,10 @@ use crate::round::{delta_round, RoundPlan, RowBuf};
 use crate::store::{IndexCache, RelStore};
 
 /// Tuning knobs for the semi-naive engine.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EvalOptions {
-    /// Number of worker threads used to expand each iteration's deltas.
-    /// `1` (the default) runs the exact serial algorithm; higher values
-    /// let [`delta_round`] shard large deltas across up to that many
-    /// workers at each iteration barrier. Answer sets are identical either
-    /// way.
+    /// Ignored: every delta round runs on the calling thread. Kept so that
+    /// code naming the field still builds.
     pub threads: usize,
     /// Resource budget checked at every iteration barrier (unlimited by
     /// default).
@@ -45,12 +42,6 @@ pub struct EvalOptions {
     /// How rule bodies are ordered before compilation: cost-based from
     /// relation statistics (the default) or exactly as written.
     pub plan_mode: PlanMode,
-}
-
-impl Default for EvalOptions {
-    fn default() -> Self {
-        EvalOptions { threads: 1, budget: Budget::default(), plan_mode: PlanMode::default() }
-    }
 }
 
 /// The result of a bottom-up evaluation: one relation per IDB predicate,
@@ -92,7 +83,7 @@ pub fn seminaive(program: &Program, db: &Database) -> Result<Derived, EvalError>
     seminaive_with_options(program, db, &EvalOptions::default())
 }
 
-/// [`seminaive`] with explicit [`EvalOptions`] (notably the thread count).
+/// [`seminaive`] with explicit [`EvalOptions`] (budget and plan mode).
 pub fn seminaive_with_options(
     program: &Program,
     db: &Database,
@@ -115,19 +106,12 @@ pub(crate) struct Variant {
     /// The predicate whose delta this variant reads (`None` for base rules).
     pub(crate) delta: Option<Sym>,
     pub(crate) plan: ConjPlan,
-    /// Delta-first reordering of `plan`, for rounds that shard the delta
-    /// (see [`RoundPlan::sharded`]). `None` for base rules.
-    pub(crate) par_plan: Option<ConjPlan>,
 }
 
 impl Variant {
     /// This variant as [`delta_round`] fires it.
     pub(crate) fn fire(&self) -> RoundPlan<'_> {
-        RoundPlan {
-            plan: &self.plan,
-            sharded: self.par_plan.as_ref(),
-            frontier: self.delta.map(RelKey::Delta),
-        }
+        RoundPlan { plan: &self.plan, frontier: self.delta.map(RelKey::Delta) }
     }
 }
 
@@ -381,7 +365,6 @@ impl<'a> Rounds<'a> {
             &plans,
             &build_store(self.db, derived, delta),
             Some(&mut self.indexes),
-            self.options.threads,
             &self.options.budget,
             self.what,
             &mut |i, rows| produced[i].extend(rows),
@@ -425,8 +408,7 @@ impl<'a> Rounds<'a> {
 
 /// Plans one rule with body-atom occurrence `delta_occ` (the body index
 /// of a positive atom) reading the delta relation instead of the full one,
-/// each plan in one `planner` pass that orders and compiles the body; the
-/// delta-first variant pins the delta scan outermost for sharding.
+/// in one `planner` pass that orders and compiles the body.
 pub(crate) fn compile_variant(
     rule: &Rule,
     delta_occ: Option<usize>,
@@ -452,18 +434,7 @@ pub(crate) fn compile_variant(
         other => unreachable!("delta occurrence {occ} is not a positive atom: {other:?}"),
     });
     let plan = planner.plan(&body, 0, &rule.head.terms)?;
-    // Delta-first variant: rotate the delta occurrence to the front and pin
-    // it there; the planner orders the rest.
-    let par_plan = delta_occ
-        .map(|occ| {
-            let mut rotated = Vec::with_capacity(body.len());
-            rotated.push(body[occ].clone());
-            rotated
-                .extend(body.iter().enumerate().filter(|&(i, _)| i != occ).map(|(_, l)| l.clone()));
-            planner.plan(&rotated, 1, &rule.head.terms)
-        })
-        .transpose()?;
-    Ok(Variant { head: rule.head.pred, delta, plan, par_plan })
+    Ok(Variant { head: rule.head.pred, delta, plan })
 }
 
 pub(crate) fn build_store<'a>(
@@ -751,36 +722,23 @@ mod tests {
         db.load_fact_text(facts).unwrap();
         let program = parse_program(src, db.interner_mut()).unwrap();
         let serial = seminaive(&program, &db).unwrap();
-        for threads in [2, 4, 8] {
-            let par = seminaive_with_options(
-                &program,
-                &db,
-                &EvalOptions { threads, ..Default::default() },
-            )
-            .unwrap();
-            for (pred, rel) in &serial.relations {
-                assert_eq!(par.relations.get(pred), Some(rel), "threads={threads} diverged");
-            }
-            assert_eq!(par.relations.len(), serial.relations.len());
+        let par = seminaive_with_options(&program, &db, &EvalOptions::default()).unwrap();
+        for (pred, rel) in &serial.relations {
+            assert_eq!(par.relations.get(pred), Some(rel), "diverged");
         }
+        assert_eq!(par.relations.len(), serial.relations.len());
     }
 
     #[test]
     fn parallel_nonlinear_recursion_matches_serial() {
-        // Non-linear rules make delta self-joins, exercising the serial
-        // fallback inside the parallel round.
+        // Non-linear rules make delta self-joins.
         let src = "t(X, Y) :- e(X, Y).\nt(X, Y) :- t(X, W), t(W, Y).\n";
         let facts = "e(a, b). e(b, c). e(c, d). e(d, e). e(e, f). e(f, g).";
         let mut db = Database::new();
         db.load_fact_text(facts).unwrap();
         let program = parse_program(src, db.interner_mut()).unwrap();
         let serial = seminaive(&program, &db).unwrap();
-        let par = seminaive_with_options(
-            &program,
-            &db,
-            &EvalOptions { threads: 3, ..Default::default() },
-        )
-        .unwrap();
+        let par = seminaive_with_options(&program, &db, &EvalOptions::default()).unwrap();
         let t = db.intern("t");
         assert_eq!(par.relations[&t], serial.relations[&t]);
         assert_eq!(serial.relations[&t].len(), 6 + 5 + 4 + 3 + 2 + 1);
@@ -913,16 +871,9 @@ mod tests {
         db.load_fact_text(facts).unwrap();
         let program = parse_program(src, db.interner_mut()).unwrap();
         let serial = seminaive(&program, &db).unwrap();
-        for threads in [2, 4] {
-            let par = seminaive_with_options(
-                &program,
-                &db,
-                &EvalOptions { threads, ..Default::default() },
-            )
-            .unwrap();
-            for (pred, rel) in &serial.relations {
-                assert_eq!(par.relations.get(pred), Some(rel), "threads={threads} diverged");
-            }
+        let par = seminaive_with_options(&program, &db, &EvalOptions::default()).unwrap();
+        for (pred, rel) in &serial.relations {
+            assert_eq!(par.relations.get(pred), Some(rel), "diverged");
         }
     }
 
@@ -965,7 +916,6 @@ mod tests {
                 &plans,
                 &build_store(&db, &derived, &delta),
                 Some(&mut IndexCache::new()),
-                1,
                 &options.budget,
                 "test",
                 &mut |_, produced| {

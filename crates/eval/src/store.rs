@@ -60,8 +60,7 @@ impl IndexCache {
     /// Ensures an up-to-date index exists for every keyed scan of `plan`
     /// against the relations currently bound in `store`. Call it on the
     /// thread that owns the cache, before the plan runs: it is the only
-    /// place a stored relation's index lock is taken, and shard workers
-    /// only read what it prepared.
+    /// place a stored relation's index lock is taken.
     pub fn prepare(&mut self, plan: &ConjPlan, store: &RelStore<'_>) {
         for (rel, cols) in plan.keyed_scans() {
             let Some(relation) = store.get(rel) else {

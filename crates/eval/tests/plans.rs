@@ -13,7 +13,7 @@
 //!   rewrites, and every rewritten rule it records, as written (`@` in a
 //!   generated name reads as `_`);
 //! - per positive atom, that atom as a semi-naive delta rotated to the
-//!   front (pinned there, it is the sharded plan `compile_variant` builds);
+//!   front and pinned there;
 //! - hand-written bodies where an equality, a sum and a negation become
 //!   ready at the same step, in every source order; a cascade where an
 //!   equality binds a sum operand and the sum binds a negation's variable;

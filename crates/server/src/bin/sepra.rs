@@ -168,12 +168,7 @@ fn parse_args(args: &[String], out: &mut Out) -> Result<Option<Options>, String>
         explain: false,
         check: false,
         format: Format::Text,
-        limits: Limits {
-            timeout: None,
-            max_tuples: None,
-            threads: default_threads(),
-            cancel: None,
-        },
+        limits: Limits { timeout: None, max_tuples: None, cancel: None },
     };
     let mut args = Args(args.iter());
     while let Some(arg) = args.next() {
@@ -190,7 +185,6 @@ fn parse_args(args: &[String], out: &mut Out) -> Result<Option<Options>, String>
                     [("text", Format::Text), ("csv", Format::Csv), ("json", Format::Json)];
                 opts.format = args.choice("--format", "text|csv|json", &formats)?;
             }
-            "-t" | "--threads" => opts.limits.threads = args.threads()?,
             "--timeout" => opts.limits.timeout = Some(args.millis("--timeout")?),
             "--max-tuples" => {
                 opts.limits.max_tuples = Some(args.parsed("--max-tuples", "an integer")?)
@@ -224,8 +218,6 @@ Usage: sepra [OPTIONS] [FILE...]
 Options:
   -q, --query QUERY     run QUERY (e.g. 'buys(tom, Y)?') and exit
   -s, --strategy NAME   bounded|separable|magic|magic-sup|magic-subsumptive|counting|hn|seminaive|naive
-  -t, --threads N       worker threads for fixpoint iterations
-                        (default: available parallelism; 1 = serial)
       --timeout MS      per-query evaluation deadline in milliseconds
       --max-tuples N    abort evaluation after deriving N tuples
       --stats           print relation-size statistics after each query

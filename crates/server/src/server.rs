@@ -61,8 +61,7 @@ pub struct ServeOptions {
     /// Address to bind, e.g. `127.0.0.1:7464` (port 0 picks a free port;
     /// the chosen address is printed on startup).
     pub addr: String,
-    /// Worker threads — concurrent connections served (each query runs its
-    /// fixpoints serially; parallelism is across requests).
+    /// Worker threads — concurrent connections served.
     pub threads: usize,
     /// Default per-query deadline; a request's `timeout_ms` overrides it.
     pub default_timeout: Option<Duration>,
@@ -299,12 +298,9 @@ impl SharedState {
         let generation = qp.db().generation();
         let gate = GenerationGate::new();
         gate.publish(generation);
-        // Each request's fixpoints run serially: parallelism is across
-        // requests.
         let limits = Limits {
             timeout: opts.default_timeout,
             max_tuples: opts.default_max_tuples,
-            threads: 1,
             cancel: Some(Arc::clone(&shutdown)),
         };
         SharedState {

@@ -29,8 +29,6 @@ pub struct Limits {
     pub timeout: Option<Duration>,
     /// The derived-tuple cap of a request that names none.
     pub max_tuples: Option<usize>,
-    /// Worker threads for each fixpoint (`1` = serial).
-    pub threads: usize,
     /// Raised to cancel every request in flight (a server's shutdown).
     pub cancel: Option<Arc<AtomicBool>>,
 }
@@ -83,8 +81,7 @@ impl Session {
 
     /// The processor, armed with `budget` for the evaluation that follows.
     fn arm(&mut self, budget: Budget) -> &mut QueryProcessor {
-        let threads = self.limits.threads;
-        self.qp.set_exec_options(ExecOptions { threads, budget, ..ExecOptions::default() });
+        self.qp.set_exec_options(ExecOptions { budget, ..ExecOptions::default() });
         &mut self.qp
     }
 

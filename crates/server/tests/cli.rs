@@ -659,7 +659,7 @@ fn one_shot_transcript(name: &str, query: &str) -> Result<(), String> {
     for strategy in STRATEGY_NAMES {
         for format in ["text", "csv", "json"] {
             for stats in [false, true] {
-                let mut args = vec![file.as_str(), "-q", query, "-t", "1", "-f", format];
+                let mut args = vec![file.as_str(), "-q", query, "-f", format];
                 if let Some(strategy) = strategy {
                     args.extend(["-s", strategy]);
                 }
@@ -816,7 +816,7 @@ fn golden_repl() {
         "buys(tom, Y)?",
     ];
     let script = tour.join("\n") + "\n";
-    t.run_with(&["examples/datalog/buys.dl", "-t", "1"], Some(&script));
+    t.run_with(&["examples/datalog/buys.dl"], Some(&script));
     // A fresh session: nothing loaded, then snapshots merged in, one of
     // them a served directory's checkpoint.
     let fresh = [
@@ -830,7 +830,7 @@ fn golden_repl() {
         "e(X, Y)?",
         ":q",
     ];
-    t.run_with(&["-t", "1"], Some(&(fresh.join("\n") + "\n")));
+    t.run_with(&[], Some(&(fresh.join("\n") + "\n")));
     // The format and statistics flags carry into the session.
     let formats = "buys(tom, Y)?\n:insert perfectFor(sue, gadget).\n:exit\n";
     t.run_with(&["examples/datalog/buys.dl", "-f", "csv", "--stats"], Some(formats));

@@ -39,7 +39,7 @@ fn repo_root() -> PathBuf {
 fn run_explain(root: &Path, fixture: &str, query: &str, json: bool) -> String {
     let rel = format!("examples/datalog/{fixture}.dl");
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_sepra"));
-    cmd.current_dir(root).arg(&rel).args(["--explain", "--threads", "1", "-q", query]);
+    cmd.current_dir(root).arg(&rel).args(["--explain", "-q", query]);
     if json {
         cmd.args(["--format", "json"]);
     }

@@ -457,11 +457,11 @@ impl Relation {
     /// Because ranges of a deduplicated relation are themselves
     /// duplicate-free, the copy reuses the cached hashes and rebuilds the
     /// table by pure slot insertion — no row is re-hashed or compared.
-    /// Parallel evaluators use this to cut a delta into worker shards.
+    /// Semi-naive evaluation uses this to take the rows a step appended to
+    /// a relation as the next delta.
     ///
     /// If this relation maintains [`RelStats`], the slice gets *rebuilt*
-    /// stats covering exactly its rows (linear in the slice — shard deltas
-    /// are stats-less, so the hot parallel path never pays this).
+    /// stats covering exactly its rows (linear in the slice).
     ///
     /// # Panics
     /// Panics if the range is out of bounds.
@@ -1199,8 +1199,7 @@ mod tests {
         assert!(Relation::new(2).stats().is_none());
         assert!(Relation::new(2).slice_range(0..0).stats().is_none());
         // A slice of a stats-maintaining relation gets exact rebuilt stats
-        // covering its own rows (the shard path slices stats-less deltas,
-        // so it never pays for this).
+        // covering its own rows.
         let slice = r.slice_range(0..3);
         let expected = slice.rebuild_stats();
         assert_eq!(*slice.stats().unwrap(), expected);

@@ -2,7 +2,7 @@
 //! *claim* that the k-unfolded nonrecursive rewrite derives exactly the
 //! fixpoint. Covered three ways: fixture programs (one per sufficient
 //! condition) where forced `bounded` must match every fixpoint strategy
-//! that accepts the query at 1 and 3 threads; mutation scripts where the
+//! that accepts the query; mutation scripts where the
 //! EDB drifts — including facts of the bounded predicate itself — and the
 //! program-level verdict must not move; and generated programs, where
 //! known-unbounded families must never be claimed bounded and any claimed
@@ -43,10 +43,6 @@ const SWAP: &str = "t(X, Y) :- sym(X, Y), t(Y, X).\n\
                     sym(a, b). sym(b, a). sym(c, d).\n\
                     base(b, a). base(c, d). base(e, f).\n";
 
-fn exec_opts(threads: usize) -> ExecOptions {
-    ExecOptions { threads, ..ExecOptions::default() }
-}
-
 fn rendered(qp: &QueryProcessor, result: &separable::QueryResult) -> Vec<String> {
     let mut rows: Vec<String> =
         result.answers.iter().map(|t| t.display(qp.db().interner()).to_string()).collect();
@@ -54,45 +50,43 @@ fn rendered(qp: &QueryProcessor, result: &separable::QueryResult) -> Vec<String>
     rows
 }
 
-/// Forced `bounded` against every fixpoint strategy at 1 and 3 threads:
+/// Forced `bounded` against every fixpoint strategy:
 /// equal answer sets whenever the strategy accepts the query, and zero
 /// fixpoint iterations on the bounded side. Strategy refusals (counting
 /// and HN want a full separable selection, separable wants a selection)
 /// are fine — boundedness must not change *which* strategies apply.
 fn assert_bounded_parity(text: &str, query: &str, prepare: bool, context: &str) {
-    for threads in [1usize, 3] {
-        let mut bounded = QueryProcessor::new();
-        bounded.load(text).unwrap();
-        bounded.set_exec_options(exec_opts(threads));
-        if prepare {
-            bounded.prepare().unwrap();
-        }
-        let b = bounded
-            .query_with(query, StrategyChoice::Force(Strategy::Bounded))
-            .unwrap_or_else(|e| panic!("{context}: bounded refused `{query}`: {e}"));
-        assert_eq!(b.stats.iterations, 0, "{context}: bounded run iterated at {threads} threads");
-        let b_rows = rendered(&bounded, &b);
+    let mut bounded = QueryProcessor::new();
+    bounded.load(text).unwrap();
+    bounded.set_exec_options(ExecOptions::default());
+    if prepare {
+        bounded.prepare().unwrap();
+    }
+    let b = bounded
+        .query_with(query, StrategyChoice::Force(Strategy::Bounded))
+        .unwrap_or_else(|e| panic!("{context}: bounded refused `{query}`: {e}"));
+    assert_eq!(b.stats.iterations, 0, "{context}: bounded run iterated");
+    let b_rows = rendered(&bounded, &b);
 
-        for strategy in STRATEGIES {
-            let mut qp = QueryProcessor::new();
-            qp.load(text).unwrap();
-            qp.set_exec_options(exec_opts(threads));
-            if prepare {
-                qp.prepare().unwrap();
-            }
-            match qp.query_with(query, StrategyChoice::Force(strategy)) {
-                Ok(r) => assert_eq!(
-                    b_rows,
-                    rendered(&qp, &r),
-                    "{context}: bounded vs {strategy} diverged on `{query}` at {threads} threads"
-                ),
-                // A forced strategy may refuse the query shape (magic
-                // wants a bound argument, counting/HN reject cyclic data
-                // and partial selections) — refusals are fine; only an
-                // accepted-but-different answer set is a parity failure.
-                Err(ProcessorError::StrategyUnavailable(_)) | Err(ProcessorError::Eval(_)) => {}
-                Err(e) => panic!("{context}: {strategy} failed on `{query}`: {e}"),
-            }
+    for strategy in STRATEGIES {
+        let mut qp = QueryProcessor::new();
+        qp.load(text).unwrap();
+        qp.set_exec_options(ExecOptions::default());
+        if prepare {
+            qp.prepare().unwrap();
+        }
+        match qp.query_with(query, StrategyChoice::Force(strategy)) {
+            Ok(r) => assert_eq!(
+                b_rows,
+                rendered(&qp, &r),
+                "{context}: bounded vs {strategy} diverged on `{query}`"
+            ),
+            // A forced strategy may refuse the query shape (magic
+            // wants a bound argument, counting/HN reject cyclic data
+            // and partial selections) — refusals are fine; only an
+            // accepted-but-different answer set is a parity failure.
+            Err(ProcessorError::StrategyUnavailable(_)) | Err(ProcessorError::Eval(_)) => {}
+            Err(e) => panic!("{context}: {strategy} failed on `{query}`: {e}"),
         }
     }
 }
@@ -254,24 +248,22 @@ proptest! {
             }
         }
     }
+}
 
-    /// Plan modes do not affect bounded evaluation: the rewrite runs on
-    /// the same semi-naive engine, so cost-based and source-order planning
-    /// must agree on bounded fixtures too.
-    #[test]
-    fn bounded_answers_are_plan_mode_invariant(threads in 1usize..4) {
-        for text in [VACUOUS, EXIT_SUBSUMED, SWAP] {
-            let mut rows = Vec::new();
-            for mode in [PlanMode::SourceOrder, PlanMode::CostBased] {
-                let mut qp = QueryProcessor::new();
-                qp.load(text).unwrap();
-                qp.set_exec_options(ExecOptions { threads, plan_mode: mode, ..ExecOptions::default() });
-                let r = qp
-                    .query_with("t(X, Y)?", StrategyChoice::Force(Strategy::Bounded))
-                    .unwrap();
-                rows.push(rendered(&qp, &r));
-            }
-            prop_assert_eq!(&rows[0], &rows[1], "plan modes diverged at {} threads", threads);
+/// Plan modes do not affect bounded evaluation: the rewrite runs on the
+/// same semi-naive engine, so cost-based and source-order planning must
+/// agree on bounded fixtures too.
+#[test]
+fn bounded_answers_are_plan_mode_invariant() {
+    for text in [VACUOUS, EXIT_SUBSUMED, SWAP] {
+        let mut rows = Vec::new();
+        for mode in [PlanMode::SourceOrder, PlanMode::CostBased] {
+            let mut qp = QueryProcessor::new();
+            qp.load(text).unwrap();
+            qp.set_exec_options(ExecOptions { plan_mode: mode, ..ExecOptions::default() });
+            let r = qp.query_with("t(X, Y)?", StrategyChoice::Force(Strategy::Bounded)).unwrap();
+            rows.push(rendered(&qp, &r));
         }
+        assert_eq!(&rows[0], &rows[1], "plan modes diverged");
     }
 }

@@ -55,7 +55,7 @@ fn assert_exceeded<T: std::fmt::Debug>(
 #[test]
 fn seminaive_honours_deadline_tuples_and_iterations() {
     let (db, program, _) = scenario();
-    let opts = |budget: Budget| EvalOptions { threads: 1, budget, ..EvalOptions::default() };
+    let opts = |budget: Budget| EvalOptions { budget, ..EvalOptions::default() };
     assert_exceeded(
         seminaive_with_options(&program, &db, &opts(expired_deadline())),
         BudgetResource::Deadline,
@@ -77,11 +77,8 @@ fn seminaive_honours_deadline_tuples_and_iterations() {
 fn parallel_seminaive_honours_cancellation() {
     let (db, program, _) = scenario();
     let flag = Arc::new(AtomicBool::new(true)); // cancelled before it starts
-    let options = EvalOptions {
-        threads: 4,
-        budget: Budget::unlimited().cancellable(flag),
-        ..EvalOptions::default()
-    };
+    let options =
+        EvalOptions { budget: Budget::unlimited().cancellable(flag), ..EvalOptions::default() };
     assert_exceeded(
         seminaive_with_options(&program, &db, &options),
         BudgetResource::Cancelled,
@@ -92,11 +89,8 @@ fn parallel_seminaive_honours_cancellation() {
 #[test]
 fn naive_honours_the_budget() {
     let (db, program, _) = scenario();
-    let options = EvalOptions {
-        threads: 1,
-        budget: Budget::unlimited().iterations(1),
-        ..EvalOptions::default()
-    };
+    let options =
+        EvalOptions { budget: Budget::unlimited().iterations(1), ..EvalOptions::default() };
     assert_exceeded(
         naive_with_options(&program, &db, &options),
         BudgetResource::Iterations,
@@ -121,14 +115,11 @@ fn separable_closures_honour_the_budget() {
             "separable",
         );
     }
-    // Parallel closures must honour cancellation raised mid-flight too; a
-    // pre-raised flag exercises the worker probe and the barrier re-check.
+    // Closures must honour cancellation raised mid-flight too; a
+    // pre-raised flag exercises the round's probe and the barrier re-check.
     let flag = Arc::new(AtomicBool::new(true));
-    let opts = ExecOptions {
-        threads: 4,
-        budget: Budget::unlimited().cancellable(flag),
-        ..ExecOptions::default()
-    };
+    let opts =
+        ExecOptions { budget: Budget::unlimited().cancellable(flag), ..ExecOptions::default() };
     let evaluator = SeparableEvaluator::with_options(sep, opts);
     assert_exceeded(
         evaluator.evaluate(&query, &db, &ExtraRelations::default()),
@@ -140,11 +131,8 @@ fn separable_closures_honour_the_budget() {
 #[test]
 fn magic_rewrites_honour_the_budget() {
     let (db, program, query) = scenario();
-    let options = EvalOptions {
-        threads: 1,
-        budget: Budget::unlimited().iterations(1),
-        ..EvalOptions::default()
-    };
+    let options =
+        EvalOptions { budget: Budget::unlimited().iterations(1), ..EvalOptions::default() };
     assert_exceeded(
         magic_evaluate_with_options(&program, &query, &db, &options),
         BudgetResource::Iterations,
@@ -191,11 +179,8 @@ fn budget_errors_do_not_poison_later_runs() {
     let outcome = evaluator.evaluate(&query, &db, &ExtraRelations::default()).unwrap();
     assert_eq!(outcome.answers.len(), 30); // n1..n30
 
-    let strict = EvalOptions {
-        threads: 1,
-        budget: Budget::unlimited().iterations(1),
-        ..EvalOptions::default()
-    };
+    let strict =
+        EvalOptions { budget: Budget::unlimited().iterations(1), ..EvalOptions::default() };
     assert!(seminaive_with_options(&program, &db, &strict).is_err());
     let derived = seminaive_with_options(&program, &db, &EvalOptions::default()).unwrap();
     let t = db.intern("t");

@@ -67,27 +67,25 @@ fn rendered(qp: &QueryProcessor, result: &separable::QueryResult) -> Vec<String>
 fn assert_parity(qp: &mut QueryProcessor, mirror: &Mirror, query: &str, context: &str) {
     let mut fresh = QueryProcessor::new();
     fresh.load(&mirror.fact_text()).unwrap();
-    for threads in [1usize, 3] {
-        for strategy in STRATEGIES {
-            qp.set_exec_options(ExecOptions { threads, ..ExecOptions::default() });
-            fresh.set_exec_options(ExecOptions { threads, ..ExecOptions::default() });
-            let a = qp.query_with(query, StrategyChoice::Force(strategy));
-            let b = fresh.query_with(query, StrategyChoice::Force(strategy));
-            match (a, b) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(
-                        rendered(qp, &a),
-                        rendered(&fresh, &b),
-                        "{context}: {strategy} diverged at {threads} threads"
-                    );
-                }
-                (Err(ProcessorError::StrategyUnavailable(_)), Err(_)) => {}
-                (a, b) => panic!(
-                    "{context}: {strategy} at {threads} threads: maintained {:?} vs fresh {:?}",
-                    a.map(|r| r.answers.len()),
-                    b.map(|r| r.answers.len()),
-                ),
+    for strategy in STRATEGIES {
+        qp.set_exec_options(ExecOptions::default());
+        fresh.set_exec_options(ExecOptions::default());
+        let a = qp.query_with(query, StrategyChoice::Force(strategy));
+        let b = fresh.query_with(query, StrategyChoice::Force(strategy));
+        match (a, b) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(
+                    rendered(qp, &a),
+                    rendered(&fresh, &b),
+                    "{context}: {strategy} diverged"
+                );
             }
+            (Err(ProcessorError::StrategyUnavailable(_)), Err(_)) => {}
+            (a, b) => panic!(
+                "{context}: {strategy}: maintained {:?} vs fresh {:?}",
+                a.map(|r| r.answers.len()),
+                b.map(|r| r.answers.len()),
+            ),
         }
     }
 }

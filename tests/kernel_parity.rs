@@ -176,12 +176,11 @@ fn kernel(
     plan: &ConjPlan,
     store: &RelStore<'_>,
     indexes: &IndexCache,
-    within: Option<(RelKey, std::ops::Range<usize>)>,
     chunk: usize,
 ) -> (Vec<Vec<Value>>, u64) {
     let mut rows: Vec<Vec<Value>> = Vec::new();
     let mut by_hash = Relation::new(plan.output.len());
-    let scanned = plan.run(store, indexes, &[], within, &mut |buf: &RowBuf| {
+    let scanned = plan.run(store, indexes, &[], &mut |buf: &RowBuf| {
         assert!(!buf.is_empty() && buf.len() <= chunk, "a sink call carries 1..=CHUNK rows");
         rows.extend(buf.rows().map(<[Value]>::to_vec));
         buf.insert_into(&mut by_hash);
@@ -206,7 +205,7 @@ fn chunk_capacity(i: &mut Interner) -> usize {
     let mut store = RelStore::new();
     store.bind(F, &f);
     let mut largest = 0;
-    plan.run(&store, &IndexCache::new(), &[], None, &mut |buf| largest = largest.max(buf.len()));
+    plan.run(&store, &IndexCache::new(), &[], &mut |buf| largest = largest.max(buf.len()));
     assert!(largest > 1 && largest < f.len(), "the probe frontier spans several chunks");
     largest
 }
@@ -260,66 +259,12 @@ fn the_kernel_emits_the_nested_loops_row_sequence_and_scans_the_same_tuples() {
             let mut indexes = IndexCache::new();
             indexes.prepare(&plan, &store);
             for (how, indexes) in [("indexed", &indexes), ("unindexed", &IndexCache::new())] {
-                let (rows, scanned) = kernel(&plan, &store, indexes, None, chunk);
+                let (rows, scanned) = kernel(&plan, &store, indexes, chunk);
                 let what = format!("{} over {size} frontier rows, {how}", conj.name);
                 assert_eq!(rows.len(), expected.len(), "{what}: row count");
                 assert!(rows == expected, "{what}: row sequence");
                 assert_eq!(scanned, loops, "{what}: tuples scanned");
             }
-            // Confined to a range of the frontier, the kernel is the nested
-            // loops over a copy of just those rows — wherever in the plan
-            // the frontier is scanned, keyed or not.
-            if size == chunk + 1 && plan.scans_of(F) == 1 {
-                for range in [0..size / 3, size / 3..size, size..size] {
-                    let shard = f.slice_range(range.clone());
-                    let mut sharded = store.clone();
-                    sharded.bind(F, &shard);
-                    let mut expected = Vec::new();
-                    let loops = nested_loops(&plan, &sharded, 0, &mut slots, &mut expected);
-                    let within = Some((F, range.clone()));
-                    let (rows, scanned) = kernel(&plan, &store, &indexes, within, chunk);
-                    assert!(rows == expected, "{} within {range:?}: row sequence", conj.name);
-                    assert_eq!(scanned, loops, "{} within {range:?}: tuples scanned", conj.name);
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn a_frontier_scanned_inside_the_plan_is_confined_through_its_index() {
-    // `e` outermost, the frontier probed on its second column: a range of
-    // the frontier's rows is then a sub-slice of every index answer.
-    let mut i = Interner::new();
-    let chunk = chunk_capacity(&mut i);
-    let [x, y, w] = ["X", "Y", "W"].map(|v| Term::Var(i.intern(v)));
-    let body = [
-        PlanLiteral::Atom(PlanAtom { rel: E, terms: vec![x, y] }),
-        PlanLiteral::Atom(PlanAtom { rel: F, terms: vec![w, y] }),
-    ];
-    let plan = ConjPlan::compile(&[], &body, &[x, w]).unwrap();
-    let f = frontier(chunk + 300);
-    let mut e = Relation::new(2);
-    for k in 0..48i64 {
-        e.insert_row(&[int(k), int(k * 11 % 16)]);
-    }
-    let mut store = RelStore::new();
-    store.bind(F, &f);
-    store.bind(E, &e);
-    let mut indexes = IndexCache::new();
-    indexes.prepare(&plan, &store);
-    assert!(indexes.get(F, &[1]).is_some(), "the frontier scan is keyed");
-    for range in [0..1, 5..chunk, chunk..f.len(), 0..f.len()] {
-        let shard = f.slice_range(range.clone());
-        let mut sharded = store.clone();
-        sharded.bind(F, &shard);
-        let mut expected = Vec::new();
-        let mut slots = vec![int(0); plan.n_slots];
-        let loops = nested_loops(&plan, &sharded, 0, &mut slots, &mut expected);
-        for indexes in [&indexes, &IndexCache::new()] {
-            let (rows, scanned) = kernel(&plan, &store, indexes, Some((F, range.clone())), chunk);
-            assert!(rows == expected, "within {range:?}: row sequence");
-            assert_eq!(scanned, loops, "within {range:?}: tuples scanned");
         }
     }
 }

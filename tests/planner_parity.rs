@@ -29,12 +29,12 @@ const STRATEGIES: [Strategy; 7] = [
     Strategy::Naive,
 ];
 
-fn exec_opts(threads: usize, mode: PlanMode) -> ExecOptions {
-    ExecOptions { threads, plan_mode: mode, ..ExecOptions::default() }
+fn exec_opts(mode: PlanMode) -> ExecOptions {
+    ExecOptions { plan_mode: mode, ..ExecOptions::default() }
 }
 
-fn eval_opts(threads: usize, mode: PlanMode) -> EvalOptions {
-    EvalOptions { threads, plan_mode: mode, ..EvalOptions::default() }
+fn eval_opts(mode: PlanMode) -> EvalOptions {
+    EvalOptions { plan_mode: mode, ..EvalOptions::default() }
 }
 
 /// Answer tuples as a set: plan modes agree on *what* is derived, not on
@@ -44,7 +44,7 @@ fn tuple_set(rel: &separable::storage::Relation) -> BTreeSet<Tuple> {
 }
 
 /// Semi-naive and Magic Sets on a generated scenario: cost-based and
-/// source-order must derive identical answer sets at 1 and 3 threads.
+/// source-order must derive identical answer sets.
 fn check_eval_layer(seed: u64, mut scenario: RandomScenario) -> Result<(), TestCaseError> {
     let program = parse_program(&scenario.program, scenario.db.interner_mut())
         .expect("generated program parses");
@@ -52,46 +52,33 @@ fn check_eval_layer(seed: u64, mut scenario: RandomScenario) -> Result<(), TestC
         parse_query(&scenario.query, scenario.db.interner_mut()).expect("generated query parses");
     let db = scenario.db;
 
-    for threads in [1usize, 3] {
-        let source =
-            seminaive_with_options(&program, &db, &eval_opts(threads, PlanMode::SourceOrder))
-                .expect("source-order semi-naive evaluates");
-        let cost = seminaive_with_options(&program, &db, &eval_opts(threads, PlanMode::CostBased))
-            .expect("cost-based semi-naive evaluates");
-        let source_answers = query_answers(&query, &db, Some(&source)).expect("answers extract");
-        let cost_answers = query_answers(&query, &db, Some(&cost)).expect("answers extract");
-        prop_assert_eq!(
-            tuple_set(&source_answers),
-            tuple_set(&cost_answers),
-            "seed {}: semi-naive answers diverge between plan modes at {} threads\nprogram:\n{}",
-            seed,
-            threads,
-            scenario.program
-        );
+    let source = seminaive_with_options(&program, &db, &eval_opts(PlanMode::SourceOrder))
+        .expect("source-order semi-naive evaluates");
+    let cost = seminaive_with_options(&program, &db, &eval_opts(PlanMode::CostBased))
+        .expect("cost-based semi-naive evaluates");
+    let source_answers = query_answers(&query, &db, Some(&source)).expect("answers extract");
+    let cost_answers = query_answers(&query, &db, Some(&cost)).expect("answers extract");
+    prop_assert_eq!(
+        tuple_set(&source_answers),
+        tuple_set(&cost_answers),
+        "seed {}: semi-naive answers diverge between plan modes\nprogram:\n{}",
+        seed,
+        scenario.program
+    );
 
-        let source_magic = magic_evaluate_with_options(
-            &program,
-            &query,
-            &db,
-            &eval_opts(threads, PlanMode::SourceOrder),
-        )
-        .expect("source-order magic evaluates");
-        let cost_magic = magic_evaluate_with_options(
-            &program,
-            &query,
-            &db,
-            &eval_opts(threads, PlanMode::CostBased),
-        )
-        .expect("cost-based magic evaluates");
-        prop_assert_eq!(
-            tuple_set(&source_magic.answers),
-            tuple_set(&cost_magic.answers),
-            "seed {}: magic answers diverge between plan modes at {} threads\nprogram:\n{}",
-            seed,
-            threads,
-            scenario.program
-        );
-    }
+    let source_magic =
+        magic_evaluate_with_options(&program, &query, &db, &eval_opts(PlanMode::SourceOrder))
+            .expect("source-order magic evaluates");
+    let cost_magic =
+        magic_evaluate_with_options(&program, &query, &db, &eval_opts(PlanMode::CostBased))
+            .expect("cost-based magic evaluates");
+    prop_assert_eq!(
+        tuple_set(&source_magic.answers),
+        tuple_set(&cost_magic.answers),
+        "seed {}: magic answers diverge between plan modes\nprogram:\n{}",
+        seed,
+        scenario.program
+    );
     Ok(())
 }
 
@@ -118,7 +105,7 @@ fn rendered(qp: &QueryProcessor, result: &separable::QueryResult) -> Vec<String>
     rows
 }
 
-/// Runs `query` under every strategy and thread count on two processors
+/// Runs `query` under every strategy on two processors
 /// holding the same program and EDB — one planning cost-based, one
 /// compiling bodies as written — and asserts equal answers, or the same
 /// strategy refusal.
@@ -128,33 +115,31 @@ fn assert_mode_parity(
     query: &str,
     context: &str,
 ) {
-    for threads in [1usize, 3] {
-        for strategy in STRATEGIES {
-            cost.set_exec_options(exec_opts(threads, PlanMode::CostBased));
-            source.set_exec_options(exec_opts(threads, PlanMode::SourceOrder));
-            let a = cost.query_with(query, StrategyChoice::Force(strategy));
-            let b = source.query_with(query, StrategyChoice::Force(strategy));
-            match (a, b) {
-                (Ok(a), Ok(b)) => assert_eq!(
-                    rendered(cost, &a),
-                    rendered(source, &b),
-                    "{context}: {strategy} diverged between plan modes at {threads} threads"
-                ),
-                // A refusal or divergence is fine as long as both modes
-                // fail the same way (counting/HN reject cyclic data here);
-                // same program, same EDB — the messages must match too.
-                (Err(a), Err(b)) => assert_eq!(
-                    a.to_string(),
-                    b.to_string(),
-                    "{context}: {strategy} failed differently between plan modes"
-                ),
-                (a, b) => panic!(
-                    "{context}: {strategy} at {threads} threads: cost-based {:?} vs \
-                     source-order {:?}",
-                    a.map(|r| r.answers.len()),
-                    b.map(|r| r.answers.len()),
-                ),
-            }
+    for strategy in STRATEGIES {
+        cost.set_exec_options(exec_opts(PlanMode::CostBased));
+        source.set_exec_options(exec_opts(PlanMode::SourceOrder));
+        let a = cost.query_with(query, StrategyChoice::Force(strategy));
+        let b = source.query_with(query, StrategyChoice::Force(strategy));
+        match (a, b) {
+            (Ok(a), Ok(b)) => assert_eq!(
+                rendered(cost, &a),
+                rendered(source, &b),
+                "{context}: {strategy} diverged between plan modes"
+            ),
+            // A refusal or divergence is fine as long as both modes
+            // fail the same way (counting/HN reject cyclic data here);
+            // same program, same EDB — the messages must match too.
+            (Err(a), Err(b)) => assert_eq!(
+                a.to_string(),
+                b.to_string(),
+                "{context}: {strategy} failed differently between plan modes"
+            ),
+            (a, b) => panic!(
+                "{context}: {strategy}: cost-based {:?} vs \
+                 source-order {:?}",
+                a.map(|r| r.answers.len()),
+                b.map(|r| r.answers.len()),
+            ),
         }
     }
 }

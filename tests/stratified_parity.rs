@@ -1,8 +1,7 @@
 //! Stratified-evaluation parity: negation and aggregates must mean the
 //! same thing everywhere they are accepted, and be *refused* everywhere
 //! else. Covered four ways: fixture programs (one per construct family)
-//! where semi-naive and naive must agree at 1 and 3 threads under both
-//! plan modes while every specialized strategy refuses; a mutation script
+//! where semi-naive and naive must agree under both plan modes while every specialized strategy refuses; a mutation script
 //! where an incrementally maintained processor must track a from-scratch
 //! twin step for step; generated stratified programs (negation, `count`,
 //! `min` self-recursion, stacked negation, in random combination) with
@@ -48,8 +47,8 @@ const FIXTURES: [(&str, &str, &str); 3] = [
     ("shortest-path", SHORTEST, "short(Y, C)?"),
 ];
 
-fn exec_opts(threads: usize, plan_mode: PlanMode) -> ExecOptions {
-    ExecOptions { threads, plan_mode, ..ExecOptions::default() }
+fn exec_opts(plan_mode: PlanMode) -> ExecOptions {
+    ExecOptions { plan_mode, ..ExecOptions::default() }
 }
 
 /// Renders answers against the processor's own interner: two processors
@@ -72,20 +71,17 @@ fn query_rendered(qp: &mut QueryProcessor, query: &str, strategy: Strategy) -> V
 fn fixtures_agree_across_supported_strategies_threads_and_plan_modes() {
     for (context, text, query) in FIXTURES {
         let mut reference: Option<Vec<String>> = None;
-        for threads in [1usize, 3] {
-            for plan_mode in [PlanMode::CostBased, PlanMode::SourceOrder] {
-                for strategy in [Strategy::SemiNaive, Strategy::Naive] {
-                    let mut qp = QueryProcessor::new();
-                    qp.load(text).unwrap();
-                    qp.set_exec_options(exec_opts(threads, plan_mode));
-                    let rows = query_rendered(&mut qp, query, strategy);
-                    assert!(!rows.is_empty(), "{context}: empty answers");
-                    match &reference {
-                        None => reference = Some(rows),
-                        Some(want) => assert_eq!(
-                            want, &rows,
-                            "{context}: {strategy} diverged at {threads} threads, {plan_mode:?}"
-                        ),
+        for plan_mode in [PlanMode::CostBased, PlanMode::SourceOrder] {
+            for strategy in [Strategy::SemiNaive, Strategy::Naive] {
+                let mut qp = QueryProcessor::new();
+                qp.load(text).unwrap();
+                qp.set_exec_options(exec_opts(plan_mode));
+                let rows = query_rendered(&mut qp, query, strategy);
+                assert!(!rows.is_empty(), "{context}: empty answers");
+                match &reference {
+                    None => reference = Some(rows),
+                    Some(want) => {
+                        assert_eq!(want, &rows, "{context}: {strategy} diverged, {plan_mode:?}")
                     }
                 }
             }
@@ -184,27 +180,25 @@ fn fixture_mutation_script_maintains_incrementally() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Generated stratified programs: semi-naive and naive agree at 1 and
-    /// 3 threads on every query, and every specialized strategy refuses.
+    /// Generated stratified programs: semi-naive and naive agree on every
+    /// query, and every specialized strategy refuses.
     #[test]
     fn generated_programs_agree_across_strategies(seed in 0u64..10_000) {
         let scenario = random_stratified_scenario(seed);
         for query in &scenario.queries {
             let mut reference: Option<Vec<String>> = None;
-            for threads in [1usize, 3] {
-                for strategy in [Strategy::SemiNaive, Strategy::Naive] {
-                    let mut qp = QueryProcessor::new();
-                    qp.load(&scenario.program).unwrap();
-                    qp.set_exec_options(exec_opts(threads, PlanMode::CostBased));
-                    let rows = query_rendered(&mut qp, query, strategy);
-                    match &reference {
-                        None => reference = Some(rows),
-                        Some(want) => prop_assert_eq!(
-                            want, &rows,
-                            "seed {}: {} diverged on `{}` at {} threads\n{}",
-                            seed, strategy, query, threads, scenario.program
-                        ),
-                    }
+            for strategy in [Strategy::SemiNaive, Strategy::Naive] {
+                let mut qp = QueryProcessor::new();
+                qp.load(&scenario.program).unwrap();
+                qp.set_exec_options(exec_opts(PlanMode::CostBased));
+                let rows = query_rendered(&mut qp, query, strategy);
+                match &reference {
+                    None => reference = Some(rows),
+                    Some(want) => prop_assert_eq!(
+                        want, &rows,
+                        "seed {}: {} diverged on `{}`\n{}",
+                        seed, strategy, query, scenario.program
+                    ),
                 }
             }
         }
@@ -222,38 +216,35 @@ proptest! {
     }
 
     /// Generated mutation scripts: a prepared processor maintained through
-    /// the scenario's 4 steps equals a from-scratch twin after every step,
-    /// at 1 and 3 threads.
+    /// the scenario's 4 steps equals a from-scratch twin after every step.
     #[test]
     fn generated_mutation_scripts_maintain_incrementally(seed in 0u64..10_000) {
         let scenario = random_stratified_scenario(seed);
-        for threads in [1usize, 3] {
-            let mut incremental = QueryProcessor::new();
-            incremental.load(&scenario.program).unwrap();
-            incremental.set_exec_options(exec_opts(threads, PlanMode::CostBased));
-            incremental.prepare().unwrap();
+        let mut incremental = QueryProcessor::new();
+        incremental.load(&scenario.program).unwrap();
+        incremental.set_exec_options(exec_opts(PlanMode::CostBased));
+        incremental.prepare().unwrap();
 
-            let mut applied: Vec<(Vec<&str>, Vec<&str>)> = Vec::new();
-            for (step, (inserts, retracts)) in scenario.steps.iter().enumerate() {
-                let ins: Vec<&str> = inserts.iter().map(String::as_str).collect();
-                let rets: Vec<&str> = retracts.iter().map(String::as_str).collect();
-                incremental.apply_mutation(&ins, &rets).unwrap();
-                applied.push((ins, rets));
+        let mut applied: Vec<(Vec<&str>, Vec<&str>)> = Vec::new();
+        for (step, (inserts, retracts)) in scenario.steps.iter().enumerate() {
+            let ins: Vec<&str> = inserts.iter().map(String::as_str).collect();
+            let rets: Vec<&str> = retracts.iter().map(String::as_str).collect();
+            incremental.apply_mutation(&ins, &rets).unwrap();
+            applied.push((ins, rets));
 
-                let mut scratch = QueryProcessor::new();
-                scratch.load(&scenario.program).unwrap();
-                scratch.set_exec_options(exec_opts(threads, PlanMode::CostBased));
-                for (i, r) in &applied {
-                    scratch.apply_mutation(i, r).unwrap();
-                }
-                for query in &scenario.queries {
-                    prop_assert_eq!(
-                        query_rendered(&mut incremental, query, Strategy::SemiNaive),
-                        query_rendered(&mut scratch, query, Strategy::SemiNaive),
-                        "seed {}, step {}: incremental diverged on `{}` at {} threads\n{}",
-                        seed, step, query, threads, scenario.program
-                    );
-                }
+            let mut scratch = QueryProcessor::new();
+            scratch.load(&scenario.program).unwrap();
+            scratch.set_exec_options(exec_opts(PlanMode::CostBased));
+            for (i, r) in &applied {
+                scratch.apply_mutation(i, r).unwrap();
+            }
+            for query in &scenario.queries {
+                prop_assert_eq!(
+                    query_rendered(&mut incremental, query, Strategy::SemiNaive),
+                    query_rendered(&mut scratch, query, Strategy::SemiNaive),
+                    "seed {}, step {}: incremental diverged on `{}`\n{}",
+                    seed, step, query, scenario.program
+                );
             }
         }
     }
