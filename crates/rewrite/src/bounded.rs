@@ -4,21 +4,23 @@
 //! nonrecursive rule set `U_0 ∪ ... ∪ U_k`; this module realizes that
 //! proof: the recursive predicate's rules are replaced by the kept chain,
 //! and the synthetic `t@edb` predicate — which the analysis used to stand
-//! for `t`'s directly asserted facts — is bound to a copy of `t`'s EDB
-//! relation. The rewritten program is nonrecursive in `t`, so the
+//! for `t`'s directly asserted facts — is bound to `t`'s EDB relation by
+//! handle, rows unshared and uncopied. The rewritten program is nonrecursive in `t`, so the
 //! semi-naive engine evaluates its stratum in a single pass with **zero**
 //! fixpoint iterations; answers are identical to evaluating the original
 //! recursion to fixpoint. Every other rule of the given program is
 //! evaluated alongside, so a caller hands over only what `t` reads (the
-//! query processor passes the rules of `t`'s cone). The private copy and
-//! the evaluation tail are the demand rewrite's.
+//! query processor passes the rules of `t`'s cone). The working database
+//! is the demand rewrite's: a [`Database::fork`] of the caller's, which
+//! shares its relations and symbol table and takes the program's facts.
+//! The evaluation tail is the demand rewrite's too.
 
 use sepra_ast::{Program, Query, Rule};
 use sepra_core::bounded::BoundedRecursion;
 use sepra_eval::{EvalError, EvalOptions};
 use sepra_storage::Database;
 
-use crate::magic::{evaluate, private_copy, MagicOutcome};
+use crate::magic::{evaluate, fork_with_facts, MagicOutcome};
 
 /// Evaluates `query` by the nonrecursive rewrite with default options.
 pub fn bounded_evaluate(
@@ -40,14 +42,14 @@ pub fn bounded_evaluate_with_options(
     bounded: &BoundedRecursion,
     eval: &EvalOptions,
 ) -> Result<MagicOutcome, EvalError> {
-    let mut db = private_copy(program, db)?;
+    let mut db = fork_with_facts(program, db)?;
     // Bind the analysis's opaque `t@edb` predicate to the facts directly
-    // asserted for `t` (always materialized, possibly empty, so the plans
-    // referencing it find a relation).
-    let snapshot = db.relation(bounded.pred).cloned();
-    let edb = db.relation_mut(bounded.edb_pred, bounded.arity);
-    if let Some(facts) = snapshot {
-        edb.union_in_place(&facts);
+    // asserted for `t`, sharing `t`'s relation (always materialized,
+    // possibly empty, so the plans referencing it find a relation).
+    if let Some(facts) = db.shared_relation(bounded.pred).cloned() {
+        db.bind_relation(bounded.edb_pred, facts);
+    } else {
+        db.relation_mut(bounded.edb_pred, bounded.arity);
     }
     // The bounded predicate's rules give way to the nonrecursive chain;
     // facts and the rules of the predicates it reads are evaluated as given.

@@ -34,6 +34,7 @@
 //! sharing saves.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use sepra_ast::{Atom, Interner, Literal, Program, Query, Rule, Sym, Term};
 use sepra_eval::{query_answers, seminaive_with_options, Derived, EvalError, EvalOptions};
@@ -68,15 +69,16 @@ pub struct MagicOutcome {
     pub rewritten: Program,
     /// All derived relations, for inspection.
     pub derived: Derived,
-    /// The working database (a private copy of the caller's), whose
-    /// interner resolves the generated names.
+    /// The working database: a [`Database::fork`] of the caller's, whose
+    /// interner resolves the generated names on top of the caller's
+    /// symbols. Every symbol in `answers` is also the caller's.
     pub db: Database,
 }
 
-/// A private copy of `db` with `program`'s facts hoisted into it, so
-/// nothing leaks into the caller's EDB.
-pub(crate) fn private_copy(program: &Program, db: &Database) -> Result<Database, EvalError> {
-    let mut db = db.clone();
+/// A fork of `db` with `program`'s facts hoisted into it, so nothing
+/// leaks into the caller's EDB and the generated names into its interner.
+pub(crate) fn fork_with_facts(program: &Program, db: &Database) -> Result<Database, EvalError> {
+    let mut db = db.fork();
     for fact in program.facts() {
         db.insert_atom(&fact.head)
             .map_err(|e| EvalError::Unsupported(format!("bad program fact: {e}")))?;
@@ -85,7 +87,7 @@ pub(crate) fn private_copy(program: &Program, db: &Database) -> Result<Database,
 }
 
 /// The tail every rewrite shares: evaluates `rewritten` semi-naively over
-/// `db` (the private copy) and reads `query`'s answers.
+/// `db` (the working fork) and reads `query`'s answers.
 pub(crate) fn evaluate(
     rewritten: Program,
     query: &Query,
@@ -99,15 +101,15 @@ pub(crate) fn evaluate(
     Ok(MagicOutcome { answers, stats, rewritten, derived, db })
 }
 
-/// The private copy the demand rewrite starts from, with an IDB predicate
-/// that also has EDB facts split: its facts move to `pred@base` behind a
-/// fresh exit rule `pred(vars) :- pred@base(vars)`. Returns the copy, the
-/// fact-free program, and its IDB predicates.
+/// The working fork the demand rewrite starts from, with an IDB predicate
+/// that also has EDB facts split: its relation moves, by handle, to
+/// `pred@base` behind a fresh exit rule `pred(vars) :- pred@base(vars)`.
+/// Returns the fork, the fact-free program, and its IDB predicates.
 fn split_facts(
     program: &Program,
     db: &Database,
 ) -> Result<(Database, Program, Vec<Sym>), EvalError> {
-    let mut db = private_copy(program, db)?;
+    let mut db = fork_with_facts(program, db)?;
     let mut rules: Vec<Rule> = program.proper_rules().cloned().collect();
     let mut idb: Vec<Sym> = Vec::new();
     for rule in &rules {
@@ -116,15 +118,17 @@ fn split_facts(
         }
     }
     for &pred in &idb {
-        let Some(facts) = db.relation(pred).filter(|r| !r.is_empty()).cloned() else { continue };
+        let Some(facts) = db.shared_relation(pred).filter(|r| !r.is_empty()).cloned() else {
+            continue;
+        };
         let arity = facts.arity();
         let interner = db.interner_mut();
         let base_name = format!("{}@base", interner.resolve(pred));
         let base = interner.intern(&base_name);
         let vars: Vec<Term> =
             (0..arity).map(|i| Term::Var(interner.intern(&format!("B{i}")))).collect();
-        db.relation_mut(base, arity).union_in_place(&facts);
-        *db.relation_mut(pred, arity) = Relation::new(arity);
+        db.bind_relation(pred, Arc::new(Relation::new(arity)));
+        db.bind_relation(base, facts);
         rules.push(Rule::new(
             Atom::new(pred, vars.clone()),
             vec![Literal::Atom(Atom::new(base, vars))],
@@ -257,8 +261,9 @@ pub fn magic_evaluate_supplementary_with_options(
 }
 
 /// Rewrites `query` over `program` in configuration `magic` and evaluates
-/// the rewritten program semi-naively over a private copy of `db`. A query
-/// predicate with no rules is answered from the EDB.
+/// the rewritten program semi-naively over a fork of `db`
+/// ([`Database::fork`]), so the generated names never enter `db`'s
+/// interner. A query predicate with no rules is answered from the EDB.
 pub fn magic_evaluate_as(
     program: &Program,
     query: &Query,
