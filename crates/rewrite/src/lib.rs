@@ -11,7 +11,7 @@
 //! * [`bounded`] — **bounded elimination**: a recursion
 //!   [`sepra_core::bounded`] proves bounded becomes its nonrecursive
 //!   unfolding, evaluated with zero fixpoint iterations through the demand
-//!   rewrite's private copy and evaluation tail.
+//!   rewrite's working fork and evaluation tail.
 //! * [`counting`] — the **Generalized Counting Method** \[BMSU86, SZ86\]:
 //!   descend from the selection constants recording `(level, path-code)`
 //!   indexes exactly as the paper's `count` rules do, reaching `Ω(p^n)`
